@@ -24,6 +24,14 @@ from .contract import (
     WithdrawRequestTx,
 )
 from .crypto import KeyPair, MerkleProof
+from .messages import (
+    EventListMsg,
+    EventListRequest,
+    ForwardMsg,
+    QueryMsg,
+    ReceiptMsg,
+    ResponseMsg,
+)
 
 
 class ProviderStrategy(enum.Enum):
@@ -248,11 +256,10 @@ def watcher_check(
 
 def find_slash_record(pk: bytes, chain: Chain) -> tuple[int, bytes] | None:
     """Most recent on-chain slash record for a provider, if any."""
-    for block in reversed(chain.blocks):
-        for tx in block.transactions:
-            if codec.record_tag(tx.payload) == codec.TAG_SLASH_RECORD:
-                if codec.decode_slash_record(tx.payload)[0] == pk:
-                    return block.number, tx.id
+    for number, tx in chain.transactions_newest_first():
+        if codec.record_tag(tx.payload) == codec.TAG_SLASH_RECORD:
+            if codec.decode_slash_record(tx.payload)[0] == pk:
+                return number, tx.id
     return None
 
 
@@ -285,8 +292,6 @@ class WatcherActor:
         self._pending_alerts: list[_PendingAlert] = []
 
     def handle_message(self, sender: str, payload, ctx) -> None:
-        from .harness import ForwardMsg, ReceiptMsg
-
         if isinstance(payload, ForwardMsg):
             self._audit(sender, payload.response, ctx)
         elif isinstance(payload, ReceiptMsg):
@@ -381,6 +386,8 @@ class DataProviderActor:
         self.withdraw_tick = withdraw_tick
         self._misbehaved = False
         self._withdraw_submitted = False
+        # Register/withdraw records of each epoch already complete on chain.
+        self._epoch_events: dict[int, tuple[tuple[int, bytes], ...]] = {}
 
     @property
     def public_key(self) -> bytes:
@@ -398,8 +405,6 @@ class DataProviderActor:
             ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
 
     def handle_message(self, sender: str, payload, ctx) -> None:
-        from .harness import EventListMsg, EventListRequest, QueryMsg, ResponseMsg
-
         if isinstance(payload, QueryMsg):
             record = ctx.contract.provider(self.public_key)
             status = record.status if record is not None else ProviderStatus.ACTIVE
@@ -424,21 +429,22 @@ class DataProviderActor:
         elif isinstance(payload, EventListRequest):
             if self.strategy in (ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH):
                 events = self._scan_epoch_events(payload.epoch, ctx)
-                ctx.send(
-                    self.name,
-                    sender,
-                    EventListMsg(epoch=payload.epoch, events=tuple(events)),
-                )
+                ctx.send(self.name, sender, EventListMsg(epoch=payload.epoch, events=events))
             # Adversarial providers stay silent; the client unions answers
             # from every provider it asks, so one honest list suffices.
 
-    def _scan_epoch_events(self, epoch: int, ctx) -> list[tuple[int, bytes]]:
+    def _scan_epoch_events(self, epoch: int, ctx) -> tuple[tuple[int, bytes], ...]:
+        events = self._epoch_events.get(epoch)
+        if events is not None:
+            return events
         first = epoch * ctx.contract.config.update_epoch_blocks
         last = (epoch + 1) * ctx.contract.config.update_epoch_blocks - 1
-        events: list[tuple[int, bytes]] = []
-        for number in range(first, min(last, ctx.chain.tip.number) + 1):
-            for tx in ctx.chain.block_at(number).transactions:
-                tag = codec.record_tag(tx.payload)
-                if tag in (codec.TAG_REGISTER, codec.TAG_WITHDRAW_REQUEST):
-                    events.append((number, tx.payload))
+        events = tuple(
+            (number, tx.payload)
+            for number, tx in ctx.chain.transactions_between(first, last)
+            if codec.record_tag(tx.payload) in (codec.TAG_REGISTER, codec.TAG_WITHDRAW_REQUEST)
+        )
+        if last <= ctx.chain.tip.number:
+            # The chain only grows, so a complete epoch's records are final.
+            self._epoch_events[epoch] = events
         return events

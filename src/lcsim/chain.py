@@ -5,10 +5,23 @@ data" is modeled at the data-provider layer, not as reorgs.  Time is
 measured in block ticks; one block is appended per simulation tick, and a
 block at height n is finalized once the tip is at least
 `finality_depth_epochs * slots_per_epoch` blocks above it.
+
+The chain indexes its transactions as blocks are appended (and, for blocks
+passed to the constructor, once at construction):
+
+- a height-ordered list of `(height, tx)` pairs, which
+  `transactions_between` cuts by binary search and
+  `transactions_newest_first` walks from the tip;
+- a map from transaction id to the first `(height, tx)` carrying it, which
+  answers `find_transaction` without a scan.
+
+Both only ever grow, so a full node's lookups no longer walk every block.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import crypto
@@ -75,6 +88,12 @@ class Chain:
     slots_per_epoch: int = 4
     finality_depth_epochs: int = 2
     blocks: list[Block] = field(default_factory=list)
+    _indexed: list[tuple[int, Transaction]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _first_by_id: dict[bytes, tuple[int, Transaction]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.slots_per_epoch < 1 or self.finality_depth_epochs < 1:
@@ -89,6 +108,8 @@ class Chain:
                 hash=_block_hash(0, GENESIS_PARENT, root),
             )
             self.blocks.append(genesis)
+        for block in self.blocks:
+            self._index(block)
 
     @property
     def finality_depth_blocks(self) -> int:
@@ -116,7 +137,14 @@ class Chain:
             hash=_block_hash(number, parent.hash, root),
         )
         self.blocks.append(block)
+        self._index(block)
         return block
+
+    def _index(self, block: Block) -> None:
+        for tx in block.transactions:
+            entry = (block.number, tx)
+            self._indexed.append(entry)
+            self._first_by_id.setdefault(tx.id, entry)
 
     def is_finalized(self, number: int) -> bool:
         return (
@@ -144,10 +172,20 @@ class Chain:
                 return crypto.merkle_prove([t.id for t in block.transactions], index)
         raise TxNotInBlockError(f"transaction not in block {number}")
 
+    def transactions_between(self, first: int, last: int) -> list[tuple[int, Transaction]]:
+        """`(height, tx)` for every transaction in blocks `first..last`
+        inclusive, in chain order; heights past the tip contribute nothing."""
+        # A 1-tuple sorts before every (height, tx) pair of the same height,
+        # so the search never compares transactions.
+        lo = bisect_left(self._indexed, (first,))
+        hi = bisect_left(self._indexed, (last + 1,))
+        return self._indexed[lo:hi]
+
+    def transactions_newest_first(self) -> Iterator[tuple[int, Transaction]]:
+        """`(height, tx)` for every transaction, from the tip back to genesis."""
+        return reversed(self._indexed)
+
     def find_transaction(self, tx_id: bytes) -> tuple[int, Transaction] | None:
-        """Full-node scan for a transaction; used by providers and watchers."""
-        for block in self.blocks:
-            for tx in block.transactions:
-                if tx.id == tx_id:
-                    return block.number, tx
-        return None
+        """First `(height, tx)` carrying `tx_id`; used by providers and
+        watchers."""
+        return self._first_by_id.get(tx_id)

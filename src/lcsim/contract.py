@@ -116,6 +116,7 @@ class InsurancePolicy:
     coverage_value: int
     start_block: int
     duration: int
+    premium_wei: int
     state: PolicyState = PolicyState.OPEN
 
     @property
@@ -353,6 +354,7 @@ class SlashingContract:
             coverage_value=coverage_value,
             start_block=block_number,
             duration=duration,
+            premium_wei=premium_wei,
         )
         self._next_policy_id += 1
         self.policies[policy.id] = policy
@@ -567,9 +569,7 @@ class SlashingContract:
                     block_number=block_number,
                     record_tx_id=crypto.digest(payload),
                     insurance_id=policy.id,
-                    premium_wei=pricing.premium(
-                        self.params, submission.duration, submission.coverage_value
-                    ),
+                    premium_wei=policy.premium_wei,
                     gas_wei=self.config.gas_buy_insurance * self.params.gas_price_wei,
                 )
                 return [payload], receipt

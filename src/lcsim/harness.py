@@ -17,7 +17,6 @@ from . import codec, crypto, pricing
 from .actors import (
     DataProviderActor,
     ProviderStrategy,
-    Query,
     SignedResponse,
     WatcherActor,
 )
@@ -25,7 +24,6 @@ from .chain import Chain, Transaction
 from .contract import (
     ContractConfig,
     Ledger,
-    Receipt,
     SlashingContract,
     SlashTx,
     Submission,
@@ -37,54 +35,12 @@ from .light_client import (
     LightClientActor,
     Protocol,
 )
+from .messages import CompensationMsg, ForwardMsg, ReceiptMsg
 from .pricing import CoverageInputs, PricingParams, eth_to_wei, min_coverage_duration
 
 
 class ConfigInvalidError(ValueError):
     """Scenario configuration violates a named constraint."""
-
-
-# ---------------------------------------------------------------------------
-# Messages
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QueryMsg:
-    query: Query
-
-
-@dataclass(frozen=True)
-class ResponseMsg:
-    response: SignedResponse
-
-
-@dataclass(frozen=True)
-class ForwardMsg:
-    response: SignedResponse
-
-
-@dataclass(frozen=True)
-class ReceiptMsg:
-    token: int
-    receipt: Receipt
-
-
-@dataclass(frozen=True)
-class CompensationMsg:
-    insurance_id: int
-    amount: int
-
-
-@dataclass(frozen=True)
-class EventListRequest:
-    epoch: int
-
-
-@dataclass(frozen=True)
-class EventListMsg:
-    epoch: int
-    events: tuple[tuple[int, bytes], ...]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,14 @@ from . import codec, crypto
 from .actors import Alert, Query, SignedResponse
 from .contract import BuyInsuranceTx
 from .crypto import KeyPair
+from .messages import (
+    CompensationMsg,
+    EventListMsg,
+    EventListRequest,
+    QueryMsg,
+    ReceiptMsg,
+    ResponseMsg,
+)
 from .pricing import CoverageInputs, min_coverage_duration
 
 
@@ -434,8 +442,6 @@ class LightClientActor:
         check.responses.clear()
         check.last_forward_tick = None
         check.query_tick = now
-        from .harness import QueryMsg
-
         for pk, _ in check.selected:
             ctx.send_to_provider(self.name, pk, QueryMsg(query=self._make_query(check)))
         ctx.log(self.name, "query", check.state_hash)
@@ -566,8 +572,6 @@ class LightClientActor:
     # -- message handling ---------------------------------------------------------
 
     def handle_message(self, sender: str, payload, ctx) -> None:
-        from .harness import CompensationMsg, EventListMsg, ReceiptMsg, ResponseMsg
-
         now = ctx.now
         if self._offline_at(now):
             return
@@ -731,8 +735,6 @@ class LightClientActor:
                 "collected": False,
             }
             self._maintenance[epoch] = state
-            from .harness import EventListRequest
-
             for pk in self.current_set():
                 ctx.send_to_provider(self.name, pk, EventListRequest(epoch=epoch - 1))
             return
@@ -764,7 +766,7 @@ class LightClientActor:
         if state is None or state["collected"]:
             return
         for block_number, payload in msg.events:
-            state["events"][crypto.digest(payload)] = (block_number, payload)
+            state["events"][payload] = (block_number, payload)
 
     def _maintenance_event_done(self, check: Check, ctx) -> None:
         for epoch, state in self._maintenance.items():

@@ -4,6 +4,7 @@ import pytest
 
 from lcsim import codec, crypto
 from lcsim.actors import (
+    DataProviderActor,
     ProviderStrategy,
     Query,
     Verdict,
@@ -13,6 +14,7 @@ from lcsim.actors import (
 from lcsim.chain import Chain, Transaction
 from lcsim.contract import ContractConfig, Ledger, ProviderStatus, SlashingContract
 from lcsim.light_client import Check, CheckKind, verify_response
+from lcsim.messages import EventListMsg, EventListRequest
 from lcsim.pricing import PricingParams, eth_to_wei
 
 ETH = eth_to_wei(1)
@@ -200,3 +202,43 @@ class TestWatcherCheck:
         with pytest.raises(SlashRejected) as excinfo:
             contract.slash(tampered.evidence(), chain, chain.tip.number + 1)
         assert excinfo.value.reason is RejectReason.SIGNATURE_INVALID
+
+
+class _SendLog:
+    """The slice of the harness context a provider answers event lists with."""
+
+    def __init__(self, chain, contract):
+        self.chain = chain
+        self.contract = contract
+        self.sent = []
+
+    def send(self, src, dst, payload):
+        self.sent.append((dst, payload))
+
+
+class TestEpochEventMemo:
+    def ask(self, provider, ctx, epoch):
+        provider.handle_message("c0", EventListRequest(epoch=epoch), ctx)
+        dst, msg = ctx.sent.pop()
+        assert dst == "c0" and isinstance(msg, EventListMsg) and msg.epoch == epoch
+        return msg.events
+
+    def test_open_epoch_is_rescanned_and_complete_epoch_memoised(self, env):
+        chain, contract, kp, _ = env  # 16-block epochs, tip 11: epoch 0 still open
+        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
+        ctx = _SendLog(chain, contract)
+        assert self.ask(provider, ctx, 0) == ()
+        register = codec.register_record(crypto.keygen(78).public_key, 32 * ETH)
+        block = chain.append_block([Transaction.create(register)])  # block 12
+        assert self.ask(provider, ctx, 0) == ((block.number, register),)
+
+        while chain.tip.number < 15:  # epoch 0's last block
+            chain.append_block([])
+        complete = self.ask(provider, ctx, 0)
+        assert complete == ((block.number, register),)
+        # Records appended to epoch 1 leave epoch 0's answer, the memoised
+        # tuple itself, unchanged.
+        withdraw = codec.withdraw_record(kp.public_key)
+        chain.append_block([Transaction.create(withdraw)])  # block 16
+        assert self.ask(provider, ctx, 0) is complete
+        assert self.ask(provider, ctx, 1) == ((16, withdraw),)

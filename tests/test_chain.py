@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcsim import crypto
+from lcsim import codec, crypto
+from lcsim.actors import find_slash_record
 from lcsim.chain import Chain, Transaction, TxNotInBlockError, UnknownHeightError
 
 
@@ -118,3 +121,74 @@ class TestInclusionProofs:
         block = chain.append_block(txs)
         assert chain.find_transaction(txs[1].id) == (block.number, txs[1])
         assert chain.find_transaction(b"\x01" * 32) is None
+
+
+# Few payloads, so blocks repeat them; the same payload with another value
+# is another transaction under the same id.
+_KEYS = (b"\x01" * 32, b"\x02" * 32)
+_PAYLOADS = (
+    [b"", b"a", b"b"]
+    + [codec.register_record(pk, 5) for pk in _KEYS]
+    + [codec.slash_record(pk, n, bytes(32), 7, None, b"sig") for pk in _KEYS for n in (1, 2)]
+)
+_BLOCKS = st.lists(
+    st.lists(st.tuples(st.sampled_from(_PAYLOADS), st.integers(0, 2)), max_size=4),
+    max_size=8,
+)
+
+
+def build_chain(blocks):
+    chain = Chain()
+    for txs in blocks:
+        chain.append_block([Transaction.create(p, value=v) for p, v in txs])
+    return chain
+
+
+def linear_scan(chain):
+    return [(block.number, tx) for block in chain.blocks for tx in block.transactions]
+
+
+class TestTransactionIndex:
+    @given(_BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_transactions_between_matches_scan(self, blocks):
+        chain = build_chain(blocks)
+        every = linear_scan(chain)
+        tip = chain.tip.number
+        for first in range(-2, tip + 3):
+            for last in range(first - 2, tip + 3):
+                expected = [e for e in every if first <= e[0] <= last]
+                assert chain.transactions_between(first, last) == expected
+
+    @given(_BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_find_transaction_returns_first_occurrence(self, blocks):
+        chain = build_chain(blocks)
+        every = linear_scan(chain)
+        for payload in _PAYLOADS:
+            tx_id = crypto.digest(payload)
+            expected = next((e for e in every if e[1].id == tx_id), None)
+            assert chain.find_transaction(tx_id) == expected
+
+    @given(_BLOCKS)
+    @settings(max_examples=50, deadline=None)
+    def test_chain_built_from_blocks_is_indexed(self, blocks):
+        original = build_chain(blocks)
+        rebuilt = Chain(blocks=list(original.blocks))
+        tip = original.tip.number
+        assert rebuilt.transactions_between(0, tip) == linear_scan(original)
+        for payload in _PAYLOADS:
+            tx_id = crypto.digest(payload)
+            assert rebuilt.find_transaction(tx_id) == original.find_transaction(tx_id)
+
+    @given(_BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_find_slash_record_is_most_recent(self, blocks):
+        chain = build_chain(blocks)
+        for pk in _KEYS + (b"\x03" * 32,):
+            expected = None
+            for number, tx in linear_scan(chain):
+                if codec.record_tag(tx.payload) == codec.TAG_SLASH_RECORD:
+                    if codec.decode_slash_record(tx.payload)[0] == pk:
+                        expected = (number, tx.id)
+            assert find_slash_record(pk, chain) == expected

@@ -1,0 +1,157 @@
+"""Behaviour oracle: pinned digests of whole runs.
+
+Each case pins the sha256 of the canonical event log and of the metrics
+as canonical JSON. A refactor or speed-up must leave every pin as it is;
+an intended change of behaviour updates the pins in the same change and
+says why.
+
+    PYTHONPATH=src python3 tests/test_golden.py    # print the current digests
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from lcsim import scenario
+from lcsim.actors import ProviderStrategy
+from lcsim.harness import (
+    ProviderSpec,
+    ScenarioConfig,
+    build_scenario,
+    min_compliant_challenge_period,
+    run_scenario,
+)
+from lcsim.light_client import Protocol
+from lcsim.pricing import eth_to_wei
+
+
+def scaled_dispute() -> ScenarioConfig:
+    """Eight providers, three of them adversarial, and six eco clients."""
+    delta = 2
+    cp = min_compliant_challenge_period(8, delta)
+    base = build_scenario(ProviderStrategy.WRONG_HASH, delta, cp, Protocol.ECO, seed=3)
+    b_u = base.update_epoch_blocks
+    strategies = (
+        [ProviderStrategy.WRONG_HASH, ProviderStrategy.UNRESPONSIVE, ProviderStrategy.EXIT_SCAM]
+        + [ProviderStrategy.HONEST] * 5
+    )
+    providers = tuple(
+        ProviderSpec(stake=eth_to_wei(60 - 3 * i), strategy=s) for i, s in enumerate(strategies)
+    )
+    clients = tuple(
+        dataclasses.replace(
+            base.clients[0],
+            target_value=eth_to_wei(10 + 25 * i),
+            target_block=2 + i,
+            start_tick=2 * b_u + 1 + 3 * i,
+        )
+        for i in range(6)
+    )
+    return dataclasses.replace(
+        base, providers=providers, clients=clients, total_ticks=5 * b_u
+    )
+
+
+def scaled_maintain() -> ScenarioConfig:
+    """24 churning honest providers and 12 maintaining clients, eco and ins
+    alternating."""
+    delta = 1
+    cp = min_compliant_challenge_period(8, delta)
+    eco = build_scenario(ProviderStrategy.HONEST, delta, cp, Protocol.ECO, seed=5)
+    ins = build_scenario(ProviderStrategy.HONEST, delta, cp, Protocol.INS, seed=5)
+    b_u = eco.update_epoch_blocks
+    providers = []
+    for i in range(24):
+        spec = ProviderSpec(stake=eth_to_wei(20 + (7 * i) % 40), strategy=ProviderStrategy.HONEST)
+        if i >= 20:
+            spec = dataclasses.replace(spec, register_tick=b_u + 5 * i)
+        elif i >= 16:
+            spec = dataclasses.replace(spec, stake=eth_to_wei(16), withdraw_tick=2 * b_u + 3 * i)
+        providers.append(spec)
+    clients = []
+    for i in range(12):
+        template = (eco if i % 2 == 0 else ins).clients[0]
+        start = (2 + i % 3) * b_u + 1 + i % 4
+        clients.append(
+            dataclasses.replace(
+                template,
+                target_value=eth_to_wei(3 + 4 * i),
+                target_block=start - 10 - i,
+                start_tick=start,
+                maintain=True,
+                maintenance_challenge_period=cp,
+            )
+        )
+    return dataclasses.replace(
+        eco, providers=tuple(providers), clients=tuple(clients), total_ticks=7 * b_u
+    )
+
+
+def configs() -> dict[str, ScenarioConfig]:
+    out = {
+        name: scenario.load_scenario(scenario.builtin_scenario_path(name))
+        for name in scenario.list_builtin_scenarios()
+    }
+    out["scaled_dispute"] = scaled_dispute()
+    out["scaled_maintain"] = scaled_maintain()
+    return out
+
+
+def digests(config: ScenarioConfig) -> tuple[str, str]:
+    metrics, log = run_scenario(config)
+    canonical = json.dumps(metrics.to_dict(), sort_keys=True, separators=(",", ":"))
+    return (
+        hashlib.sha256(log.serialize()).hexdigest(),
+        hashlib.sha256(canonical.encode()).hexdigest(),
+    )
+
+
+# name -> (sha256 of EventLog.serialize(), sha256 of canonical metrics JSON)
+PINNED: dict[str, tuple[str, str]] = {
+    "exit_scam": (
+        "bdc98aa30b57347a0cc5846c9d788320a85da9ac5f6e50e7fef8363e0261b8e5",
+        "fa9f1a369924f6f267f947140472af91adc95675e96994e7398b004f2f0a70f6",
+    ),
+    "honest": (
+        "027e695299b98b60b6b31fbc706e2e18b651a64b2e92d080c609b9a75de7d843",
+        "090085330a385abd8232317dfb8d62b910f7c17f26e2071b773b6385cb740f5f",
+    ),
+    "insured": (
+        "3821c36040994180e4b7551b17e4d826bdb8529ead321677f993e0ac9ec60e53",
+        "a2eeaa221a53c84ab509f80d6ac837abbedeb5248a45348bb0b553171c11ada5",
+    ),
+    "maintenance": (
+        "85b9441ea848e4625b4705087382b02f633388b1d50852d0f161f3739cb2680d",
+        "077760bc1f88584a7ab794c400b8551b54ea847d116d60a390dfb4b77dd77a73",
+    ),
+    "wrong_hash": (
+        "3247409e1465dab0924f087d53bdbe215c096ab6137026d8dd366aaadabc0b28",
+        "fa9f1a369924f6f267f947140472af91adc95675e96994e7398b004f2f0a70f6",
+    ),
+    "scaled_dispute": (
+        "88bdcb8aec3ccc1bdff9d7e20a3a43d610c3040e40eed1cfe4f2fa9213b5561f",
+        "d5f1ea66c7e6ad5de448aa6c9d068379c16ea91cb0f3f44b6afe2aec7d13091e",
+    ),
+    "scaled_maintain": (
+        "c3c8175672ea57e168e65ce824832ca18bfb2fc43d3d5085beb471a3c29bacb7",
+        "99c30a8a1103a935a8bc9463d36526aa2d211c76b39b4fd591b737d19b79c953",
+    ),
+}
+
+
+def test_every_case_is_pinned():
+    assert sorted(PINNED) == sorted(configs())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_digests(name):
+    assert digests(configs()[name]) == PINNED[name]
+
+
+if __name__ == "__main__":
+    for name, config in configs().items():
+        print(f"    {name!r}: {digests(config)!r},")
