@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from . import codec, crypto
-from .chain import Chain, TxNotInBlockError
+from .chain import Chain, TxNotInBlockError, block_hash
 from .contract import (
     ProviderStatus,
     RegisterTx,
@@ -134,12 +134,7 @@ def _fabricated_response(keypair: KeyPair, query: Query) -> SignedResponse:
     """
     fake_root = crypto.merkle_root([query.state_hash])
     fake_parent = crypto.digest(b"forged-parent", keypair.public_key, query.state_hash)
-    fake_hash = crypto.digest(
-        b"lcsim-block-v1",
-        query.block_number.to_bytes(8, "big"),
-        fake_parent,
-        fake_root,
-    )
+    fake_hash = block_hash(query.block_number, fake_parent, fake_root)
     proof = crypto.merkle_prove([query.state_hash], 0)
     return _sign_response(
         keypair,

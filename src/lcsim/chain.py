@@ -66,7 +66,9 @@ def _transactions_root(transactions: tuple[Transaction, ...]) -> bytes:
     return crypto.merkle_root([tx.id for tx in transactions])
 
 
-def _block_hash(number: int, parent_hash: bytes, transactions_root: bytes) -> bytes:
+def block_hash(number: int, parent_hash: bytes, transactions_root: bytes) -> bytes:
+    """The header hash of block `number`; light clients recompute it from a
+    response's fields."""
     return crypto.digest(
         _BLOCK_TAG, number.to_bytes(8, "big"), parent_hash, transactions_root
     )
@@ -105,7 +107,7 @@ class Chain:
                 parent_hash=GENESIS_PARENT,
                 transactions=(),
                 transactions_root=root,
-                hash=_block_hash(0, GENESIS_PARENT, root),
+                hash=block_hash(0, GENESIS_PARENT, root),
             )
             self.blocks.append(genesis)
         for block in self.blocks:
@@ -134,7 +136,7 @@ class Chain:
             parent_hash=parent.hash,
             transactions=txs,
             transactions_root=root,
-            hash=_block_hash(number, parent.hash, root),
+            hash=block_hash(number, parent.hash, root),
         )
         self.blocks.append(block)
         self._index(block)

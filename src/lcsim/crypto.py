@@ -22,8 +22,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-DIGEST_LEN = 32
-
 _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
 _ROOT_TAG = b"\x02"

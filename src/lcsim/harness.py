@@ -5,10 +5,16 @@ from the seeded generator in [1, delta]; fixed intra-tick ordering
 (deliveries, actor handlers, transaction pool, block append, contract
 boundary) so that identical (seed, config) pairs produce byte-identical
 event logs.
+
+The delays are the values `rng.randint(1, delta)` would give, one per
+ordered pair of endpoints in sorted-name order, but drawn in bulk and kept
+as one byte per edge (so delta is at most 255): a row of bytes per source,
+indexed by the destination's position in the sorted names.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,6 +47,10 @@ from .pricing import CoverageInputs, PricingParams, eth_to_wei, min_coverage_dur
 
 class ConfigInvalidError(ValueError):
     """Scenario configuration violates a named constraint."""
+
+
+# Delays are stored one byte per edge.
+MAX_DELTA_TICKS = 255
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +97,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.delta_ticks < 1:
             raise ConfigInvalidError("delta_ticks must be at least 1")
+        if self.delta_ticks > MAX_DELTA_TICKS:
+            raise ConfigInvalidError(f"delta_ticks must be at most {MAX_DELTA_TICKS}")
         if self.total_ticks < 1:
             raise ConfigInvalidError("total_ticks must be positive")
         if self.watcher_count < 1:
@@ -322,6 +334,42 @@ class SimContext:
         self._sim.record_acceptance(client, check)
 
 
+@functools.cache
+def _top_byte_tables(delta: int) -> tuple[bytes, bytes]:
+    """`bytes.translate` tables mapping a word's top byte to the value
+    `randint(1, delta)` takes from it, and deleting the bytes it redraws."""
+    shift = 8 - delta.bit_length()
+    keep = bytes(1 + (b >> shift) if b >> shift < delta else 0 for b in range(256))
+    drop = bytes(b for b in range(256) if b >> shift >= delta)
+    return keep, drop
+
+
+# Words drawn per pass at most, so a huge table is built in bounded chunks.
+_MAX_WORDS_PER_PASS = 1 << 20
+
+
+def _draw_delays(rng: random.Random, delta: int, count: int) -> bytes:
+    """The next `count` values of `rng.randint(1, delta)`, one per byte.
+
+    CPython's randint(1, delta) is 1 + r, with r the top
+    `delta.bit_length()` bits of one 32-bit Mersenne-Twister word, redrawn
+    while r >= delta. `getrandbits(32 * m)` returns the next m words
+    little-endian, so every fourth byte from index 3 is a word's top byte.
+    The generator ends up further along than after `count` randint calls.
+    """
+    keep, drop = _top_byte_tables(delta)
+    per_word = (1 << delta.bit_length()) / delta  # words per accepted value
+    chunks: list[bytes] = []
+    drawn = 0
+    while drawn < count:
+        words = min(int((count - drawn) * per_word) + 16, _MAX_WORDS_PER_PASS)
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        chunk = raw[3::4].translate(keep, drop)
+        chunks.append(chunk)
+        drawn += len(chunk)
+    return b"".join(chunks)[:count]
+
+
 def _derive_key_seed(seed: int, name: str) -> int:
     raw = crypto.digest(b"actor-key", seed.to_bytes(8, "big", signed=False), name.encode())
     return int.from_bytes(raw[:8], "big")
@@ -393,12 +441,13 @@ class Simulation:
         self._actor_by_name = {a.name: a for a in self.actors}
 
         names = sorted([a.name for a in self.actors] + [CONTRACT_ENDPOINT])
-        self._delays = {
-            (a, b): rng.randint(1, config.delta_ticks)
-            for a in names
-            for b in names
-            if a != b
-        }
+        n = len(names)
+        delays = _draw_delays(rng, config.delta_ticks, n * (n - 1))
+        self._index = {name: i for i, name in enumerate(names)}
+        self._delay_rows: dict[str, bytes] = {}
+        for i, name in enumerate(names):
+            row = delays[i * (n - 1) : (i + 1) * (n - 1)]
+            self._delay_rows[name] = row[:i] + b"\0" + row[i:]
         self._mailbox: dict[int, list[tuple[str, str, object]]] = {}
         self._pool: list[tuple[int, str, Submission]] = []
         self._next_token = 1
@@ -408,9 +457,9 @@ class Simulation:
     # -- plumbing -----------------------------------------------------------
 
     def enqueue(self, src: str, dst: str, payload) -> None:
-        delay = self._delays[(src, dst)]
+        delay = self._delay_rows[src][self._index[dst]]
         deliver_at = self.ctx.now + delay
-        if delay > self.config.delta_ticks:
+        if not 0 < delay <= self.config.delta_ticks:
             self.metrics.violations.append(f"delivery-bound:{src}->{dst}")
         self._mailbox.setdefault(deliver_at, []).append((src, dst, payload))
 

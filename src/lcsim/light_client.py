@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from . import codec, crypto
 from .actors import Alert, Query, SignedResponse
+from .chain import block_hash
 from .contract import BuyInsuranceTx
 from .crypto import KeyPair
 from .messages import (
@@ -39,10 +40,6 @@ class NoEligibleProvidersError(ValueError):
 class Protocol(enum.Enum):
     ECO = "eco"
     INS = "ins"
-
-
-class SelectionPolicy(enum.Enum):
-    FEWEST_PROVIDERS = "fewest_providers"
 
 
 class ClientPhase(enum.Enum):
@@ -125,7 +122,6 @@ class ClientConfig:
     target_block: int = 2
     start_tick: int | None = None
     coverage_inputs: CoverageInputs | None = None
-    selection: SelectionPolicy = SelectionPolicy.FEWEST_PROVIDERS
     initial_balance: int = 10**18
     maintain: bool = False
     maintenance_challenge_period: int | None = None
@@ -183,11 +179,8 @@ def verify_response(check: Check, response: SignedResponse) -> bool:
         return False
     if not crypto.verify(response.provider_pk, response.payload(), response.signature):
         return False
-    recomputed = crypto.digest(
-        b"lcsim-block-v1",
-        response.block_number.to_bytes(8, "big"),
-        response.parent_hash,
-        response.transactions_root,
+    recomputed = block_hash(
+        response.block_number, response.parent_hash, response.transactions_root
     )
     if recomputed != response.block_hash:
         return False
@@ -316,16 +309,12 @@ class LightClientActor:
             return
         if epoch in self.sets:
             self.current_epoch_held = epoch
-        elif epoch > (self.current_epoch_held or 0) and self._went_dark(epoch):
+        elif self.config.maintain:
             # Offline across at least one full update epoch: prediction
             # chain broken, fall back to a fresh heavy check.
             self.bootstrap(ctx, now)
             self._rebootstrap_count += 1
-            if self.config.maintain:
-                self._schedule_maintenance(now)
-
-    def _went_dark(self, epoch: int) -> bool:
-        return self.config.maintain and epoch not in self.sets
+            self._schedule_maintenance(now)
 
     # -- main protocol ----------------------------------------------------------
 

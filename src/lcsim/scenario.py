@@ -32,8 +32,6 @@ def list_builtin_scenarios() -> list[str]:
 def _get_int(section, key: str, default: int | None = None) -> int | None:
     raw = section.get(key)
     if raw is None or raw.strip() == "":
-        if default is None and key not in section:
-            return default
         return default
     try:
         return int(raw)
@@ -107,7 +105,8 @@ def _parse_client(label: str, section, t_fin: int) -> ClientConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    parser = configparser.ConfigParser()
+    # No interpolation: a `%` in a value is read literally.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:

@@ -67,6 +67,19 @@ class TestRun:
         result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
         assert result.exit_code == 2
 
+    def test_percent_sign_exits_two(self, runner, tmp_path):
+        # `%` is read literally, so the bad APY reaches pricing and is named.
+        path = tmp_path / "percent.ini"
+        path.write_text(
+            "[scenario]\nseed = 1\n"
+            "[pricing]\napy = 6%\n"
+            "[provider.a]\nstake_eth = 32\n"
+            "[client.b]\nchallenge_period = 13\ntarget_value_eth = 1\n"
+        )
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "invalid scenario: pricing:" in result.output
+
     def test_violation_exits_one_and_names_invariant(self, runner, tmp_path):
         # T_cp = 0 against a lying provider: the eco-safety invariant must
         # trip and be named.

@@ -91,6 +91,16 @@ def scaled_maintain() -> ScenarioConfig:
     )
 
 
+def delta_case(
+    adversary: ProviderStrategy, delta: int, protocol: Protocol, seed: int
+) -> ScenarioConfig:
+    """The two-provider template at a wider delay bound, with three
+    watchers so the delay table has more edges."""
+    cp = min_compliant_challenge_period(8, delta)
+    base = build_scenario(adversary, delta, cp, protocol, seed=seed)
+    return dataclasses.replace(base, watcher_count=3)
+
+
 def configs() -> dict[str, ScenarioConfig]:
     out = {
         name: scenario.load_scenario(scenario.builtin_scenario_path(name))
@@ -98,6 +108,8 @@ def configs() -> dict[str, ScenarioConfig]:
     }
     out["scaled_dispute"] = scaled_dispute()
     out["scaled_maintain"] = scaled_maintain()
+    out["delta3_ins"] = delta_case(ProviderStrategy.WRONG_HASH, 3, Protocol.INS, seed=11)
+    out["delta4_eco"] = delta_case(ProviderStrategy.WRONG_HASH, 4, Protocol.ECO, seed=13)
     return out
 
 
@@ -139,6 +151,14 @@ PINNED: dict[str, tuple[str, str]] = {
     "scaled_maintain": (
         "c3c8175672ea57e168e65ce824832ca18bfb2fc43d3d5085beb471a3c29bacb7",
         "99c30a8a1103a935a8bc9463d36526aa2d211c76b39b4fd591b737d19b79c953",
+    ),
+    "delta3_ins": (
+        "91d146b7734e2d63f846d707ea19370045fb7c6b3ec1e26ef513c9d0b016f3e6",
+        "0c4b82822662e3bd6e3290174c1fa07e66962989c6d0fcf6dbb7380b54b5a742",
+    ),
+    "delta4_eco": (
+        "0b422b3f2ffe2d6f69df4b2a2f35cd17dd7c3cafbae2001b144cf8076e663c87",
+        "9cf8df43ce41df2d9b20545997c69579615bbb9d893f7a11fc780ed7473c6908",
     ),
 }
 

@@ -1,6 +1,7 @@
 """End-to-end scenario behaviors on the deterministic event loop."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -34,6 +35,14 @@ class TestConfigValidation:
     def test_delta_must_be_positive(self):
         config = dataclasses.replace(load("honest"), delta_ticks=0)
         with pytest.raises(ConfigInvalidError, match="delta_ticks"):
+            config.validate()
+
+    def test_delta_fits_one_byte(self):
+        base = load("honest")
+        config = dataclasses.replace(
+            base, delta_ticks=256, update_epoch_blocks=base.update_epoch_blocks + 600
+        )
+        with pytest.raises(ConfigInvalidError, match="delta_ticks must be at most 255"):
             config.validate()
 
     def test_challenge_period_cap_named(self):
@@ -349,3 +358,51 @@ class TestDeterminism:
         _, log_a = run_scenario(base)
         _, log_b = run_scenario(dataclasses.replace(base, seed=base.seed + 1))
         assert log_a.serialize() != log_b.serialize()
+
+
+def with_endpoints(n: int, delta: int, seed: int) -> ScenarioConfig:
+    """The honest scenario padded with watchers to n endpoints (the
+    contract included); n = 2 keeps only the contract and one watcher."""
+    base = load("honest")
+    if n == 2:
+        base = dataclasses.replace(base, providers=(), clients=())
+    padding = n - 1 - len(base.providers) - len(base.clients)
+    return dataclasses.replace(
+        base,
+        seed=seed,
+        delta_ticks=delta,
+        watcher_count=padding,
+        update_epoch_blocks=base.max_challenge_period + base.t_fin + 2 * delta,
+    )
+
+
+class TestDelayTable:
+    """The bulk-drawn table equals one `randint(1, delta)` per ordered pair
+    in sorted-name order, which is what the pinned digests were made with."""
+
+    SEEDS = (1, 7, 12345, 2**31 - 5)
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 4, 7, 255])
+    @pytest.mark.parametrize("n", [2, 5, 37, 504])
+    def test_matches_per_pair_randint(self, n, delta):
+        # Two seeds at n = 504 keep the per-pair reference draws short.
+        for seed in self.SEEDS if n < 504 else self.SEEDS[::3]:
+            sim = Simulation(with_endpoints(n, delta, seed))
+            names = sorted([a.name for a in sim.actors] + [harness.CONTRACT_ENDPOINT])
+            assert len(names) == n
+            rng = random.Random(seed)
+            pairs = [(a, b) for a in names for b in names if a != b]
+            expected = [rng.randint(1, delta) for _ in pairs]
+            assert [sim._delay_rows[a][sim._index[b]] for a, b in pairs] == expected
+
+    def test_draw_in_many_small_passes(self, monkeypatch):
+        monkeypatch.setattr(harness, "_MAX_WORDS_PER_PASS", 7)
+        for delta in (1, 3, 200):
+            ref = random.Random(99)
+            expected = [ref.randint(1, delta) for _ in range(1000)]
+            assert list(harness._draw_delays(random.Random(99), delta, 1000)) == expected
+
+    def test_self_send_is_a_delivery_bound_violation(self):
+        sim = Simulation(load("honest"))
+        sim.enqueue("c0", "c0", None)
+        assert sim.metrics.violations == ["delivery-bound:c0->c0"]
