@@ -231,9 +231,10 @@ class Verdict(enum.Enum):
 
 
 def watcher_check(
-    response: SignedResponse, chain: Chain, contract: SlashingContract
+    response: SignedResponse, chain: Chain, contract: SlashingContract, verify=None
 ) -> Verdict:
-    """Full-node audit of a forwarded response."""
+    """Full-node audit of a forwarded response; `verify` checks the
+    signature and is `crypto.verify` by default."""
     record = contract.provider(response.provider_pk)
     if record is not None and record.status is ProviderStatus.SLASHED:
         return Verdict.PROVIDER_INACTIVE
@@ -242,7 +243,8 @@ def watcher_check(
     finalized = chain.finalized_block_hash(response.block_number)
     if finalized is None:
         return Verdict.PENDING
-    if finalized == response.block_hash and crypto.verify(
+    verify = verify or crypto.verify
+    if finalized == response.block_hash and verify(
         response.provider_pk, response.payload(), response.signature
     ):
         return Verdict.OK
@@ -293,7 +295,7 @@ class WatcherActor:
             self._handle_receipt(payload.token, payload.receipt, ctx)
 
     def _audit(self, client: str, response: SignedResponse, ctx) -> None:
-        verdict = watcher_check(response, ctx.chain, ctx.contract)
+        verdict = watcher_check(response, ctx.chain, ctx.contract, ctx.verify)
         ctx.log(self.name, "verdict", verdict.value.encode() + b":" + response.provider_pk)
         if verdict is Verdict.PENDING:
             self._deferred.append((client, response))
@@ -338,7 +340,7 @@ class WatcherActor:
         if self._deferred:
             deferred, self._deferred = self._deferred, []
             for client, response in deferred:
-                verdict = watcher_check(response, ctx.chain, ctx.contract)
+                verdict = watcher_check(response, ctx.chain, ctx.contract, ctx.verify)
                 if verdict is Verdict.PENDING:
                     self._deferred.append((client, response))
                 elif verdict is not Verdict.OK:

@@ -94,6 +94,29 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     return _scheme.verify(public_key, message, signature)
 
 
+class VerifyMemo:
+    """`verify` results keyed by the full (public key, message, signature)
+    bytes, so a signature seen again is not checked again.
+
+    Keys are the bytes themselves, never a digest of them, so two triples
+    share an entry only when they are equal. A miss calls the module's
+    `verify`.
+    """
+
+    def __init__(self) -> None:
+        self._results: dict[tuple[bytes, bytes, bytes], bool] = {}
+
+    def __len__(self) -> int:
+        return len(self._results)
+
+    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
+        key = (public_key, message, signature)
+        result = self._results.get(key)
+        if result is None:
+            result = self._results[key] = verify(public_key, message, signature)
+        return result
+
+
 # ---------------------------------------------------------------------------
 # Merkle trees
 # ---------------------------------------------------------------------------

@@ -1,10 +1,21 @@
 """Deterministic discrete-event simulator.
 
 One block per tick; synchronous network with per-edge delays drawn once
-from the seeded generator in [1, delta]; fixed intra-tick ordering
-(deliveries, actor handlers, transaction pool, block append, contract
-boundary) so that identical (seed, config) pairs produce byte-identical
-event logs.
+from the seeded generator in [1, delta]; fixed intra-tick ordering so that
+identical (seed, config) pairs produce byte-identical event logs:
+
+1. deliver the tick's messages in the order they were sent;
+2. tick every provider, then every watcher, in index order;
+3. tick the awake clients in index order. A client wakes at its start
+   tick and whenever a message is delivered to it, and sleeps after a
+   tick that leaves it idle (`LightClientActor.idle`); skipping an idle
+   client changes nothing, since its tick would be a no-op;
+4. execute the transaction pool, append the block, run the contract's
+   block boundary, and sample the invariants.
+
+Signature checks by clients and watchers go through one memo per run
+(`crypto.VerifyMemo`), so each distinct signed response is verified once;
+the protocol's verification counters still count every check.
 
 The delays are the values `rng.randint(1, delta)` would give, one per
 ordered pair of endpoints in sorted-name order, but drawn in bulk and kept
@@ -95,6 +106,10 @@ class ScenarioConfig:
         )
 
     def validate(self) -> None:
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigInvalidError("seed must be in [0, 2**64)")
+        if self.slots_per_epoch < 1 or self.finality_depth_epochs < 1:
+            raise ConfigInvalidError("slots_per_epoch and finality_depth_epochs must be positive")
         if self.delta_ticks < 1:
             raise ConfigInvalidError("delta_ticks must be at least 1")
         if self.delta_ticks > MAX_DELTA_TICKS:
@@ -291,6 +306,8 @@ class SimContext:
     def __init__(self, sim: "Simulation") -> None:
         self._sim = sim
         self.now = 0
+        # Signature checks of clients and watchers, memoised for the run.
+        self.verify = sim.signatures.verify
 
     @property
     def chain(self) -> Chain:
@@ -388,6 +405,7 @@ class Simulation:
         self.ledger = Ledger()
         self.contract = SlashingContract(config.contract_config(), self.ledger, config.pricing)
         self.oracle = HeavyCheckOracle(self.chain, self.contract, self.metrics)
+        self.signatures = crypto.VerifyMemo()
         self.ctx = SimContext(self)
 
         rng = random.Random(config.seed)
@@ -498,12 +516,39 @@ class Simulation:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> tuple[Metrics, EventLog]:
+        ctx = self.ctx
+        clients = self.clients
+        client_index = {client.name: i for i, client in enumerate(clients)}
+        starting: dict[int, list[int]] = {}
+        for i, client in enumerate(clients):
+            starting.setdefault(max(1, client.config.start_tick), []).append(i)
+        # Clients whose on_tick may do something, and the same in index
+        # order. Clients only wake between the two rebuilds of `order` in a
+        # tick and only sleep between the second and the next tick's first,
+        # so a change of size is a change of members.
+        awake: set[int] = set()
+        order: list[int] = []
         for tick in range(1, self.config.total_ticks + 1):
-            self.ctx.now = tick
+            ctx.now = tick
+            awake.update(starting.pop(tick, ()))
             for src, dst, payload in self._mailbox.pop(tick, []):
-                self._actor_by_name[dst].handle_message(src, payload, self.ctx)
-            for actor in self.actors:
-                actor.on_tick(tick, self.ctx)
+                self._actor_by_name[dst].handle_message(src, payload, ctx)
+                i = client_index.get(dst)
+                if i is not None:
+                    awake.add(i)
+            for actor in self.providers:
+                actor.on_tick(tick, ctx)
+            for actor in self.watchers:
+                actor.on_tick(tick, ctx)
+            if len(order) != len(awake):
+                order = sorted(awake)
+            for i in order:
+                client = clients[i]
+                client.on_tick(tick, ctx)
+                if client.idle():
+                    awake.discard(i)
+            if len(order) != len(awake):
+                order = sorted(awake)
             block_txs = self._execute_pool(tick)
             block_txs.extend(self._target_payloads.pop(tick, []))
             block = self.chain.append_block(block_txs)
@@ -563,6 +608,7 @@ class Simulation:
             self._check_predictions(tick // self.config.update_epoch_blocks)
 
     def _check_predictions(self, epoch: int) -> None:
+        expected = None  # the contract's set, computed once the first client qualifies
         for client in self.clients:
             if not client.config.maintain or not client.bootstrapped:
                 continue
@@ -573,9 +619,10 @@ class Simulation:
             if epoch in client.bootstrap_epochs:
                 continue
             self.metrics.prediction_checks += 1
-            expected = {
-                (pk, stake) for pk, stake, _ in self.contract.active_set(epoch)
-            }
+            if expected is None:
+                expected = {
+                    (pk, stake) for pk, stake, _ in self.contract.active_set(epoch)
+                }
             held = client.set_for_epoch(epoch)
             got = {(pk, stake) for pk, stake in held.items()} if held is not None else None
             if got != expected:

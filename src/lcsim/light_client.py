@@ -168,16 +168,20 @@ class Check:
     outcome: str | None = None
 
 
-def verify_response(check: Check, response: SignedResponse) -> bool:
+def verify_response(check: Check, response: SignedResponse, verify=None) -> bool:
     """Everything a light client can check locally: echo fields, the
-    provider signature, header consistency, and the inclusion proof."""
+    provider signature, header consistency, and the inclusion proof.
+
+    `verify` checks the signature; by default it is `crypto.verify`.
+    """
     if response.block_number != check.block_number:
         return False
     if response.state_hash != check.state_hash:
         return False
     if response.insurance_id != check.insurance_id:
         return False
-    if not crypto.verify(response.provider_pk, response.payload(), response.signature):
+    verify = verify or crypto.verify
+    if not verify(response.provider_pk, response.payload(), response.signature):
         return False
     recomputed = block_hash(
         response.block_number, response.parent_hash, response.transactions_root
@@ -302,6 +306,20 @@ class LightClientActor:
             self._run_maintenance(now, ctx)
         self._drive_protocol(now, ctx)
         self._drive_checks(now, ctx)
+
+    def idle(self) -> bool:
+        """True when on_tick can change nothing until a message arrives.
+
+        A client that does not maintain its set holds no epoch beyond the
+        one it bootstrapped last, so once it has no check to start or run
+        its ticks are no-ops.
+        """
+        return (
+            not self.config.maintain
+            and self.bootstrapped
+            and (self._target_started or not self.config.perform_check)
+            and all(check.done for check in self.checks)
+        )
 
     def _advance_epoch(self, now: int, ctx) -> None:
         epoch = self.epoch_of_tick(now)
@@ -521,7 +539,8 @@ class LightClientActor:
     def _finish_economic_check(self, check: Check, now: int, ctx) -> None:
         metrics = ctx.metrics.client(self.name)
         valid = all(
-            verify_response(check, response) for response in check.responses.values()
+            verify_response(check, response, ctx.verify)
+            for response in check.responses.values()
         )
         metrics.signature_verifications_total += len(check.responses)
         if check.kind is CheckKind.TARGET:
@@ -602,7 +621,9 @@ class LightClientActor:
             check.last_forward_tick = now
             if check.immediate_accept and len(check.responses) == len(check.selected):
                 metrics = ctx.metrics.client(self.name)
-                ok = all(verify_response(check, r) for r in check.responses.values())
+                ok = all(
+                    verify_response(check, r, ctx.verify) for r in check.responses.values()
+                )
                 metrics.signature_verifications_total += len(check.responses)
                 metrics.target_signature_verifications += len(check.responses)
                 if ok:

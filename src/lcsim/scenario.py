@@ -39,6 +39,13 @@ def _get_int(section, key: str, default: int | None = None) -> int | None:
         raise ConfigInvalidError(f"{key} must be an integer, got {raw!r}") from exc
 
 
+def _get_bool(section, key: str, default: bool) -> bool:
+    try:
+        return section.getboolean(key, fallback=default)
+    except ValueError as exc:
+        raise ConfigInvalidError(f"{key} must be a boolean, got {section.get(key)!r}") from exc
+
+
 def _get_wei(section, key_eth: str, default_eth: str | None = None) -> int | None:
     raw = section.get(key_eth, default_eth)
     if raw is None or str(raw).strip() == "":
@@ -80,15 +87,18 @@ def _parse_client(label: str, section, t_fin: int) -> ClientConfig:
         raise ConfigInvalidError(f"client {label}: challenge_period is required")
     coverage = None
     if protocol is Protocol.INS:
-        coverage = CoverageInputs(
-            t_fin=t_fin,
-            challenge_periods=(
-                _get_int(section, "insurance_challenge_period", challenge_period),
-                challenge_period,
-            ),
-            delta_comm=_get_int(section, "delta_comm", 0),
-            delta_comp=_get_int(section, "delta_comp", 0),
-        )
+        try:
+            coverage = CoverageInputs(
+                t_fin=t_fin,
+                challenge_periods=(
+                    _get_int(section, "insurance_challenge_period", challenge_period),
+                    challenge_period,
+                ),
+                delta_comm=_get_int(section, "delta_comm", 0),
+                delta_comp=_get_int(section, "delta_comp", 0),
+            )
+        except ValueError as exc:
+            raise ConfigInvalidError(f"client {label}: {exc}") from exc
     balance = _get_wei(section, "initial_balance_eth")
     return ClientConfig(
         protocol=protocol,
@@ -98,9 +108,9 @@ def _parse_client(label: str, section, t_fin: int) -> ClientConfig:
         start_tick=_get_int(section, "start_tick", None),
         coverage_inputs=coverage,
         initial_balance=balance if balance is not None else eth_to_wei(1),
-        maintain=section.getboolean("maintain", fallback=False),
+        maintain=_get_bool(section, "maintain", False),
         maintenance_challenge_period=_get_int(section, "maintenance_challenge_period", None),
-        perform_check=section.getboolean("perform_check", fallback=True),
+        perform_check=_get_bool(section, "perform_check", True),
     )
 
 

@@ -1,10 +1,15 @@
 """CLI surface: run/price/table3/fig1, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import lcsim
 from lcsim import scenario
 from lcsim.cli import main, provider_count_for_value
 from lcsim.harness import ConfigInvalidError
@@ -35,6 +40,13 @@ class TestScenarioFiles:
         empty.write_text("[scenario]\nseed = 1\n")
         with pytest.raises(ConfigInvalidError, match="provider"):
             scenario.load_scenario(empty)
+
+    def test_negative_coverage_input_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        text = scenario.builtin_scenario_path("insured").read_text()
+        path.write_text(text.replace("delta_comm = 20", "delta_comm = -1"))
+        with pytest.raises(ConfigInvalidError, match="client client.main: coverage components"):
+            scenario.load_scenario(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigInvalidError, match="not found"):
@@ -79,6 +91,26 @@ class TestRun:
         result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "invalid scenario: pricing:" in result.output
+
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("client.main", "maintain", "sometimes", "maintain must be a boolean"),
+            ("client.main", "perform_check", "maybe", "perform_check must be a boolean"),
+            ("scenario", "slots_per_epoch", "0", "slots_per_epoch"),
+            ("scenario", "seed", "-3", "seed must be in"),
+        ],
+    )
+    def test_bad_value_exits_two(self, runner, tmp_path, section, key, value, named):
+        # The honest scenario with one value replaced or added.
+        lines = scenario.builtin_scenario_path("honest").read_text().splitlines()
+        lines = [line for line in lines if not line.startswith(f"{key} =")]
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+        path = tmp_path / "bad.ini"
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"invalid scenario: {named}" in result.output
 
     def test_violation_exits_one_and_names_invariant(self, runner, tmp_path):
         # T_cp = 0 against a lying provider: the eco-safety invariant must
@@ -174,3 +206,17 @@ class TestFig1:
             main, ["fig1", str(out), "--durations", "500,1500", "--values", "1,10,100"]
         )
         assert len(out.read_text().strip().splitlines()) == 1 + 2 * 3
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(lcsim.__file__).resolve().parents[1]))
+    path = scenario.builtin_scenario_path("honest")
+    result = subprocess.run(
+        [sys.executable, "-m", "lcsim", "run", str(path), "-o", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ok:")
+    assert (tmp_path / "metrics.json").exists()

@@ -63,6 +63,46 @@ class TestKeys:
         assert verify(kp.public_key, message, sign(kp.secret_key, message))
 
 
+class TestVerifyMemo:
+    def setup_method(self):
+        self.kp = keygen(21)
+        self.message = b"signed response"
+        self.sig = sign(self.kp.secret_key, self.message)
+
+    def test_forged_signature_over_memoised_message_rejected(self):
+        memo = crypto.VerifyMemo()
+        assert memo.verify(self.kp.public_key, self.message, self.sig)
+        forged = bytes([self.sig[0] ^ 1]) + self.sig[1:]
+        assert not memo.verify(self.kp.public_key, self.message, forged)
+        other = sign(keygen(22).secret_key, self.message)
+        assert not memo.verify(self.kp.public_key, self.message, other)
+        assert not memo.verify(keygen(22).public_key, self.message, self.sig)
+        assert not memo.verify(self.kp.public_key, self.message + b"!", self.sig)
+        assert memo.verify(self.kp.public_key, self.message, self.sig)
+
+    def test_failed_triple_does_not_affect_valid_one(self):
+        memo = crypto.VerifyMemo()
+        bad = bytes(64)
+        assert not memo.verify(self.kp.public_key, self.message, bad)
+        assert memo.verify(self.kp.public_key, self.message, self.sig)
+        assert not memo.verify(self.kp.public_key, self.message, bad)
+        assert len(memo) == 2
+
+    def test_each_triple_reaches_the_primitive_once(self, monkeypatch):
+        calls = []
+        real = crypto.verify
+        monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or real(*args))
+        memo = crypto.VerifyMemo()
+        bad = bytes(64)
+        for _ in range(3):
+            assert memo.verify(self.kp.public_key, self.message, self.sig)
+            assert not memo.verify(self.kp.public_key, self.message, bad)
+        assert calls == [
+            (self.kp.public_key, self.message, self.sig),
+            (self.kp.public_key, self.message, bad),
+        ]
+
+
 class TestDigest:
     def test_no_collisions_in_corpus(self):
         corpus = {crypto.digest(i.to_bytes(4, "big")) for i in range(10_000)}

@@ -1,9 +1,13 @@
 """End-to-end scenario behaviors on the deterministic event loop."""
 
+import copy
 import dataclasses
+import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lcsim import crypto, harness, scenario
 from lcsim.actors import AlertKind, ProviderStrategy
@@ -16,7 +20,7 @@ from lcsim.harness import (
     min_compliant_challenge_period,
     run_scenario,
 )
-from lcsim.light_client import ClientConfig, Protocol
+from lcsim.light_client import ClientConfig, LightClientActor, Protocol
 from lcsim.pricing import CoverageInputs, eth_to_wei
 
 ETH = eth_to_wei(1)
@@ -406,3 +410,228 @@ class TestDelayTable:
         sim = Simulation(load("honest"))
         sim.enqueue("c0", "c0", None)
         assert sim.metrics.violations == ["delivery-bound:c0->c0"]
+
+
+@st.composite
+def populations(draw) -> ScenarioConfig:
+    """A few providers, some adversarial or late, and a mix of eco, ins,
+    maintaining, non-checking and offline clients."""
+    delta = draw(st.integers(1, 2))
+    cp = min_compliant_challenge_period(8, delta)
+    seed = draw(st.integers(0, 2**32))
+    eco = build_scenario(ProviderStrategy.HONEST, delta, cp, Protocol.ECO, seed=seed)
+    ins = build_scenario(ProviderStrategy.HONEST, delta, cp, Protocol.INS, seed=seed)
+    b_u = eco.update_epoch_blocks
+    total = 6 * b_u
+    # One honest provider always backs liveness.
+    stake = eth_to_wei(draw(st.integers(20, 64)))
+    providers = [ProviderSpec(stake=stake, strategy=ProviderStrategy.HONEST)]
+    for _ in range(draw(st.integers(1, 4))):
+        strategy = draw(st.sampled_from(ProviderStrategy))
+        spec = ProviderSpec(stake=eth_to_wei(draw(st.integers(8, 64))), strategy=strategy)
+        if draw(st.booleans()):
+            spec = dataclasses.replace(spec, register_tick=draw(st.integers(2, 3 * b_u)))
+        if strategy is ProviderStrategy.HONEST and draw(st.booleans()):
+            spec = dataclasses.replace(spec, withdraw_tick=draw(st.integers(b_u, 4 * b_u)))
+        providers.append(spec)
+    clients = []
+    for _ in range(draw(st.integers(1, 5))):
+        template = draw(st.sampled_from([eco, ins])).clients[0]
+        start = draw(st.integers(b_u // 2, 3 * b_u))
+        offline = None
+        if draw(st.booleans()):
+            begin = draw(st.integers(start, total))
+            offline = (begin, begin + draw(st.integers(0, 2 * b_u)))
+        clients.append(
+            dataclasses.replace(
+                template,
+                target_value=eth_to_wei(draw(st.integers(1, 60))),
+                target_block=draw(st.integers(2, b_u)),
+                start_tick=start,
+                maintain=draw(st.booleans()),
+                perform_check=draw(st.integers(0, 3)) > 0,
+                offline=offline,
+            )
+        )
+    return dataclasses.replace(
+        eco,
+        providers=tuple(providers),
+        clients=tuple(clients),
+        watcher_count=draw(st.integers(1, 2)),
+        total_ticks=total,
+    )
+
+
+def outputs(sim: Simulation) -> tuple[bytes, bytes]:
+    metrics, log = sim.run()
+    return log.serialize(), json.dumps(metrics.to_dict(), sort_keys=True).encode()
+
+
+def observable(client: LightClientActor, sim: Simulation) -> tuple:
+    """Everything a client's on_tick could touch."""
+    return (
+        copy.deepcopy(vars(client)),
+        repr(sim.metrics.clients.get(client.name)),
+        len(sim.metrics.acceptances),
+        len(sim.metrics.violations),
+        len(sim.log.lines),
+        sum(len(batch) for batch in sim._mailbox.values()),
+        len(sim._pool),
+    )
+
+
+def scaled_dispute_population() -> ScenarioConfig:
+    """Six eco clients against two liars and four honest providers."""
+    cp = min_compliant_challenge_period(8, 2)
+    base = build_scenario(ProviderStrategy.WRONG_HASH, 2, cp, Protocol.ECO, seed=3)
+    b_u = base.update_epoch_blocks
+    strategies = [ProviderStrategy.WRONG_HASH, ProviderStrategy.UNRESPONSIVE] + [
+        ProviderStrategy.HONEST
+    ] * 4
+    providers = tuple(
+        ProviderSpec(stake=eth_to_wei(60 - 3 * i), strategy=s) for i, s in enumerate(strategies)
+    )
+    clients = tuple(
+        dataclasses.replace(
+            base.clients[0], target_value=eth_to_wei(10 + 20 * i), start_tick=2 * b_u + 1 + 3 * i
+        )
+        for i in range(6)
+    )
+    return dataclasses.replace(base, providers=providers, clients=clients, total_ticks=6 * b_u)
+
+
+class TestWakeUps:
+    """Skipping idle clients is invisible: the same run with every client
+    ticked on every tick gives the same bytes."""
+
+    @given(populations())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    def test_same_log_and_metrics_as_ticking_every_client(self, monkeypatch, config):
+        fast = outputs(Simulation(config))
+        idle = LightClientActor.idle
+        on_tick = LightClientActor.on_tick
+
+        def checked_on_tick(client, now, ctx):
+            if not idle(client):
+                return on_tick(client, now, ctx)
+            before = observable(client, ctx._sim)
+            on_tick(client, now, ctx)
+            assert observable(client, ctx._sim) == before, (client.name, now)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LightClientActor, "idle", lambda self: False)
+            patch.setattr(LightClientActor, "on_tick", checked_on_tick)
+            slow = outputs(Simulation(config))
+        assert slow == fast
+
+    def test_population_skips_most_client_ticks(self, monkeypatch):
+        """The scaled dispute population: most client ticks are skipped."""
+        config = scaled_dispute_population()
+        calls = []
+        on_tick = LightClientActor.on_tick
+
+        def counted(client, now, ctx):
+            calls.append(client.name)
+            return on_tick(client, now, ctx)
+
+        monkeypatch.setattr(LightClientActor, "on_tick", counted)
+        outputs(Simulation(config))
+        assert 0 < len(calls) < config.total_ticks * len(config.clients) // 2
+
+    def test_clients_are_ticked_from_start_and_on_delivery(self, monkeypatch):
+        """With every client idle after each tick, a client is ticked only
+        at its start tick and on ticks that deliver to it, in index order."""
+        sim = Simulation(scaled_dispute_population())
+        index = {client.name: i for i, client in enumerate(sim.clients)}
+        delivered = {(client.config.start_tick, client.name) for client in sim.clients}
+        ticked = []
+        handle_message = LightClientActor.handle_message
+        on_tick = LightClientActor.on_tick
+
+        def recorded_handle(client, sender, payload, ctx):
+            delivered.add((ctx.now, client.name))
+            return handle_message(client, sender, payload, ctx)
+
+        def recorded_tick(client, now, ctx):
+            ticked.append((now, client.name))
+            return on_tick(client, now, ctx)
+
+        monkeypatch.setattr(LightClientActor, "idle", lambda self: True)
+        monkeypatch.setattr(LightClientActor, "handle_message", recorded_handle)
+        monkeypatch.setattr(LightClientActor, "on_tick", recorded_tick)
+        sim.run()
+        assert len(delivered) > len(sim.clients)
+        assert ticked == sorted(delivered, key=lambda item: (item[0], index[item[1]]))
+
+    def test_idle_client_tick_is_a_no_op(self):
+        config = load("wrong_hash")
+        sim = Simulation(config)
+        sim.run()
+        client = sim.clients[0]
+        assert client.idle()
+        before = observable(client, sim)
+        end = config.total_ticks + 3 * config.update_epoch_blocks
+        for tick in range(config.total_ticks + 1, end):
+            sim.ctx.now = tick
+            client.on_tick(tick, sim.ctx)
+        assert observable(client, sim) == before
+
+    def test_maintaining_or_unfinished_client_is_never_idle(self):
+        base = load("maintenance")
+        sim = Simulation(base)
+        sim.run()
+        assert sim.clients[0].config.maintain and not sim.clients[0].idle()
+        fresh = Simulation(load("honest")).clients[0]
+        assert not fresh.idle()  # not bootstrapped yet
+
+
+class TestVerifyMemo:
+    def test_each_simulation_has_its_own_memo(self, monkeypatch):
+        real = crypto.verify
+        calls = []
+        monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or real(*args))
+        config = load("wrong_hash")
+        first = Simulation(config)
+        first.run()
+        first_calls = len(calls)
+        second = Simulation(config)
+        assert len(second.signatures) == 0
+        second.run()
+        # The second run checks every signature again.
+        assert len(first.signatures) > 0
+        assert len(second.signatures) == len(first.signatures)
+        assert len(calls) == 2 * first_calls
+
+    @pytest.mark.parametrize("name", scenario.list_builtin_scenarios())
+    def test_protocol_counters_unchanged(self, monkeypatch, name):
+        config = load(name)
+        memoised, _ = run_scenario(config)
+        monkeypatch.setattr(
+            crypto.VerifyMemo, "verify", lambda self, pk, msg, sig: crypto.verify(pk, msg, sig)
+        )
+        plain, _ = run_scenario(config)
+        assert memoised.to_dict() == plain.to_dict()
+        assert sum(m.signature_verifications_total for m in memoised.clients.values()) > 0
+
+    def test_repeats_are_served_from_the_memo(self, monkeypatch):
+        real = crypto.verify
+        calls = []
+        requests = []
+        memo_verify = crypto.VerifyMemo.verify
+        monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(
+            crypto.VerifyMemo,
+            "verify",
+            lambda self, *args: requests.append(args) or memo_verify(self, *args),
+        )
+        sim = Simulation(scaled_dispute_population())
+        sim.run()
+        requested = set(requests)
+        # Clients and watchers ask again for what they checked before; each
+        # distinct triple reaches the primitive once.
+        assert len(requests) > len(requested) == len(sim.signatures)
+        assert sorted(c for c in calls if c in requested) == sorted(requested)
