@@ -383,8 +383,8 @@ class DataProviderActor:
         self.withdraw_tick = withdraw_tick
         self._misbehaved = False
         self._withdraw_submitted = False
-        # Register/withdraw records of each epoch already complete on chain.
-        self._epoch_events: dict[int, tuple[tuple[int, bytes], ...]] = {}
+        # Event-list replies for each epoch already complete on chain.
+        self._event_lists: dict[int, EventListMsg] = {}
 
     @property
     def public_key(self) -> bytes:
@@ -402,7 +402,12 @@ class DataProviderActor:
             ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
 
     def handle_message(self, sender: str, payload, ctx) -> None:
-        if isinstance(payload, QueryMsg):
+        if type(payload) is EventListRequest:  # the bulk of a provider's mail
+            if self.strategy in (ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH):
+                ctx.send(self.name, sender, self._event_list(payload.epoch, ctx))
+            # Adversarial providers stay silent; the client unions answers
+            # from every provider it asks, so one honest list suffices.
+        elif isinstance(payload, QueryMsg):
             record = ctx.contract.provider(self.public_key)
             status = record.status if record is not None else ProviderStatus.ACTIVE
             response = provider_respond(
@@ -423,17 +428,12 @@ class DataProviderActor:
                     self._misbehaved = True
                     self._withdraw_submitted = True
                     ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
-        elif isinstance(payload, EventListRequest):
-            if self.strategy in (ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH):
-                events = self._scan_epoch_events(payload.epoch, ctx)
-                ctx.send(self.name, sender, EventListMsg(epoch=payload.epoch, events=events))
-            # Adversarial providers stay silent; the client unions answers
-            # from every provider it asks, so one honest list suffices.
 
-    def _scan_epoch_events(self, epoch: int, ctx) -> tuple[tuple[int, bytes], ...]:
-        events = self._epoch_events.get(epoch)
-        if events is not None:
-            return events
+    def _event_list(self, epoch: int, ctx) -> EventListMsg:
+        """The register/withdraw records of `epoch`, as the reply to send."""
+        msg = self._event_lists.get(epoch)
+        if msg is not None:
+            return msg
         first = epoch * ctx.contract.config.update_epoch_blocks
         last = (epoch + 1) * ctx.contract.config.update_epoch_blocks - 1
         events = tuple(
@@ -441,7 +441,9 @@ class DataProviderActor:
             for number, tx in ctx.chain.transactions_between(first, last)
             if codec.record_tag(tx.payload) in (codec.TAG_REGISTER, codec.TAG_WITHDRAW_REQUEST)
         )
+        msg = EventListMsg(epoch=epoch, events=events)
         if last <= ctx.chain.tip.number:
-            # The chain only grows, so a complete epoch's records are final.
-            self._epoch_events[epoch] = events
-        return events
+            # The chain only grows, so a complete epoch's records are final
+            # and one reply object serves every client that asks.
+            self._event_lists[epoch] = msg
+        return msg

@@ -13,6 +13,7 @@ roots differently from a tree of two.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -52,6 +53,13 @@ class KeyPair:
     public_key: bytes
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _private_key(secret_key: bytes) -> Ed25519PrivateKey:
+    """The key object of a secret. Deriving it is a pure function of the
+    bytes and costs about as much as a signature, so it is done once."""
+    return Ed25519PrivateKey.from_private_bytes(secret_key)
+
+
 class Ed25519Scheme:
     """Default signature scheme: Ed25519 with seed-derived keys.
 
@@ -61,14 +69,13 @@ class Ed25519Scheme:
 
     def keygen(self, seed: int) -> KeyPair:
         seed_bytes = digest(_KEYGEN_TAG, seed.to_bytes(8, "big", signed=False))
-        private = Ed25519PrivateKey.from_private_bytes(seed_bytes)
         return KeyPair(
             secret_key=seed_bytes,
-            public_key=private.public_key().public_bytes_raw(),
+            public_key=_private_key(seed_bytes).public_key().public_bytes_raw(),
         )
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(secret_key).sign(message)
+        return _private_key(secret_key).sign(message)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         try:

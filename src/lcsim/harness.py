@@ -7,9 +7,11 @@ identical (seed, config) pairs produce byte-identical event logs:
 1. deliver the tick's messages in the order they were sent;
 2. tick every provider, then every watcher, in index order;
 3. tick the awake clients in index order. A client wakes at its start
-   tick and whenever a message is delivered to it, and sleeps after a
-   tick that leaves it idle (`LightClientActor.idle`); skipping an idle
-   client changes nothing, since its tick would be a no-op;
+   tick, at its own next deadline and whenever a message is delivered to
+   it. After each of its ticks it names the next tick at which its tick
+   could change anything (`LightClientActor.next_tick`, None when only a
+   message can), and it sleeps until then unless that is the next tick;
+   every tick it sleeps through would have been a no-op;
 4. execute the transaction pool, append the block, run the contract's
    block boundary, and sample the invariants.
 
@@ -123,6 +125,14 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigInvalidError(str(exc)) from exc
         for i, client in enumerate(self.clients):
+            if client.target_value <= 0:
+                raise ConfigInvalidError(f"client {i}: target_value must be positive")
+            if client.challenge_period < 0:
+                raise ConfigInvalidError(f"client {i}: challenge_period must not be negative")
+            if (client.maintenance_challenge_period or 0) < 0:
+                raise ConfigInvalidError(
+                    f"client {i}: maintenance_challenge_period must not be negative"
+                )
             if client.challenge_period > self.max_challenge_period:
                 raise ConfigInvalidError(
                     f"client {i}: challenge_period exceeds max_challenge_period"
@@ -335,6 +345,12 @@ class SimContext:
     def send_to_provider(self, src: str, pk: bytes, payload) -> None:
         self._sim.enqueue(src, self._sim.provider_names[pk], payload)
 
+    def send_to_providers(self, src: str, pks, payload) -> None:
+        """The same payload object to each provider of `pks`, in order."""
+        names = self._sim.provider_names
+        for pk in pks:
+            self._sim.enqueue(src, names[pk], payload)
+
     def forward(self, src: str, watcher: str, response: SignedResponse) -> None:
         self._sim.enqueue(src, watcher, ForwardMsg(response=response))
 
@@ -466,6 +482,7 @@ class Simulation:
         for i, name in enumerate(names):
             row = delays[i * (n - 1) : (i + 1) * (n - 1)]
             self._delay_rows[name] = row[:i] + b"\0" + row[i:]
+        self._delta = config.delta_ticks
         self._mailbox: dict[int, list[tuple[str, str, object]]] = {}
         self._pool: list[tuple[int, str, Submission]] = []
         self._next_token = 1
@@ -476,10 +493,9 @@ class Simulation:
 
     def enqueue(self, src: str, dst: str, payload) -> None:
         delay = self._delay_rows[src][self._index[dst]]
-        deliver_at = self.ctx.now + delay
-        if not 0 < delay <= self.config.delta_ticks:
+        if not 0 < delay <= self._delta:
             self.metrics.violations.append(f"delivery-bound:{src}->{dst}")
-        self._mailbox.setdefault(deliver_at, []).append((src, dst, payload))
+        self._mailbox.setdefault(self.ctx.now + delay, []).append((src, dst, payload))
 
     def submit(self, src: str, submission: Submission) -> int:
         token = self._next_token
@@ -519,18 +535,21 @@ class Simulation:
         ctx = self.ctx
         clients = self.clients
         client_index = {client.name: i for i, client in enumerate(clients)}
-        starting: dict[int, list[int]] = {}
+        # Clients to wake at a tick: first at their start tick, then at each
+        # deadline they name. A bucket entry for a client that has since
+        # been woken by a delivery is stale and costs one no-op tick.
+        due: dict[int, list[int]] = {}
         for i, client in enumerate(clients):
-            starting.setdefault(max(1, client.config.start_tick), []).append(i)
+            due.setdefault(max(1, client.config.start_tick), []).append(i)
         # Clients whose on_tick may do something, and the same in index
-        # order. Clients only wake between the two rebuilds of `order` in a
-        # tick and only sleep between the second and the next tick's first,
-        # so a change of size is a change of members.
+        # order. Clients only wake before the first rebuild of `order` in a
+        # tick and only sleep between the first and the second, so a change
+        # of size is a change of members.
         awake: set[int] = set()
         order: list[int] = []
         for tick in range(1, self.config.total_ticks + 1):
             ctx.now = tick
-            awake.update(starting.pop(tick, ()))
+            awake.update(due.pop(tick, ()))
             for src, dst, payload in self._mailbox.pop(tick, []):
                 self._actor_by_name[dst].handle_message(src, payload, ctx)
                 i = client_index.get(dst)
@@ -545,8 +564,11 @@ class Simulation:
             for i in order:
                 client = clients[i]
                 client.on_tick(tick, ctx)
-                if client.idle():
+                wake = client.next_tick(tick)
+                if wake != tick + 1:
                     awake.discard(i)
+                    if wake is not None:
+                        due.setdefault(wake, []).append(i)
             if len(order) != len(awake):
                 order = sorted(awake)
             block_txs = self._execute_pool(tick)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import codec, crypto
 from .actors import Alert, Query, SignedResponse
@@ -31,6 +32,9 @@ from .messages import (
     ResponseMsg,
 )
 from .pricing import CoverageInputs, min_coverage_duration
+
+
+_capacity = itemgetter(1)
 
 
 class NoEligibleProvidersError(ValueError):
@@ -62,7 +66,10 @@ def select_providers(
     """
     if required_backing <= 0:
         raise ValueError("required_backing must be positive")
-    ordered = sorted(providers, key=lambda item: (-item[1], item[0]))
+    # Two sorts without a Python key function: by pk, then stably by
+    # descending capacity, which is the (-capacity, pk) order.
+    ordered = sorted(providers)
+    ordered.sort(key=_capacity, reverse=True)
     chosen: list[tuple[bytes, int]] = []
     remaining = required_backing
     for pk, capacity in ordered:
@@ -257,13 +264,9 @@ class LightClientActor:
         return self.sets.get(epoch)
 
     def candidates(self, use_attributable: bool) -> list[tuple[bytes, int]]:
-        out = []
-        for pk, stake in self.current_set().items():
-            if pk in self.dropped:
-                continue
-            capacity = self.attributable.get(pk, stake) if use_attributable else stake
-            out.append((pk, capacity))
-        return out
+        held, dropped = self.current_set(), self.dropped
+        capacities = self.attributable if use_attributable else held
+        return [(pk, capacities.get(pk, stake)) for pk, stake in held.items() if pk not in dropped]
 
     def persistent_state_bytes(self) -> bytes:
         """Canonical encoding of what survives between checks."""
@@ -307,19 +310,73 @@ class LightClientActor:
         self._drive_protocol(now, ctx)
         self._drive_checks(now, ctx)
 
-    def idle(self) -> bool:
-        """True when on_tick can change nothing until a message arrives.
+    def next_tick(self, now: int) -> int | None:
+        """Earliest tick after `now` at which on_tick could change anything,
+        or None when only a delivered message can.
 
-        A client that does not maintain its set holds no epoch beyond the
-        one it bootstrapped last, so once it has no check to start or run
-        its ticks are no-ops.
+        Each deadline below is the first tick at which one branch of
+        on_tick may act, and a branch past its deadline stays ready until
+        it acts, so the first live tick from the earliest deadline skips
+        only no-op ticks. Waking too early costs one no-op tick.
         """
-        return (
-            not self.config.maintain
-            and self.bootstrapped
-            and (self._target_started or not self.config.perform_check)
-            and all(check.done for check in self.checks)
-        )
+        soon = now + 1
+        if not self.bootstrapped or not self._protocol_waits():
+            return self._live_from(soon)
+        blocks = self.update_epoch_blocks
+        held = self.current_epoch_held
+        deadlines = []
+        if self.config.maintain or any(epoch > held for epoch in self.sets):
+            # The first tick past the held epoch, which is never ahead of the
+            # clock: the next epoch's first tick at the latest.
+            deadlines.append((held + 1) * blocks + 1)
+        if self.config.maintain:
+            epoch = self.epoch_of_tick(now)
+            state = self._maintenance.get(epoch)
+            if state is None:
+                if epoch >= 1 and epoch in self.sets:
+                    deadlines.append(epoch * blocks + self.t_fin + 1)  # fetch
+            elif not state["collected"]:
+                deadlines.append(state["requested_tick"] + 2 * self.delta + 1)  # collect
+        for check in self.checks:
+            deadline = self._check_deadline(check)
+            if deadline is not None:
+                deadlines.append(deadline)
+        if not deadlines:
+            return None
+        return self._live_from(max(soon, min(deadlines)))
+
+    def _live_from(self, tick: int) -> int:
+        """First tick from `tick` on at which on_tick does more than return."""
+        tick = max(tick, self.config.start_tick or 0)
+        window = self.config.offline
+        if window is not None and window[0] <= tick <= window[1]:
+            return window[1] + 1
+        return tick
+
+    def _protocol_waits(self) -> bool:
+        """True when _drive_protocol does nothing until a message arrives."""
+        if not self.config.perform_check or self._target_started:
+            return True
+        if self.config.protocol is Protocol.ECO:
+            return False
+        if self._policy is None:
+            stuck = self.phase is ClientPhase.REJECTED_RESTARTING
+            return self._pending_purchase is not None or stuck
+        return not self._insurance_confirmed
+
+    def _check_deadline(self, check: Check) -> int | None:
+        """First tick at which _drive_checks may act on `check`, or None."""
+        if check.done:
+            return None
+        if not check.selected:
+            return check.query_tick  # issue the queries
+        if check.query_tick is not None and any(
+            pk not in check.responses for pk, _ in check.selected
+        ):
+            return check.query_tick + 2 * self.delta + 1  # time out
+        if check.immediate_accept or check.last_forward_tick is None:
+            return None
+        return check.last_forward_tick + check.challenge_period  # accept
 
     def _advance_epoch(self, now: int, ctx) -> None:
         epoch = self.epoch_of_tick(now)
@@ -583,7 +640,9 @@ class LightClientActor:
         now = ctx.now
         if self._offline_at(now):
             return
-        if isinstance(payload, ResponseMsg):
+        if type(payload) is EventListMsg:  # the bulk of a maintaining client's mail
+            self._handle_event_list(payload, now, ctx)
+        elif isinstance(payload, ResponseMsg):
             self._handle_response(payload.response, now, ctx)
         elif isinstance(payload, ReceiptMsg):
             self._handle_receipt(payload.token, payload.receipt, now, ctx)
@@ -594,8 +653,6 @@ class LightClientActor:
             ctx.metrics.client(self.name).compensated += 1
             ctx.metrics.client(self.name).compensation_received += payload.amount
             ctx.log(self.name, "compensated", codec.encode_u128(payload.amount))
-        elif isinstance(payload, EventListMsg):
-            self._handle_event_list(payload, now, ctx)
 
     def _handle_response(self, response: SignedResponse, now: int, ctx) -> None:
         for check in self.checks:
@@ -660,7 +717,11 @@ class LightClientActor:
             self.phase = ClientPhase.REJECTED_RESTARTING
             return
         self.bootstrap(ctx, now)
-        self._submit_purchase(now, ctx)
+        try:
+            self._submit_purchase(now, ctx)
+        except NoEligibleProvidersError:
+            self.phase = ClientPhase.REJECTED_RESTARTING
+            ctx.metrics.client(self.name).rejected += 1
 
     def _handle_alert(self, alert: Alert, now: int, ctx) -> None:
         self.alerts_seen.append(alert)
@@ -745,8 +806,7 @@ class LightClientActor:
                 "collected": False,
             }
             self._maintenance[epoch] = state
-            for pk in self.current_set():
-                ctx.send_to_provider(self.name, pk, EventListRequest(epoch=epoch - 1))
+            ctx.send_to_providers(self.name, self.current_set(), EventListRequest(epoch=epoch - 1))
             return
         if state is None or state["collected"]:
             return

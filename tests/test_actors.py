@@ -242,3 +242,20 @@ class TestEpochEventMemo:
         chain.append_block([Transaction.create(withdraw)])  # block 16
         assert self.ask(provider, ctx, 0) is complete
         assert self.ask(provider, ctx, 1) == ((16, withdraw),)
+
+    def test_complete_epoch_is_answered_with_one_reply_object(self, env):
+        chain, contract, kp, _ = env
+        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
+        ctx = _SendLog(chain, contract)
+        while chain.tip.number < 15:  # epoch 0's last block
+            chain.append_block([])
+        replies = []
+        for client in ("c0", "c1", "c0"):
+            for epoch in (0, 1):
+                provider.handle_message(client, EventListRequest(epoch=epoch), ctx)
+                replies.append(ctx.sent.pop()[1])
+        complete, open_ = replies[0::2], replies[1::2]
+        assert all(msg is complete[0] for msg in complete)
+        # Epoch 1 is still open: each request gets a fresh reply.
+        assert len({id(msg) for msg in open_}) == len(open_)
+        assert all(msg == EventListMsg(epoch=1, events=()) for msg in open_)

@@ -99,6 +99,20 @@ class TestRun:
             ("client.main", "perform_check", "maybe", "perform_check must be a boolean"),
             ("scenario", "slots_per_epoch", "0", "slots_per_epoch"),
             ("scenario", "seed", "-3", "seed must be in"),
+            ("client.main", "target_value_eth", "0", "client 0: target_value must be positive"),
+            ("client.main", "target_value_eth", "-1", "client 0: target_value must be positive"),
+            (
+                "client.main",
+                "challenge_period",
+                "-3",
+                "client 0: challenge_period must not be negative",
+            ),
+            (
+                "client.main",
+                "maintenance_challenge_period",
+                "-2",
+                "client 0: maintenance_challenge_period must not be negative",
+            ),
         ],
     )
     def test_bad_value_exits_two(self, runner, tmp_path, section, key, value, named):

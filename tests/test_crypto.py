@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,41 @@ class TestKeys:
     def test_round_trip_property(self, seed, message):
         kp = keygen(seed)
         assert verify(kp.public_key, message, sign(kp.secret_key, message))
+
+
+class TestKeyCache:
+    @given(st.binary(min_size=32, max_size=32), st.lists(st.binary(max_size=64), max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_signatures_equal_with_and_without_the_cache(self, secret, messages):
+        uncached = Ed25519PrivateKey.from_private_bytes(secret)
+        for message in messages * 2:  # the second pass signs with a cached key
+            assert sign(secret, message) == uncached.sign(message)
+        crypto._private_key.cache_clear()
+        for message in messages:
+            assert sign(secret, message) == uncached.sign(message)
+
+    def test_keygen_equal_with_and_without_the_cache(self):
+        warm = [keygen(seed) for seed in range(8)]
+        crypto._private_key.cache_clear()
+        assert [keygen(seed) for seed in range(8)] == warm
+        for kp in warm:
+            public = Ed25519PrivateKey.from_private_bytes(kp.secret_key).public_key()
+            assert kp.public_key == public.public_bytes_raw()
+
+    def test_each_secret_is_derived_once(self, monkeypatch):
+        crypto._private_key.cache_clear()
+        derived = []
+        real = Ed25519PrivateKey.from_private_bytes
+        monkeypatch.setattr(
+            crypto.Ed25519PrivateKey,
+            "from_private_bytes",
+            lambda data: derived.append(data) or real(data),
+        )
+        kp = keygen(31)
+        for message in (b"a", b"b", b"a"):
+            sign(kp.secret_key, message)
+        assert derived == [kp.secret_key]
+        crypto._private_key.cache_clear()
 
 
 class TestVerifyMemo:

@@ -21,7 +21,9 @@ from lcsim.harness import (
     run_scenario,
 )
 from lcsim.light_client import ClientConfig, LightClientActor, Protocol
+from lcsim.messages import EventListRequest
 from lcsim.pricing import CoverageInputs, eth_to_wei
+from test_golden import scaled_maintain
 
 ETH = eth_to_wei(1)
 
@@ -500,31 +502,85 @@ def scaled_dispute_population() -> ScenarioConfig:
     return dataclasses.replace(base, providers=providers, clients=clients, total_ticks=6 * b_u)
 
 
-class TestWakeUps:
-    """Skipping idle clients is invisible: the same run with every client
-    ticked on every tick gives the same bytes."""
+@st.composite
+def maintaining_populations(draw) -> ScenarioConfig:
+    """Churning providers and clients that all maintain their set: eco and
+    ins, late starts anywhere in an epoch, and offline windows that may
+    span epoch boundaries and force a re-bootstrap."""
+    config = draw(populations())
+    b_u = config.update_epoch_blocks
+    cp = config.clients[0].challenge_period
+    churn = [
+        ProviderSpec(
+            stake=eth_to_wei(draw(st.integers(8, 40))),
+            strategy=ProviderStrategy.HONEST,
+            register_tick=draw(st.integers(2, 4 * b_u)),
+            withdraw_tick=draw(st.none() | st.integers(b_u, 5 * b_u)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    clients = []
+    for client in config.clients:
+        start = draw(st.integers(1, 4 * b_u))
+        offline = None
+        if draw(st.booleans()):
+            begin = draw(st.integers(start, 5 * b_u))
+            offline = (begin, begin + draw(st.integers(0, 3 * b_u)))
+        clients.append(
+            dataclasses.replace(
+                client,
+                start_tick=start,
+                target_block=draw(st.integers(1, max(1, start - 1))),
+                maintain=True,
+                maintenance_challenge_period=draw(st.sampled_from([None, 0, cp])),
+                offline=offline,
+            )
+        )
+    return dataclasses.replace(
+        config,
+        providers=config.providers + tuple(churn),
+        clients=tuple(clients),
+        total_ticks=draw(st.integers(4 * b_u, 7 * b_u)),
+    )
 
-    @given(populations())
+
+class TestWakeUps:
+    """Sleeping clients until their next deadline is invisible: the same
+    run with every client ticked on every tick gives the same bytes."""
+
+    @given(populations() | maintaining_populations())
     @settings(
-        max_examples=60,
+        max_examples=80,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
     )
     def test_same_log_and_metrics_as_ticking_every_client(self, monkeypatch, config):
         fast = outputs(Simulation(config))
-        idle = LightClientActor.idle
+        next_tick = LightClientActor.next_tick
         on_tick = LightClientActor.on_tick
+        handle_message = LightClientActor.handle_message
+        wake: dict[str, float] = {}  # when the real schedule ticks a client next
+
+        def recorded_handle(client, sender, payload, ctx):
+            wake[client.name] = min(wake.get(client.name, 0), ctx.now)
+            return handle_message(client, sender, payload, ctx)
 
         def checked_on_tick(client, now, ctx):
-            if not idle(client):
-                return on_tick(client, now, ctx)
-            before = observable(client, ctx._sim)
-            on_tick(client, now, ctx)
-            assert observable(client, ctx._sim) == before, (client.name, now)
+            if now >= wake.get(client.name, 0):
+                on_tick(client, now, ctx)
+            else:
+                # A tick the real schedule skips changes nothing.
+                before = observable(client, ctx._sim)
+                on_tick(client, now, ctx)
+                assert observable(client, ctx._sim) == before, (client.name, now)
+            due = next_tick(client, now)
+            assert due is None or due > now
+            wake[client.name] = float("inf") if due is None else due
 
         with monkeypatch.context() as patch:
-            patch.setattr(LightClientActor, "idle", lambda self: False)
+            patch.setattr(LightClientActor, "next_tick", lambda self, now: now + 1)
             patch.setattr(LightClientActor, "on_tick", checked_on_tick)
+            patch.setattr(LightClientActor, "handle_message", recorded_handle)
             slow = outputs(Simulation(config))
         assert slow == fast
 
@@ -542,9 +598,25 @@ class TestWakeUps:
         outputs(Simulation(config))
         assert 0 < len(calls) < config.total_ticks * len(config.clients) // 2
 
+    def test_maintaining_clients_sleep_between_deadlines(self, monkeypatch):
+        """The scaled maintain population: a maintaining client is ticked on
+        under a third of the ticks from its start on."""
+        config = scaled_maintain()
+        calls = []
+        on_tick = LightClientActor.on_tick
+
+        def counted(client, now, ctx):
+            calls.append(client.name)
+            return on_tick(client, now, ctx)
+
+        monkeypatch.setattr(LightClientActor, "on_tick", counted)
+        outputs(Simulation(config))
+        online = sum(config.total_ticks + 1 - c.start_tick for c in config.clients)
+        assert 0 < len(calls) < online // 3
+
     def test_clients_are_ticked_from_start_and_on_delivery(self, monkeypatch):
-        """With every client idle after each tick, a client is ticked only
-        at its start tick and on ticks that deliver to it, in index order."""
+        """With no client naming a next tick, a client is ticked only at its
+        start tick and on ticks that deliver to it, in index order."""
         sim = Simulation(scaled_dispute_population())
         index = {client.name: i for i, client in enumerate(sim.clients)}
         delivered = {(client.config.start_tick, client.name) for client in sim.clients}
@@ -560,19 +632,52 @@ class TestWakeUps:
             ticked.append((now, client.name))
             return on_tick(client, now, ctx)
 
-        monkeypatch.setattr(LightClientActor, "idle", lambda self: True)
+        monkeypatch.setattr(LightClientActor, "next_tick", lambda self, now: None)
         monkeypatch.setattr(LightClientActor, "handle_message", recorded_handle)
         monkeypatch.setattr(LightClientActor, "on_tick", recorded_tick)
         sim.run()
         assert len(delivered) > len(sim.clients)
         assert ticked == sorted(delivered, key=lambda item: (item[0], index[item[1]]))
 
+    def test_clients_wake_at_the_tick_they_name(self, monkeypatch):
+        """A client that names tick w is ticked at w at the latest. It is
+        ticked only at its start, on deliveries and at ticks it named; a
+        tick named before a delivery woke it is one no-op tick."""
+        sim = Simulation(scaled_maintain())
+        next_tick = LightClientActor.next_tick
+        on_tick = LightClientActor.on_tick
+        handle_message = LightClientActor.handle_message
+        due = {client.name: client.config.start_tick for client in sim.clients}
+        explained = {(tick, name) for name, tick in due.items()}
+        slept = 0
+
+        def recorded_handle(client, sender, payload, ctx):
+            explained.add((ctx.now, client.name))
+            return handle_message(client, sender, payload, ctx)
+
+        def recorded_tick(client, now, ctx):
+            nonlocal slept
+            assert (now, client.name) in explained, (client.name, now)
+            assert due[client.name] is None or now <= due[client.name], (client.name, now)
+            on_tick(client, now, ctx)
+            due[client.name] = next_tick(client, now)
+            if due[client.name] is not None:
+                explained.add((due[client.name], client.name))
+                slept += due[client.name] > now + 1
+
+        monkeypatch.setattr(LightClientActor, "handle_message", recorded_handle)
+        monkeypatch.setattr(LightClientActor, "on_tick", recorded_tick)
+        sim.run()
+        assert slept > 0
+        # No client was left asleep past a tick it named.
+        assert all(tick is None or tick > sim.config.total_ticks for tick in due.values())
+
     def test_idle_client_tick_is_a_no_op(self):
         config = load("wrong_hash")
         sim = Simulation(config)
         sim.run()
         client = sim.clients[0]
-        assert client.idle()
+        assert client.next_tick(config.total_ticks) is None
         before = observable(client, sim)
         end = config.total_ticks + 3 * config.update_epoch_blocks
         for tick in range(config.total_ticks + 1, end):
@@ -584,9 +689,72 @@ class TestWakeUps:
         base = load("maintenance")
         sim = Simulation(base)
         sim.run()
-        assert sim.clients[0].config.maintain and not sim.clients[0].idle()
+        client = sim.clients[0]
+        assert client.config.maintain
+        # A maintaining client always has the next epoch's fetch ahead.
+        next_epoch = (client.epoch_of_tick(base.total_ticks) + 1) * base.update_epoch_blocks
+        assert base.total_ticks < client.next_tick(base.total_ticks) <= next_epoch + 1
         fresh = Simulation(load("honest")).clients[0]
-        assert not fresh.idle()  # not bootstrapped yet
+        # Not bootstrapped yet: due at its start tick.
+        assert fresh.next_tick(0) == fresh.config.start_tick
+
+
+class TestMessageCounts:
+    def test_scaled_maintain_enqueues_by_type(self, monkeypatch):
+        """Per-type message counts of the scaled maintain run, as they were
+        before maintaining clients slept between deadlines."""
+        counts: dict[str, int] = {}
+        enqueue = Simulation.enqueue
+
+        def counted(sim, src, dst, payload):
+            name = type(payload).__name__
+            counts[name] = counts.get(name, 0) + 1
+            return enqueue(sim, src, dst, payload)
+
+        monkeypatch.setattr(Simulation, "enqueue", counted)
+        Simulation(scaled_maintain()).run()
+        assert counts == {
+            "EventListMsg": 900,
+            "EventListRequest": 900,
+            "ForwardMsg": 114,
+            "QueryMsg": 114,
+            "ReceiptMsg": 34,
+            "ResponseMsg": 114,
+        }
+
+    def test_one_event_list_request_per_epoch_to_every_held_provider(self, monkeypatch):
+        """A maintaining client sends one request object per epoch to every
+        provider of its current set, in the set's order."""
+        sent: list[tuple[str, str, object]] = []
+        enqueue = Simulation.enqueue
+
+        def recorded(sim, src, dst, payload):
+            if isinstance(payload, EventListRequest):
+                sent.append((src, dst, payload))
+            return enqueue(sim, src, dst, payload)
+
+        monkeypatch.setattr(Simulation, "enqueue", recorded)
+        sim = Simulation(scaled_maintain())
+        held_at_request = {}
+        run_maintenance = LightClientActor._run_maintenance
+
+        def recorded_maintenance(client, now, ctx):
+            held = [sim.provider_names[pk] for pk in client.current_set()]
+            before = len(sent)
+            run_maintenance(client, now, ctx)
+            if len(sent) > before:
+                held_at_request[(client.name, sent[before][2].epoch)] = held
+
+        monkeypatch.setattr(LightClientActor, "_run_maintenance", recorded_maintenance)
+        sim.run()
+        assert held_at_request
+        batches: dict[tuple[str, int], list] = {}
+        for src, dst, payload in sent:
+            batches.setdefault((src, payload.epoch), []).append((dst, payload))
+        assert batches.keys() == held_at_request.keys()
+        for key, batch in batches.items():
+            assert [dst for dst, _ in batch] == held_at_request[key]
+            assert len({id(payload) for _, payload in batch}) == 1
 
 
 class TestVerifyMemo:

@@ -1,6 +1,8 @@
 """Provider selection, coverage sizing, and event-set folding."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsim import codec
 from lcsim.light_client import (
@@ -87,6 +89,48 @@ class TestSelectProviders:
                 ),
             )
             assert len(chosen) == best
+
+
+def reference_select(providers, required_backing):
+    """`select_providers` as it was written first: one sort on a Python
+    (-capacity, pk) key."""
+    if required_backing <= 0:
+        raise ValueError("required_backing must be positive")
+    ordered = sorted(providers, key=lambda item: (-item[1], item[0]))
+    chosen = []
+    remaining = required_backing
+    for pk, capacity in ordered:
+        if capacity <= 0:
+            continue
+        take = min(capacity, remaining)
+        chosen.append((pk, take))
+        remaining -= take
+        if remaining == 0:
+            return chosen
+    raise NoEligibleProvidersError("short")
+
+
+def outcome(select, *args):
+    try:
+        return select(*args)
+    except NoEligibleProvidersError:
+        return "short"
+
+
+class TestSelectionOrder:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(pks(6)), st.integers(0, 6).map(lambda n: n * 8 * ETH)),
+            max_size=8,
+        ),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorting_on_a_key(self, pool, value):
+        """Equal capacities and repeated keys included."""
+        assert outcome(select_providers, pool, value * ETH) == outcome(
+            reference_select, pool, value * ETH
+        )
 
 
 class TestRequiredCoverage:
