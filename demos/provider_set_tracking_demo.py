@@ -22,11 +22,30 @@ def describe(provider_set) -> str:
     )
 
 
+def record_sets(client) -> dict:
+    """Record each set the client takes during the run, by epoch: it keeps
+    only its held and its next epoch's set."""
+    sets = {}
+    bootstrap, predict = client.bootstrap, client._predict
+
+    def recorded_bootstrap(ctx, now):
+        bootstrap(ctx, now)
+        sets[client.current_epoch_held] = ("heavy check", client.current_set())
+
+    def recorded_predict(epoch, provider_set, ctx):
+        predict(epoch, provider_set, ctx)
+        sets[epoch] = ("predicted", provider_set)
+
+    client.bootstrap, client._predict = recorded_bootstrap, recorded_predict
+    return sets
+
+
 def main() -> None:
     config = load_scenario(builtin_scenario_path("maintenance"))
     sim = Simulation(config)
-    metrics, _ = sim.run()
     client = sim.clients[0]
+    sets = record_sets(client)
+    metrics, _ = sim.run()
     b_u = config.update_epoch_blocks
     print("=" * 68)
     print("provider schedule")
@@ -40,12 +59,12 @@ def main() -> None:
     print("=" * 68)
     print("client's predicted set per epoch (bootstrap epoch first)")
     print("=" * 68)
-    for epoch in sorted(client.sets):
-        source = "heavy check" if epoch in client.bootstrap_epochs else "predicted"
+    for epoch in sorted(sets):
+        source, provider_set = sets[epoch]
         realized = {
             (pk, stake) for pk, stake, _ in sim.contract.active_set(epoch)
-        } == set(client.sets[epoch].items())
-        print(f"  epoch {epoch} ({source:>11}): {describe(client.sets[epoch])}"
+        } == set(provider_set.items())
+        print(f"  epoch {epoch} ({source:>11}): {describe(provider_set)}"
               f"  matches contract: {realized}")
     print()
     print(f"epoch boundaries compared by the harness: {metrics.prediction_checks}")

@@ -364,7 +364,15 @@ class WatcherActor:
 
 
 class DataProviderActor:
-    """A staked provider node following one fixed strategy."""
+    """A staked provider node following one fixed strategy.
+
+    An honest or unfinalized_hash provider serves the register/withdraw
+    records of an epoch to maintaining clients. A client's request stands:
+    after the first, the provider sends every later epoch's list unasked,
+    timed to arrive when the answer to a fresh request would. Clients union
+    the lists of every provider they hold, so one honest list suffices and
+    an omission by one provider does not change a client's set.
+    """
 
     def __init__(
         self,
@@ -385,6 +393,12 @@ class DataProviderActor:
         self._withdraw_submitted = False
         # Event-list replies for each epoch already complete on chain.
         self._event_lists: dict[int, EventListMsg] = {}
+        # Standing event-list requests: (client, tick first asked) in
+        # first-request order, keyed by the delay of the client's link here,
+        # and the next tick at which one of them is answered.
+        self._standing: dict[int, list[tuple[str, int]]] = {}
+        self._standing_clients: set[str] = set()
+        self._next_push: int | None = None
 
     @property
     def public_key(self) -> bytes:
@@ -400,13 +414,24 @@ class DataProviderActor:
         ):
             self._withdraw_submitted = True
             ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
+        if now == self._next_push:
+            self._push_event_lists(now, ctx)
 
     def handle_message(self, sender: str, payload, ctx) -> None:
         if type(payload) is EventListRequest:  # the bulk of a provider's mail
+            # Adversarial providers stay silent. An empty list adds nothing
+            # to a client's union of every held provider's list: none is sent.
             if self.strategy in (ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH):
-                ctx.send(self.name, sender, self._event_list(payload.epoch, ctx))
-            # Adversarial providers stay silent; the client unions answers
-            # from every provider it asks, so one honest list suffices.
+                if sender not in self._standing_clients:
+                    self._standing_clients.add(sender)
+                    delay = ctx.delay(sender, self.name)
+                    self._standing.setdefault(delay, []).append((sender, ctx.now))
+                    due = self._push_tick(delay, ctx.now, ctx)
+                    if self._next_push is None or due < self._next_push:
+                        self._next_push = due
+                msg = self._event_list(payload.epoch, ctx)
+                if msg.events:
+                    ctx.send(self.name, sender, msg)
         elif isinstance(payload, QueryMsg):
             record = ctx.contract.provider(self.public_key)
             status = record.status if record is not None else ProviderStatus.ACTIVE
@@ -428,6 +453,29 @@ class DataProviderActor:
                     self._misbehaved = True
                     self._withdraw_submitted = True
                     ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
+
+    @staticmethod
+    def _push_tick(delay: int, tick: int, ctx) -> int:
+        """First tick from `tick` on at which a request sent at an epoch's
+        fetch tick (`e*B_u + T_fin + 1`) over a link of `delay` arrives."""
+        blocks = ctx.contract.config.update_epoch_blocks
+        return tick + (ctx.chain.finality_depth_blocks + 1 + delay - tick) % blocks
+
+    def _push_event_lists(self, now: int, ctx) -> None:
+        """Answer the standing requests due now: a client asked once gets
+        epoch e-1's list when its request would arrive had it sent it again
+        at epoch e's fetch tick, so within the window it collects in."""
+        blocks = ctx.contract.config.update_epoch_blocks
+        since_fetch = now - ctx.chain.finality_depth_blocks - 1
+        delay = since_fetch % blocks
+        epoch = (since_fetch - delay) // blocks - 1
+        if epoch >= 0:
+            msg = self._event_list(epoch, ctx)
+            if msg.events:
+                # A client that asked this tick has its answer already.
+                clients = [client for client, asked in self._standing[delay] if asked < now]
+                ctx.send_to_each(self.name, clients, msg)
+        self._next_push = min(self._push_tick(d, now + 1, ctx) for d in self._standing)
 
     def _event_list(self, epoch: int, ctx) -> EventListMsg:
         """The register/withdraw records of `epoch`, as the reply to send."""

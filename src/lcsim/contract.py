@@ -118,6 +118,7 @@ class InsurancePolicy:
     duration: int
     premium_wei: int
     state: PolicyState = PolicyState.OPEN
+    paid: int = 0  # compensation paid so far; CLAIMED once it reaches coverage_value
 
     @property
     def last_covered_block(self) -> int:
@@ -250,6 +251,20 @@ class Receipt:
     gas_wei: int = 0
 
 
+def _fold(
+    members: dict[bytes, int], requests: dict[int, list[tuple]], first: int, last: int
+) -> dict[bytes, int]:
+    """Apply the register/withdraw requests of epochs first..last, in epoch
+    and then arrival order, to `members`, and return it."""
+    for epoch in sorted(e for e in requests if first <= e <= last):
+        for request in requests[epoch]:
+            if request[0] == "register":
+                members[request[1]] = request[2]
+            else:
+                members.pop(request[1], None)
+    return members
+
+
 class SlashingContract:
     def __init__(self, config: ContractConfig, ledger: Ledger, params: PricingParams) -> None:
         self.config = config
@@ -261,6 +276,10 @@ class SlashingContract:
         self.slash_events: list[SlashEvent] = []
         self.reward_pool: dict[bytes, int] = {}
         self._epoch_requests: dict[int, list[tuple]] = {}
+        # Running fold of the register/withdraw requests of every epoch up to
+        # `_folded_epoch`, kept for the latest membership asked for.
+        self._folded_epoch = -1
+        self._folded: dict[bytes, int] = {}
         self._next_policy_id = 1
         self.current_block = 0
 
@@ -299,7 +318,7 @@ class SlashingContract:
             status=ProviderStatus.ACTIVE,
             joined_epoch=epoch,
         )
-        self._epoch_requests.setdefault(epoch, []).append(("register", pk, stake))
+        self._request(epoch, ("register", pk, stake))
         return codec.register_record(pk, stake)
 
     def request_withdraw(self, pk: bytes, block_number: int) -> bytes:
@@ -310,8 +329,15 @@ class SlashingContract:
         record.status = ProviderStatus.LEAVING
         record.withdraw_requested_epoch = epoch
         record.release_not_before_epoch = epoch + 1
-        self._epoch_requests.setdefault(epoch, []).append(("withdraw", pk))
+        self._request(epoch, ("withdraw", pk))
         return codec.withdraw_record(pk)
+
+    def _request(self, epoch: int, request: tuple) -> None:
+        self._epoch_requests.setdefault(epoch, []).append(request)
+        if epoch <= self._folded_epoch:
+            # Only a caller executing out of block order reaches a folded
+            # epoch; start the fold over.
+            self._folded_epoch, self._folded = -1, {}
 
     # -- insurance ----------------------------------------------------------
 
@@ -416,8 +442,12 @@ class SlashingContract:
                 and policy.state is PolicyState.OPEN
                 and policy.allocates(evidence.provider_pk)
             ):
-                policy.state = PolicyState.CLAIMED
-                compensation = policy.coverage_value
+                # A slash pays only out of the slashed stake. A policy that one
+                # stake cannot cover stays open for the next covered liar's slash.
+                compensation = min(policy.coverage_value - policy.paid, slashed_amount)
+                policy.paid += compensation
+                if policy.paid == policy.coverage_value:
+                    policy.state = PolicyState.CLAIMED
                 claimed_id = policy.id
                 self.ledger.transfer(STAKE_VAULT, policy.buyer_pk, compensation)
 
@@ -505,15 +535,16 @@ class SlashingContract:
             raise EpochTooFarError(
                 f"epoch {epoch} is beyond current epoch {self.current_epoch} + 1"
             )
-        members: dict[bytes, int] = {}
-        for e in sorted(self._epoch_requests):
-            if e > epoch - 2:
-                break
-            for request in self._epoch_requests[e]:
-                if request[0] == "register":
-                    members[request[1]] = request[2]
-                else:
-                    members.pop(request[1], None)
+        last = epoch - 2
+        if last > self._folded_epoch:
+            # Requests only arrive for the current epoch or later, so every
+            # epoch up to `last` is final: move the fold on.
+            _fold(self._folded, self._epoch_requests, self._folded_epoch + 1, last)
+            self._folded_epoch = last
+        if last == self._folded_epoch:
+            members = self._folded
+        else:  # an earlier epoch: replay
+            members = _fold({}, self._epoch_requests, 0, last)
         out = []
         for pk in sorted(members):
             record = self.providers.get(pk)

@@ -149,6 +149,8 @@ class ScenarioConfig:
         for i, spec in enumerate(self.providers):
             if spec.stake < self.min_stake:
                 raise ConfigInvalidError(f"provider {i}: stake below min_stake")
+            if spec.stake > codec.U128_MAX:
+                raise ConfigInvalidError(f"provider {i}: stake above 2**128 - 1 wei")
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +283,13 @@ class HeavyCheckOracle:
         self._contract = contract
         self._metrics = metrics
 
-    def provider_set(self, client: str) -> tuple[int, list[tuple[bytes, int, int]]]:
+    def provider_set(
+        self, client: str, epoch: int | None = None
+    ) -> tuple[int, list[tuple[bytes, int, int]]]:
+        """The contract's provider set of `epoch`, the current one by default."""
         self._metrics.client(client).heavy_checks += 1
-        epoch = self._contract.current_epoch
+        if epoch is None:
+            epoch = self._contract.current_epoch
         return epoch, self._contract.active_set(epoch)
 
     def verify_slash(
@@ -342,14 +348,27 @@ class SimContext:
     def send(self, src: str, dst: str, payload) -> None:
         self._sim.enqueue(src, dst, payload)
 
+    def delay(self, src: str, dst: str) -> int:
+        """Ticks a message from `src` takes to reach `dst`."""
+        sim = self._sim
+        return sim._delay_rows[src][sim._index[dst]]
+
+    def provider_key(self, name: str) -> bytes:
+        return self._sim.provider_keys[name]
+
     def send_to_provider(self, src: str, pk: bytes, payload) -> None:
         self._sim.enqueue(src, self._sim.provider_names[pk], payload)
 
     def send_to_providers(self, src: str, pks, payload) -> None:
         """The same payload object to each provider of `pks`, in order."""
         names = self._sim.provider_names
-        for pk in pks:
-            self._sim.enqueue(src, names[pk], payload)
+        self.send_to_each(src, [names[pk] for pk in pks], payload)
+
+    def send_to_each(self, src: str, dsts, payload) -> None:
+        """The same payload object to each endpoint of `dsts`, in order."""
+        enqueue = self._sim.enqueue
+        for dst in dsts:
+            enqueue(src, dst, payload)
 
     def forward(self, src: str, watcher: str, response: SignedResponse) -> None:
         self._sim.enqueue(src, watcher, ForwardMsg(response=response))
@@ -427,6 +446,7 @@ class Simulation:
         rng = random.Random(config.seed)
         self.providers: list[DataProviderActor] = []
         self.provider_names: dict[bytes, str] = {}
+        self.provider_keys: dict[str, bytes] = {}
         for i, spec in enumerate(config.providers):
             name = f"p{i}"
             keypair = crypto.keygen(_derive_key_seed(config.seed, name))
@@ -440,6 +460,7 @@ class Simulation:
             )
             self.providers.append(actor)
             self.provider_names[keypair.public_key] = name
+            self.provider_keys[name] = keypair.public_key
             self.ledger.mint(keypair.public_key, spec.stake)
 
         self.watchers = [WatcherActor(f"w{i}") for i in range(config.watcher_count)]

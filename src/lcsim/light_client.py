@@ -237,6 +237,8 @@ class LightClientActor:
         self._insurance_confirmed = False
         self._target_started = False
         self._maintenance: dict[int, dict] = {}
+        # Providers sent an event-list request once; they keep answering.
+        self._asked: set[bytes] = set()
         self._rebootstrap_count = 0
 
     # -- helpers ------------------------------------------------------------
@@ -284,10 +286,9 @@ class LightClientActor:
 
     def bootstrap(self, ctx, now: int) -> None:
         epoch, snapshot = ctx.oracle.provider_set(self.name)
-        held = {pk: stake for pk, stake, _ in snapshot}
-        self.sets[epoch] = held
+        self.sets[epoch] = {pk: stake for pk, stake, _ in snapshot}
         self.attributable = {pk: attributable for pk, _, attributable in snapshot}
-        self.current_epoch_held = epoch
+        self._hold(epoch)
         self.bootstrapped = True
         self.bootstrap_epochs.append(epoch)
         ctx.log(self.name, "bootstrap", codec.encode_u64(epoch))
@@ -302,8 +303,6 @@ class LightClientActor:
             return
         if not self.bootstrapped:
             self.bootstrap(ctx, now)
-            if self.config.maintain:
-                self._schedule_maintenance(now)
         self._advance_epoch(now, ctx)
         if self.config.maintain:
             self._run_maintenance(now, ctx)
@@ -333,7 +332,7 @@ class LightClientActor:
             epoch = self.epoch_of_tick(now)
             state = self._maintenance.get(epoch)
             if state is None:
-                if epoch >= 1 and epoch in self.sets:
+                if epoch in self.sets:
                     deadlines.append(epoch * blocks + self.t_fin + 1)  # fetch
             elif not state["collected"]:
                 deadlines.append(state["requested_tick"] + 2 * self.delta + 1)  # collect
@@ -383,13 +382,19 @@ class LightClientActor:
         if self.current_epoch_held is None or epoch <= self.current_epoch_held:
             return
         if epoch in self.sets:
-            self.current_epoch_held = epoch
+            self._hold(epoch)
         elif self.config.maintain:
             # Offline across at least one full update epoch: prediction
             # chain broken, fall back to a fresh heavy check.
             self.bootstrap(ctx, now)
             self._rebootstrap_count += 1
-            self._schedule_maintenance(now)
+
+    def _hold(self, epoch: int) -> None:
+        """Make `epoch` the held epoch and forget the sets and maintenance
+        state of every earlier one; only this epoch's and the next are read."""
+        self.current_epoch_held = epoch
+        self.sets = {e: held for e, held in self.sets.items() if e >= epoch}
+        self._maintenance = {e: state for e, state in self._maintenance.items() if e >= epoch}
 
     # -- main protocol ----------------------------------------------------------
 
@@ -641,7 +646,7 @@ class LightClientActor:
         if self._offline_at(now):
             return
         if type(payload) is EventListMsg:  # the bulk of a maintaining client's mail
-            self._handle_event_list(payload, now, ctx)
+            self._handle_event_list(sender, payload, ctx)
         elif isinstance(payload, ResponseMsg):
             self._handle_response(payload.response, now, ctx)
         elif isinstance(payload, ReceiptMsg):
@@ -789,31 +794,49 @@ class LightClientActor:
 
     # -- provider-set maintenance --------------------------------------------------
 
-    def _schedule_maintenance(self, now: int) -> None:
-        self._maintenance = {}
-
     def _run_maintenance(self, now: int, ctx) -> None:
         epoch = self.epoch_of_tick(now)
         state = self._maintenance.get(epoch)
         fetch_tick = epoch * self.update_epoch_blocks + self.t_fin + 1
-        if state is None and now >= fetch_tick and epoch >= 1:
-            if self.set_for_epoch(epoch) is None:
+        if state is None and now >= fetch_tick:
+            held = self.set_for_epoch(epoch)
+            if held is None:
                 return
             state = {
                 "requested_tick": now,
-                "events": {},
+                "held": held,
+                "events": set(),
                 "checks": [],
                 "collected": False,
             }
             self._maintenance[epoch] = state
-            ctx.send_to_providers(self.name, self.current_set(), EventListRequest(epoch=epoch - 1))
+            if epoch == 0 or not held:
+                # Nobody to ask: no records precede epoch 0, so the next set
+                # is the held one; an empty set names no provider, so the next
+                # set is read through a heavy check.
+                state["collected"] = True
+                if epoch > 0:
+                    _, snapshot = ctx.oracle.provider_set(self.name, epoch + 1)
+                    held = {pk: stake for pk, stake, _ in snapshot}
+                self._predict(epoch + 1, held, ctx)
+                return
+            # A provider asked once answers every later epoch on its own, at
+            # the tick a request sent now would reach it; a client that opens
+            # late may have missed those answers and asks every held provider.
+            if now == fetch_tick:
+                ask = [pk for pk in held if pk not in self._asked]
+            else:
+                ask = list(held)
+            if ask:
+                ctx.send_to_providers(self.name, ask, EventListRequest(epoch=epoch - 1))
+                self._asked.update(ask)
             return
         if state is None or state["collected"]:
             return
         if now <= state["requested_tick"] + 2 * self.delta:
             return
         state["collected"] = True
-        events = sorted(state["events"].values(), key=lambda ev: (ev[0], ev[1]))
+        events = sorted(state["events"])
         if not events:
             self._finish_maintenance(epoch, [], ctx)
             return
@@ -831,12 +854,15 @@ class LightClientActor:
             state["checks"].append(check)
             self.checks.append(check)
 
-    def _handle_event_list(self, msg, now: int, ctx) -> None:
+    def _handle_event_list(self, sender: str, msg, ctx) -> None:
         state = self._maintenance.get(msg.epoch + 1)
         if state is None or state["collected"]:
             return
-        for block_number, payload in msg.events:
-            state["events"][payload] = (block_number, payload)
+        # Lists count only from the providers held when the epoch opened;
+        # one honest list among them suffices, whoever else still answers.
+        if ctx.provider_key(sender) in state["held"]:
+            # An epoch's list names each record once, in a block of that epoch.
+            state["events"].update(msg.events)
 
     def _maintenance_event_done(self, check: Check, ctx) -> None:
         for epoch, state in self._maintenance.items():
@@ -852,5 +878,8 @@ class LightClientActor:
         base = self.set_for_epoch(epoch)
         if base is None:
             return
-        self.sets[epoch + 1] = apply_epoch_events(base, events)
-        ctx.log(self.name, "predicted_set", codec.encode_u64(epoch + 1))
+        self._predict(epoch + 1, apply_epoch_events(base, events), ctx)
+
+    def _predict(self, epoch: int, provider_set: dict[bytes, int], ctx) -> None:
+        self.sets[epoch] = provider_set
+        ctx.log(self.name, "predicted_set", codec.encode_u64(epoch))

@@ -205,21 +205,35 @@ class TestWatcherCheck:
 
 
 class _SendLog:
-    """The slice of the harness context a provider answers event lists with."""
+    """The slice of the harness context a provider answers event lists with:
+    it records (tick, destination, message) and gives each client's link
+    delay to the provider."""
 
-    def __init__(self, chain, contract):
+    def __init__(self, chain, contract, delays=None):
         self.chain = chain
         self.contract = contract
+        self.delays = delays or {}
+        self.now = 0
         self.sent = []
 
     def send(self, src, dst, payload):
-        self.sent.append((dst, payload))
+        self.sent.append((self.now, dst, payload))
+
+    def send_to_each(self, src, dsts, payload):
+        for dst in dsts:
+            self.send(src, dst, payload)
+
+    def delay(self, src, dst):
+        return self.delays.get(src, 1)
 
 
 class TestEpochEventMemo:
     def ask(self, provider, ctx, epoch):
+        """The events of the reply to one request, or None when none is sent."""
         provider.handle_message("c0", EventListRequest(epoch=epoch), ctx)
-        dst, msg = ctx.sent.pop()
+        if not ctx.sent:
+            return None
+        _, dst, msg = ctx.sent.pop()
         assert dst == "c0" and isinstance(msg, EventListMsg) and msg.epoch == epoch
         return msg.events
 
@@ -227,7 +241,8 @@ class TestEpochEventMemo:
         chain, contract, kp, _ = env  # 16-block epochs, tip 11: epoch 0 still open
         provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
         ctx = _SendLog(chain, contract)
-        assert self.ask(provider, ctx, 0) == ()
+        # No records yet: an empty list adds nothing to a union, so none is sent.
+        assert self.ask(provider, ctx, 0) is None
         register = codec.register_record(crypto.keygen(78).public_key, 32 * ETH)
         block = chain.append_block([Transaction.create(register)])  # block 12
         assert self.ask(provider, ctx, 0) == ((block.number, register),)
@@ -242,20 +257,77 @@ class TestEpochEventMemo:
         chain.append_block([Transaction.create(withdraw)])  # block 16
         assert self.ask(provider, ctx, 0) is complete
         assert self.ask(provider, ctx, 1) == ((16, withdraw),)
+        assert self.ask(provider, ctx, 2) is None
 
     def test_complete_epoch_is_answered_with_one_reply_object(self, env):
         chain, contract, kp, _ = env
         provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
         ctx = _SendLog(chain, contract)
+        register = codec.register_record(crypto.keygen(78).public_key, 32 * ETH)
+        withdraw = codec.withdraw_record(kp.public_key)
+        chain.append_block([Transaction.create(register)])  # block 12
         while chain.tip.number < 15:  # epoch 0's last block
             chain.append_block([])
+        chain.append_block([Transaction.create(withdraw)])  # block 16, epoch 1
         replies = []
         for client in ("c0", "c1", "c0"):
             for epoch in (0, 1):
                 provider.handle_message(client, EventListRequest(epoch=epoch), ctx)
-                replies.append(ctx.sent.pop()[1])
+                replies.append(ctx.sent.pop()[2])
         complete, open_ = replies[0::2], replies[1::2]
         assert all(msg is complete[0] for msg in complete)
         # Epoch 1 is still open: each request gets a fresh reply.
         assert len({id(msg) for msg in open_}) == len(open_)
-        assert all(msg == EventListMsg(epoch=1, events=()) for msg in open_)
+        assert all(msg == EventListMsg(epoch=1, events=((16, withdraw),)) for msg in open_)
+
+
+class TestStandingRequests:
+    """A provider asked once pushes each later epoch's list at the tick a
+    request sent at that epoch's fetch tick would reach it."""
+
+    # 16-block epochs, T_fin = 8: epoch e's fetch tick is 16e + 9.
+    RECORDS = {12: 0, 40: 2, 70: 4}  # block -> epoch of a register record
+    REQUESTS = {26: ["c0"], 30: ["c1"], 60: ["c0"]}  # tick -> clients asking
+
+    def run(self, env, strategy):
+        chain, contract, kp, _ = env
+        provider = DataProviderActor("p0", kp, 32 * ETH, strategy)
+        ctx = _SendLog(chain, contract, delays={"c0": 1, "c1": 2})
+        records = {}
+        for tick in range(12, 96):  # the tip is block tick - 1 during a tick
+            ctx.now = tick
+            for client in self.REQUESTS.get(tick, []):
+                epoch = (tick - 9) // 16 - 1
+                provider.handle_message(client, EventListRequest(epoch=epoch), ctx)
+            provider.on_tick(tick, ctx)
+            txs = []
+            if tick in self.RECORDS:
+                records[tick] = codec.register_record(crypto.keygen(tick).public_key, 8 * ETH)
+                txs.append(Transaction.create(records[tick]))
+            chain.append_block(txs)
+        return [(tick, dst, msg.epoch, msg.events) for tick, dst, msg in ctx.sent], records
+
+    @pytest.mark.parametrize(
+        "strategy", [ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH]
+    )
+    def test_asked_once_then_pushed_each_epoch(self, env, strategy):
+        sent, records = self.run(env, strategy)
+        lists = {self.RECORDS[b]: ((b, payload),) for b, payload in records.items()}
+        assert sent == [
+            (26, "c0", 0, lists[0]),  # the reply, and no push to c0 at the same tick
+            (30, "c1", 0, lists[0]),  # a late request: the reply
+            # Epochs 1 and 3 have no records: nothing is pushed.
+            (58, "c0", 2, lists[2]),  # 16*3 + 9 + c0's delay of 1
+            (59, "c1", 2, lists[2]),  # ... + c1's delay of 2
+            (60, "c0", 2, lists[2]),  # a repeated request is answered ...
+            (90, "c0", 4, lists[4]),  # ... but recorded once
+            (91, "c1", 4, lists[4]),
+        ]
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [ProviderStrategy.WRONG_HASH, ProviderStrategy.EXIT_SCAM, ProviderStrategy.UNRESPONSIVE],
+    )
+    def test_silent_strategies_record_nothing(self, env, strategy):
+        sent, _ = self.run(env, strategy)
+        assert sent == []

@@ -113,13 +113,16 @@ class TestRun:
                 "-2",
                 "client 0: maintenance_challenge_period must not be negative",
             ),
+            ("provider.a", "stake_eth", "1e400", "provider 0: stake above 2**128 - 1 wei"),
         ],
     )
     def test_bad_value_exits_two(self, runner, tmp_path, section, key, value, named):
-        # The honest scenario with one value replaced or added.
+        # The honest scenario with one value of one section replaced or added.
         lines = scenario.builtin_scenario_path("honest").read_text().splitlines()
-        lines = [line for line in lines if not line.startswith(f"{key} =")]
-        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+        at = lines.index(f"[{section}]") + 1
+        end = next((i for i in range(at, len(lines)) if lines[i].startswith("[")), len(lines))
+        lines[at:end] = [line for line in lines[at:end] if not line.startswith(f"{key} =")]
+        lines.insert(at, f"{key} = {value}")
         path = tmp_path / "bad.ini"
         path.write_text("\n".join(lines) + "\n")
         result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])

@@ -4,6 +4,8 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsim import codec, crypto
 from lcsim.chain import Chain, Transaction
@@ -26,6 +28,7 @@ from lcsim.contract import (
     SlashEvidence,
     SlashRejected,
     SlashTx,
+    STAKE_VAULT,
     SlashingContract,
     WithdrawRequestTx,
 )
@@ -422,6 +425,38 @@ class TestSlashing:
         assert ledger.total() == total_before
         assert event.compensation + event.bounty + event.burned == 32 * ETH
 
+    def test_claim_beyond_the_slashed_stake_stays_open(self):
+        """A slash pays only out of the slashed stake: a 4 ETH provider
+        backing 4 of 24 ETH pays 4, and the policy stays open for the next
+        covered liar, whose slash pays the remaining 20."""
+        ledger, contract, chain, kp = self.setup_finalized()
+        small = funded_provider(ledger, 21, stake=4 * ETH)
+        step(chain, contract, [RegisterTx(small.public_key, 4 * ETH)])
+        buyer = crypto.keygen(402)
+        ledger.mint(buyer.public_key, 1 * ETH)
+        allocations = [(kp.public_key, 20 * ETH), (small.public_key, 4 * ETH)]
+        policy, _ = contract.buy_insurance(buyer.public_key, allocations, 24 * ETH, 100, 14)
+        before = ledger.balance(buyer.public_key)
+        total_before = ledger.total()
+
+        first, _ = contract.slash(
+            false_evidence(small, 2, insurance_id=policy.id), chain, 15, submitter="w"
+        )
+        assert (first.compensation, first.bounty, first.burned) == (4 * ETH, 0, 0)
+        assert first.insurance_id == policy.id
+        assert contract.policies[policy.id].state is PolicyState.OPEN
+        assert ledger.balance(STAKE_VAULT) == 32 * ETH
+
+        second, _ = contract.slash(
+            false_evidence(kp, 2, insurance_id=policy.id), chain, 15, submitter="w"
+        )
+        assert second.compensation == 20 * ETH
+        assert second.compensation + second.bounty + second.burned == 32 * ETH
+        assert contract.policies[policy.id].state is PolicyState.CLAIMED
+        assert ledger.balance(buyer.public_key) - before == 24 * ETH
+        assert ledger.balance(STAKE_VAULT) == 0
+        assert ledger.total() == total_before
+
     def test_claim_after_expiry_pays_nothing(self):
         ledger, contract, chain, kp = self.setup_finalized()
         buyer = crypto.keygen(401)
@@ -525,6 +560,67 @@ class TestActiveSet:
                             expected.pop(event[1], None)
                 got = {(pk, stake) for pk, stake, _ in contract.active_set(current + 1)}
                 assert got == set(expected.items())
+
+
+def replayed_active_set(contract, chain, epoch):
+    """The provider set of `epoch` replayed from the records on chain, with
+    the contract's live slashed filter, stakes and locks."""
+    members = {}
+    for number, tx in chain.transactions_between(0, chain.tip.number):
+        if number // B_U > epoch - 2:
+            break
+        tag = codec.record_tag(tx.payload)
+        if tag == codec.TAG_REGISTER:
+            pk, stake = codec.decode_register_record(tx.payload)
+            members[pk] = stake
+        elif tag == codec.TAG_WITHDRAW_REQUEST:
+            members.pop(codec.decode_withdraw_record(tx.payload), None)
+    out = []
+    for pk in sorted(members):
+        record = contract.providers[pk]
+        if record.status is ProviderStatus.SLASHED:
+            continue
+        locked = record.locked if record.status is not ProviderStatus.EXITED else 0
+        out.append((pk, members[pk], members[pk] - locked))
+    return out
+
+
+class TestActiveSetFold:
+    """`active_set` keeps one running fold of the final epochs' requests;
+    every answer equals a replay of the chain, whatever order epochs are
+    asked in."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fold_matches_replay(self, data):
+        ledger, contract, chain = make_env()
+        keypairs = [funded_provider(ledger, 700 + i, stake=10**4 * ETH) for i in range(5)]
+        for _ in range(data.draw(st.integers(1, 10 * B_U))):
+            submissions = []
+            for _ in range(data.draw(st.integers(0, 2))):
+                kp = data.draw(st.sampled_from(keypairs))
+                kind = data.draw(st.sampled_from(["register", "withdraw", "slash"]))
+                if kind == "register":
+                    submissions.append(RegisterTx(kp.public_key, data.draw(st.integers(1, 64)) * ETH))
+                elif kind == "withdraw":
+                    submissions.append(WithdrawRequestTx(kp.public_key))
+                elif chain.tip.number >= 10:
+                    submissions.append(SlashTx(false_evidence(kp, 2)))
+            step(chain, contract, submissions)
+            current = contract.current_epoch
+            for epoch in data.draw(st.lists(st.integers(0, current + 1), max_size=4)):
+                assert contract.active_set(epoch) == replayed_active_set(contract, chain, epoch)
+
+    def test_request_in_a_folded_epoch_restarts_the_fold(self):
+        ledger, contract, chain = make_env()
+        kp, late = funded_provider(ledger, 720), funded_provider(ledger, 721)
+        step(chain, contract, [RegisterTx(kp.public_key, 32 * ETH)])
+        run_until(chain, contract, 4 * B_U)
+        assert [m[0] for m in contract.active_set(5)] == [kp.public_key]
+        # Executed out of block order, into epoch 1, which the fold has passed.
+        contract.register(late.public_key, 16 * ETH, B_U + 1)
+        assert {m[0] for m in contract.active_set(5)} == {kp.public_key, late.public_key}
+        assert [m[0] for m in contract.active_set(2)] == [kp.public_key]
 
 
 class TestDeterminism:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lcsim import crypto, harness, scenario
-from lcsim.actors import AlertKind, ProviderStrategy
+from lcsim import codec, crypto, harness, scenario
+from lcsim.actors import AlertKind, DataProviderActor, ProviderStrategy
 from lcsim.harness import (
     ConfigInvalidError,
     ProviderSpec,
@@ -21,7 +21,7 @@ from lcsim.harness import (
     run_scenario,
 )
 from lcsim.light_client import ClientConfig, LightClientActor, Protocol
-from lcsim.messages import EventListRequest
+from lcsim.messages import EventListMsg, EventListRequest
 from lcsim.pricing import CoverageInputs, eth_to_wei
 from test_golden import scaled_maintain
 
@@ -157,6 +157,31 @@ class TestInsuredScenario:
     def test_single_signature_for_single_provider(self):
         metrics, _ = run_scenario(load("insured"))
         assert metrics.clients["c0"].target_signature_verifications == 1
+
+    def test_slashes_pay_only_out_of_the_slashed_stakes(self):
+        """A 48 ETH policy backed by 20 honest, 8 and 27 lying ETH: the two
+        liars' slashes pay 8 and 27 and the run ends. Paying the full 48 out
+        of the 8 ETH stake once emptied the vault mid-run."""
+        cp = min_compliant_challenge_period(8, 2)
+        base = build_scenario(ProviderStrategy.WRONG_HASH, 2, cp, Protocol.INS, seed=0)
+        providers = (
+            ProviderSpec(stake=20 * ETH, strategy=ProviderStrategy.HONEST),
+            ProviderSpec(stake=8 * ETH, strategy=ProviderStrategy.WRONG_HASH),
+            ProviderSpec(stake=27 * ETH, strategy=ProviderStrategy.WRONG_HASH),
+        )
+        client = dataclasses.replace(base.clients[0], target_value=48 * ETH)
+        sim = Simulation(dataclasses.replace(base, providers=providers, clients=(client,)))
+        total = sim.ledger.total()
+        metrics, _ = sim.run()
+        events = sim.contract.slash_events
+        assert [(e.slashed_amount, e.compensation) for e in events] == [
+            (8 * ETH, 8 * ETH),
+            (27 * ETH, 27 * ETH),
+        ]
+        assert metrics.clients["c0"].compensation_received == 35 * ETH
+        # The honest provider's 20 ETH slice is out of the liars' reach.
+        assert metrics.violations == ["ins-protection:c0"]
+        assert sim.ledger.total() == total
 
 
 class TestExitScamScenario:
@@ -321,9 +346,48 @@ class TestMaintenance:
         assert not any(v.startswith("prediction") for v in metrics.violations)
 
 
+class TestEarlyStart:
+    """A maintaining client that starts in epoch 0 or 1 bootstraps into the
+    empty set and has nobody to ask: it takes epoch 1's set as its held one
+    and reads epoch 2's through a heavy check."""
+
+    @pytest.mark.parametrize("perform_check", [False, True])
+    @pytest.mark.parametrize("start", [1, 2, 9, 20, 33, 40])
+    def test_predictions_match(self, start, perform_check):
+        base = load("maintenance")
+        client = dataclasses.replace(
+            base.clients[0], start_tick=start, perform_check=perform_check
+        )
+        metrics, _ = run_scenario(dataclasses.replace(base, clients=(client,)))
+        assert metrics.violations == []
+        assert metrics.prediction_checks >= 5
+        assert metrics.clients["c0"].heavy_checks == 2
+
+
+def recorded_sets(monkeypatch) -> dict[tuple[str, int], tuple[str, dict]]:
+    """Every set a client takes during a run, by (client, epoch): from a
+    bootstrap or a prediction. Clients keep only the held and next epoch's."""
+    sets = {}
+    bootstrap = LightClientActor.bootstrap
+    predict = LightClientActor._predict
+
+    def recorded_bootstrap(client, ctx, now):
+        bootstrap(client, ctx, now)
+        sets[client.name, client.current_epoch_held] = ("bootstrap", client.current_set())
+
+    def recorded_predict(client, epoch, provider_set, ctx):
+        predict(client, epoch, provider_set, ctx)
+        sets[client.name, epoch] = ("predicted", provider_set)
+
+    monkeypatch.setattr(LightClientActor, "bootstrap", recorded_bootstrap)
+    monkeypatch.setattr(LightClientActor, "_predict", recorded_predict)
+    return sets
+
+
 class TestBookkeeping:
-    def test_bootstrap_snapshot_matches_contract(self):
+    def test_bootstrap_snapshot_matches_contract(self, monkeypatch):
         config = load("maintenance")
+        sets = recorded_sets(monkeypatch)
         sim = Simulation(config)
         sim.run()
         client = sim.clients[0]
@@ -331,8 +395,25 @@ class TestBookkeeping:
         expected = {
             pk: stake for pk, stake, _ in sim.contract.active_set(epoch)
         }
-        assert client.sets[epoch] == expected
+        assert sets[client.name, epoch] == ("bootstrap", expected)
         assert len(expected) >= 2
+
+    def test_clients_keep_only_the_held_and_next_epoch(self, monkeypatch):
+        on_tick = LightClientActor.on_tick
+        seen = []
+
+        def checked(client, now, ctx):
+            on_tick(client, now, ctx)
+            if client.bootstrapped:
+                held = client.current_epoch_held
+                assert set(client.sets) <= {held, held + 1}, (client.name, now)
+                assert all(epoch >= held for epoch in client._maintenance), (client.name, now)
+                seen.append(len(client.sets))
+
+        monkeypatch.setattr(LightClientActor, "on_tick", checked)
+        metrics, _ = Simulation(scaled_maintain()).run()
+        assert metrics.violations == [] and metrics.prediction_checks > 0
+        assert max(seen) == 2
 
     def test_latency_metric_recomputable_from_log(self):
         metrics, log = run_scenario(load("honest"))
@@ -701,8 +782,12 @@ class TestWakeUps:
 
 class TestMessageCounts:
     def test_scaled_maintain_enqueues_by_type(self, monkeypatch):
-        """Per-type message counts of the scaled maintain run, as they were
-        before maintaining clients slept between deadlines."""
+        """Per-type message counts of the scaled maintain run. With standing
+        requests each client asks each held provider once: 240 requests, was
+        900 with one per held provider per epoch. Lists: 720, was 900. The 660
+        non-empty lists of held providers are all still sent, none of the 240
+        empty ones, and 60 more come from providers that have left a client's
+        set but were asked before; the client drops those."""
         counts: dict[str, int] = {}
         enqueue = Simulation.enqueue
 
@@ -714,47 +799,206 @@ class TestMessageCounts:
         monkeypatch.setattr(Simulation, "enqueue", counted)
         Simulation(scaled_maintain()).run()
         assert counts == {
-            "EventListMsg": 900,
-            "EventListRequest": 900,
+            "EventListMsg": 720,
+            "EventListRequest": 240,
             "ForwardMsg": 114,
             "QueryMsg": 114,
             "ReceiptMsg": 34,
             "ResponseMsg": 114,
         }
 
-    def test_one_event_list_request_per_epoch_to_every_held_provider(self, monkeypatch):
-        """A maintaining client sends one request object per epoch to every
-        provider of its current set, in the set's order."""
-        sent: list[tuple[str, str, object]] = []
+    def test_each_held_provider_is_asked_once_then_pushes(self, monkeypatch):
+        """Each held provider gets one request object per client, sent the
+        first time the client opens an epoch holding it; from then on it
+        answers every epoch unasked. Every held provider's non-empty list
+        reaches the client at the tick the answer to a request sent at the
+        epoch's fetch tick would, and none arrives for an empty epoch."""
+        sent: list[tuple[int, str, str, object]] = []
         enqueue = Simulation.enqueue
 
         def recorded(sim, src, dst, payload):
-            if isinstance(payload, EventListRequest):
-                sent.append((src, dst, payload))
+            if isinstance(payload, (EventListRequest, EventListMsg)):
+                sent.append((sim.ctx.now, src, dst, payload))
             return enqueue(sim, src, dst, payload)
 
         monkeypatch.setattr(Simulation, "enqueue", recorded)
         sim = Simulation(scaled_maintain())
-        held_at_request = {}
+        opened = []  # (client, epoch, tick, held provider names)
         run_maintenance = LightClientActor._run_maintenance
 
         def recorded_maintenance(client, now, ctx):
-            held = [sim.provider_names[pk] for pk in client.current_set()]
-            before = len(sent)
+            epoch = client.epoch_of_tick(now)
+            new = epoch not in client._maintenance
             run_maintenance(client, now, ctx)
-            if len(sent) > before:
-                held_at_request[(client.name, sent[before][2].epoch)] = held
+            if new and epoch in client._maintenance:
+                held = [sim.provider_names[pk] for pk in client.current_set()]
+                opened.append((client.name, epoch, now, held))
 
         monkeypatch.setattr(LightClientActor, "_run_maintenance", recorded_maintenance)
         sim.run()
-        assert held_at_request
-        batches: dict[tuple[str, int], list] = {}
-        for src, dst, payload in sent:
-            batches.setdefault((src, payload.epoch), []).append((dst, payload))
-        assert batches.keys() == held_at_request.keys()
-        for key, batch in batches.items():
-            assert [dst for dst, _ in batch] == held_at_request[key]
-            assert len({id(payload) for _, payload in batch}) == 1
+        delay = sim.ctx.delay
+        fetch = sim.config.t_fin + 1
+        blocks = sim.config.update_epoch_blocks
+        requests = [(tick, src, dst, msg) for tick, src, dst, msg in sent if src.startswith("c")]
+        lists = [(tick, src, dst, msg) for tick, src, dst, msg in sent if src.startswith("p")]
+        # Every open is on time, and each (client, provider) pair is asked once.
+        assert opened and all(tick == epoch * blocks + fetch for _, epoch, tick, _ in opened)
+        pairs = [(src, dst) for _, src, dst, _ in requests]
+        assert len(pairs) == len(set(pairs)) == 240
+        asked_at = {}
+        for tick, src, dst, msg in requests:
+            asked_at[src, dst] = tick
+            # One request object per client and open, for the epoch before.
+            assert msg.epoch == (tick - fetch) // blocks - 1
+        assert len({id(msg) for *_, msg in requests}) == len(
+            {(tick, src) for tick, src, _, _ in requests}
+        )
+        arrivals = {}
+        for tick, src, dst, msg in lists:
+            assert msg.events
+            arrivals.setdefault((dst, msg.epoch + 1), set()).add((src, tick + delay(src, dst)))
+        provider_records = (codec.TAG_REGISTER, codec.TAG_WITHDRAW_REQUEST)
+        with_records = 0
+        for client, epoch, tick, held in opened:
+            assert all(asked_at[client, name] <= tick for name in held)
+            first = (epoch - 1) * blocks
+            records = any(
+                codec.record_tag(tx.payload) in provider_records
+                for _, tx in sim.chain.transactions_between(first, first + blocks - 1)
+            )
+            got = {(src, at) for src, at in arrivals.get((client, epoch), ()) if src in held}
+            answer = {(name, tick + delay(client, name) + delay(name, client)) for name in held}
+            assert got == (answer if records else set()), (client, epoch)
+            with_records += records
+        assert 0 < with_records < len(opened)
+
+
+def collected_unions(monkeypatch, every_epoch: bool) -> dict:
+    """Record the union each client collects for each epoch it opens. With
+    `every_epoch`, the run is the reference: clients ask every held provider
+    at every epoch's open and providers answer requests only."""
+    unions = {}
+    run_maintenance = LightClientActor._run_maintenance
+
+    def recorded(client, now, ctx):
+        if every_epoch:
+            client._asked.clear()
+        before = {epoch: state["collected"] for epoch, state in client._maintenance.items()}
+        run_maintenance(client, now, ctx)
+        for epoch, state in client._maintenance.items():
+            if state["collected"] and not before.get(epoch, False):
+                unions[client.name, epoch, now] = sorted(state["events"])
+
+    monkeypatch.setattr(LightClientActor, "_run_maintenance", recorded)
+    if every_epoch:
+        monkeypatch.setattr(DataProviderActor, "_push_event_lists", lambda self, now, ctx: None)
+    return unions
+
+
+@st.composite
+def collection_edge_populations(draw) -> ScenarioConfig:
+    """Maintaining populations whose clients go offline or come back just
+    before or inside an epoch's event-list collection window, where the
+    tick a list arrives decides whether the client has it."""
+    config = draw(maintaining_populations())
+    b_u, delta = config.update_epoch_blocks, config.delta_ticks
+    clients = []
+    for client in config.clients:
+        fetch = draw(st.integers(1, 5)) * b_u + config.t_fin + 1
+        edge = fetch + draw(st.integers(-1, 2 * delta + 2))
+        length = draw(st.integers(0, 2 * delta + 2))
+        offline = (edge, edge + length) if draw(st.booleans()) else (edge - length, edge)
+        clients.append(dataclasses.replace(client, offline=offline))
+    return dataclasses.replace(config, clients=tuple(clients))
+
+
+def leaver_and_silent_provider() -> ScenarioConfig:
+    """A client that holds only a silent provider (p1, wrong_hash) once the
+    honest p0 has left, while p0, asked before, still answers: the client
+    must not use p0's list, so it misses p2's registration as it would if
+    it asked its held providers afresh."""
+    base = load("maintenance")
+    providers = (
+        ProviderSpec(stake=eth_to_wei(40), strategy=ProviderStrategy.HONEST, withdraw_tick=40),
+        ProviderSpec(stake=eth_to_wei(64), strategy=ProviderStrategy.WRONG_HASH),
+        ProviderSpec(stake=eth_to_wei(24), strategy=ProviderStrategy.HONEST, register_tick=70),
+    )
+    return dataclasses.replace(base, providers=providers)
+
+
+class TestStandingRequests:
+    """Asking each provider once and letting it push is invisible: the run
+    equals one in which every held provider is asked every epoch."""
+
+    def assert_same_as_reference(self, monkeypatch, config) -> None:
+        with monkeypatch.context() as patch:
+            unions = collected_unions(patch, every_epoch=False)
+            got = outputs(Simulation(config))
+        with monkeypatch.context() as patch:
+            reference_unions = collected_unions(patch, every_epoch=True)
+            reference = outputs(Simulation(config))
+        assert got == reference
+        assert unions == reference_unions
+
+    @given(maintaining_populations() | collection_edge_populations())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    def test_same_run_as_asking_every_held_provider_every_epoch(self, monkeypatch, config):
+        self.assert_same_as_reference(monkeypatch, config)
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    @pytest.mark.parametrize("shift", range(-1, 5))
+    def test_same_run_when_offline_at_the_collection_edges(self, monkeypatch, shift, length):
+        """The maintenance client asks p0, p1 and p3 in epoch 2, then goes
+        offline or comes back around epoch 3's fetch tick, 105. Epoch 2's
+        lists, which carry the leaver's withdraw record, arrive at 107."""
+        base = load("maintenance")
+        begin = 3 * base.update_epoch_blocks + base.t_fin + 1 + shift
+        client = dataclasses.replace(base.clients[0], offline=(begin, begin + length))
+        self.assert_same_as_reference(monkeypatch, dataclasses.replace(base, clients=(client,)))
+
+    def test_lists_count_only_from_held_providers(self, monkeypatch):
+        config = leaver_and_silent_provider()
+        self.assert_same_as_reference(monkeypatch, config)
+        metrics, _ = run_scenario(config)
+        assert "prediction:c0@epoch4" in metrics.violations
+
+    def omitting(self, monkeypatch, names: set[str], payload: bytes) -> None:
+        """The named providers leave `payload` out of every list they send."""
+        event_list = DataProviderActor._event_list
+
+        def dropped(provider, epoch, ctx):
+            msg = event_list(provider, epoch, ctx)
+            if provider.name not in names:
+                return msg
+            return EventListMsg(msg.epoch, tuple(ev for ev in msg.events if ev[1] != payload))
+
+        monkeypatch.setattr(DataProviderActor, "_event_list", dropped)
+
+    def test_one_honest_list_protects_the_prediction(self, monkeypatch):
+        """In the maintenance scenario the client holds base_a, base_b and
+        the leaver (p0, p1, p3) when it fetches epoch 1's records, which
+        register the joiner (p2). One provider omitting that record changes
+        nothing; all three omitting it breaks the epoch 3 prediction."""
+        config = load("maintenance")
+        joiner = Simulation(config).providers[2]
+        record = codec.register_record(joiner.public_key, joiner.stake)
+        for omitters, violations in (
+            (set(), []),
+            ({"p0"}, []),
+            ({"p1", "p3"}, []),
+            # The missing joiner is carried into every later set.
+            ({"p0", "p1", "p3"}, [f"prediction:c0@epoch{e}" for e in range(3, 8)]),
+        ):
+            with monkeypatch.context() as patch:
+                self.omitting(patch, omitters, record)
+                sets = recorded_sets(patch)
+                metrics, _ = run_scenario(config)
+            assert metrics.violations == violations, omitters
+            assert (joiner.public_key in sets["c0", 3][1]) == (not violations)
 
 
 class TestVerifyMemo:
