@@ -7,6 +7,20 @@ buys stake-backed coverage, confirms the purchase transaction via the
 economic path, then accepts target data the moment signatures verify,
 keeping an ear open for compensation.
 
+Both walk one lifecycle, `LightClientActor.stage`, one transition per event:
+
+    START      --tick-->             QUERYING (economic) or BUYING (insured)
+    BUYING     --receipt-->          CONFIRMING, or BUYING again if reverted
+    CONFIRMING --record accepted-->  CONFIRMED
+    CONFIRMED  --tick-->             QUERYING
+    QUERYING   --target accepted-->  ACCEPTED
+
+An insured client whose policy is voided before acceptance (an allocated
+provider times out, is slashed or answers invalidly) goes back to START and
+buys again.  GAVE_UP is terminal: no selection backs the value, purchases
+revert too often, or no provider is left for the target.  Restarting one
+check never moves the stage.
+
 A client that stays online never repeats the bootstrap heavy check: it
 predicts the epoch e+1 provider set by applying the verified register and
 withdraw records of epoch e-1 to its epoch e set.
@@ -15,6 +29,7 @@ withdraw records of epoch e-1 to its epoch e set.
 from __future__ import annotations
 
 import enum
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -46,13 +61,16 @@ class Protocol(enum.Enum):
     INS = "ins"
 
 
-class ClientPhase(enum.Enum):
-    BOOTSTRAPPING = "bootstrapping"
-    AWAITING_INSURANCE = "awaiting_insurance"
-    QUERYING = "querying"
-    LISTENING = "listening"
+class Stage(enum.Enum):
+    """Where a client is on its path to the target (module docstring)."""
+
+    START = "start"
+    BUYING = "buying"  # purchase submitted, receipt pending
+    CONFIRMING = "confirming"  # economic check of the purchase record
+    CONFIRMED = "confirmed"  # policy confirmed, target query next
+    QUERYING = "querying"  # target check open
     ACCEPTED = "accepted"
-    REJECTED_RESTARTING = "rejected_restarting"
+    GAVE_UP = "gave_up"
 
 
 def select_providers(
@@ -218,7 +236,7 @@ class LightClientActor:
         self.update_epoch_blocks = update_epoch_blocks
         self.delta = delta_ticks
         self.t_fin = t_fin
-        self.phase = ClientPhase.BOOTSTRAPPING
+        self.stage = Stage.START
         self.bootstrapped = False
         self.bootstrap_epochs: list[int] = []
         self.sets: dict[int, dict[bytes, int]] = {}
@@ -227,19 +245,13 @@ class LightClientActor:
         self.dropped: set[bytes] = set()
         self.checks: list[Check] = []
         self.alerts_seen: list[Alert] = []
-        self.late_alerts: int = 0
-        self.compensations: list[tuple[int, int]] = []
-        self._pending_purchase: int | None = None
+        self._pending_purchase: int | None = None  # token of the BUYING purchase
         self._purchase_attempts: int = 0
-        self._policy: tuple[int, int, bytes] | None = None  # (ins_id, block, tx_id)
-        self._policy_allocations: list[tuple[bytes, int]] = []
-        self._last_allocations: list[tuple[bytes, int]] = []
-        self._insurance_confirmed = False
-        self._target_started = False
+        self._insurance_id: int | None = None  # the policy, from CONFIRMING on
+        self._allocations: list[tuple[bytes, int]] = []  # set at purchase
         self._maintenance: dict[int, dict] = {}
         # Providers sent an event-list request once; they keep answering.
         self._asked: set[bytes] = set()
-        self._rebootstrap_count = 0
 
     # -- helpers ------------------------------------------------------------
 
@@ -354,14 +366,9 @@ class LightClientActor:
 
     def _protocol_waits(self) -> bool:
         """True when _drive_protocol does nothing until a message arrives."""
-        if not self.config.perform_check or self._target_started:
-            return True
-        if self.config.protocol is Protocol.ECO:
-            return False
-        if self._policy is None:
-            stuck = self.phase is ClientPhase.REJECTED_RESTARTING
-            return self._pending_purchase is not None or stuck
-        return not self._insurance_confirmed
+        if self.stage is Stage.START:
+            return not self.config.perform_check
+        return self.stage is not Stage.CONFIRMED
 
     def _check_deadline(self, check: Check) -> int | None:
         """First tick at which _drive_checks may act on `check`, or None."""
@@ -387,7 +394,6 @@ class LightClientActor:
             # Offline across at least one full update epoch: prediction
             # chain broken, fall back to a fresh heavy check.
             self.bootstrap(ctx, now)
-            self._rebootstrap_count += 1
 
     def _hold(self, epoch: int) -> None:
         """Make `epoch` the held epoch and forget the sets and maintenance
@@ -399,54 +405,40 @@ class LightClientActor:
     # -- main protocol ----------------------------------------------------------
 
     def _drive_protocol(self, now: int, ctx) -> None:
-        if not self.config.perform_check or self._target_started:
-            return
-        if self.config.protocol is Protocol.ECO:
-            self._target_started = True
-            self.phase = ClientPhase.QUERYING
-            self._start_check(
-                Check(
-                    kind=CheckKind.TARGET,
-                    block_number=self.config.target_block,
-                    state_hash=ctx.target_state_hash(self.name),
-                    challenge_period=self.config.challenge_period,
-                    value=self.config.target_value,
-                ),
-                now,
-                ctx,
-            )
-            return
-        # Insured path: buy coverage first.
-        if self._policy is None:
-            stuck = self.phase is ClientPhase.REJECTED_RESTARTING
-            if self._pending_purchase is None and not stuck:
-                self.phase = ClientPhase.AWAITING_INSURANCE
-                try:
-                    self._submit_purchase(now, ctx)
-                except NoEligibleProvidersError:
-                    self.phase = ClientPhase.REJECTED_RESTARTING
-                    ctx.metrics.client(self.name).rejected += 1
-            return
-        if not self._insurance_confirmed:
-            return
-        if any(pk in self.dropped for pk, _ in self._policy_allocations):
-            self._rebuy_policy(now, ctx)
-            return
-        self._target_started = True
-        self.phase = ClientPhase.QUERYING
-        self._start_check(
+        if self.stage is Stage.START and self.config.perform_check:
+            if self.config.protocol is Protocol.ECO:
+                self._start_target(None, now, ctx)
+            else:
+                self._buy(now, ctx)
+        elif self.stage is Stage.CONFIRMED:
+            if self._policy_voided(self.dropped):
+                self._rebuy_policy()
+            else:
+                self._start_target(self._insurance_id, now, ctx)
+
+    def _start_target(self, insurance_id: int | None, now: int, ctx) -> None:
+        """Open the target check; an insured one accepts on verified signatures."""
+        self.stage = Stage.QUERYING
+        self.checks.append(
             Check(
                 kind=CheckKind.TARGET,
                 block_number=self.config.target_block,
                 state_hash=ctx.target_state_hash(self.name),
                 challenge_period=self.config.challenge_period,
                 value=self.config.target_value,
-                insurance_id=self._policy[0],
-                immediate_accept=True,
-            ),
-            now,
-            ctx,
+                insurance_id=insurance_id,
+                immediate_accept=insurance_id is not None,
+                query_tick=now,
+            )
         )
+
+    def _buy(self, now: int, ctx) -> None:
+        """Submit a purchase, or give up when no selection backs the value."""
+        try:
+            self._submit_purchase(now, ctx)
+        except NoEligibleProvidersError:
+            self.stage = Stage.GAVE_UP
+            ctx.metrics.client(self.name).rejected += 1
 
     def _submit_purchase(self, now: int, ctx) -> None:
         assert self.config.coverage_inputs is not None
@@ -460,7 +452,7 @@ class LightClientActor:
             self.bootstrap(ctx, now)
             allocations = select_providers(self.candidates(True), self.config.target_value)
         self._purchase_attempts += 1
-        self._last_allocations = allocations
+        self._allocations = allocations
         token = ctx.submit_tx(
             self.name,
             BuyInsuranceTx(
@@ -471,37 +463,31 @@ class LightClientActor:
             ),
         )
         self._pending_purchase = token
+        self.stage = Stage.BUYING
         ctx.log(self.name, "buy_insurance", codec.encode_u64(token))
 
-    def _start_insurance_check(self, now: int, ctx) -> None:
-        assert self._policy is not None
-        _, record_block, record_tx_id = self._policy
-        check = Check(
-            kind=CheckKind.INSURANCE_INCLUSION,
-            block_number=record_block,
-            state_hash=record_tx_id,
-            challenge_period=self.config.insurance_challenge_period,
-            value=self.config.target_value,
-        )
-        check.query_tick = max(now, record_block + self.t_fin + 1)
-        self.checks.append(check)
+    def _policy_voided(self, dropped: Collection[bytes]) -> bool:
+        """A provider backing the still-unconsumed policy went dark or was
+        slashed: the coverage can no longer protect the target check."""
+        if self.stage not in (Stage.CONFIRMING, Stage.CONFIRMED, Stage.QUERYING):
+            return False
+        return any(pk in dropped for pk, _ in self._allocations)
+
+    def _rebuy_policy(self) -> None:
+        """Abandon the voided policy and its checks; buy anew from START."""
+        for check in self.checks:
+            if not check.done and check.kind is not CheckKind.EPOCH_EVENT:
+                check.done = True
+                check.outcome = "abandoned"
+        self.stage = Stage.START
 
     # -- checks ------------------------------------------------------------------
 
-    def _start_check(self, check: Check, now: int, ctx) -> None:
-        check.query_tick = now
-        self.checks.append(check)
-
     def _select_for_check(self, check: Check) -> list[tuple[bytes, int]]:
-        if check.kind is CheckKind.TARGET and self.config.protocol is Protocol.INS:
+        if check.insurance_id is not None:
             # The allocated providers back the policy; the insured query
             # goes exactly to them.
-            assert self._policy is not None
-            return [
-                (pk, amount)
-                for pk, amount in self._policy_allocations
-                if pk not in self.dropped
-            ]
+            return [(pk, amount) for pk, amount in self._allocations if pk not in self.dropped]
         return select_providers(self.candidates(False), check.value)
 
     def _issue_queries(self, check: Check, now: int, ctx) -> None:
@@ -514,6 +500,32 @@ class LightClientActor:
         for pk, _ in check.selected:
             ctx.send_to_provider(self.name, pk, QueryMsg(query=self._make_query(check)))
         ctx.log(self.name, "query", check.state_hash)
+
+    def _requery(self, check: Check, now: int, ctx) -> bool:
+        """Query `check` afresh, or close it when no provider is eligible."""
+        try:
+            self._issue_queries(check, now, ctx)
+        except NoEligibleProvidersError:
+            check.done = True
+            check.outcome = "no_eligible_providers"
+            if check.kind is CheckKind.TARGET:
+                self.stage = Stage.GAVE_UP
+            return False
+        return True
+
+    def _reject(self, check: Check, culprits: Iterable[bytes], ctx) -> None:
+        """Drop the culprits and count one restart of `check`."""
+        self.dropped.update(culprits)
+        check.restarts += 1
+        ctx.metrics.client(self.name).rejected += 1
+
+    def _verify_all(self, check: Check, ctx) -> bool:
+        """Verify every response of `check` and count the verifications."""
+        metrics = ctx.metrics.client(self.name)
+        metrics.signature_verifications_total += len(check.responses)
+        if check.kind is CheckKind.TARGET:
+            metrics.target_signature_verifications += len(check.responses)
+        return all(verify_response(check, r, ctx.verify) for r in check.responses.values())
 
     def _make_query(self, check: Check) -> Query:
         if check.insurance_id is None:
@@ -534,11 +546,7 @@ class LightClientActor:
             if check.done:
                 continue
             if check.query_tick is not None and not check.selected and now >= check.query_tick:
-                try:
-                    self._issue_queries(check, now, ctx)
-                except NoEligibleProvidersError:
-                    check.done = True
-                    check.outcome = "no_eligible_providers"
+                if not self._requery(check, now, ctx):
                     ctx.metrics.client(self.name).rejected += 1
                 continue
             if not check.selected:
@@ -557,71 +565,21 @@ class LightClientActor:
                 self._finish_economic_check(check, now, ctx)
 
     def _handle_timeout(self, check: Check, pending: list[bytes], now: int, ctx) -> None:
-        for pk in pending:
-            self.dropped.add(pk)
+        self._reject(check, pending, ctx)
         ctx.log(self.name, "timeout", b"".join(sorted(pending)))
-        check.restarts += 1
-        ctx.metrics.client(self.name).rejected += 1
-        if self.config.protocol is Protocol.INS and self._policy_voided(pending):
-            self._rebuy_policy(now, ctx)
-            return
-        if check.kind is CheckKind.TARGET and self.config.protocol is Protocol.INS:
-            self._rebuy_policy(now, ctx)
-            return
-        try:
-            self._issue_queries(check, now, ctx)
-        except NoEligibleProvidersError:
-            check.done = True
-            check.outcome = "no_eligible_providers"
-
-    def _policy_voided(self, dropped_now: list[bytes]) -> bool:
-        """A provider backing the still-unconsumed policy went dark or was
-        slashed: the coverage can no longer protect the target check."""
-        if self._policy is None or self._target_accepted():
-            return False
-        allocated = {pk for pk, _ in self._policy_allocations}
-        return any(pk in allocated for pk in dropped_now)
-
-    def _rebuy_policy(self, now: int, ctx) -> None:
-        """Allocated provider went dark or was slashed before acceptance:
-        abandon the policy and start over with the remaining providers."""
-        for check in self.checks:
-            if not check.done and check.kind in (
-                CheckKind.TARGET,
-                CheckKind.INSURANCE_INCLUSION,
-            ):
-                check.done = True
-                check.outcome = "abandoned"
-        self._policy = None
-        self._pending_purchase = None
-        self._insurance_confirmed = False
-        self._target_started = False
-        self.phase = ClientPhase.AWAITING_INSURANCE
+        if check.immediate_accept or self._policy_voided(pending):
+            self._rebuy_policy()
+        else:
+            self._requery(check, now, ctx)
 
     def _finish_economic_check(self, check: Check, now: int, ctx) -> None:
-        metrics = ctx.metrics.client(self.name)
-        valid = all(
-            verify_response(check, response, ctx.verify)
-            for response in check.responses.values()
-        )
-        metrics.signature_verifications_total += len(check.responses)
-        if check.kind is CheckKind.TARGET:
-            metrics.target_signature_verifications += len(check.responses)
-        if not valid:
-            # Signature or proof failed after the challenge period: discard
-            # everything from this round and restart, never accept.
-            for pk in list(check.responses):
-                self.dropped.add(pk)
-            check.restarts += 1
-            metrics.rejected += 1
-            self.phase = ClientPhase.REJECTED_RESTARTING
-            try:
-                self._issue_queries(check, now, ctx)
-            except NoEligibleProvidersError:
-                check.done = True
-                check.outcome = "no_eligible_providers"
+        if self._verify_all(check, ctx):
+            self._accept(check, now, ctx)
             return
-        self._accept(check, now, ctx)
+        # Signature or proof failed after the challenge period: discard
+        # everything from this round and restart, never accept.
+        self._reject(check, check.responses, ctx)
+        self._requery(check, now, ctx)
 
     def _accept(self, check: Check, now: int, ctx) -> None:
         check.done = True
@@ -629,12 +587,12 @@ class LightClientActor:
         check.outcome = "accepted"
         metrics = ctx.metrics.client(self.name)
         if check.kind is CheckKind.TARGET:
-            self.phase = ClientPhase.ACCEPTED
+            self.stage = Stage.ACCEPTED
             metrics.accepted += 1
             metrics.ticks_to_acceptance.append(now - (check.query_tick or now))
             ctx.record_acceptance(self.name, check)
         elif check.kind is CheckKind.INSURANCE_INCLUSION:
-            self._insurance_confirmed = True
+            self.stage = Stage.CONFIRMED
         elif check.kind is CheckKind.EPOCH_EVENT:
             self._maintenance_event_done(check, ctx)
         ctx.log(self.name, "accepted", check.state_hash)
@@ -654,7 +612,6 @@ class LightClientActor:
         elif isinstance(payload, Alert):
             self._handle_alert(payload, now, ctx)
         elif isinstance(payload, CompensationMsg):
-            self.compensations.append((payload.insurance_id, payload.amount))
             ctx.metrics.client(self.name).compensated += 1
             ctx.metrics.client(self.name).compensation_received += payload.amount
             ctx.log(self.name, "compensated", codec.encode_u128(payload.amount))
@@ -682,51 +639,43 @@ class LightClientActor:
                 ctx.forward(self.name, watcher, response)
             check.last_forward_tick = now
             if check.immediate_accept and len(check.responses) == len(check.selected):
-                metrics = ctx.metrics.client(self.name)
-                ok = all(
-                    verify_response(check, r, ctx.verify) for r in check.responses.values()
-                )
-                metrics.signature_verifications_total += len(check.responses)
-                metrics.target_signature_verifications += len(check.responses)
-                if ok:
+                if self._verify_all(check, ctx):
                     self._accept(check, now, ctx)
-                    self.phase = ClientPhase.LISTENING
                 else:
-                    for pk in list(check.responses):
-                        self.dropped.add(pk)
-                    check.restarts += 1
-                    metrics.rejected += 1
-                    self._rebuy_policy(now, ctx)
+                    self._reject(check, check.responses, ctx)
+                    self._rebuy_policy()
             return
 
     def _handle_receipt(self, token: int, receipt, now: int, ctx) -> None:
         if token != self._pending_purchase:
             return
         self._pending_purchase = None
-        metrics = ctx.metrics.client(self.name)
-        if receipt.ok:
-            self._policy = (receipt.insurance_id, receipt.block_number, receipt.record_tx_id)
-            self._policy_allocations = self._last_allocations
-            metrics.premium_spent += receipt.premium_wei
-            metrics.gas_spent += receipt.gas_wei
-            self._start_insurance_check(now, ctx)
-            ctx.log(self.name, "insurance_open", codec.encode_u64(receipt.insurance_id))
-        else:
+        if not receipt.ok:
             ctx.log(self.name, "insurance_reverted", (receipt.reason or "").encode())
-            # Reselect and retry; selection state refreshes via bootstrap
-            # if the remaining candidates cannot back the value.
-            self._retry_purchase(now, ctx)
-
-    def _retry_purchase(self, now: int, ctx) -> None:
-        if self._purchase_attempts >= len(self.current_set()) + 2:
-            self.phase = ClientPhase.REJECTED_RESTARTING
+            # Reselect on a refreshed set and retry, a bounded number of times.
+            if self._purchase_attempts >= len(self.current_set()) + 2:
+                self.stage = Stage.GAVE_UP
+                return
+            self.bootstrap(ctx, now)
+            self._buy(now, ctx)
             return
-        self.bootstrap(ctx, now)
-        try:
-            self._submit_purchase(now, ctx)
-        except NoEligibleProvidersError:
-            self.phase = ClientPhase.REJECTED_RESTARTING
-            ctx.metrics.client(self.name).rejected += 1
+        self.stage = Stage.CONFIRMING
+        self._insurance_id = receipt.insurance_id
+        metrics = ctx.metrics.client(self.name)
+        metrics.premium_spent += receipt.premium_wei
+        metrics.gas_spent += receipt.gas_wei
+        # Confirm the purchase record through the economic path.
+        self.checks.append(
+            Check(
+                kind=CheckKind.INSURANCE_INCLUSION,
+                block_number=receipt.block_number,
+                state_hash=receipt.record_tx_id,
+                challenge_period=self.config.insurance_challenge_period,
+                value=self.config.target_value,
+                query_tick=max(now, receipt.block_number + self.t_fin + 1),
+            )
+        )
+        ctx.log(self.name, "insurance_open", codec.encode_u64(receipt.insurance_id))
 
     def _handle_alert(self, alert: Alert, now: int, ctx) -> None:
         self.alerts_seen.append(alert)
@@ -741,12 +690,7 @@ class LightClientActor:
             and alert.offending_pk in {pk for pk, _ in check.selected}
             for check in self.checks
         )
-        policy_hit = (
-            self.config.protocol is Protocol.INS
-            and self._policy is not None
-            and not self._target_accepted()
-            and any(pk == alert.offending_pk for pk, _ in self._policy_allocations)
-        )
+        policy_hit = self._policy_voided((alert.offending_pk,))
         if not active and not involved_accepted and not policy_hit:
             # Not ours; still drop the provider from future selection.
             self.dropped.add(alert.offending_pk)
@@ -767,30 +711,15 @@ class LightClientActor:
             # The slashed provider backs our still-unconsumed policy, so the
             # coverage is void; start over with the remaining providers.
             ctx.metrics.client(self.name).rejected += 1
-            self._rebuy_policy(now, ctx)
-            return
-        if not active:
-            self.late_alerts += 1
+            self._rebuy_policy()
             return
         for check in active:
             if check.immediate_accept:
                 # Insured mode: acceptance already happened or will not;
                 # compensation arrives through the claim, nothing to redo.
                 continue
-            check.restarts += 1
-            ctx.metrics.client(self.name).rejected += 1
-            self.phase = ClientPhase.REJECTED_RESTARTING
-            try:
-                self._issue_queries(check, now, ctx)
-            except NoEligibleProvidersError:
-                check.done = True
-                check.outcome = "no_eligible_providers"
-
-    def _target_accepted(self) -> bool:
-        return any(
-            check.kind is CheckKind.TARGET and check.outcome == "accepted"
-            for check in self.checks
-        )
+            self._reject(check, (), ctx)
+            self._requery(check, now, ctx)
 
     # -- provider-set maintenance --------------------------------------------------
 

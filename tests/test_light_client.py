@@ -1,15 +1,29 @@
-"""Provider selection, coverage sizing, and event-set folding."""
+"""Provider selection, coverage sizing, event-set folding, and the client's
+reject paths and lifecycle in whole runs."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsim import codec
+from lcsim import actors, codec, scenario
+from lcsim.actors import ProviderStrategy
+from lcsim.harness import (
+    ProviderSpec,
+    Simulation,
+    build_scenario,
+    min_compliant_challenge_period,
+)
 from lcsim.light_client import (
+    CheckKind,
+    LightClientActor,
     NoEligibleProvidersError,
+    Protocol,
     apply_epoch_events,
     required_coverage,
     select_providers,
+    verify_response,
 )
 from lcsim.pricing import eth_to_wei
 
@@ -177,3 +191,148 @@ class TestApplyEpochEvents:
         base = {a: 2 * ETH}
         apply_epoch_events(base, [(1, codec.withdraw_record(a))])
         assert base == {a: 2 * ETH}
+
+
+# -- the client in whole runs ---------------------------------------------------
+
+
+def _purchases(log, client: str) -> int:
+    return sum(1 for line in log.lines if line.split("\t")[1:3] == [client, "buy_insurance"])
+
+
+def _tamper_provider(monkeypatch, bad_pk: bytes, insured_only: bool) -> None:
+    """Flip one byte of every signature the provider `bad_pk` sends (only on
+    insured target queries when `insured_only`); every other field stays."""
+    honest_respond = actors.provider_respond
+
+    def respond(strategy, query, chain, keypair, *args):
+        response = honest_respond(strategy, query, chain, keypair, *args)
+        if response is None or keypair.public_key != bad_pk:
+            return response
+        if insured_only and query.insurance_id is None:
+            return response
+        signature = bytes([response.signature[0] ^ 1]) + response.signature[1:]
+        return dataclasses.replace(response, signature=signature)
+
+    monkeypatch.setattr(actors, "provider_respond", respond)
+
+
+class TestRejectPaths:
+    """No provider strategy sends a response that fails the client's local
+    checks, so these runs plant one: the larger of two honest providers,
+    which greedy selection asks first, signs with a flipped byte."""
+
+    def _run(self, monkeypatch, protocol: Protocol, insured_only: bool = False):
+        cp = min_compliant_challenge_period(8, 2)
+        config = build_scenario(ProviderStrategy.HONEST, 2, cp, protocol, seed=5)
+        sim = Simulation(config)
+        bad, good = (provider.public_key for provider in sim.providers)
+        _tamper_provider(monkeypatch, bad, insured_only)
+        _, log = sim.run()
+        client = sim.clients[0]
+        (target,) = [
+            c for c in client.checks if c.kind is CheckKind.TARGET and c.outcome == "accepted"
+        ]
+        return sim, log, client, target, bad, good
+
+    def test_economic_client_restarts_and_accepts_through_the_honest_provider(
+        self, monkeypatch
+    ):
+        sim, _, client, target, bad, good = self._run(monkeypatch, Protocol.ECO)
+        assert sim.metrics.clients["c0"].accepted == 1
+        assert target.restarts == 1
+        assert bad in client.dropped
+        assert [pk for pk, _ in target.selected] == [good]
+        assert all(verify_response(target, r) for r in target.responses.values())
+        assert len(sim.metrics.acceptances) == 1
+        assert not sim.metrics.incorrect_acceptances()
+
+    def test_insured_client_rejects_the_target_rebuys_and_accepts(self, monkeypatch):
+        sim, log, client, target, bad, good = self._run(
+            monkeypatch, Protocol.INS, insured_only=True
+        )
+        assert sim.metrics.clients["c0"].accepted == 1
+        assert bad in client.dropped
+        (abandoned,) = [
+            c for c in client.checks if c.kind is CheckKind.TARGET and c.outcome == "abandoned"
+        ]
+        assert abandoned.restarts == 1
+        assert [pk for pk, _ in abandoned.selected] == [bad]
+        assert [pk for pk, _ in target.selected] == [good]
+        assert _purchases(log, "c0") == 2
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize(
+        "name, walk",
+        [
+            ("honest", ["START", "QUERYING", "ACCEPTED"]),
+            ("insured", ["START", "BUYING", "CONFIRMING", "CONFIRMED", "QUERYING", "ACCEPTED"]),
+        ],
+    )
+    def test_bundled_scenario_walks_the_stages_in_order(self, monkeypatch, name, walk):
+        stages = []
+
+        def recording(method):
+            def wrapper(self, *args):
+                if not stages:
+                    stages.append(self.stage)
+                method(self, *args)
+                if stages[-1] is not self.stage:
+                    stages.append(self.stage)
+
+            return wrapper
+
+        for method in ("on_tick", "handle_message"):
+            monkeypatch.setattr(
+                LightClientActor, method, recording(getattr(LightClientActor, method))
+            )
+        sim = Simulation(scenario.load_scenario(scenario.builtin_scenario_path(name)))
+        sim.run()
+        assert [stage.name for stage in stages] == walk
+        assert sim.clients[0].stage.name == "ACCEPTED"
+
+    def test_second_alert_in_a_tick_does_not_strand_an_insured_client(self):
+        # Two watchers alert c2 at tick 77 about the same slashed provider.
+        # The first voids its policy; the second restarts its epoch-event
+        # check, which must not stop the client from buying again.
+        cp = min_compliant_challenge_period(8, 2)
+        eco = build_scenario(ProviderStrategy.HONEST, 2, cp, Protocol.ECO, seed=997588)
+        ins = build_scenario(ProviderStrategy.HONEST, 2, cp, Protocol.INS, seed=997588)
+        rows = [  # template, value ETH, target_block, start_tick, maintain, offline
+            (ins, 36, 8, 23, True, None),
+            (eco, 36, 12, 61, True, None),
+            (ins, 4, 25, 59, True, (111, 141)),
+            (ins, 35, 23, 21, False, (58, 112)),
+            (ins, 35, 3, 71, False, None),
+        ]
+        clients = tuple(
+            dataclasses.replace(
+                template.clients[0],
+                target_value=eth_to_wei(value),
+                target_block=block,
+                start_tick=start,
+                maintain=maintain,
+                perform_check=True,
+                offline=offline,
+            )
+            for template, value, block, start, maintain, offline in rows
+        )
+        providers = (
+            ProviderSpec(stake=eth_to_wei(59), strategy=ProviderStrategy.HONEST),
+            ProviderSpec(
+                stake=eth_to_wei(24), strategy=ProviderStrategy.EXIT_SCAM, register_tick=35
+            ),
+            ProviderSpec(
+                stake=eth_to_wei(64), strategy=ProviderStrategy.EXIT_SCAM, register_tick=2
+            ),
+        )
+        config = dataclasses.replace(
+            eco, providers=providers, clients=clients, watcher_count=2, total_ticks=174
+        )
+        sim = Simulation(config)
+        metrics, log = sim.run()
+        alerts = [line for line in log.lines if line.split("\t")[1:3] == ["c2", "alert"]]
+        assert [line.split("\t")[0] for line in alerts] == ["77", "77"]
+        assert _purchases(log, "c2") == 2
+        assert metrics.clients["c2"].accepted == 1
