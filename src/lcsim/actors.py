@@ -187,6 +187,7 @@ def provider_respond(
     chain: Chain,
     keypair: KeyPair,
     status: ProviderStatus = ProviderStatus.ACTIVE,
+    memo: dict | None = None,
 ) -> SignedResponse | None:
     """One provider's answer to a query; None is silence.
 
@@ -196,6 +197,12 @@ def provider_respond(
     records (insurance purchases, register/withdraw events) yields nothing
     and would burn their stake before any insured acceptance exists, so a
     rational attacker answers those honestly.
+
+    `memo`, when given, holds the answers this provider has built. Every
+    refusal check runs first; a query that passes them is answered from the
+    memo when it was answered before. The chain only grows and has no
+    forks, and Ed25519 signing is deterministic, so the stored answer is the
+    one that would be built afresh.
     """
     if strategy is ProviderStrategy.UNRESPONSIVE:
         return None
@@ -204,17 +211,30 @@ def provider_respond(
             return None
         if not chain.is_finalized(query.block_number):
             return None
-        return _true_response(keypair, query, chain)
-    if strategy is ProviderStrategy.UNFINALIZED_HASH:
+        fabricate = False
+    elif strategy is ProviderStrategy.UNFINALIZED_HASH:
         if query.block_number > chain.tip.number:
             return None
-        return _true_response(keypair, query, chain)
+        fabricate = False
     # WRONG_HASH and EXIT_SCAM.
-    if _is_protocol_record_query(query, chain):
+    elif _is_protocol_record_query(query, chain):
         if not chain.is_finalized(query.block_number):
             return None
-        return _true_response(keypair, query, chain)
-    return _fabricated_response(keypair, query)
+        fabricate = False
+    else:
+        fabricate = True
+    # A record that reaches the chain only after a lying provider was asked
+    # about it turns a fabrication into a true answer: keep the two apart.
+    key = (fabricate, query.block_number, query.state_hash, query.insurance_id)
+    if memo is not None and key in memo:
+        return memo[key]
+    if fabricate:
+        response = _fabricated_response(keypair, query)
+    else:
+        response = _true_response(keypair, query, chain)
+    if memo is not None and response is not None:
+        memo[key] = response
+    return response
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +392,11 @@ class DataProviderActor:
     timed to arrive when the answer to a fresh request would. Clients union
     the lists of every provider they hold, so one honest list suffices and
     an omission by one provider does not change a client's set.
+
+    Every query passes the strategy's refusal checks afresh. One that passes
+    and was answered before, by this provider to any client, gets the same
+    signed answer again from the provider's memo, without a second proof
+    or signature.
     """
 
     def __init__(
@@ -391,6 +416,8 @@ class DataProviderActor:
         self.withdraw_tick = withdraw_tick
         self._misbehaved = False
         self._withdraw_submitted = False
+        # The answers built so far; see `provider_respond`.
+        self._responses: dict[tuple, SignedResponse] = {}
         # Event-list replies for each epoch already complete on chain.
         self._event_lists: dict[int, EventListMsg] = {}
         # Standing event-list requests: (client, tick first asked) in
@@ -436,18 +463,17 @@ class DataProviderActor:
             record = ctx.contract.provider(self.public_key)
             status = record.status if record is not None else ProviderStatus.ACTIVE
             response = provider_respond(
-                self.strategy, payload.query, ctx.chain, self.keypair, status
+                self.strategy, payload.query, ctx.chain, self.keypair, status, self._responses
             )
             if response is not None:
                 ctx.send(self.name, sender, ResponseMsg(response=response))
-                lied = (
-                    response.block_number > ctx.chain.tip.number
-                    or ctx.chain.block_at(response.block_number).hash != response.block_hash
-                )
                 if (
-                    lied
-                    and self.strategy is ProviderStrategy.EXIT_SCAM
+                    self.strategy is ProviderStrategy.EXIT_SCAM
                     and not self._misbehaved
+                    and (
+                        response.block_number > ctx.chain.tip.number
+                        or ctx.chain.block_at(response.block_number).hash != response.block_hash
+                    )
                 ):
                     # Sign false data, then rush the exit.
                     self._misbehaved = True

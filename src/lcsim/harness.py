@@ -137,6 +137,12 @@ class ScenarioConfig:
                 raise ConfigInvalidError(
                     f"client {i}: challenge_period exceeds max_challenge_period"
                 )
+            if (client.maintenance_challenge_period or 0) > self.max_challenge_period:
+                raise ConfigInvalidError(
+                    f"client {i}: maintenance_challenge_period exceeds max_challenge_period"
+                )
+            if client.initial_balance < 0:
+                raise ConfigInvalidError(f"client {i}: initial_balance must not be negative")
             if client.target_block < 1:
                 raise ConfigInvalidError(f"client {i}: target_block must be at least 1")
             if client.protocol is Protocol.INS:
@@ -151,6 +157,11 @@ class ScenarioConfig:
                 raise ConfigInvalidError(f"provider {i}: stake below min_stake")
             if spec.stake > codec.U128_MAX:
                 raise ConfigInvalidError(f"provider {i}: stake above 2**128 - 1 wei")
+            # The first tick is 1: an earlier tick never comes.
+            if spec.register_tick < 1:
+                raise ConfigInvalidError(f"provider {i}: register_tick must be at least 1")
+            if spec.withdraw_tick is not None and spec.withdraw_tick < 1:
+                raise ConfigInvalidError(f"provider {i}: withdraw_tick must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +366,6 @@ class SimContext:
 
     def provider_key(self, name: str) -> bytes:
         return self._sim.provider_keys[name]
-
-    def send_to_provider(self, src: str, pk: bytes, payload) -> None:
-        self._sim.enqueue(src, self._sim.provider_names[pk], payload)
 
     def send_to_providers(self, src: str, pks, payload) -> None:
         """The same payload object to each provider of `pks`, in order."""

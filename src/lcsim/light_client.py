@@ -497,8 +497,8 @@ class LightClientActor:
         check.responses.clear()
         check.last_forward_tick = None
         check.query_tick = now
-        for pk, _ in check.selected:
-            ctx.send_to_provider(self.name, pk, QueryMsg(query=self._make_query(check)))
+        msg = QueryMsg(query=self._make_query(check))
+        ctx.send_to_providers(self.name, [pk for pk, _ in check.selected], msg)
         ctx.log(self.name, "query", check.state_hash)
 
     def _requery(self, check: Check, now: int, ctx) -> bool:

@@ -14,7 +14,7 @@ from lcsim.actors import (
 from lcsim.chain import Chain, Transaction
 from lcsim.contract import ContractConfig, Ledger, ProviderStatus, SlashingContract
 from lcsim.light_client import Check, CheckKind, verify_response
-from lcsim.messages import EventListMsg, EventListRequest
+from lcsim.messages import EventListMsg, EventListRequest, QueryMsg
 from lcsim.pricing import PricingParams, eth_to_wei
 
 ETH = eth_to_wei(1)
@@ -331,3 +331,104 @@ class TestStandingRequests:
     def test_silent_strategies_record_nothing(self, env, strategy):
         sent, _ = self.run(env, strategy)
         assert sent == []
+
+
+class TestResponseMemo:
+    """A provider builds and signs each distinct answer once; every refusal
+    check still runs on every query."""
+
+    @pytest.fixture
+    def signs(self, monkeypatch):
+        calls = []
+        real = crypto.sign
+        monkeypatch.setattr(crypto, "sign", lambda sk, msg: calls.append(msg) or real(sk, msg))
+        return calls
+
+    def ask(self, provider, ctx, query, client="c0"):
+        """The response `client` gets, or None when the provider is silent."""
+        before = len(ctx.sent)
+        provider.handle_message(client, QueryMsg(query=query), ctx)
+        if len(ctx.sent) == before:
+            return None
+        _, dst, msg = ctx.sent.pop()
+        assert dst == client
+        return msg.response
+
+    def test_identical_queries_share_one_signed_answer(self, env, signs):
+        chain, contract, kp, target = env
+        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
+        ctx = _SendLog(chain, contract)
+        first = self.ask(provider, ctx, Query(block_number=2, state_hash=target.id), "c0")
+        again = self.ask(provider, ctx, Query(block_number=2, state_hash=target.id), "c1")
+        assert first is again
+        assert len(signs) == 1
+        assert first == provider_respond(
+            ProviderStrategy.HONEST, Query(block_number=2, state_hash=target.id), chain, kp
+        )
+
+    def test_honest_refuses_an_answered_query_once_leaving(self, env, signs):
+        chain, contract, kp, target = env
+        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
+        ctx = _SendLog(chain, contract)
+        query = Query(block_number=2, state_hash=target.id)
+        assert self.ask(provider, ctx, query) is not None
+        contract.request_withdraw(kp.public_key, chain.tip.number + 1)
+        assert contract.provider(kp.public_key).status is ProviderStatus.LEAVING
+        assert self.ask(provider, ctx, query) is None
+        assert len(signs) == 1
+
+    def test_silent_before_finality_then_answered(self, env, signs):
+        chain, contract, kp, _ = env
+        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
+        ctx = _SendLog(chain, contract)
+        fresh = chain.append_block([Transaction.create(b"fresh")])
+        query = Query(block_number=fresh.number, state_hash=fresh.transactions[0].id)
+        assert self.ask(provider, ctx, query) is None
+        while not chain.is_finalized(fresh.number):
+            chain.append_block([])
+        response = self.ask(provider, ctx, query)
+        assert response is not None and response.block_hash == fresh.hash
+        assert self.ask(provider, ctx, query) is response
+        assert len(signs) == 1
+
+    @pytest.mark.parametrize("strategy", [ProviderStrategy.HONEST, ProviderStrategy.WRONG_HASH])
+    def test_eco_and_insured_queries_get_their_own_answers(self, env, signs, strategy):
+        chain, contract, kp, target = env
+        provider = DataProviderActor("p0", kp, 32 * ETH, strategy)
+        ctx = _SendLog(chain, contract)
+        eco = self.ask(provider, ctx, Query(block_number=2, state_hash=target.id))
+        ins = self.ask(provider, ctx, Query(block_number=2, state_hash=target.id, insurance_id=5))
+        assert (eco.insurance_id, ins.insurance_id) == (None, 5)
+        assert eco.signature != ins.signature
+        assert self.ask(provider, ctx, Query(block_number=2, state_hash=target.id)) is eco
+        assert len(signs) == 2
+
+    def test_fabrication_is_reused_per_query(self, env, signs):
+        chain, contract, kp, target = env
+        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.WRONG_HASH)
+        ctx = _SendLog(chain, contract)
+        query = Query(block_number=2, state_hash=target.id)
+        lie = self.ask(provider, ctx, query, "c0")
+        assert lie.block_hash != chain.finalized_block_hash(2)
+        assert self.ask(provider, ctx, query, "c1") is lie
+        other = self.ask(provider, ctx, Query(block_number=3, state_hash=target.id))
+        assert other is not lie and other.block_number == 3
+        assert len(signs) == 2
+
+    def test_record_reaching_the_chain_later_is_answered_truly(self, env):
+        """A lying provider asked about a register record before it is on
+        chain fabricates; once the record is final it answers truly, and
+        the earlier fabrication is not served in its place."""
+        chain, contract, kp, _ = env
+        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.WRONG_HASH)
+        ctx = _SendLog(chain, contract)
+        record = Transaction.create(codec.register_record(kp.public_key, 32 * ETH))
+        query = Query(block_number=chain.tip.number + 1, state_hash=record.id)
+        lie = self.ask(provider, ctx, query)
+        block = chain.append_block([record])
+        assert block.number == query.block_number
+        assert self.ask(provider, ctx, query) is None  # a record: final blocks only
+        while not chain.is_finalized(block.number):
+            chain.append_block([])
+        truth = self.ask(provider, ctx, query)
+        assert truth.block_hash == block.hash != lie.block_hash

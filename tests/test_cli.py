@@ -113,7 +113,22 @@ class TestRun:
                 "-2",
                 "client 0: maintenance_challenge_period must not be negative",
             ),
+            (
+                "client.main",
+                "maintenance_challenge_period",
+                "99",
+                "client 0: maintenance_challenge_period exceeds max_challenge_period",
+            ),
+            (
+                "client.main",
+                "initial_balance_eth",
+                "-5",
+                "client 0: initial_balance must not be negative",
+            ),
             ("provider.a", "stake_eth", "1e400", "provider 0: stake above 2**128 - 1 wei"),
+            ("provider.a", "register_tick", "0", "provider 0: register_tick must be at least 1"),
+            ("provider.a", "register_tick", "-4", "provider 0: register_tick must be at least 1"),
+            ("provider.a", "withdraw_tick", "-1", "provider 0: withdraw_tick must be at least 1"),
         ],
     )
     def test_bad_value_exits_two(self, runner, tmp_path, section, key, value, named):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lcsim import codec, crypto, harness, scenario
+from lcsim import actors, codec, crypto, harness, scenario
 from lcsim.actors import AlertKind, DataProviderActor, ProviderStrategy
 from lcsim.harness import (
     ConfigInvalidError,
@@ -1047,3 +1047,37 @@ class TestVerifyMemo:
         # distinct triple reaches the primitive once.
         assert len(requests) > len(requested) == len(sim.signatures)
         assert sorted(c for c in calls if c in requested) == sorted(requested)
+
+
+class TestResponseMemo:
+    def test_scaled_maintain_signs_each_distinct_payload_once(self, monkeypatch):
+        """Providers answer 114 queries and insured clients sign 6: 32
+        distinct (secret key, payload) pairs, each signed once. Was 120
+        calls, one per answer sent and one per insured query sent."""
+        calls = []
+        real = crypto.sign
+        monkeypatch.setattr(
+            crypto, "sign", lambda sk, msg: calls.append((sk, msg)) or real(sk, msg)
+        )
+        Simulation(scaled_maintain()).run()
+        assert len(calls) == len(set(calls)) == 32
+
+    @given(populations() | maintaining_populations())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    def test_same_run_as_building_every_answer_afresh(self, monkeypatch, config):
+        got = outputs(Simulation(config))
+        respond = actors.provider_respond
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                actors,
+                "provider_respond",
+                lambda strategy, query, chain, keypair, status, memo: respond(
+                    strategy, query, chain, keypair, status
+                ),
+            )
+            reference = outputs(Simulation(config))
+        assert got == reference
