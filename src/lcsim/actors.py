@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from . import codec, crypto
 from .chain import Chain, TxNotInBlockError, block_hash
 from .contract import (
+    MEMBERSHIP_TAGS,
     ProviderStatus,
     RegisterTx,
     SlashEvidence,
@@ -386,12 +387,12 @@ class WatcherActor:
 class DataProviderActor:
     """A staked provider node following one fixed strategy.
 
-    An honest or unfinalized_hash provider serves the register/withdraw
-    records of an epoch to maintaining clients. A client's request stands:
-    after the first, the provider sends every later epoch's list unasked,
-    timed to arrive when the answer to a fresh request would. Clients union
-    the lists of every provider they hold, so one honest list suffices and
-    an omission by one provider does not change a client's set.
+    An honest or unfinalized_hash provider serves the membership records
+    (`MEMBERSHIP_TAGS`) of an epoch to maintaining clients. A client's
+    request stands: after the first, the provider sends every later epoch's
+    list unasked, timed to arrive when the answer to a fresh request would.
+    Clients union the lists of every provider they hold, so one honest list
+    suffices and an omission by one provider does not change a client's set.
 
     Every query passes the strategy's refusal checks afresh. One that passes
     and was answered before, by this provider to any client, gets the same
@@ -504,7 +505,7 @@ class DataProviderActor:
         self._next_push = min(self._push_tick(d, now + 1, ctx) for d in self._standing)
 
     def _event_list(self, epoch: int, ctx) -> EventListMsg:
-        """The register/withdraw records of `epoch`, as the reply to send."""
+        """The membership records of `epoch`, as the reply to send."""
         msg = self._event_lists.get(epoch)
         if msg is not None:
             return msg
@@ -513,7 +514,7 @@ class DataProviderActor:
         events = tuple(
             (number, tx.payload)
             for number, tx in ctx.chain.transactions_between(first, last)
-            if codec.record_tag(tx.payload) in (codec.TAG_REGISTER, codec.TAG_WITHDRAW_REQUEST)
+            if codec.record_tag(tx.payload) in MEMBERSHIP_TAGS
         )
         msg = EventListMsg(epoch=epoch, events=events)
         if last <= ctx.chain.tip.number:

@@ -163,10 +163,6 @@ class Chain:
             return None
         return self.blocks[number].hash
 
-    def last_finalized_number(self) -> int | None:
-        n = self.tip.number - self.finality_depth_blocks
-        return n if n >= 0 else None
-
     def inclusion_proof(self, number: int, tx_id: bytes) -> MerkleProof:
         block = self.block_at(number)
         for index, tx in enumerate(block.transactions):

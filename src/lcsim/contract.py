@@ -14,6 +14,7 @@ provider's stake.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import codec, crypto, pricing
@@ -26,7 +27,10 @@ BURN_SINK = "sink:burned"
 GAS_SINK = "sink:gas"
 
 #: Share of a slashed stake paid to the submitting watcher.
-DEFAULT_BOUNTY_FRACTION = (5, 100)
+BOUNTY_FRACTION = (5, 100)
+
+#: Tags of the records that change the provider set (`fold_membership`).
+MEMBERSHIP_TAGS = frozenset({codec.TAG_REGISTER, codec.TAG_WITHDRAW_REQUEST})
 
 
 class ContractError(Exception):
@@ -101,7 +105,6 @@ class ProviderRecord:
     status: ProviderStatus
     joined_epoch: int
     withdraw_requested_epoch: int | None = None
-    release_not_before_epoch: int | None = None
 
     @property
     def attributable(self) -> int:
@@ -163,9 +166,7 @@ class ContractConfig:
     min_stake: int
     update_epoch_blocks: int
     max_challenge_period: int
-    gas_buy_insurance: int = 200_000
     max_coverage_duration: int = 10_000
-    bounty_fraction: tuple[int, int] = DEFAULT_BOUNTY_FRACTION
 
     def validate(self, finality_depth_blocks: int, delta_ticks: int) -> None:
         """The safety bound behind "T_u much greater than maxT_cp"."""
@@ -251,17 +252,18 @@ class Receipt:
     gas_wei: int = 0
 
 
-def _fold(
-    members: dict[bytes, int], requests: dict[int, list[tuple]], first: int, last: int
-) -> dict[bytes, int]:
-    """Apply the register/withdraw requests of epochs first..last, in epoch
-    and then arrival order, to `members`, and return it."""
-    for epoch in sorted(e for e in requests if first <= e <= last):
-        for request in requests[epoch]:
-            if request[0] == "register":
-                members[request[1]] = request[2]
-            else:
-                members.pop(request[1], None)
+def fold_membership(members: dict[bytes, int], records: Iterable[bytes]) -> dict[bytes, int]:
+    """Apply record payloads, in order, to `members` (pk -> stake) and
+    return it: the one membership rule of the contract, its providers and
+    its clients. A register record sets its provider's stake, a withdraw
+    record removes the provider, and any other record changes nothing."""
+    for payload in records:
+        tag = codec.record_tag(payload)
+        if tag == codec.TAG_REGISTER:
+            pk, stake = codec.decode_register_record(payload)
+            members[pk] = stake
+        elif tag == codec.TAG_WITHDRAW_REQUEST:
+            members.pop(codec.decode_withdraw_record(payload), None)
     return members
 
 
@@ -275,9 +277,10 @@ class SlashingContract:
         self.policies: dict[int, InsurancePolicy] = {}
         self.slash_events: list[SlashEvent] = []
         self.reward_pool: dict[bytes, int] = {}
-        self._epoch_requests: dict[int, list[tuple]] = {}
-        # Running fold of the register/withdraw requests of every epoch up to
-        # `_folded_epoch`, kept for the latest membership asked for.
+        # The membership records emitted in each epoch, in execution order.
+        self._epoch_records: dict[int, list[bytes]] = {}
+        # Running fold of the records of every epoch up to `_folded_epoch`,
+        # kept for the latest membership asked for.
         self._folded_epoch = -1
         self._folded: dict[bytes, int] = {}
         self._next_policy_id = 1
@@ -318,8 +321,7 @@ class SlashingContract:
             status=ProviderStatus.ACTIVE,
             joined_epoch=epoch,
         )
-        self._request(epoch, ("register", pk, stake))
-        return codec.register_record(pk, stake)
+        return self._record(epoch, codec.register_record(pk, stake))
 
     def request_withdraw(self, pk: bytes, block_number: int) -> bytes:
         record = self.providers.get(pk)
@@ -328,16 +330,20 @@ class SlashingContract:
         epoch = self.epoch_of(block_number)
         record.status = ProviderStatus.LEAVING
         record.withdraw_requested_epoch = epoch
-        record.release_not_before_epoch = epoch + 1
-        self._request(epoch, ("withdraw", pk))
-        return codec.withdraw_record(pk)
+        return self._record(epoch, codec.withdraw_record(pk))
 
-    def _request(self, epoch: int, request: tuple) -> None:
-        self._epoch_requests.setdefault(epoch, []).append(request)
+    def _record(self, epoch: int, payload: bytes) -> bytes:
+        self._epoch_records.setdefault(epoch, []).append(payload)
         if epoch <= self._folded_epoch:
             # Only a caller executing out of block order reaches a folded
             # epoch; start the fold over.
             self._folded_epoch, self._folded = -1, {}
+        return payload
+
+    def _fold_epochs(self, members: dict[bytes, int], first: int, last: int) -> dict[bytes, int]:
+        """`fold_membership` of the records of epochs first..last."""
+        epochs = (self._epoch_records.get(e, ()) for e in range(first, last + 1))
+        return fold_membership(members, (payload for records in epochs for payload in records))
 
     # -- insurance ----------------------------------------------------------
 
@@ -366,9 +372,8 @@ class SlashingContract:
             raise Reverted(RevertReason.COVERAGE_EXCEEDS_ALLOCATIONS)
 
         premium_wei = pricing.premium(self.params, duration, coverage_value)
-        gas_wei = self.config.gas_buy_insurance * self.params.gas_price_wei
         self.ledger.transfer(buyer_pk, REWARD_POOL, premium_wei)
-        self.ledger.transfer(buyer_pk, GAS_SINK, gas_wei)
+        self.ledger.transfer(buyer_pk, GAS_SINK, self.params.gas_cost_wei)
         self._credit_reward_pools(allocations, premium_wei)
 
         for pk, amount in allocations:
@@ -451,7 +456,7 @@ class SlashingContract:
                 claimed_id = policy.id
                 self.ledger.transfer(STAKE_VAULT, policy.buyer_pk, compensation)
 
-        num, den = self.config.bounty_fraction
+        num, den = BOUNTY_FRACTION
         bounty = min(slashed_amount * num // den, slashed_amount - compensation)
         if submitter is not None and bounty > 0:
             self.ledger.transfer(STAKE_VAULT, submitter, bounty)
@@ -504,8 +509,8 @@ class SlashingContract:
             for record in list(self.providers.values()):
                 if record.status is not ProviderStatus.LEAVING:
                     continue
-                if record.release_not_before_epoch > epoch:
-                    continue
+                if record.withdraw_requested_epoch >= epoch:
+                    continue  # releasable from the next epoch's last block
                 if self._has_open_policy(record.public_key):
                     continue
                 amount = record.stake
@@ -526,10 +531,10 @@ class SlashingContract:
     def active_set(self, epoch: int) -> list[tuple[bytes, int, int]]:
         """Epochal provider set: (pk, stake, attributable), pk-sorted.
 
-        Membership applies register and withdraw requests with a two-epoch
-        lag, which is exactly what an online light client can reconstruct
-        from verified epoch i-1 events; the set is static within an epoch.
-        Currently slashed providers are excluded.
+        Membership is `fold_membership` of the records up to epoch i-2, the
+        two-epoch lag an online light client can reconstruct from verified
+        epoch i-1 events; the set is static within an epoch. Currently
+        slashed providers are excluded.
         """
         if epoch > self.current_epoch + 1:
             raise EpochTooFarError(
@@ -537,14 +542,14 @@ class SlashingContract:
             )
         last = epoch - 2
         if last > self._folded_epoch:
-            # Requests only arrive for the current epoch or later, so every
+            # Records only arrive for the current epoch or later, so every
             # epoch up to `last` is final: move the fold on.
-            _fold(self._folded, self._epoch_requests, self._folded_epoch + 1, last)
+            self._fold_epochs(self._folded, self._folded_epoch + 1, last)
             self._folded_epoch = last
         if last == self._folded_epoch:
             members = self._folded
         else:  # an earlier epoch: replay
-            members = _fold({}, self._epoch_requests, 0, last)
+            members = self._fold_epochs({}, 0, last)
         out = []
         for pk in sorted(members):
             record = self.providers.get(pk)
@@ -601,7 +606,7 @@ class SlashingContract:
                     record_tx_id=crypto.digest(payload),
                     insurance_id=policy.id,
                     premium_wei=policy.premium_wei,
-                    gas_wei=self.config.gas_buy_insurance * self.params.gas_price_wei,
+                    gas_wei=self.params.gas_cost_wei,
                 )
                 return [payload], receipt
             if isinstance(submission, SlashTx):

@@ -3,8 +3,7 @@
 Every protocol message must be verifiable and every simulation run
 reproducible, so keygen derives an Ed25519 key deterministically from a
 64-bit seed and all hashing is sha256 behind one domain-tagged helper.
-The signature scheme sits behind a small interface so a different scheme
-can be slotted in without touching callers.
+Ed25519 signing is deterministic by construction.
 
 Merkle trees domain-separate leaf hashes from interior hashes (one tag
 byte) and commit to the leaf count, so a tree of four identical leaves
@@ -60,45 +59,25 @@ def _private_key(secret_key: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(secret_key)
 
 
-class Ed25519Scheme:
-    """Default signature scheme: Ed25519 with seed-derived keys.
-
-    Signing is deterministic (Ed25519 is, by construction), and the same
-    seed always yields the same key pair.
-    """
-
-    def keygen(self, seed: int) -> KeyPair:
-        seed_bytes = digest(_KEYGEN_TAG, seed.to_bytes(8, "big", signed=False))
-        return KeyPair(
-            secret_key=seed_bytes,
-            public_key=_private_key(seed_bytes).public_key().public_bytes_raw(),
-        )
-
-    def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        return _private_key(secret_key).sign(message)
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        try:
-            Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
-            return True
-        except (InvalidSignature, ValueError):
-            return False
-
-
-_scheme = Ed25519Scheme()
-
-
 def keygen(seed: int) -> KeyPair:
-    """Deterministic key pair from a 64-bit seed."""
-    return _scheme.keygen(seed)
+    """Deterministic Ed25519 key pair from a 64-bit seed."""
+    seed_bytes = digest(_KEYGEN_TAG, seed.to_bytes(8, "big", signed=False))
+    return KeyPair(
+        secret_key=seed_bytes,
+        public_key=_private_key(seed_bytes).public_key().public_bytes_raw(),
+    )
 
 
 def sign(secret_key: bytes, message: bytes) -> bytes:
-    return _scheme.sign(secret_key, message)
+    return _private_key(secret_key).sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    return _scheme.verify(public_key, message, signature)
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
 
 
 class VerifyMemo:

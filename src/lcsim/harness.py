@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from . import codec, crypto, pricing
 from .actors import (
     DataProviderActor,
     ProviderStrategy,
-    SignedResponse,
     WatcherActor,
 )
 from .chain import Chain, Transaction
@@ -54,7 +53,7 @@ from .light_client import (
     LightClientActor,
     Protocol,
 )
-from .messages import CompensationMsg, ForwardMsg, ReceiptMsg
+from .messages import CompensationMsg, ReceiptMsg
 from .pricing import CoverageInputs, PricingParams, eth_to_wei, min_coverage_duration
 
 
@@ -162,6 +161,11 @@ class ScenarioConfig:
                 raise ConfigInvalidError(f"provider {i}: register_tick must be at least 1")
             if spec.withdraw_tick is not None and spec.withdraw_tick < 1:
                 raise ConfigInvalidError(f"provider {i}: withdraw_tick must be at least 1")
+            if spec.withdraw_tick is not None and spec.withdraw_tick < spec.register_tick:
+                # The withdraw would revert, as the provider is not registered yet.
+                raise ConfigInvalidError(
+                    f"provider {i}: withdraw_tick must not come before register_tick"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +187,6 @@ class ClientMetrics:
     gas_spent: int = 0
     compensation_received: int = 0
     ticks_to_acceptance: list[int] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return dict(
-            initial_balance=self.initial_balance,
-            final_balance=self.final_balance,
-            accepted=self.accepted,
-            rejected=self.rejected,
-            compensated=self.compensated,
-            target_signature_verifications=self.target_signature_verifications,
-            signature_verifications_total=self.signature_verifications_total,
-            heavy_checks=self.heavy_checks,
-            premium_spent=self.premium_spent,
-            gas_spent=self.gas_spent,
-            compensation_received=self.compensation_received,
-            ticks_to_acceptance=list(self.ticks_to_acceptance),
-        )
 
 
 @dataclass
@@ -241,7 +229,7 @@ class Metrics:
 
     def to_dict(self) -> dict:
         return dict(
-            clients={name: m.to_dict() for name, m in self.clients.items()},
+            clients={name: asdict(m) for name, m in self.clients.items()},
             slash_ticks=list(self.slash_ticks),
             slash_count=self.slash_count,
             withdrawals=[(t, pk.hex(), a) for t, pk, a in self.withdrawals],
@@ -378,9 +366,6 @@ class SimContext:
         for dst in dsts:
             enqueue(src, dst, payload)
 
-    def forward(self, src: str, watcher: str, response: SignedResponse) -> None:
-        self._sim.enqueue(src, watcher, ForwardMsg(response=response))
-
     def submit_tx(self, src: str, submission: Submission) -> int:
         return self._sim.submit(src, submission)
 
@@ -482,7 +467,8 @@ class Simulation:
             name = f"c{i}"
             keypair = crypto.keygen(_derive_key_seed(config.seed, name))
             if client_config.start_tick is None:
-                client_config = _with_start(client_config, 2 * config.update_epoch_blocks + 1)
+                start = 2 * config.update_epoch_blocks + 1
+                client_config = replace(client_config, start_tick=start)
             actor = LightClientActor(
                 name=name,
                 keypair=keypair,
@@ -701,12 +687,6 @@ class Simulation:
             m.final_balance = self.ledger.balance(client.public_key)
             if m.final_balance - m.initial_balance < -(m.premium_spent + m.gas_spent):
                 self.metrics.violations.append(f"net-loss-bound:{client.name}")
-
-
-def _with_start(config: ClientConfig, start_tick: int) -> ClientConfig:
-    from dataclasses import replace
-
-    return replace(config, start_tick=start_tick)
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[Metrics, EventLog]:

@@ -21,9 +21,13 @@ buys again.  GAVE_UP is terminal: no selection backs the value, purchases
 revert too often, or no provider is left for the target.  Restarting one
 check never moves the stage.
 
-A client that stays online never repeats the bootstrap heavy check: it
-predicts the epoch e+1 provider set by applying the verified register and
-withdraw records of epoch e-1 to its epoch e set.
+A maintaining client that stays online never repeats the bootstrap heavy
+check: it predicts the epoch e+1 provider set by folding the verified
+membership records of epoch e-1 into its epoch e set with the contract's
+own rule (`contract.fold_membership`). It keeps one maintenance record, for
+the epoch it holds, and the sets of that epoch and the next. A client that
+does not maintain keeps the set of its latest bootstrap and never moves
+its epoch on.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from operator import itemgetter
 from . import codec, crypto
 from .actors import Alert, Query, SignedResponse
 from .chain import block_hash
-from .contract import BuyInsuranceTx
+from .contract import BuyInsuranceTx, fold_membership
 from .crypto import KeyPair
 from .messages import (
     CompensationMsg,
     EventListMsg,
     EventListRequest,
+    ForwardMsg,
     QueryMsg,
     ReceiptMsg,
     ResponseMsg,
@@ -127,16 +132,10 @@ def required_coverage(checks: list[tuple[int, int, int]]) -> int:
 def apply_epoch_events(
     provider_set: dict[bytes, int], events: list[tuple[int, bytes]]
 ) -> dict[bytes, int]:
-    """Fold verified register/withdraw records into a provider set."""
-    out = dict(provider_set)
-    for _, payload in sorted(events, key=lambda item: item[0]):
-        tag = codec.record_tag(payload)
-        if tag == codec.TAG_REGISTER:
-            pk, stake = codec.decode_register_record(payload)
-            out[pk] = stake
-        elif tag == codec.TAG_WITHDRAW_REQUEST:
-            out.pop(codec.decode_withdraw_record(payload), None)
-    return out
+    """A copy of `provider_set` with the verified (block, record) `events`
+    folded in, in block order, by `fold_membership`."""
+    ordered = sorted(events, key=itemgetter(0))
+    return fold_membership(dict(provider_set), [payload for _, payload in ordered])
 
 
 @dataclass(frozen=True)
@@ -191,6 +190,20 @@ class Check:
     restarts: int = 0
     done: bool = False
     outcome: str | None = None
+
+
+@dataclass
+class _Maintenance:
+    """The prediction of the set after the held epoch: the event lists
+    collected from the providers held when the epoch opened, then one check
+    per record."""
+
+    epoch: int
+    requested_tick: int
+    held: dict[bytes, int]
+    events: set[tuple[int, bytes]] = field(default_factory=set)
+    checks: list[Check] = field(default_factory=list)
+    collected: bool = False
 
 
 def verify_response(check: Check, response: SignedResponse, verify=None) -> bool:
@@ -249,7 +262,7 @@ class LightClientActor:
         self._purchase_attempts: int = 0
         self._insurance_id: int | None = None  # the policy, from CONFIRMING on
         self._allocations: list[tuple[bytes, int]] = []  # set at purchase
-        self._maintenance: dict[int, dict] = {}
+        self._maintenance: _Maintenance | None = None
         # Providers sent an event-list request once; they keep answering.
         self._asked: set[bytes] = set()
 
@@ -315,8 +328,8 @@ class LightClientActor:
             return
         if not self.bootstrapped:
             self.bootstrap(ctx, now)
-        self._advance_epoch(now, ctx)
         if self.config.maintain:
+            self._advance_epoch(now, ctx)
             self._run_maintenance(now, ctx)
         self._drive_protocol(now, ctx)
         self._drive_checks(now, ctx)
@@ -336,18 +349,15 @@ class LightClientActor:
         blocks = self.update_epoch_blocks
         held = self.current_epoch_held
         deadlines = []
-        if self.config.maintain or any(epoch > held for epoch in self.sets):
+        if self.config.maintain:
             # The first tick past the held epoch, which is never ahead of the
             # clock: the next epoch's first tick at the latest.
             deadlines.append((held + 1) * blocks + 1)
-        if self.config.maintain:
-            epoch = self.epoch_of_tick(now)
-            state = self._maintenance.get(epoch)
-            if state is None:
-                if epoch in self.sets:
-                    deadlines.append(epoch * blocks + self.t_fin + 1)  # fetch
-            elif not state["collected"]:
-                deadlines.append(state["requested_tick"] + 2 * self.delta + 1)  # collect
+            maintenance = self._maintenance
+            if maintenance is None:
+                deadlines.append(held * blocks + self.t_fin + 1)  # fetch
+            elif not maintenance.collected:
+                deadlines.append(maintenance.requested_tick + 2 * self.delta + 1)  # collect
         for check in self.checks:
             deadline = self._check_deadline(check)
             if deadline is not None:
@@ -385,22 +395,24 @@ class LightClientActor:
         return check.last_forward_tick + check.challenge_period  # accept
 
     def _advance_epoch(self, now: int, ctx) -> None:
+        """Hold the clock's epoch: the predicted set, or a fresh heavy check."""
         epoch = self.epoch_of_tick(now)
-        if self.current_epoch_held is None or epoch <= self.current_epoch_held:
+        if epoch <= self.current_epoch_held:
             return
         if epoch in self.sets:
             self._hold(epoch)
-        elif self.config.maintain:
+        else:
             # Offline across at least one full update epoch: prediction
             # chain broken, fall back to a fresh heavy check.
             self.bootstrap(ctx, now)
 
     def _hold(self, epoch: int) -> None:
-        """Make `epoch` the held epoch and forget the sets and maintenance
-        state of every earlier one; only this epoch's and the next are read."""
+        """Make `epoch` the held epoch and forget the set and maintenance
+        record of every earlier one; only this epoch's and the next are read."""
         self.current_epoch_held = epoch
         self.sets = {e: held for e, held in self.sets.items() if e >= epoch}
-        self._maintenance = {e: state for e, state in self._maintenance.items() if e >= epoch}
+        if self._maintenance is not None and self._maintenance.epoch < epoch:
+            self._maintenance = None
 
     # -- main protocol ----------------------------------------------------------
 
@@ -635,8 +647,7 @@ class LightClientActor:
             check.last_response_tick = now
             # Forward to every watcher; the challenge clock runs from the
             # last forward.
-            for watcher in ctx.watcher_names:
-                ctx.forward(self.name, watcher, response)
+            ctx.send_to_each(self.name, ctx.watcher_names, ForwardMsg(response=response))
             check.last_forward_tick = now
             if check.immediate_accept and len(check.responses) == len(check.selected):
                 if self._verify_all(check, ctx):
@@ -724,26 +735,22 @@ class LightClientActor:
     # -- provider-set maintenance --------------------------------------------------
 
     def _run_maintenance(self, now: int, ctx) -> None:
-        epoch = self.epoch_of_tick(now)
-        state = self._maintenance.get(epoch)
+        """Predict the next epoch's set: ask the held providers for the
+        previous epoch's records at the fetch tick, collect their lists for
+        one round trip, then check each record (`_maintenance_event_done`)."""
+        epoch = self.current_epoch_held  # the clock's epoch, after _advance_epoch
+        maintenance = self._maintenance
         fetch_tick = epoch * self.update_epoch_blocks + self.t_fin + 1
-        if state is None and now >= fetch_tick:
-            held = self.set_for_epoch(epoch)
-            if held is None:
+        if maintenance is None:
+            if now < fetch_tick:
                 return
-            state = {
-                "requested_tick": now,
-                "held": held,
-                "events": set(),
-                "checks": [],
-                "collected": False,
-            }
-            self._maintenance[epoch] = state
+            held = self.sets[epoch]
+            maintenance = self._maintenance = _Maintenance(epoch, now, held)
             if epoch == 0 or not held:
                 # Nobody to ask: no records precede epoch 0, so the next set
                 # is the held one; an empty set names no provider, so the next
                 # set is read through a heavy check.
-                state["collected"] = True
+                maintenance.collected = True
                 if epoch > 0:
                     _, snapshot = ctx.oracle.provider_set(self.name, epoch + 1)
                     held = {pk: stake for pk, stake, _ in snapshot}
@@ -760,14 +767,12 @@ class LightClientActor:
                 ctx.send_to_providers(self.name, ask, EventListRequest(epoch=epoch - 1))
                 self._asked.update(ask)
             return
-        if state is None or state["collected"]:
+        if maintenance.collected or now <= maintenance.requested_tick + 2 * self.delta:
             return
-        if now <= state["requested_tick"] + 2 * self.delta:
-            return
-        state["collected"] = True
-        events = sorted(state["events"])
+        maintenance.collected = True
+        events = sorted(maintenance.events)
         if not events:
-            self._finish_maintenance(epoch, [], ctx)
+            self._predict(epoch + 1, apply_epoch_events(self.sets[epoch], []), ctx)
             return
         cp = self.config.maintenance_challenge_period or self.config.challenge_period
         for block_number, payload in events:
@@ -780,34 +785,34 @@ class LightClientActor:
                 event_payload=payload,
             )
             check.query_tick = now
-            state["checks"].append(check)
+            maintenance.checks.append(check)
             self.checks.append(check)
 
     def _handle_event_list(self, sender: str, msg, ctx) -> None:
-        state = self._maintenance.get(msg.epoch + 1)
-        if state is None or state["collected"]:
+        maintenance = self._maintenance
+        if maintenance is None or maintenance.collected or maintenance.epoch != msg.epoch + 1:
             return
         # Lists count only from the providers held when the epoch opened;
         # one honest list among them suffices, whoever else still answers.
-        if ctx.provider_key(sender) in state["held"]:
+        if ctx.provider_key(sender) in maintenance.held:
             # An epoch's list names each record once, in a block of that epoch.
-            state["events"].update(msg.events)
+            maintenance.events.update(msg.events)
 
     def _maintenance_event_done(self, check: Check, ctx) -> None:
-        for epoch, state in self._maintenance.items():
-            if check in state["checks"] and all(c.done for c in state["checks"]):
-                events = [
-                    (c.block_number, c.event_payload)
-                    for c in state["checks"]
-                    if c.outcome == "accepted"
-                ]
-                self._finish_maintenance(epoch, events, ctx)
-
-    def _finish_maintenance(self, epoch: int, events: list, ctx) -> None:
-        base = self.set_for_epoch(epoch)
-        if base is None:
+        """Predict the next set once the held epoch's last record check ends;
+        a check of an epoch no longer held changes nothing."""
+        maintenance = self._maintenance
+        if maintenance is None or check not in maintenance.checks:
             return
-        self._predict(epoch + 1, apply_epoch_events(base, events), ctx)
+        if not all(c.done for c in maintenance.checks):
+            return
+        events = [
+            (c.block_number, c.event_payload)
+            for c in maintenance.checks
+            if c.outcome == "accepted"
+        ]
+        epoch = maintenance.epoch
+        self._predict(epoch + 1, apply_epoch_events(self.sets[epoch], events), ctx)
 
     def _predict(self, epoch: int, provider_set: dict[bytes, int], ctx) -> None:
         self.sets[epoch] = provider_set

@@ -129,6 +129,13 @@ class TestRun:
             ("provider.a", "register_tick", "0", "provider 0: register_tick must be at least 1"),
             ("provider.a", "register_tick", "-4", "provider 0: register_tick must be at least 1"),
             ("provider.a", "withdraw_tick", "-1", "provider 0: withdraw_tick must be at least 1"),
+            # Two lines: a withdraw two ticks before the provider registers.
+            (
+                "provider.a",
+                "withdraw_tick",
+                "3\nregister_tick = 5",
+                "provider 0: withdraw_tick must not come before register_tick",
+            ),
         ],
     )
     def test_bad_value_exits_two(self, runner, tmp_path, section, key, value, named):

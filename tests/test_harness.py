@@ -149,6 +149,18 @@ class TestInsuredScenario:
         delta = client.final_balance - client.initial_balance
         assert delta == 10 * ETH - client.premium_spent - client.gas_spent
 
+    def test_gas_follows_the_pricing_gas_units(self, tmp_path):
+        """The contract charges the gas the quote and the budget count."""
+        path = tmp_path / "insured_gas.ini"
+        text = scenario.builtin_scenario_path("insured").read_text()
+        path.write_text(text + "\n[pricing]\ngas_units = 300000\n")
+        config = scenario.load_scenario(path)
+        assert config.pricing.gas_units == 300_000
+        metrics, _ = run_scenario(config)
+        client = metrics.clients["c0"]
+        assert client.gas_spent == config.pricing.gas_cost_wei  # one purchase
+        assert client.gas_spent == 300_000 * config.pricing.gas_price_wei
+
     def test_instant_acceptance(self):
         metrics, _ = run_scenario(load("insured"))
         record = metrics.acceptances[0]
@@ -407,13 +419,51 @@ class TestBookkeeping:
             if client.bootstrapped:
                 held = client.current_epoch_held
                 assert set(client.sets) <= {held, held + 1}, (client.name, now)
-                assert all(epoch >= held for epoch in client._maintenance), (client.name, now)
+                maintenance = client._maintenance
+                assert maintenance is None or maintenance.epoch == held, (client.name, now)
                 seen.append(len(client.sets))
 
         monkeypatch.setattr(LightClientActor, "on_tick", checked)
         metrics, _ = Simulation(scaled_maintain()).run()
         assert metrics.violations == [] and metrics.prediction_checks > 0
         assert max(seen) == 2
+
+    def test_non_maintaining_clients_keep_their_bootstrap_epoch(self, monkeypatch):
+        """A client that does not maintain never moves its epoch on, never
+        asks for event lists and never opens a maintenance record."""
+        on_tick = LightClientActor.on_tick
+        ticked = set()
+
+        def checked(client, now, ctx):
+            on_tick(client, now, ctx)
+            if client.bootstrapped:
+                assert client.current_epoch_held == client.bootstrap_epochs[-1]
+                assert set(client.sets) == {client.current_epoch_held}
+                assert client._maintenance is None
+                ticked.add(client.name)
+
+        requests = []
+        enqueue = Simulation.enqueue
+
+        def recorded(sim, src, dst, payload):
+            if isinstance(payload, EventListRequest):
+                requests.append((src, dst))
+            return enqueue(sim, src, dst, payload)
+
+        monkeypatch.setattr(LightClientActor, "on_tick", checked)
+        monkeypatch.setattr(Simulation, "enqueue", recorded)
+        config = scaled_maintain()
+        config = dataclasses.replace(
+            config,
+            clients=tuple(dataclasses.replace(c, maintain=False) for c in config.clients),
+        )
+        sim = Simulation(config)
+        sim.run()
+        assert ticked == {client.name for client in sim.clients}
+        # The run spans several epochs past every client's bootstrap.
+        last_epoch = config.total_ticks // config.update_epoch_blocks
+        assert all(client.bootstrap_epochs[-1] < last_epoch - 1 for client in sim.clients)
+        assert requests == []
 
     def test_latency_metric_recomputable_from_log(self):
         metrics, log = run_scenario(load("honest"))
@@ -515,7 +565,9 @@ def populations(draw) -> ScenarioConfig:
         if draw(st.booleans()):
             spec = dataclasses.replace(spec, register_tick=draw(st.integers(2, 3 * b_u)))
         if strategy is ProviderStrategy.HONEST and draw(st.booleans()):
-            spec = dataclasses.replace(spec, withdraw_tick=draw(st.integers(b_u, 4 * b_u)))
+            # Never before the register tick, which the config rejects.
+            withdraw_tick = draw(st.integers(max(b_u, spec.register_tick), 4 * b_u))
+            spec = dataclasses.replace(spec, withdraw_tick=withdraw_tick)
         providers.append(spec)
     clients = []
     for _ in range(draw(st.integers(1, 5))):
@@ -591,15 +643,18 @@ def maintaining_populations(draw) -> ScenarioConfig:
     config = draw(populations())
     b_u = config.update_epoch_blocks
     cp = config.clients[0].challenge_period
-    churn = [
-        ProviderSpec(
-            stake=eth_to_wei(draw(st.integers(8, 40))),
-            strategy=ProviderStrategy.HONEST,
-            register_tick=draw(st.integers(2, 4 * b_u)),
-            withdraw_tick=draw(st.none() | st.integers(b_u, 5 * b_u)),
+    churn = []
+    for _ in range(draw(st.integers(1, 3))):
+        register_tick = draw(st.integers(2, 4 * b_u))
+        churn.append(
+            ProviderSpec(
+                stake=eth_to_wei(draw(st.integers(8, 40))),
+                strategy=ProviderStrategy.HONEST,
+                register_tick=register_tick,
+                # Never before the register tick, which the config rejects.
+                withdraw_tick=draw(st.none() | st.integers(max(b_u, register_tick), 5 * b_u)),
+            )
         )
-        for _ in range(draw(st.integers(1, 3)))
-    ]
     clients = []
     for client in config.clients:
         start = draw(st.integers(1, 4 * b_u))
@@ -827,12 +882,12 @@ class TestMessageCounts:
         run_maintenance = LightClientActor._run_maintenance
 
         def recorded_maintenance(client, now, ctx):
-            epoch = client.epoch_of_tick(now)
-            new = epoch not in client._maintenance
+            before = client._maintenance
             run_maintenance(client, now, ctx)
-            if new and epoch in client._maintenance:
+            maintenance = client._maintenance
+            if maintenance is not None and maintenance is not before:
                 held = [sim.provider_names[pk] for pk in client.current_set()]
-                opened.append((client.name, epoch, now, held))
+                opened.append((client.name, maintenance.epoch, now, held))
 
         monkeypatch.setattr(LightClientActor, "_run_maintenance", recorded_maintenance)
         sim.run()
@@ -883,11 +938,14 @@ def collected_unions(monkeypatch, every_epoch: bool) -> dict:
     def recorded(client, now, ctx):
         if every_epoch:
             client._asked.clear()
-        before = {epoch: state["collected"] for epoch, state in client._maintenance.items()}
+        before = client._maintenance
+        was_collected = before is not None and before.collected
         run_maintenance(client, now, ctx)
-        for epoch, state in client._maintenance.items():
-            if state["collected"] and not before.get(epoch, False):
-                unions[client.name, epoch, now] = sorted(state["events"])
+        maintenance = client._maintenance
+        if maintenance is not None and maintenance.collected and not (
+            maintenance is before and was_collected
+        ):
+            unions[client.name, maintenance.epoch, now] = sorted(maintenance.events)
 
     monkeypatch.setattr(LightClientActor, "_run_maintenance", recorded)
     if every_epoch:

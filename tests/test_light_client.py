@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lcsim import actors, codec, scenario
 from lcsim.actors import ProviderStrategy
+from lcsim.contract import fold_membership
 from lcsim.harness import (
     ProviderSpec,
     Simulation,
@@ -191,6 +192,23 @@ class TestApplyEpochEvents:
         base = {a: 2 * ETH}
         apply_epoch_events(base, [(1, codec.withdraw_record(a))])
         assert base == {a: 2 * ETH}
+
+    def test_insurance_and_slash_records_leave_the_set(self):
+        a, b = bytes([1]) * 32, bytes([2]) * 32
+        base = {a: 32 * ETH, b: 16 * ETH}
+        events = [
+            (3, codec.insurance_record(1, bytes([9]) * 32, 5 * ETH, 3, 40, [(a, 5 * ETH)])),
+            (4, codec.slash_record(b, 2, bytes(32), 16 * ETH, 1, bytes(64))),
+        ]
+        assert apply_epoch_events(base, events) == base
+        assert fold_membership(dict(base), [payload for _, payload in events]) == base
+
+    def test_fold_membership_mutates_in_place(self):
+        a, b = bytes([1]) * 32, bytes([2]) * 32
+        members = {a: 32 * ETH}
+        records = [codec.register_record(b, 16 * ETH), codec.withdraw_record(a)]
+        assert fold_membership(members, records) is members
+        assert members == {b: 16 * ETH}
 
 
 # -- the client in whole runs ---------------------------------------------------
