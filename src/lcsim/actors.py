@@ -32,6 +32,7 @@ from .messages import (
     QueryMsg,
     ReceiptMsg,
     ResponseMsg,
+    fetch_tick,
 )
 
 
@@ -298,8 +299,7 @@ class _PendingAlert:
 class WatcherActor:
     """Honest watcher: audits forwards, slashes, and alerts clients.
 
-    Disputes rejected with BlockNotYetFinal are retried after finality;
-    alerts are delivered only once the slash record's own block is
+    Alerts are delivered only once the slash record's own block is
     finalized, so the inclusion proof the client heavy-checks is stable.
     """
 
@@ -351,8 +351,6 @@ class WatcherActor:
                     record_block=receipt.block_number,
                 )
             )
-        elif receipt.reason == "BlockNotYetFinal":
-            self._deferred.append((client, response))
         elif receipt.reason == "AlreadySlashed":
             # Lost the race to another watcher; alert with the winner's record.
             self._audit(client, response, ctx)
@@ -484,18 +482,19 @@ class DataProviderActor:
     @staticmethod
     def _push_tick(delay: int, tick: int, ctx) -> int:
         """First tick from `tick` on at which a request sent at an epoch's
-        fetch tick (`e*B_u + T_fin + 1`) over a link of `delay` arrives."""
+        `fetch_tick` over a link of `delay` arrives."""
         blocks = ctx.contract.config.update_epoch_blocks
-        return tick + (ctx.chain.finality_depth_blocks + 1 + delay - tick) % blocks
+        arrival = fetch_tick(0, blocks, ctx.chain.finality_depth_blocks) + delay
+        return tick + (arrival - tick) % blocks
 
     def _push_event_lists(self, now: int, ctx) -> None:
         """Answer the standing requests due now: a client asked once gets
         epoch e-1's list when its request would arrive had it sent it again
         at epoch e's fetch tick, so within the window it collects in."""
         blocks = ctx.contract.config.update_epoch_blocks
-        since_fetch = now - ctx.chain.finality_depth_blocks - 1
+        since_fetch = now - fetch_tick(0, blocks, ctx.chain.finality_depth_blocks)
         delay = since_fetch % blocks
-        epoch = (since_fetch - delay) // blocks - 1
+        epoch = since_fetch // blocks - 1
         if epoch >= 0:
             msg = self._event_list(epoch, ctx)
             if msg.events:

@@ -298,9 +298,6 @@ class SlashingContract:
     def is_epoch_end(self, block_number: int) -> bool:
         return (block_number + 1) % self.config.update_epoch_blocks == 0
 
-    def epoch_end_block(self, epoch: int) -> int:
-        return (epoch + 1) * self.config.update_epoch_blocks - 1
-
     # -- registry -----------------------------------------------------------
 
     def register(self, pk: bytes, stake: int, block_number: int) -> bytes:

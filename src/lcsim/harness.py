@@ -6,12 +6,12 @@ identical (seed, config) pairs produce byte-identical event logs:
 
 1. deliver the tick's messages in the order they were sent;
 2. tick every provider, then every watcher, in index order;
-3. tick the awake clients in index order. A client wakes at its start
-   tick, at its own next deadline and whenever a message is delivered to
-   it. After each of its ticks it names the next tick at which its tick
-   could change anything (`LightClientActor.next_tick`, None when only a
-   message can), and it sleeps until then unless that is the next tick;
-   every tick it sleeps through would have been a no-op;
+3. tick the clients due this tick in index order: those due at their
+   start tick or at a tick they named, and those a message was delivered
+   to. After each of its ticks a client names the next tick at which its
+   tick could change anything (`LightClientActor.next_tick`, None when only
+   a message can) and is due then; every tick it skips would have been a
+   no-op;
 4. execute the transaction pool, append the block, run the contract's
    block boundary, and sample the invariants.
 
@@ -295,8 +295,6 @@ class HeavyCheckOracle:
         self, client: str, block_number: int, record_tx_id: bytes, proof
     ) -> bool:
         self._metrics.client(client).heavy_checks += 1
-        if block_number > self._chain.tip.number:
-            return False
         if not self._chain.is_finalized(block_number):
             return False
         block = self._chain.block_at(block_number)
@@ -497,7 +495,6 @@ class Simulation:
         for i, name in enumerate(names):
             row = delays[i * (n - 1) : (i + 1) * (n - 1)]
             self._delay_rows[name] = row[:i] + b"\0" + row[i:]
-        self._delta = config.delta_ticks
         self._mailbox: dict[int, list[tuple[str, str, object]]] = {}
         self._pool: list[tuple[int, str, Submission]] = []
         self._next_token = 1
@@ -508,7 +505,7 @@ class Simulation:
 
     def enqueue(self, src: str, dst: str, payload) -> None:
         delay = self._delay_rows[src][self._index[dst]]
-        if not 0 < delay <= self._delta:
+        if not 0 < delay <= self.config.delta_ticks:
             self.metrics.violations.append(f"delivery-bound:{src}->{dst}")
         self._mailbox.setdefault(self.ctx.now + delay, []).append((src, dst, payload))
 
@@ -550,42 +547,30 @@ class Simulation:
         ctx = self.ctx
         clients = self.clients
         client_index = {client.name: i for i, client in enumerate(clients)}
-        # Clients to wake at a tick: first at their start tick, then at each
-        # deadline they name. A bucket entry for a client that has since
-        # been woken by a delivery is stale and costs one no-op tick.
-        due: dict[int, list[int]] = {}
+        # Clients to tick at a tick: at their start tick, at each tick they
+        # name and at each tick a message is delivered to them. An entry
+        # for a client that has since been ticked on a delivery is stale
+        # and costs one no-op tick.
+        due: dict[int, set[int]] = {}
         for i, client in enumerate(clients):
-            due.setdefault(max(1, client.config.start_tick), []).append(i)
-        # Clients whose on_tick may do something, and the same in index
-        # order. Clients only wake before the first rebuild of `order` in a
-        # tick and only sleep between the first and the second, so a change
-        # of size is a change of members.
-        awake: set[int] = set()
-        order: list[int] = []
+            due.setdefault(max(1, client.config.start_tick), set()).add(i)
         for tick in range(1, self.config.total_ticks + 1):
             ctx.now = tick
-            awake.update(due.pop(tick, ()))
             for src, dst, payload in self._mailbox.pop(tick, []):
                 self._actor_by_name[dst].handle_message(src, payload, ctx)
                 i = client_index.get(dst)
                 if i is not None:
-                    awake.add(i)
+                    due.setdefault(tick, set()).add(i)
             for actor in self.providers:
                 actor.on_tick(tick, ctx)
             for actor in self.watchers:
                 actor.on_tick(tick, ctx)
-            if len(order) != len(awake):
-                order = sorted(awake)
-            for i in order:
+            for i in sorted(due.pop(tick, ())):
                 client = clients[i]
                 client.on_tick(tick, ctx)
                 wake = client.next_tick(tick)
-                if wake != tick + 1:
-                    awake.discard(i)
-                    if wake is not None:
-                        due.setdefault(wake, []).append(i)
-            if len(order) != len(awake):
-                order = sorted(awake)
+                if wake is not None:
+                    due.setdefault(wake, set()).add(i)
             block_txs = self._execute_pool(tick)
             block_txs.extend(self._target_payloads.pop(tick, []))
             block = self.chain.append_block(block_txs)
@@ -789,9 +774,6 @@ class SweepReport:
 
     def violations(self) -> list[SweepCell]:
         return [cell for cell in self.cells if cell.violations]
-
-    def compliant_violations(self) -> list[SweepCell]:
-        return [cell for cell in self.cells if cell.compliant and cell.violations]
 
 
 def sweep(

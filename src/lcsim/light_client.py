@@ -28,6 +28,12 @@ own rule (`contract.fold_membership`). It keeps one maintenance record, for
 the epoch it holds, and the sets of that epoch and the next. A client that
 does not maintain keeps the set of its latest bootstrap and never moves
 its epoch on.
+
+Each tick-driven action has one deadline, written once and read both by
+the driver that acts and by `next_tick`, which tells the harness when to
+tick the client again: `_live_from` (start and offline window),
+`_protocol_waits` (the lifecycle), `_maintenance_due` (fetch and collect)
+and `_check_deadline` (issue, time out or finish a check).
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .messages import (
     QueryMsg,
     ReceiptMsg,
     ResponseMsg,
+    fetch_tick,
 )
 from .pricing import CoverageInputs, min_coverage_duration
 
@@ -170,7 +177,11 @@ class CheckKind(enum.Enum):
 
 @dataclass
 class Check:
-    """One inclusion check: query, forward, listen, accept."""
+    """One inclusion check: query, forward, listen, accept.
+
+    An insured check (`insurance_id` set) accepts as soon as its responses
+    verify; any other waits out its challenge period. A check is open while
+    `outcome` is None."""
 
     kind: CheckKind
     block_number: int
@@ -178,9 +189,8 @@ class Check:
     challenge_period: int
     value: int
     insurance_id: int | None = None
-    immediate_accept: bool = False
     event_payload: bytes | None = None
-    selected: list[tuple[bytes, int]] = field(default_factory=list)
+    selected: list[bytes] = field(default_factory=list)  # the providers queried
     responses: dict[bytes, SignedResponse] = field(default_factory=dict)
     query_tick: int | None = None
     last_forward_tick: int | None = None
@@ -188,7 +198,6 @@ class Check:
     first_response_tick: int | None = None
     last_response_tick: int | None = None
     restarts: int = 0
-    done: bool = False
     outcome: str | None = None
 
 
@@ -250,7 +259,6 @@ class LightClientActor:
         self.delta = delta_ticks
         self.t_fin = t_fin
         self.stage = Stage.START
-        self.bootstrapped = False
         self.bootstrap_epochs: list[int] = []
         self.sets: dict[int, dict[bytes, int]] = {}
         self.attributable: dict[bytes, int] = {}
@@ -271,6 +279,10 @@ class LightClientActor:
     @property
     def public_key(self) -> bytes:
         return self.keypair.public_key
+
+    @property
+    def bootstrapped(self) -> bool:
+        return bool(self.bootstrap_epochs)
 
     def epoch_of_tick(self, tick: int) -> int:
         # Epoch of the newest block a client can have observed at this
@@ -314,17 +326,13 @@ class LightClientActor:
         self.sets[epoch] = {pk: stake for pk, stake, _ in snapshot}
         self.attributable = {pk: attributable for pk, _, attributable in snapshot}
         self._hold(epoch)
-        self.bootstrapped = True
         self.bootstrap_epochs.append(epoch)
         ctx.log(self.name, "bootstrap", codec.encode_u64(epoch))
 
     # -- tick driver ----------------------------------------------------------
 
     def on_tick(self, now: int, ctx) -> None:
-        if self._offline_at(now):
-            return
-        start = self.config.start_tick
-        if start is None or now < start:
+        if self._live_from(now) != now:
             return
         if not self.bootstrapped:
             self.bootstrap(ctx, now)
@@ -338,40 +346,37 @@ class LightClientActor:
         """Earliest tick after `now` at which on_tick could change anything,
         or None when only a delivered message can.
 
-        Each deadline below is the first tick at which one branch of
-        on_tick may act, and a branch past its deadline stays ready until
-        it acts, so the first live tick from the earliest deadline skips
-        only no-op ticks. Waking too early costs one no-op tick.
+        It reads the same deadlines as the drivers that act on them, and a
+        driver past its deadline stays ready until it acts, so the first
+        live tick from the earliest deadline skips only no-op ticks. Waking
+        too early costs one no-op tick.
         """
         soon = now + 1
         if not self.bootstrapped or not self._protocol_waits():
             return self._live_from(soon)
-        blocks = self.update_epoch_blocks
-        held = self.current_epoch_held
         deadlines = []
-        if self.config.maintain:
-            # The first tick past the held epoch, which is never ahead of the
-            # clock: the next epoch's first tick at the latest.
-            deadlines.append((held + 1) * blocks + 1)
-            maintenance = self._maintenance
-            if maintenance is None:
-                deadlines.append(held * blocks + self.t_fin + 1)  # fetch
-            elif not maintenance.collected:
-                deadlines.append(maintenance.requested_tick + 2 * self.delta + 1)  # collect
         for check in self.checks:
-            deadline = self._check_deadline(check)
-            if deadline is not None:
-                deadlines.append(deadline)
+            if check.outcome is None:  # most checks are closed and have no deadline
+                deadline = self._check_deadline(check)
+                if deadline is not None:
+                    deadlines.append(deadline)
+        if self.config.maintain:
+            # The first tick past the held epoch (`_advance_epoch`), which is
+            # never ahead of the clock: the next epoch's first tick at the latest.
+            deadlines.append((self.current_epoch_held + 1) * self.update_epoch_blocks + 1)
+            due = self._maintenance_due()
+            if due is not None:
+                deadlines.append(due)
         if not deadlines:
             return None
         return self._live_from(max(soon, min(deadlines)))
 
     def _live_from(self, tick: int) -> int:
-        """First tick from `tick` on at which on_tick does more than return."""
+        """First tick from `tick` on at which on_tick does more than return:
+        from the start tick on, outside the offline window."""
         tick = max(tick, self.config.start_tick or 0)
-        window = self.config.offline
-        if window is not None and window[0] <= tick <= window[1]:
-            return window[1] + 1
+        if self._offline_at(tick):
+            return self.config.offline[1] + 1
         return tick
 
     def _protocol_waits(self) -> bool:
@@ -380,18 +385,26 @@ class LightClientActor:
             return not self.config.perform_check
         return self.stage is not Stage.CONFIRMED
 
-    def _check_deadline(self, check: Check) -> int | None:
-        """First tick at which _drive_checks may act on `check`, or None."""
-        if check.done:
+    def _maintenance_due(self) -> int | None:
+        """First tick at which _run_maintenance acts on the held epoch: its
+        fetch tick, then the end of the collection window; None once the
+        lists are collected."""
+        maintenance = self._maintenance
+        if maintenance is None:
+            return fetch_tick(self.current_epoch_held, self.update_epoch_blocks, self.t_fin)
+        if maintenance.collected:
             return None
+        return maintenance.requested_tick + 2 * self.delta + 1
+
+    def _check_deadline(self, check: Check) -> int | None:
+        """First tick at which _drive_checks acts on the open `check`, or None."""
         if not check.selected:
             return check.query_tick  # issue the queries
-        if check.query_tick is not None and any(
-            pk not in check.responses for pk, _ in check.selected
-        ):
+        # Only the selected providers' responses are kept.
+        if len(check.responses) < len(check.selected):
             return check.query_tick + 2 * self.delta + 1  # time out
-        if check.immediate_accept or check.last_forward_tick is None:
-            return None
+        if check.insurance_id is not None or check.last_forward_tick is None:
+            return None  # insured: accepted on receipt, listening only
         return check.last_forward_tick + check.challenge_period  # accept
 
     def _advance_epoch(self, now: int, ctx) -> None:
@@ -417,16 +430,17 @@ class LightClientActor:
     # -- main protocol ----------------------------------------------------------
 
     def _drive_protocol(self, now: int, ctx) -> None:
-        if self.stage is Stage.START and self.config.perform_check:
+        if self._protocol_waits():
+            return
+        if self.stage is Stage.START:
             if self.config.protocol is Protocol.ECO:
                 self._start_target(None, now, ctx)
             else:
                 self._buy(now, ctx)
-        elif self.stage is Stage.CONFIRMED:
-            if self._policy_voided(self.dropped):
-                self._rebuy_policy()
-            else:
-                self._start_target(self._insurance_id, now, ctx)
+        elif self._policy_voided(self.dropped):  # CONFIRMED
+            self._rebuy_policy()
+        else:
+            self._start_target(self._insurance_id, now, ctx)
 
     def _start_target(self, insurance_id: int | None, now: int, ctx) -> None:
         """Open the target check; an insured one accepts on verified signatures."""
@@ -439,7 +453,6 @@ class LightClientActor:
                 challenge_period=self.config.challenge_period,
                 value=self.config.target_value,
                 insurance_id=insurance_id,
-                immediate_accept=insurance_id is not None,
                 query_tick=now,
             )
         )
@@ -488,19 +501,18 @@ class LightClientActor:
     def _rebuy_policy(self) -> None:
         """Abandon the voided policy and its checks; buy anew from START."""
         for check in self.checks:
-            if not check.done and check.kind is not CheckKind.EPOCH_EVENT:
-                check.done = True
+            if check.outcome is None and check.kind is not CheckKind.EPOCH_EVENT:
                 check.outcome = "abandoned"
         self.stage = Stage.START
 
     # -- checks ------------------------------------------------------------------
 
-    def _select_for_check(self, check: Check) -> list[tuple[bytes, int]]:
+    def _select_for_check(self, check: Check) -> list[bytes]:
         if check.insurance_id is not None:
             # The allocated providers back the policy; the insured query
             # goes exactly to them.
-            return [(pk, amount) for pk, amount in self._allocations if pk not in self.dropped]
-        return select_providers(self.candidates(False), check.value)
+            return [pk for pk, _ in self._allocations if pk not in self.dropped]
+        return [pk for pk, _ in select_providers(self.candidates(False), check.value)]
 
     def _issue_queries(self, check: Check, now: int, ctx) -> None:
         check.selected = self._select_for_check(check)
@@ -510,7 +522,7 @@ class LightClientActor:
         check.last_forward_tick = None
         check.query_tick = now
         msg = QueryMsg(query=self._make_query(check))
-        ctx.send_to_providers(self.name, [pk for pk, _ in check.selected], msg)
+        ctx.send_to_providers(self.name, check.selected, msg)
         ctx.log(self.name, "query", check.state_hash)
 
     def _requery(self, check: Check, now: int, ctx) -> bool:
@@ -518,7 +530,6 @@ class LightClientActor:
         try:
             self._issue_queries(check, now, ctx)
         except NoEligibleProvidersError:
-            check.done = True
             check.outcome = "no_eligible_providers"
             if check.kind is CheckKind.TARGET:
                 self.stage = Stage.GAVE_UP
@@ -554,34 +565,29 @@ class LightClientActor:
         )
 
     def _drive_checks(self, now: int, ctx) -> None:
+        """Issue, time out or finish each check whose deadline has come."""
         for check in self.checks:
-            if check.done:
+            if check.outcome is not None:
                 continue
-            if check.query_tick is not None and not check.selected and now >= check.query_tick:
+            deadline = self._check_deadline(check)
+            if deadline is None or now < deadline:
+                continue
+            if not check.selected:
                 if not self._requery(check, now, ctx):
                     ctx.metrics.client(self.name).rejected += 1
                 continue
-            if not check.selected:
-                continue
-            pending = [pk for pk, _ in check.selected if pk not in check.responses]
-            if pending and check.query_tick is not None:
-                if now > check.query_tick + 2 * self.delta:
-                    self._handle_timeout(check, pending, now, ctx)
-                continue
-            if check.immediate_accept:
-                continue  # already accepted on receipt; listening only
-            if (
-                check.last_forward_tick is not None
-                and now >= check.last_forward_tick + check.challenge_period
-            ):
+            pending = [pk for pk in check.selected if pk not in check.responses]
+            if pending:
+                self._handle_timeout(check, pending, now, ctx)
+            else:
                 self._finish_economic_check(check, now, ctx)
 
     def _handle_timeout(self, check: Check, pending: list[bytes], now: int, ctx) -> None:
         self._reject(check, pending, ctx)
         ctx.log(self.name, "timeout", b"".join(sorted(pending)))
-        if check.immediate_accept or self._policy_voided(pending):
+        if check.insurance_id is not None or self._policy_voided(pending):
             self._rebuy_policy()
-        else:
+        if check.outcome is None:  # a rebuy leaves record checks open
             self._requery(check, now, ctx)
 
     def _finish_economic_check(self, check: Check, now: int, ctx) -> None:
@@ -594,7 +600,6 @@ class LightClientActor:
         self._requery(check, now, ctx)
 
     def _accept(self, check: Check, now: int, ctx) -> None:
-        check.done = True
         check.accepted_tick = now
         check.outcome = "accepted"
         metrics = ctx.metrics.client(self.name)
@@ -606,7 +611,10 @@ class LightClientActor:
         elif check.kind is CheckKind.INSURANCE_INCLUSION:
             self.stage = Stage.CONFIRMED
         elif check.kind is CheckKind.EPOCH_EVENT:
-            self._maintenance_event_done(check, ctx)
+            maintenance = self._maintenance
+            # A check of an epoch no longer held changes nothing.
+            if maintenance is not None and check in maintenance.checks:
+                self._maintenance_event_done(maintenance, ctx)
         ctx.log(self.name, "accepted", check.state_hash)
 
     # -- message handling ---------------------------------------------------------
@@ -630,9 +638,7 @@ class LightClientActor:
 
     def _handle_response(self, response: SignedResponse, now: int, ctx) -> None:
         for check in self.checks:
-            if check.done or not check.selected:
-                continue
-            if response.provider_pk not in {pk for pk, _ in check.selected}:
+            if check.outcome is not None or response.provider_pk not in check.selected:
                 continue
             if (
                 response.block_number != check.block_number
@@ -649,7 +655,7 @@ class LightClientActor:
             # last forward.
             ctx.send_to_each(self.name, ctx.watcher_names, ForwardMsg(response=response))
             check.last_forward_tick = now
-            if check.immediate_accept and len(check.responses) == len(check.selected):
+            if check.insurance_id is not None and len(check.responses) == len(check.selected):
                 if self._verify_all(check, ctx):
                     self._accept(check, now, ctx)
                 else:
@@ -693,12 +699,10 @@ class LightClientActor:
         active = [
             check
             for check in self.checks
-            if not check.done and alert.offending_pk in {pk for pk, _ in check.selected}
+            if check.outcome is None and alert.offending_pk in check.selected
         ]
         involved_accepted = any(
-            check.done
-            and check.outcome == "accepted"
-            and alert.offending_pk in {pk for pk, _ in check.selected}
+            check.outcome == "accepted" and alert.offending_pk in check.selected
             for check in self.checks
         )
         policy_hit = self._policy_voided((alert.offending_pk,))
@@ -725,7 +729,7 @@ class LightClientActor:
             self._rebuy_policy()
             return
         for check in active:
-            if check.immediate_accept:
+            if check.insurance_id is not None:
                 # Insured mode: acceptance already happened or will not;
                 # compensation arrives through the claim, nothing to redo.
                 continue
@@ -738,12 +742,12 @@ class LightClientActor:
         """Predict the next epoch's set: ask the held providers for the
         previous epoch's records at the fetch tick, collect their lists for
         one round trip, then check each record (`_maintenance_event_done`)."""
+        due = self._maintenance_due()
+        if due is None or now < due:
+            return
         epoch = self.current_epoch_held  # the clock's epoch, after _advance_epoch
         maintenance = self._maintenance
-        fetch_tick = epoch * self.update_epoch_blocks + self.t_fin + 1
-        if maintenance is None:
-            if now < fetch_tick:
-                return
+        if maintenance is None:  # the fetch tick has come
             held = self.sets[epoch]
             maintenance = self._maintenance = _Maintenance(epoch, now, held)
             if epoch == 0 or not held:
@@ -759,7 +763,7 @@ class LightClientActor:
             # A provider asked once answers every later epoch on its own, at
             # the tick a request sent now would reach it; a client that opens
             # late may have missed those answers and asks every held provider.
-            if now == fetch_tick:
+            if now == due:
                 ask = [pk for pk in held if pk not in self._asked]
             else:
                 ask = list(held)
@@ -767,15 +771,9 @@ class LightClientActor:
                 ctx.send_to_providers(self.name, ask, EventListRequest(epoch=epoch - 1))
                 self._asked.update(ask)
             return
-        if maintenance.collected or now <= maintenance.requested_tick + 2 * self.delta:
-            return
         maintenance.collected = True
-        events = sorted(maintenance.events)
-        if not events:
-            self._predict(epoch + 1, apply_epoch_events(self.sets[epoch], []), ctx)
-            return
         cp = self.config.maintenance_challenge_period or self.config.challenge_period
-        for block_number, payload in events:
+        for block_number, payload in sorted(maintenance.events):
             check = Check(
                 kind=CheckKind.EPOCH_EVENT,
                 block_number=block_number,
@@ -783,10 +781,11 @@ class LightClientActor:
                 challenge_period=cp,
                 value=self.config.target_value,
                 event_payload=payload,
+                query_tick=now,
             )
-            check.query_tick = now
             maintenance.checks.append(check)
             self.checks.append(check)
+        self._maintenance_event_done(maintenance, ctx)  # at once for no records
 
     def _handle_event_list(self, sender: str, msg, ctx) -> None:
         maintenance = self._maintenance
@@ -798,13 +797,10 @@ class LightClientActor:
             # An epoch's list names each record once, in a block of that epoch.
             maintenance.events.update(msg.events)
 
-    def _maintenance_event_done(self, check: Check, ctx) -> None:
-        """Predict the next set once the held epoch's last record check ends;
-        a check of an epoch no longer held changes nothing."""
-        maintenance = self._maintenance
-        if maintenance is None or check not in maintenance.checks:
-            return
-        if not all(c.done for c in maintenance.checks):
+    def _maintenance_event_done(self, maintenance: _Maintenance, ctx) -> None:
+        """Predict the set after the held epoch once each of its record
+        checks has ended, at once when it has none."""
+        if any(c.outcome is None for c in maintenance.checks):
             return
         events = [
             (c.block_number, c.event_payload)

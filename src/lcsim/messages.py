@@ -46,6 +46,12 @@ class EventListRequest:
     epoch: int
 
 
+def fetch_tick(epoch: int, update_epoch_blocks: int, t_fin: int) -> int:
+    """The tick at which a maintaining client holding `epoch` requests the
+    membership records of epoch-1 (`EventListRequest`)."""
+    return epoch * update_epoch_blocks + t_fin + 1
+
+
 @dataclass(frozen=True)
 class EventListMsg:
     epoch: int

@@ -28,10 +28,6 @@ class EmptySeriesError(ValueError):
     """An average needs at least one sample."""
 
 
-class ZeroUtilizationError(ValueError):
-    """Unit cost diverges at zero utilization."""
-
-
 def as_fraction(value: int | str | float | Fraction) -> Fraction:
     """Exact fraction; floats are taken at their decimal-literal value."""
     if isinstance(value, float):
@@ -127,8 +123,6 @@ def average_utilization(per_block: list[Fraction]) -> Fraction:
 
 def unit_cost(params: PricingParams) -> Fraction:
     """Cost of locking one unit of stake for one block: apy / (B * u)."""
-    if params.utilization == 0:
-        raise ZeroUtilizationError("unit cost diverges at zero utilization")
     return params.apy / (params.blocks_per_year * params.utilization)
 
 

@@ -260,7 +260,7 @@ class TestRejectPaths:
         assert sim.metrics.clients["c0"].accepted == 1
         assert target.restarts == 1
         assert bad in client.dropped
-        assert [pk for pk, _ in target.selected] == [good]
+        assert target.selected == [good]
         assert all(verify_response(target, r) for r in target.responses.values())
         assert len(sim.metrics.acceptances) == 1
         assert not sim.metrics.incorrect_acceptances()
@@ -275,9 +275,39 @@ class TestRejectPaths:
             c for c in client.checks if c.kind is CheckKind.TARGET and c.outcome == "abandoned"
         ]
         assert abandoned.restarts == 1
-        assert [pk for pk, _ in abandoned.selected] == [bad]
-        assert [pk for pk, _ in target.selected] == [good]
+        assert abandoned.selected == [bad]
+        assert target.selected == [good]
         assert _purchases(log, "c0") == 2
+
+
+class TestTimeouts:
+    def test_a_rebuy_requeries_the_timed_out_record_check(self):
+        """An insured maintaining client checks epoch 1's register record at
+        tick 62 through the unresponsive p1, which also backs its policy.
+        The timeout at 65 voids the policy: the client buys again and queries
+        the record check afresh at once, so it times out once, not again at
+        66, and counts one rejection."""
+        base = build_scenario(
+            ProviderStrategy.HONEST, 1, min_compliant_challenge_period(8, 1), Protocol.INS, seed=0
+        )
+        providers = (
+            ProviderSpec(stake=eth_to_wei(20), strategy=ProviderStrategy.HONEST),
+            ProviderSpec(stake=eth_to_wei(20), strategy=ProviderStrategy.UNRESPONSIVE),
+            ProviderSpec(stake=eth_to_wei(8), strategy=ProviderStrategy.HONEST, register_tick=25),
+        )
+        client = dataclasses.replace(
+            base.clients[0], target_value=ETH, target_block=1, start_tick=54, maintain=True
+        )
+        sim = Simulation(dataclasses.replace(base, providers=providers, clients=(client,)))
+        metrics, log = sim.run()
+        events = [line.split("\t")[:3] for line in log.lines if line.split("\t")[1] == "c0"]
+        assert [tick for tick, _, event in events if event == "timeout"] == ["65"]
+        assert ["66", "c0", "buy_insurance"] in events
+        assert metrics.clients["c0"].rejected == 1
+        (record_check,) = [c for c in sim.clients[0].checks if c.kind is CheckKind.EPOCH_EVENT]
+        assert record_check.restarts == 1
+        assert record_check.query_tick == 65
+        assert record_check.outcome == "accepted"
 
 
 class TestLifecycle:
