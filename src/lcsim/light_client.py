@@ -32,8 +32,9 @@ its epoch on.
 Each tick-driven action has one deadline, written once and read both by
 the driver that acts and by `next_tick`, which tells the harness when to
 tick the client again: `_live_from` (start and offline window),
-`_protocol_waits` (the lifecycle), `_maintenance_due` (fetch and collect)
-and `_check_deadline` (issue, time out or finish a check).
+`_protocol_waits` (the lifecycle), `_epoch_due` (the next epoch),
+`_maintenance_due` (fetch and collect) and `_check_deadline` (issue, time
+out or finish a check).
 """
 
 from __future__ import annotations
@@ -361,9 +362,7 @@ class LightClientActor:
                 if deadline is not None:
                     deadlines.append(deadline)
         if self.config.maintain:
-            # The first tick past the held epoch (`_advance_epoch`), which is
-            # never ahead of the clock: the next epoch's first tick at the latest.
-            deadlines.append((self.current_epoch_held + 1) * self.update_epoch_blocks + 1)
+            deadlines.append(self._epoch_due())
             due = self._maintenance_due()
             if due is not None:
                 deadlines.append(due)
@@ -384,6 +383,11 @@ class LightClientActor:
         if self.stage is Stage.START:
             return not self.config.perform_check
         return self.stage is not Stage.CONFIRMED
+
+    def _epoch_due(self) -> int:
+        """First tick at which _advance_epoch acts: the first past the held
+        epoch (the held epoch never runs ahead of the clock's)."""
+        return (self.current_epoch_held + 1) * self.update_epoch_blocks + 1
 
     def _maintenance_due(self) -> int | None:
         """First tick at which _run_maintenance acts on the held epoch: its
@@ -409,9 +413,9 @@ class LightClientActor:
 
     def _advance_epoch(self, now: int, ctx) -> None:
         """Hold the clock's epoch: the predicted set, or a fresh heavy check."""
-        epoch = self.epoch_of_tick(now)
-        if epoch <= self.current_epoch_held:
+        if now < self._epoch_due():
             return
+        epoch = self.epoch_of_tick(now)
         if epoch in self.sets:
             self._hold(epoch)
         else:
