@@ -58,6 +58,7 @@ class RevertReason(str, enum.Enum):
     INACTIVE_PROVIDER = "InactiveProvider"
     COVERAGE_EXCEEDS_ALLOCATIONS = "CoverageExceedsAllocations"
     DURATION_EXCEEDS_MAX = "DurationExceedsMax"
+    INSUFFICIENT_BALANCE = "InsufficientBalance"
 
 
 class Reverted(ContractError):
@@ -369,6 +370,8 @@ class SlashingContract:
             raise Reverted(RevertReason.COVERAGE_EXCEEDS_ALLOCATIONS)
 
         premium_wei = pricing.premium(self.params, duration, coverage_value)
+        if self.ledger.balance(buyer_pk) < premium_wei + self.params.gas_cost_wei:
+            raise Reverted(RevertReason.INSUFFICIENT_BALANCE)
         self.ledger.transfer(buyer_pk, REWARD_POOL, premium_wei)
         self.ledger.transfer(buyer_pk, GAS_SINK, self.params.gas_cost_wei)
         self._credit_reward_pools(allocations, premium_wei)

@@ -73,6 +73,21 @@ class TestRun:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["slash_count"] == 1
 
+    def test_buyer_short_of_premium_plus_gas_reverts_without_traceback(self, runner, tmp_path):
+        # 0.0018 ETH pays the premium of the insured scenario but not the gas too.
+        path = tmp_path / "poor.ini"
+        text = scenario.builtin_scenario_path("insured").read_text()
+        path.write_text(text.replace("initial_balance_eth = 1", "initial_balance_eth = 0.0018"))
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert result.exception is None
+        assert "Traceback" not in result.output
+        log = (tmp_path / "out" / "events.log").read_text()
+        assert "tx-BuyInsuranceTx-InsufficientBalance" in log
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        client = metrics["clients"]["c0"]
+        assert client["final_balance"] == client["initial_balance"]
+
     def test_malformed_file_exits_two(self, runner, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("this is not an ini [\n")

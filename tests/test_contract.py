@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsim import codec, crypto
+from lcsim import codec, crypto, pricing
 from lcsim.chain import Chain, Transaction
 from lcsim.contract import (
     BelowMinStakeError,
@@ -316,6 +316,25 @@ class TestBuyInsurance:
                 buyer.public_key, [(kp.public_key, 33 * ETH)], 33 * ETH, 100, 10
             )
         assert ledger.balance(buyer.public_key) == before
+
+    def test_balance_short_of_premium_plus_gas_reverts_before_any_transfer(self):
+        ledger, contract, chain, kp, _ = self.setup_provider()
+        premium = pricing.premium(contract.params, 100, 10 * ETH)
+        poor = crypto.keygen(302)
+        ledger.mint(poor.public_key, premium + contract.params.gas_cost_wei - 1)
+        total = ledger.total()
+        (receipt,) = step(
+            chain,
+            contract,
+            [BuyInsuranceTx(poor.public_key, ((kp.public_key, 10 * ETH),), 10 * ETH, 100)],
+        )
+        assert not receipt.ok
+        assert receipt.reason == RevertReason.INSUFFICIENT_BALANCE.value
+        assert ledger.balance(poor.public_key) == premium + contract.params.gas_cost_wei - 1
+        assert ledger.balance(REWARD_POOL) == 0
+        assert contract.provider(kp.public_key).locked == 0
+        assert contract.policies == {}
+        assert ledger.total() == total
 
     def test_reward_pool_split_is_exact(self):
         # Pro-rata premium split across allocations must account for every
