@@ -91,6 +91,36 @@ def scaled_maintain() -> ScenarioConfig:
     )
 
 
+def scaled_insured() -> ScenarioConfig:
+    """Six insured clients in two waves of three against an unresponsive,
+    a wrong_hash and four honest providers. Each wave's purchases collide
+    in one block, and the losers revert and re-bootstrap; the unresponsive
+    provider voids policies, whose buyers buy again; the liar is slashed;
+    policies expire, two of them at one boundary."""
+    delta = 2
+    cp = min_compliant_challenge_period(8, delta)
+    base = build_scenario(ProviderStrategy.WRONG_HASH, delta, cp, Protocol.INS, seed=17)
+    b_u = base.update_epoch_blocks
+    strategies = [ProviderStrategy.UNRESPONSIVE, ProviderStrategy.WRONG_HASH] + [
+        ProviderStrategy.HONEST
+    ] * 4
+    providers = tuple(
+        ProviderSpec(stake=eth_to_wei(70 - 6 * i), strategy=s) for i, s in enumerate(strategies)
+    )
+    clients = tuple(
+        dataclasses.replace(
+            base.clients[0],
+            target_value=eth_to_wei(20 + 5 * (i % 3)),
+            target_block=2 + i,
+            start_tick=2 * b_u + 1 + 4 * (i // 3),
+        )
+        for i in range(6)
+    )
+    return dataclasses.replace(
+        base, providers=providers, clients=clients, total_ticks=6 * b_u
+    )
+
+
 def delta_case(
     adversary: ProviderStrategy, delta: int, protocol: Protocol, seed: int
 ) -> ScenarioConfig:
@@ -108,6 +138,7 @@ def configs() -> dict[str, ScenarioConfig]:
     }
     out["scaled_dispute"] = scaled_dispute()
     out["scaled_maintain"] = scaled_maintain()
+    out["scaled_insured"] = scaled_insured()
     out["delta3_ins"] = delta_case(ProviderStrategy.WRONG_HASH, 3, Protocol.INS, seed=11)
     out["delta4_eco"] = delta_case(ProviderStrategy.WRONG_HASH, 4, Protocol.ECO, seed=13)
     return out
@@ -151,6 +182,10 @@ PINNED: dict[str, tuple[str, str]] = {
     "scaled_maintain": (
         "c3c8175672ea57e168e65ce824832ca18bfb2fc43d3d5085beb471a3c29bacb7",
         "99c30a8a1103a935a8bc9463d36526aa2d211c76b39b4fd591b737d19b79c953",
+    ),
+    "scaled_insured": (
+        "5a937b24cfd3018ad7d7c5bdd11cac59e33067f7247697a69800c44291abf369",
+        "c179f560322862e283b24cc23889f4af6615bbdbb53bf3f5bfac6d938dc4a554",
     ),
     "delta3_ins": (
         "91d146b7734e2d63f846d707ea19370045fb7c6b3ec1e26ef513c9d0b016f3e6",
