@@ -642,6 +642,76 @@ class TestActiveSetFold:
         assert [m[0] for m in contract.active_set(2)] == [kp.public_key]
 
 
+def recomputed_utilization(contract):
+    """`utilization_sample` summed afresh over the provider records."""
+    locked = stake = 0
+    for record in contract.providers.values():
+        if record.status is ProviderStatus.ACTIVE:
+            locked += record.locked
+            stake += record.stake
+    return locked, stake
+
+
+class TestVersionedViews:
+    """`active_set` and `utilization_sample` answer from a memo of the
+    contract's state version; after every transaction and every boundary
+    they equal an uncached recomputation."""
+
+    @staticmethod
+    def assert_views_fresh(contract, chain):
+        current = contract.current_epoch
+        for epoch in range(max(0, current - 1), current + 2):
+            expected = replayed_active_set(contract, chain, epoch)
+            got = contract.active_set(epoch)
+            assert got == expected
+            got.clear()  # a caller may keep or change its copy
+            assert contract.active_set(epoch) == expected
+        assert contract.utilization_sample() == recomputed_utilization(contract)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_views_match_recomputation(self, data):
+        ledger, contract, chain = make_env()
+        keypairs = [funded_provider(ledger, 740 + i, stake=10**4 * ETH) for i in range(4)]
+        buyers = [crypto.keygen(760 + i) for i in range(2)]
+        for buyer in buyers:
+            ledger.mint(buyer.public_key, 10 * ETH)
+        for _ in range(data.draw(st.integers(1, 8 * B_U))):
+            tick = chain.tip.number + 1
+            records = []
+            for _ in range(data.draw(st.integers(0, 3))):
+                kp = data.draw(st.sampled_from(keypairs))
+                kind = data.draw(st.sampled_from(["register", "withdraw", "buy", "slash"]))
+                if kind == "register":
+                    submission = RegisterTx(kp.public_key, data.draw(st.integers(1, 64)) * ETH)
+                elif kind == "withdraw":
+                    submission = WithdrawRequestTx(kp.public_key)
+                elif kind == "buy":
+                    others = data.draw(st.lists(st.sampled_from(keypairs), max_size=2))
+                    allocations = tuple(
+                        (k.public_key, data.draw(st.integers(1, 40)) * ETH) for k in [kp, *others]
+                    )
+                    submission = BuyInsuranceTx(
+                        data.draw(st.sampled_from(buyers)).public_key,
+                        allocations,
+                        sum(a for _, a in allocations),
+                        data.draw(st.integers(1, 3 * B_U)),
+                    )
+                elif chain.tip.number >= 10:
+                    insurance_id = data.draw(st.one_of(st.none(), st.integers(1, 6)))
+                    submission = SlashTx(false_evidence(kp, 2, insurance_id=insurance_id))
+                else:
+                    continue
+                payloads, _ = contract.execute_transaction(submission, chain, tick)
+                records.extend(Transaction.create(p) for p in payloads)
+                # The replay sees these records only once the block is
+                # appended, but no epoch asked for folds the block's epoch.
+                self.assert_views_fresh(contract, chain)
+            chain.append_block(records)
+            contract.process_block_boundary(tick)
+            self.assert_views_fresh(contract, chain)
+
+
 class TestDeterminism:
     def run_schedule(self):
         ledger, contract, chain = make_env()
