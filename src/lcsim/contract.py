@@ -14,6 +14,7 @@ provider's stake.
 from __future__ import annotations
 
 import enum
+import heapq
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -286,6 +287,13 @@ class SlashingContract:
         self._folded: dict[bytes, int] = {}
         self._next_policy_id = 1
         self.current_block = 0
+        # Open policies by (last covered block, id): the next to expire first.
+        self._expiry: list[tuple[int, int]] = []
+        # Bumped by every change of provider or policy state; the views
+        # below are memoised against it.
+        self.version = 0
+        self._active_memo: tuple[int, int, list[tuple[bytes, int, int]]] | None = None
+        self._utilization_memo: tuple[int, tuple[int, int]] | None = None
 
     # -- time ---------------------------------------------------------------
 
@@ -311,6 +319,7 @@ class SlashingContract:
             # A node that exited and rejoins is a fresh provider.
             self.retired.append(existing)
         self.ledger.transfer(pk, STAKE_VAULT, stake)
+        self.version += 1
         epoch = self.epoch_of(block_number)
         self.providers[pk] = ProviderRecord(
             public_key=pk,
@@ -328,6 +337,7 @@ class SlashingContract:
         epoch = self.epoch_of(block_number)
         record.status = ProviderStatus.LEAVING
         record.withdraw_requested_epoch = epoch
+        self.version += 1
         return self._record(epoch, codec.withdraw_record(pk))
 
     def _record(self, epoch: int, payload: bytes) -> bytes:
@@ -389,6 +399,8 @@ class SlashingContract:
         )
         self._next_policy_id += 1
         self.policies[policy.id] = policy
+        heapq.heappush(self._expiry, (policy.last_covered_block, policy.id))
+        self.version += 1
         payload = codec.insurance_record(
             policy.id, buyer_pk, coverage_value, block_number, duration, list(allocations)
         )
@@ -437,6 +449,7 @@ class SlashingContract:
         record.stake = 0
         record.locked = 0
         record.status = ProviderStatus.SLASHED
+        self.version += 1
 
         compensation = 0
         claimed_id = None
@@ -490,20 +503,28 @@ class SlashingContract:
     # -- block boundary -----------------------------------------------------
 
     def process_block_boundary(self, block_number: int) -> list[tuple]:
-        """Run once after each appended block; expiries before withdrawals."""
+        """Run once after each appended block; expiries, in policy id order,
+        before withdrawals."""
         self.current_block = block_number
         effects: list[tuple] = []
-        for policy in self.policies.values():
-            if policy.state is PolicyState.OPEN and policy.last_covered_block < block_number:
-                policy.state = PolicyState.EXPIRED
-                for pk, amount in policy.allocations:
-                    record = self.providers.get(pk)
-                    if record is not None and record.status in (
-                        ProviderStatus.ACTIVE,
-                        ProviderStatus.LEAVING,
-                    ):
-                        record.locked -= amount
-                effects.append(("policy_expired", policy.id))
+        expiry = self._expiry
+        due = []
+        while expiry and expiry[0][0] < block_number:
+            due.append(heapq.heappop(expiry)[1])
+        for policy_id in sorted(due):
+            policy = self.policies[policy_id]
+            if policy.state is not PolicyState.OPEN:
+                continue  # claimed in full before it ran out
+            policy.state = PolicyState.EXPIRED
+            for pk, amount in policy.allocations:
+                record = self.providers.get(pk)
+                if record is not None and record.status in (
+                    ProviderStatus.ACTIVE,
+                    ProviderStatus.LEAVING,
+                ):
+                    record.locked -= amount
+            self.version += 1
+            effects.append(("policy_expired", policy.id))
         if self.is_epoch_end(block_number):
             epoch = self.epoch_of(block_number)
             for record in list(self.providers.values()):
@@ -517,6 +538,7 @@ class SlashingContract:
                 record.stake = 0
                 record.locked = 0
                 record.status = ProviderStatus.EXITED
+                self.version += 1
                 self.ledger.transfer(STAKE_VAULT, record.public_key, amount)
                 effects.append(("withdrawn", record.public_key, amount))
         return effects
@@ -535,11 +557,20 @@ class SlashingContract:
         two-epoch lag an online light client can reconstruct from verified
         epoch i-1 events; the set is static within an epoch. Currently
         slashed providers are excluded.
+
+        The last answer is kept until the epoch asked for or the state
+        version changes; each caller gets its own list.
         """
         if epoch > self.current_epoch + 1:
             raise EpochTooFarError(
                 f"epoch {epoch} is beyond current epoch {self.current_epoch} + 1"
             )
+        memo = self._active_memo
+        if memo is None or memo[0] != epoch or memo[1] != self.version:
+            memo = self._active_memo = (epoch, self.version, self._active_rows(epoch))
+        return list(memo[2])
+
+    def _active_rows(self, epoch: int) -> list[tuple[bytes, int, int]]:
         last = epoch - 2
         if last > self._folded_epoch:
             # Records only arrive for the current epoch or later, so every
@@ -565,12 +596,16 @@ class SlashingContract:
 
     def utilization_sample(self) -> tuple[int, int]:
         """(total locked, total stake) over currently active providers."""
+        memo = self._utilization_memo
+        if memo is not None and memo[0] == self.version:
+            return memo[1]
         locked = 0
         stake = 0
         for record in self.providers.values():
             if record.status is ProviderStatus.ACTIVE:
                 locked += record.locked
                 stake += record.stake
+        self._utilization_memo = (self.version, (locked, stake))
         return locked, stake
 
     # -- transaction execution ----------------------------------------------
