@@ -16,6 +16,9 @@ passed to the constructor, once at construction):
   answers `find_transaction` without a scan.
 
 Both only ever grow, so a full node's lookups no longer walk every block.
+Blocks never change, so a block's Merkle levels and the first index of each
+of its transaction ids are built once, on the block's first inclusion
+proof, and every later proof of the block is read off them.
 """
 
 from __future__ import annotations
@@ -96,6 +99,10 @@ class Chain:
     _first_by_id: dict[bytes, tuple[int, Transaction]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # Height -> (Merkle levels, first index of each tx id) of proven blocks.
+    _trees: dict[int, tuple[list[list[bytes]], dict[bytes, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.slots_per_epoch < 1 or self.finality_depth_epochs < 1:
@@ -164,11 +171,20 @@ class Chain:
         return self.blocks[number].hash
 
     def inclusion_proof(self, number: int, tx_id: bytes) -> MerkleProof:
+        """Proof of the first transaction carrying `tx_id` in block `number`."""
         block = self.block_at(number)
-        for index, tx in enumerate(block.transactions):
-            if tx.id == tx_id:
-                return crypto.merkle_prove([t.id for t in block.transactions], index)
-        raise TxNotInBlockError(f"transaction not in block {number}")
+        tree = self._trees.get(number)
+        if tree is None:
+            ids = [tx.id for tx in block.transactions]
+            first: dict[bytes, int] = {}
+            for index, leaf in enumerate(ids):
+                first.setdefault(leaf, index)
+            tree = self._trees[number] = (crypto.merkle_levels(ids), first)
+        levels, first = tree
+        index = first.get(tx_id)
+        if index is None:
+            raise TxNotInBlockError(f"transaction not in block {number}")
+        return crypto.merkle_path(levels, len(block.transactions), index)
 
     def transactions_between(self, first: int, last: int) -> list[tuple[int, Transaction]]:
         """`(height, tx)` for every transaction in blocks `first..last`

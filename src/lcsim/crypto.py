@@ -133,19 +133,31 @@ def _root_commit(leaf_count: int, top: bytes) -> bytes:
     return digest(_ROOT_TAG, leaf_count.to_bytes(8, "big"), top)
 
 
-def _fold_levels(leaves: list[bytes]) -> bytes:
-    level = leaves
+def merkle_levels(leaves: list[bytes]) -> list[list[bytes]]:
+    """Every level of the tree over `leaves`, from the leaf hashes up to
+    the single top node. A level of odd length above one is padded by
+    repeating its last node before the level above is hashed from it, and
+    it keeps the padding, so a proof reads its siblings straight off."""
+    level = [_leaf_hash(x) for x in leaves]
+    levels = [level]
     while len(level) > 1:
         if len(level) % 2 == 1:
-            level = level + [level[-1]]
+            level.append(level[-1])
         level = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+        levels.append(level)
+    return levels
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:
     if not leaves:
         raise EmptyLeavesError("merkle_root requires at least one leaf")
-    return _root_commit(len(leaves), _fold_levels([_leaf_hash(x) for x in leaves]))
+    return _root_commit(len(leaves), merkle_levels(leaves)[-1][0])
+
+
+def merkle_path(levels: list[list[bytes]], leaf_count: int, index: int) -> MerkleProof:
+    """The proof of leaf `index` read off the `merkle_levels` of its tree."""
+    siblings = tuple(level[(index >> depth) ^ 1] for depth, level in enumerate(levels[:-1]))
+    return MerkleProof(leaf_index=index, leaf_count=leaf_count, siblings=siblings)
 
 
 def merkle_prove(leaves: list[bytes], index: int) -> MerkleProof:
@@ -153,16 +165,7 @@ def merkle_prove(leaves: list[bytes], index: int) -> MerkleProof:
         raise EmptyLeavesError("merkle_prove requires at least one leaf")
     if not 0 <= index < len(leaves):
         raise IndexOutOfRangeError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    siblings: list[bytes] = []
-    level = [_leaf_hash(x) for x in leaves]
-    pos = index
-    while len(level) > 1:
-        if len(level) % 2 == 1:
-            level = level + [level[-1]]
-        siblings.append(level[pos ^ 1])
-        level = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-        pos //= 2
-    return MerkleProof(leaf_index=index, leaf_count=len(leaves), siblings=tuple(siblings))
+    return merkle_path(merkle_levels(leaves), len(leaves), index)
 
 
 def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
