@@ -95,15 +95,29 @@ def select_providers(
     to the exact remainder.  Raises NoEligibleProvidersError when the
     total available backing is short.
     """
-    if required_backing <= 0:
-        raise ValueError("required_backing must be positive")
+    return take_greedily(rank(providers), required_backing)
+
+
+def rank(providers: Iterable[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
+    """`providers` in selection order: capacities descend, pk breaks ties."""
     # Two sorts without a Python key function: by pk, then stably by
     # descending capacity, which is the (-capacity, pk) order.
     ordered = sorted(providers)
     ordered.sort(key=_capacity, reverse=True)
+    return ordered
+
+
+def take_greedily(
+    ranked: Iterable[tuple[bytes, int]], required_backing: int
+) -> list[tuple[bytes, int]]:
+    """Walk `ranked` (pk, capacity) pairs in order, taking from each until
+    `required_backing` is met; the last take is trimmed to the remainder
+    and providers with no capacity are passed over."""
+    if required_backing <= 0:
+        raise ValueError("required_backing must be positive")
     chosen: list[tuple[bytes, int]] = []
     remaining = required_backing
-    for pk, capacity in ordered:
+    for pk, capacity in ranked:
         if capacity <= 0:
             continue
         take = min(capacity, remaining)
@@ -274,6 +288,8 @@ class LightClientActor:
         self._maintenance: _Maintenance | None = None
         # Providers sent an event-list request once; they keep answering.
         self._asked: set[bytes] = set()
+        # (held set, capacities, pks in selection order) of the last ranking.
+        self._ranking: tuple[dict[bytes, int], dict[bytes, int], list[bytes]] | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -303,10 +319,28 @@ class LightClientActor:
     def set_for_epoch(self, epoch: int) -> dict[bytes, int] | None:
         return self.sets.get(epoch)
 
-    def candidates(self, use_attributable: bool) -> list[tuple[bytes, int]]:
-        held, dropped = self.current_set(), self.dropped
+    def select(self, use_attributable: bool, value: int) -> list[tuple[bytes, int]]:
+        """`select_providers` over the held set less the dropped providers,
+        by attributable stake or by stake.
+
+        The held set is ranked once per held set and capacity dict; both
+        are replaced, never changed, when the client learns a new set. Each
+        selection walks that order and stops once `value` is backed."""
+        held = self.current_set()
         capacities = self.attributable if use_attributable else held
-        return [(pk, capacities.get(pk, stake)) for pk, stake in held.items() if pk not in dropped]
+        ranking = self._ranking
+        if ranking is None or ranking[0] is not held or ranking[1] is not capacities:
+            ranked = rank((pk, capacities.get(pk, stake)) for pk, stake in held.items())
+            ranking = self._ranking = (held, capacities, [pk for pk, _ in ranked])
+        dropped = self.dropped
+        return take_greedily(
+            (
+                (pk, capacities.get(pk, held[pk]))
+                for pk in ranking[2]
+                if pk not in dropped
+            ),
+            value,
+        )
 
     def persistent_state_bytes(self) -> bytes:
         """Canonical encoding of what survives between checks."""
@@ -473,13 +507,13 @@ class LightClientActor:
         assert self.config.coverage_inputs is not None
         duration = min_coverage_duration(self.config.coverage_inputs)
         try:
-            allocations = select_providers(self.candidates(True), self.config.target_value)
+            allocations = self.select(True, self.config.target_value)
         except NoEligibleProvidersError:
             if self._purchase_attempts == 0:
                 raise
             # Stale attributable data; refresh it and retry once more.
             self.bootstrap(ctx, now)
-            allocations = select_providers(self.candidates(True), self.config.target_value)
+            allocations = self.select(True, self.config.target_value)
         self._purchase_attempts += 1
         self._allocations = allocations
         token = ctx.submit_tx(
@@ -516,7 +550,7 @@ class LightClientActor:
             # The allocated providers back the policy; the insured query
             # goes exactly to them.
             return [pk for pk, _ in self._allocations if pk not in self.dropped]
-        return [pk for pk, _ in select_providers(self.candidates(False), check.value)]
+        return [pk for pk, _ in self.select(False, check.value)]
 
     def _issue_queries(self, check: Check, now: int, ctx) -> None:
         check.selected = self._select_for_check(check)
