@@ -210,7 +210,9 @@ class Metrics:
     slash_ticks: list[int] = field(default_factory=list)
     withdrawals: list[tuple[int, bytes, int]] = field(default_factory=list)
     acceptances: list[AcceptanceRecord] = field(default_factory=list)
-    utilization: list[Fraction] = field(default_factory=list)
+    # Per-tick (locked, stake) samples as runs of equal samples:
+    # [locked, stake, ticks].
+    utilization: list[list[int]] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     prediction_checks: int = 0
     conservation_total: int = 0
@@ -220,6 +222,20 @@ class Metrics:
             self.clients[name] = ClientMetrics()
         return self.clients[name]
 
+    def sample_utilization(self, locked: int, stake: int) -> None:
+        runs = self.utilization
+        if runs and runs[-1][0] == locked and runs[-1][1] == stake:
+            runs[-1][2] += 1
+        else:
+            runs.append([locked, stake, 1])
+
+    def mean_utilization(self) -> Fraction | None:
+        """The mean of locked / stake over the sampled ticks."""
+        ticks = sum(n for _, _, n in self.utilization)
+        if not ticks:
+            return None
+        return sum(Fraction(locked, stake) * n for locked, stake, n in self.utilization) / ticks
+
     @property
     def slash_count(self) -> int:
         return len(self.slash_ticks)
@@ -228,6 +244,7 @@ class Metrics:
         return [r for r in self.acceptances if r.correct is False]
 
     def to_dict(self) -> dict:
+        mean_utilization = self.mean_utilization()
         return dict(
             clients={name: asdict(m) for name, m in self.clients.items()},
             slash_ticks=list(self.slash_ticks),
@@ -235,11 +252,7 @@ class Metrics:
             withdrawals=[(t, pk.hex(), a) for t, pk, a in self.withdrawals],
             violations=list(self.violations),
             prediction_checks=self.prediction_checks,
-            mean_utilization=(
-                str(sum(self.utilization) / len(self.utilization))
-                if self.utilization
-                else None
-            ),
+            mean_utilization=str(mean_utilization) if mean_utilization is not None else None,
             incorrect_acceptances=len(self.incorrect_acceptances()),
             acceptances=[
                 dict(
@@ -622,7 +635,7 @@ class Simulation:
     def _sample(self, tick: int) -> None:
         locked, stake = self.contract.utilization_sample()
         if stake > 0:
-            self.metrics.utilization.append(Fraction(locked, stake))
+            self.metrics.sample_utilization(locked, stake)
         if self.ledger.total() != self.metrics.conservation_total and not self._conservation_broken:
             self._conservation_broken = True
             self.metrics.violations.append(f"conservation:tick{tick}")
