@@ -115,6 +115,38 @@ class TestInclusionProofs:
                 proof = chain.inclusion_proof(block.number, tx.id)
                 assert crypto.merkle_verify(block.transactions_root, tx.id, proof)
 
+    @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=13), min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_cached_proofs_equal_merkle_prove(self, blocks):
+        """Repeated ids prove at their first index, on the first proof of a
+        block and on every later one, whatever the leaf count."""
+        chain = Chain()
+        appended = []
+        for picks in blocks:
+            txs = [Transaction.create(b"tx" + bytes([p])) for p in picks]
+            appended.append((chain.append_block(txs).number, [tx.id for tx in txs]))
+        for _ in range(2):
+            for number, ids in appended:
+                for tx_id in reversed(ids):
+                    expected = crypto.merkle_prove(ids, ids.index(tx_id))
+                    assert chain.inclusion_proof(number, tx_id) == expected
+
+    def test_a_block_is_hashed_into_levels_once(self, monkeypatch):
+        built = []
+        levels = crypto.merkle_levels
+        monkeypatch.setattr(crypto, "merkle_levels", lambda ids: built.append(ids) or levels(ids))
+        chain = Chain()
+        txs = make_txs(5)
+        block = chain.append_block(txs)
+        built.clear()  # the root of the appended block
+        for tx in txs + txs:
+            chain.inclusion_proof(block.number, tx.id)
+        assert built == [[tx.id for tx in txs]]
+        with pytest.raises(TxNotInBlockError):
+            chain.inclusion_proof(block.number, b"\x00" * 32)
+        with pytest.raises(TxNotInBlockError):
+            chain.inclusion_proof(0, b"\x00" * 32)  # genesis has no transactions
+
     def test_find_transaction(self):
         chain = Chain()
         txs = make_txs(3)

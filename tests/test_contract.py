@@ -336,6 +336,16 @@ class TestBuyInsurance:
         assert contract.policies == {}
         assert ledger.total() == total
 
+    def test_policies_due_at_one_boundary_expire_in_id_order(self):
+        # Boundaries run once per block in a simulation; one that skips
+        # blocks expires every policy due since, still in id order.
+        ledger, contract, _, kp, buyer = self.setup_provider()
+        for duration in (5, 3, 1, 4):
+            contract.buy_insurance(buyer.public_key, [(kp.public_key, ETH)], ETH, duration, 10)
+        effects = contract.process_block_boundary(20)
+        assert effects == [("policy_expired", i) for i in (1, 2, 3, 4)]
+        assert contract.provider(kp.public_key).locked == 0
+
     def test_reward_pool_split_is_exact(self):
         # Pro-rata premium split across allocations must account for every
         # wei even when the division does not come out even.
@@ -710,6 +720,29 @@ class TestVersionedViews:
             chain.append_block(records)
             contract.process_block_boundary(tick)
             self.assert_views_fresh(contract, chain)
+
+
+    def test_exit_with_a_lock_left_by_a_claimed_policy_refreshes_the_view(self):
+        # A policy claimed in full through one provider's slash leaves its
+        # allocation on the other locked until that provider exits.
+        ledger, contract, chain = make_env()
+        liar, other = funded_provider(ledger, 770), funded_provider(ledger, 771)
+        buyer = crypto.keygen(772)
+        ledger.mint(buyer.public_key, ETH)
+        step(chain, contract, [RegisterTx(liar.public_key, 32 * ETH)])
+        step(chain, contract, [RegisterTx(other.public_key, 32 * ETH)])
+        run_until(chain, contract, 2 * B_U)
+        allocations = ((liar.public_key, 10 * ETH), (other.public_key, 10 * ETH))
+        step(chain, contract, [BuyInsuranceTx(buyer.public_key, allocations, 10 * ETH, 100)])
+        step(chain, contract, [SlashTx(false_evidence(liar, 2, insurance_id=1))])
+        assert contract.policies[1].state is PolicyState.CLAIMED
+        step(chain, contract, [WithdrawRequestTx(other.public_key)])
+        epoch = contract.current_epoch
+        assert contract.active_set(epoch + 1) == [(other.public_key, 32 * ETH, 22 * ETH)]
+        while contract.provider(other.public_key).status is not ProviderStatus.EXITED:
+            step(chain, contract)
+            assert contract.active_set(epoch + 1) == replayed_active_set(contract, chain, epoch + 1)
+        assert contract.active_set(epoch + 1) == [(other.public_key, 32 * ETH, 32 * ETH)]
 
 
 class TestDeterminism:

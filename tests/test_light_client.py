@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsim import actors, codec, scenario
+from lcsim import actors, codec, crypto, scenario
 from lcsim.actors import ProviderStrategy
 from lcsim.contract import fold_membership
 from lcsim.harness import (
@@ -18,6 +18,7 @@ from lcsim.harness import (
 )
 from lcsim.light_client import (
     CheckKind,
+    ClientConfig,
     LightClientActor,
     NoEligibleProvidersError,
     Protocol,
@@ -146,6 +147,92 @@ class TestSelectionOrder:
         assert outcome(select_providers, pool, value * ETH) == outcome(
             reference_select, pool, value * ETH
         )
+
+
+class _Oracle:
+    """Heavy checks that return whatever snapshot the test set last."""
+
+    snapshot: list[tuple[bytes, int, int]] = []
+
+    def provider_set(self, client, epoch=None):
+        return 0, self.snapshot
+
+
+class _Ctx:
+    def __init__(self):
+        self.oracle = _Oracle()
+
+    def log(self, *args):
+        pass
+
+
+def candidate_select(client, use_attributable, value):
+    """`select_providers` over the client's held set less its dropped
+    providers, listed afresh on every call."""
+    held = client.current_set()
+    capacities = client.attributable if use_attributable else held
+    candidates = [
+        (pk, capacities.get(pk, stake)) for pk, stake in held.items() if pk not in client.dropped
+    ]
+    return select_providers(candidates, value)
+
+
+_capacities = st.integers(0, 4).map(lambda n: n * 8 * ETH)
+_snapshots = st.lists(st.tuples(st.sampled_from(pks(6)), _capacities, _capacities), max_size=7)
+
+
+class TestRankedSelection:
+    """The client ranks its held set once and walks that order for each
+    selection; every selection equals `select_providers` over a fresh
+    candidate list."""
+
+    @given(
+        _snapshots,
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("select"), st.booleans(), st.integers(1, 120)),
+                st.tuples(st.just("drop"), st.sampled_from(pks(6))),
+                st.tuples(st.just("bootstrap"), _snapshots),
+            ),
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_select_providers(self, snapshot, actions):
+        """Ties, zero capacities, a growing dropped set and bootstraps that
+        replace the held set."""
+        config = ClientConfig(protocol=Protocol.ECO, challenge_period=1, target_value=ETH)
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        ctx = _Ctx()
+        ctx.oracle.snapshot = snapshot
+        client.bootstrap(ctx, 1)
+        for action in actions:
+            if action[0] == "select":
+                _, use_attributable, value = action
+                assert outcome(client.select, use_attributable, value * ETH) == outcome(
+                    candidate_select, client, use_attributable, value * ETH
+                )
+            elif action[0] == "drop":
+                client.dropped.add(action[1])
+            else:
+                ctx.oracle.snapshot = action[1]
+                client.bootstrap(ctx, 1)
+
+
+    def test_stake_and_attributable_orders_are_kept_apart(self):
+        a, b = pks(2)
+        config = ClientConfig(protocol=Protocol.ECO, challenge_period=1, target_value=ETH)
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        ctx = _Ctx()
+        ctx.oracle.snapshot = [(a, 32 * ETH, 8 * ETH), (b, 16 * ETH, 16 * ETH)]
+        client.bootstrap(ctx, 1)
+        for _ in range(2):
+            assert client.select(True, ETH) == [(b, ETH)]
+            assert client.select(False, ETH) == [(a, ETH)]
+        client.dropped.add(a)
+        assert client.select(False, 16 * ETH) == [(b, 16 * ETH)]
+        with pytest.raises(NoEligibleProvidersError):
+            client.select(False, 20 * ETH)
 
 
 class TestRequiredCoverage:
