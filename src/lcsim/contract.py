@@ -9,6 +9,12 @@ Timing conventions: block `n` belongs to update epoch `n // B_u`; a
 withdraw requested in epoch `e` becomes releasable at the last block of
 epoch `e + 1`, deferred further while any open policy allocates the
 provider's stake.
+
+The contract keeps one state version, bumped by every change of a provider
+or policy record, so the population-wide views (`active_set`,
+`utilization_sample`) are computed once per change, not once per call.
+Open policies wait in a heap ordered by their last covered block, so a
+block boundary touches only the policies that expire at it.
 """
 
 from __future__ import annotations
@@ -291,7 +297,7 @@ class SlashingContract:
         self._expiry: list[tuple[int, int]] = []
         # Bumped by every change of provider or policy state; the views
         # below are memoised against it.
-        self.version = 0
+        self._version = 0
         self._active_memo: tuple[int, int, list[tuple[bytes, int, int]]] | None = None
         self._utilization_memo: tuple[int, tuple[int, int]] | None = None
 
@@ -319,7 +325,7 @@ class SlashingContract:
             # A node that exited and rejoins is a fresh provider.
             self.retired.append(existing)
         self.ledger.transfer(pk, STAKE_VAULT, stake)
-        self.version += 1
+        self._version += 1
         epoch = self.epoch_of(block_number)
         self.providers[pk] = ProviderRecord(
             public_key=pk,
@@ -337,7 +343,7 @@ class SlashingContract:
         epoch = self.epoch_of(block_number)
         record.status = ProviderStatus.LEAVING
         record.withdraw_requested_epoch = epoch
-        self.version += 1
+        self._version += 1
         return self._record(epoch, codec.withdraw_record(pk))
 
     def _record(self, epoch: int, payload: bytes) -> bytes:
@@ -400,7 +406,7 @@ class SlashingContract:
         self._next_policy_id += 1
         self.policies[policy.id] = policy
         heapq.heappush(self._expiry, (policy.last_covered_block, policy.id))
-        self.version += 1
+        self._version += 1
         payload = codec.insurance_record(
             policy.id, buyer_pk, coverage_value, block_number, duration, list(allocations)
         )
@@ -449,7 +455,7 @@ class SlashingContract:
         record.stake = 0
         record.locked = 0
         record.status = ProviderStatus.SLASHED
-        self.version += 1
+        self._version += 1
 
         compensation = 0
         claimed_id = None
@@ -523,7 +529,7 @@ class SlashingContract:
                     ProviderStatus.LEAVING,
                 ):
                     record.locked -= amount
-            self.version += 1
+            self._version += 1
             effects.append(("policy_expired", policy.id))
         if self.is_epoch_end(block_number):
             epoch = self.epoch_of(block_number)
@@ -538,7 +544,7 @@ class SlashingContract:
                 record.stake = 0
                 record.locked = 0
                 record.status = ProviderStatus.EXITED
-                self.version += 1
+                self._version += 1
                 self.ledger.transfer(STAKE_VAULT, record.public_key, amount)
                 effects.append(("withdrawn", record.public_key, amount))
         return effects
@@ -566,8 +572,8 @@ class SlashingContract:
                 f"epoch {epoch} is beyond current epoch {self.current_epoch} + 1"
             )
         memo = self._active_memo
-        if memo is None or memo[0] != epoch or memo[1] != self.version:
-            memo = self._active_memo = (epoch, self.version, self._active_rows(epoch))
+        if memo is None or memo[0] != epoch or memo[1] != self._version:
+            memo = self._active_memo = (epoch, self._version, self._active_rows(epoch))
         return list(memo[2])
 
     def _active_rows(self, epoch: int) -> list[tuple[bytes, int, int]]:
@@ -597,7 +603,7 @@ class SlashingContract:
     def utilization_sample(self) -> tuple[int, int]:
         """(total locked, total stake) over currently active providers."""
         memo = self._utilization_memo
-        if memo is not None and memo[0] == self.version:
+        if memo is not None and memo[0] == self._version:
             return memo[1]
         locked = 0
         stake = 0
@@ -605,7 +611,7 @@ class SlashingContract:
             if record.status is ProviderStatus.ACTIVE:
                 locked += record.locked
                 stake += record.stake
-        self._utilization_memo = (self.version, (locked, stake))
+        self._utilization_memo = (self._version, (locked, stake))
         return locked, stake
 
     # -- transaction execution ----------------------------------------------

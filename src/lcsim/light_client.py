@@ -21,6 +21,11 @@ buys again.  GAVE_UP is terminal: no selection backs the value, purchases
 revert too often, or no provider is left for the target.  Restarting one
 check never moves the stage.
 
+A client ranks its held set once per held set and capacity dict, keeping
+only the pk order, and each selection walks that order greedily past the
+dropped providers (`LightClientActor.select`), as `select_providers` does
+over a list.
+
 A maintaining client that stays online never repeats the bootstrap heavy
 check: it predicts the epoch e+1 provider set by folding the verified
 membership records of epoch e-1 into its epoch e set with the contract's
@@ -95,10 +100,10 @@ def select_providers(
     to the exact remainder.  Raises NoEligibleProvidersError when the
     total available backing is short.
     """
-    return take_greedily(rank(providers), required_backing)
+    return _take_greedily(_rank(providers), required_backing)
 
 
-def rank(providers: Iterable[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
+def _rank(providers: Iterable[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
     """`providers` in selection order: capacities descend, pk breaks ties."""
     # Two sorts without a Python key function: by pk, then stably by
     # descending capacity, which is the (-capacity, pk) order.
@@ -107,7 +112,7 @@ def rank(providers: Iterable[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
     return ordered
 
 
-def take_greedily(
+def _take_greedily(
     ranked: Iterable[tuple[bytes, int]], required_backing: int
 ) -> list[tuple[bytes, int]]:
     """Walk `ranked` (pk, capacity) pairs in order, taking from each until
@@ -330,10 +335,10 @@ class LightClientActor:
         capacities = self.attributable if use_attributable else held
         ranking = self._ranking
         if ranking is None or ranking[0] is not held or ranking[1] is not capacities:
-            ranked = rank((pk, capacities.get(pk, stake)) for pk, stake in held.items())
+            ranked = _rank((pk, capacities.get(pk, stake)) for pk, stake in held.items())
             ranking = self._ranking = (held, capacities, [pk for pk, _ in ranked])
         dropped = self.dropped
-        return take_greedily(
+        return _take_greedily(
             (
                 (pk, capacities.get(pk, held[pk]))
                 for pk in ranking[2]
