@@ -463,10 +463,12 @@ class LightClientActor:
             self.bootstrap(ctx, now)
 
     def _hold(self, epoch: int) -> None:
-        """Make `epoch` the held epoch and forget the set and maintenance
-        record of every earlier one; only this epoch's and the next are read."""
+        """Make `epoch` the held epoch and forget the set, maintenance record
+        and ranking of every earlier one; only this epoch's and the next are
+        read."""
         self.current_epoch_held = epoch
         self.sets = {e: held for e, held in self.sets.items() if e >= epoch}
+        self._ranking = None  # it would keep the replaced sets alive
         if self._maintenance is not None and self._maintenance.epoch < epoch:
             self._maintenance = None
 
