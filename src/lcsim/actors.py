@@ -355,6 +355,15 @@ class WatcherActor:
             # Lost the race to another watcher; alert with the winner's record.
             self._audit(client, response, ctx)
 
+    def first_tick(self) -> int | None:
+        """A watcher acts first on a message."""
+        return None
+
+    def next_tick(self, now: int) -> int | None:
+        """The next tick while an audit awaits finality or an alert awaits
+        its record's finality; None when only a message can make it act."""
+        return now + 1 if self._deferred or self._pending_alerts else None
+
     def on_tick(self, now: int, ctx) -> None:
         if self._deferred:
             deferred, self._deferred = self._deferred, []
@@ -429,6 +438,22 @@ class DataProviderActor:
     @property
     def public_key(self) -> bytes:
         return self.keypair.public_key
+
+    def first_tick(self) -> int | None:
+        """A provider acts first at its register tick."""
+        return self.next_tick(0)
+
+    def next_tick(self, now: int) -> int | None:
+        """Earliest tick after `now` at which on_tick acts: the register
+        tick, the withdraw tick while no withdrawal is submitted, and the next
+        push of the standing event-list requests; None when only a message
+        can make it act."""
+        ticks = [] if self._next_push is None else [self._next_push]
+        if self.register_tick > now:
+            ticks.append(self.register_tick)
+        if not self._withdraw_submitted and (self.withdraw_tick or 0) > now:
+            ticks.append(self.withdraw_tick)
+        return min(ticks, default=None)
 
     def on_tick(self, now: int, ctx) -> None:
         if now == self.register_tick:

@@ -23,9 +23,11 @@ proof, and every later proof of the block is read off them.
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import crypto
 from .crypto import MerkleProof
@@ -71,14 +73,16 @@ def _transactions_root(transactions: tuple[Transaction, ...]) -> bytes:
 
 def block_hash(number: int, parent_hash: bytes, transactions_root: bytes) -> bytes:
     """The header hash of block `number`; light clients recompute it from a
-    response's fields."""
-    return crypto.digest(
-        _BLOCK_TAG, number.to_bytes(8, "big"), parent_hash, transactions_root
-    )
+    response's fields. It is `crypto.digest` of the four parts, hashed as one
+    string."""
+    return hashlib.sha256(
+        b"".join((_BLOCK_TAG, number.to_bytes(8, "big"), parent_hash, transactions_root))
+    ).digest()
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
+    """An immutable block; one is built on every tick, so it is a tuple."""
+
     number: int
     parent_hash: bytes
     transactions: tuple[Transaction, ...]
@@ -109,14 +113,9 @@ class Chain:
             raise ValueError("slots_per_epoch and finality_depth_epochs must be positive")
         if not self.blocks:
             root = _transactions_root(())
-            genesis = Block(
-                number=0,
-                parent_hash=GENESIS_PARENT,
-                transactions=(),
-                transactions_root=root,
-                hash=block_hash(0, GENESIS_PARENT, root),
+            self.blocks.append(
+                Block(0, GENESIS_PARENT, (), root, block_hash(0, GENESIS_PARENT, root))
             )
-            self.blocks.append(genesis)
         for block in self.blocks:
             self._index(block)
 
@@ -138,13 +137,7 @@ class Chain:
         txs = tuple(transactions)
         root = _transactions_root(txs)
         number = parent.number + 1
-        block = Block(
-            number=number,
-            parent_hash=parent.hash,
-            transactions=txs,
-            transactions_root=root,
-            hash=block_hash(number, parent.hash, root),
-        )
+        block = Block(number, parent.hash, txs, root, block_hash(number, parent.hash, root))
         self.blocks.append(block)
         self._index(block)
         return block

@@ -187,7 +187,12 @@ class ContractConfig:
 
 
 class Ledger:
-    """Flat wei accounts; every movement is a transfer, so Σ is invariant."""
+    """Flat wei accounts; every movement is a transfer, so Σ is invariant.
+
+    `total()` sums the balances afresh after each mint or transfer and
+    returns the last sum otherwise. The sum is never derived from the
+    amounts moved, so a transfer that loses or makes wei still shows in it.
+    """
 
     def __init__(self) -> None:
         self.balances: dict[object, int] = {
@@ -196,10 +201,12 @@ class Ledger:
             BURN_SINK: 0,
             GAS_SINK: 0,
         }
+        self._total: int | None = None  # the last sum; None once it is stale
 
     def mint(self, account: object, amount: int) -> None:
         """Initial funding only; never called after a run starts."""
         self.balances[account] = self.balances.get(account, 0) + amount
+        self._total = None
 
     def balance(self, account: object) -> int:
         return self.balances.get(account, 0)
@@ -211,9 +218,12 @@ class Ledger:
             raise ValueError(f"insufficient funds in {src!r}")
         self.balances[src] = self.balances.get(src, 0) - amount
         self.balances[dst] = self.balances.get(dst, 0) + amount
+        self._total = None
 
     def total(self) -> int:
-        return sum(self.balances.values())
+        if self._total is None:
+            self._total = sum(self.balances.values())
+        return self._total
 
 
 # Submissions actors place in the transaction pool.
@@ -512,8 +522,10 @@ class SlashingContract:
         """Run once after each appended block; expiries, in policy id order,
         before withdrawals."""
         self.current_block = block_number
-        effects: list[tuple] = []
         expiry = self._expiry
+        if not (expiry and expiry[0][0] < block_number) and not self.is_epoch_end(block_number):
+            return []  # most blocks: nothing expires and no epoch ends
+        effects: list[tuple] = []
         due = []
         while expiry and expiry[0][0] < block_number:
             due.append(heapq.heappop(expiry)[1])

@@ -5,14 +5,14 @@ from the seeded generator in [1, delta]; fixed intra-tick ordering so that
 identical (seed, config) pairs produce byte-identical event logs:
 
 1. deliver the tick's messages in the order they were sent;
-2. tick every provider, then every watcher, in index order;
-3. tick the clients due this tick in index order: those due at their
-   start tick or at a tick they named, and those a message was delivered
-   to. After each of its ticks a client names the next tick at which its
-   tick could change anything (`LightClientActor.next_tick`, None when only
-   a message can) and is due then; every tick it skips would have been a
-   no-op;
-4. execute the transaction pool, append the block, run the contract's
+2. tick the actors due this tick in index order, so providers before
+   watchers and watchers before clients. An actor is due at its first
+   deadline (`first_tick`), on every tick a message is delivered to it, and
+   at the tick it names after each of its ticks (`next_tick`, None when
+   only a message can make it act). Every tick an actor skips would have
+   been a no-op, so the log is the one ticking every actor on every tick
+   gives;
+3. execute the transaction pool, append the block, run the contract's
    block boundary, and sample the invariants.
 
 Signature checks by clients and watchers go through one memo per run
@@ -28,6 +28,7 @@ indexed by the destination's position in the sorted names.
 from __future__ import annotations
 
 import functools
+import hashlib
 import random
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
@@ -274,7 +275,7 @@ class EventLog:
 
     def add(self, tick: int, actor: str, event_type: str, payload: bytes = b"") -> None:
         self.lines.append(
-            f"{tick}\t{actor}\t{event_type}\t{crypto.digest(payload).hex()[:16]}"
+            f"{tick}\t{actor}\t{event_type}\t{hashlib.sha256(payload).hexdigest()[:16]}"
         )
 
     def serialize(self) -> bytes:
@@ -558,43 +559,51 @@ class Simulation:
 
     def run(self) -> tuple[Metrics, EventLog]:
         ctx = self.ctx
-        clients = self.clients
-        client_index = {client.name: i for i, client in enumerate(clients)}
-        # Clients to tick at a tick: at their start tick, at each tick they
-        # name and at each tick a message is delivered to them. An entry
-        # for a client that has since been ticked on a delivery is stale
-        # and costs one no-op tick.
+        actors = self.actors
+        position = {actor.name: i for i, actor in enumerate(actors)}
+        mailbox = self._mailbox
+        # Actors to tick at a tick, by index in `actors`. An entry for an
+        # actor that has since been ticked on a delivery is stale and costs
+        # one no-op tick.
         due: dict[int, set[int]] = {}
-        for i, client in enumerate(clients):
-            due.setdefault(max(1, client.config.start_tick), set()).add(i)
+        for i, actor in enumerate(actors):
+            first = actor.first_tick()
+            if first is not None:
+                due.setdefault(first, set()).add(i)
         for tick in range(1, self.config.total_ticks + 1):
             ctx.now = tick
-            for src, dst, payload in self._mailbox.pop(tick, []):
-                self._actor_by_name[dst].handle_message(src, payload, ctx)
-                i = client_index.get(dst)
-                if i is not None:
-                    due.setdefault(tick, set()).add(i)
-            for actor in self.providers:
-                actor.on_tick(tick, ctx)
-            for actor in self.watchers:
-                actor.on_tick(tick, ctx)
-            for i in sorted(due.pop(tick, ())):
-                client = clients[i]
-                client.on_tick(tick, ctx)
-                wake = client.next_tick(tick)
-                if wake is not None:
-                    due.setdefault(wake, set()).add(i)
-            block_txs = self._execute_pool(tick)
-            block_txs.extend(self._target_payloads.pop(tick, []))
-            block = self.chain.append_block(block_txs)
-            self.log.add(tick, "chain", "block", block.hash)
-            for effect in self.contract.process_block_boundary(block.number):
-                self.log.add(tick, CONTRACT_ENDPOINT, effect[0], repr(effect).encode())
-                if effect[0] == "withdrawn":
-                    self.metrics.withdrawals.append((tick, effect[1], effect[2]))
-            self._sample(tick)
+            ticking = due.pop(tick, None)
+            delivered = mailbox.pop(tick, None)
+            if delivered:
+                if ticking is None:
+                    ticking = set()
+                for src, dst, payload in delivered:
+                    i = position[dst]
+                    actors[i].handle_message(src, payload, ctx)
+                    ticking.add(i)
+            if ticking:
+                for i in sorted(ticking):
+                    actor = actors[i]
+                    actor.on_tick(tick, ctx)
+                    wake = actor.next_tick(tick)
+                    if wake is not None:
+                        due.setdefault(wake, set()).add(i)
+            self._close_tick(tick)
         self._finalize()
         return self.metrics, self.log
+
+    def _close_tick(self, tick: int) -> None:
+        """Execute the pool, append the tick's block, run the contract's
+        block boundary and sample the invariants."""
+        block_txs = self._execute_pool(tick)
+        block_txs.extend(self._target_payloads.pop(tick, ()))
+        block = self.chain.append_block(block_txs)
+        self.log.add(tick, "chain", "block", block.hash)
+        for effect in self.contract.process_block_boundary(block.number):
+            self.log.add(tick, CONTRACT_ENDPOINT, effect[0], repr(effect).encode())
+            if effect[0] == "withdrawn":
+                self.metrics.withdrawals.append((tick, effect[1], effect[2]))
+        self._sample(tick)
 
     def _execute_pool(self, tick: int) -> list[Transaction]:
         pool, self._pool = self._pool, []
