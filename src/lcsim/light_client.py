@@ -18,13 +18,13 @@ Both walk one lifecycle, `LightClientActor.stage`, one transition per event:
 An insured client whose policy is voided before acceptance (an allocated
 provider times out, is slashed or answers invalidly) goes back to START and
 buys again.  GAVE_UP is terminal: no selection backs the value, purchases
-revert too often, or no provider is left for the target.  Restarting one
-check never moves the stage.
+revert too often or for want of balance, or no provider is left for the
+target.  Restarting one check never moves the stage.
 
 A client ranks its held set once per held set and capacity dict, keeping
-only the pk order, and each selection walks that order greedily past the
-dropped providers (`LightClientActor.select`), as `select_providers` does
-over a list.
+only the pk order, takes the dropped providers out of it whenever more
+have been dropped, and each selection walks that order greedily
+(`LightClientActor.select`), as `select_providers` does over a list.
 
 A maintaining client that stays online never repeats the bootstrap heavy
 check: it predicts the epoch e+1 provider set by folding the verified
@@ -52,7 +52,7 @@ from operator import itemgetter
 from . import codec, crypto
 from .actors import Alert, Query, SignedResponse
 from .chain import block_hash
-from .contract import BuyInsuranceTx, fold_membership
+from .contract import BuyInsuranceTx, RevertReason, fold_membership
 from .crypto import KeyPair
 from .messages import (
     CompensationMsg,
@@ -293,8 +293,10 @@ class LightClientActor:
         self._maintenance: _Maintenance | None = None
         # Providers sent an event-list request once; they keep answering.
         self._asked: set[bytes] = set()
-        # (held set, capacities, pks in selection order) of the last ranking.
-        self._ranking: tuple[dict[bytes, int], dict[bytes, int], list[bytes]] | None = None
+        # (held set, capacities, pks in selection order less the dropped
+        # ones, size of `dropped` when they were taken out) of the last
+        # ranking. `dropped` only grows, so an equal size is an equal set.
+        self._ranking: tuple[dict, dict, list[bytes], int] | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -329,23 +331,22 @@ class LightClientActor:
         by attributable stake or by stake.
 
         The held set is ranked once per held set and capacity dict; both
-        are replaced, never changed, when the client learns a new set. Each
-        selection walks that order and stops once `value` is backed."""
+        are replaced, never changed, when the client learns a new set. The
+        dropped providers are taken out of that order whenever more have
+        been dropped. Each selection walks it and stops once `value` is
+        backed."""
         held = self.current_set()
         capacities = self.attributable if use_attributable else held
         ranking = self._ranking
         if ranking is None or ranking[0] is not held or ranking[1] is not capacities:
             ranked = _rank((pk, capacities.get(pk, stake)) for pk, stake in held.items())
-            ranking = self._ranking = (held, capacities, [pk for pk, _ in ranked])
+            ranking = (held, capacities, [pk for pk, _ in ranked], 0)
         dropped = self.dropped
-        return _take_greedily(
-            (
-                (pk, capacities.get(pk, held[pk]))
-                for pk in ranking[2]
-                if pk not in dropped
-            ),
-            value,
-        )
+        if ranking[3] != len(dropped):
+            kept = [pk for pk in ranking[2] if pk not in dropped]
+            ranking = (held, capacities, kept, len(dropped))
+        self._ranking = ranking
+        return _take_greedily(((pk, capacities.get(pk, held[pk])) for pk in ranking[2]), value)
 
     def persistent_state_bytes(self) -> bytes:
         """Canonical encoding of what survives between checks."""
@@ -381,6 +382,10 @@ class LightClientActor:
             self._run_maintenance(now, ctx)
         self._drive_protocol(now, ctx)
         self._drive_checks(now, ctx)
+
+    def first_tick(self) -> int:
+        """A client is first ticked at its start tick."""
+        return max(1, self.config.start_tick or 0)
 
     def next_tick(self, now: int) -> int | None:
         """Earliest tick after `now` at which on_tick could change anything,
@@ -714,6 +719,12 @@ class LightClientActor:
         self._pending_purchase = None
         if not receipt.ok:
             ctx.log(self.name, "insurance_reverted", (receipt.reason or "").encode())
+            if receipt.reason == RevertReason.INSUFFICIENT_BALANCE:
+                # Premium and gas do not depend on the selection, so a
+                # retry would revert alike.
+                self.stage = Stage.GAVE_UP
+                ctx.metrics.client(self.name).rejected += 1
+                return
             # Reselect on a refreshed set and retry, a bounded number of times.
             if self._purchase_attempts >= len(self.current_set()) + 2:
                 self.stage = Stage.GAVE_UP
