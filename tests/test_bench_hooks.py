@@ -5,6 +5,11 @@
 rename in lcsim that breaks either must fail here, not only in a traced
 benchmark run. The bench modules import each other as top-level modules
 and are only read.
+
+The timing contract is checked here too: `bench/hostclock.py` cuts one
+stretch per call of `chain.append_block`, patched on the instance before
+`run`; `CountingMailbox` counts one entry per message; and a run's log is
+finished when `run` returns, so no work is left outside the timed window.
 """
 
 from pathlib import Path
@@ -60,3 +65,45 @@ def test_bench_simulation_runs_and_checks_a_bundled_scenario(bench_path):
     assert outcome.failures == []
     performing = sum(client.perform_check for client in config.clients)
     assert outcome.attempted == performing + len(sim.held_at_check)
+
+
+def test_an_instance_patched_append_block_runs_once_per_tick():
+    config = maintenance()
+    sim = Simulation(config)
+    append_block = sim.chain.append_block
+    calls = []
+
+    def counted(txs):
+        calls.append(sim.ctx.now)
+        return append_block(txs)
+
+    sim.chain.append_block = counted
+    sim.run()
+    assert calls == list(range(1, config.total_ticks + 1))
+
+
+def test_the_counting_mailbox_counts_every_delivered_message(bench_path, monkeypatch):
+    from checks import BenchSimulation
+
+    enqueue = Simulation.enqueue
+    sent = []
+
+    def counted(sim, src, dst, payload):
+        sent.append(payload)
+        return enqueue(sim, src, dst, payload)
+
+    monkeypatch.setattr(Simulation, "enqueue", counted)
+    sim = BenchSimulation(maintenance())
+    sim.run()
+    in_flight = sum(len(batch) for batch in sim._mailbox.values())
+    assert sim._mailbox.delivered == len(sent) - in_flight > 0
+
+
+def test_the_log_is_finished_when_run_returns():
+    _, log = Simulation(maintenance()).run()
+    assert log.lines
+    for line in log.lines:
+        assert type(line) is str
+        tick, actor, event, digest = line.split("\t")
+        assert tick.isdigit() and actor and event
+        assert len(digest) == 16 and int(digest, 16) >= 0

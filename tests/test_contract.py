@@ -813,3 +813,30 @@ class TestNoOverload:
                 for record in contract.providers.values():
                     assert 0 <= record.locked <= record.stake
                 assert ledger.total() == total
+
+
+class TestLedgerTotal:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["mint", "transfer"]),
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.integers(0, 100),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_total_is_the_sum_after_every_mint_and_transfer(self, ops):
+        ledger = Ledger()
+        accounts = [f"a{i}" for i in range(4)]
+        for op, src, dst, amount in ops:
+            if op == "mint":
+                ledger.mint(accounts[dst], amount)
+            elif ledger.balance(accounts[src]) >= amount:
+                ledger.transfer(accounts[src], accounts[dst], amount)
+            else:
+                with pytest.raises(ValueError):
+                    ledger.transfer(accounts[src], accounts[dst], amount)
+            assert ledger.total() == sum(ledger.balances.values())

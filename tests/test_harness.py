@@ -20,9 +20,11 @@ from lcsim.harness import (
     min_compliant_challenge_period,
     run_scenario,
 )
-from lcsim.light_client import ClientConfig, LightClientActor, Protocol
+from lcsim.contract import Ledger
+from lcsim.light_client import ClientConfig, LightClientActor, Protocol, Stage
 from lcsim.messages import EventListMsg, EventListRequest
 from lcsim.pricing import CoverageInputs, eth_to_wei
+from test_golden import configs as golden_configs
 from test_golden import scaled_maintain
 
 ETH = eth_to_wei(1)
@@ -194,6 +196,21 @@ class TestInsuredScenario:
         # The honest provider's 20 ETH slice is out of the liars' reach.
         assert metrics.violations == ["ins-protection:c0"]
         assert sim.ledger.total() == total
+
+    def test_buyer_short_of_premium_plus_gas_gives_up_at_once(self, tmp_path):
+        """A purchase that reverts for want of balance is not retried, with
+        no heavy check: premium and gas do not depend on the selection."""
+        path = tmp_path / "poor.ini"
+        text = scenario.builtin_scenario_path("insured").read_text()
+        path.write_text(text.replace("initial_balance_eth = 1", "initial_balance_eth = 0.0018"))
+        sim = Simulation(scenario.load_scenario(path))
+        metrics, log = sim.run()
+        events = [line.split("\t")[2] for line in log.lines]
+        assert events.count("tx-BuyInsuranceTx-InsufficientBalance") == 1
+        client = metrics.clients["c0"]
+        assert client.heavy_checks == 1
+        assert client.rejected == 1
+        assert sim.clients[0].stage is Stage.GAVE_UP
 
 
 class TestExitScamScenario:
@@ -480,6 +497,38 @@ class TestBookkeeping:
         report = harness.sweep([], [1], None, Protocol.ECO)
         assert report.cells == []
         assert report.violations() == []
+
+
+class TestConservation:
+    """The ledger re-sums its balances only after a mint or a transfer; a
+    transfer that loses wei still shows at the tick it runs."""
+
+    def test_a_leaking_transfer_is_reported_at_its_tick(self, monkeypatch):
+        config = load("insured")
+        transfer = Ledger.transfer
+        ticks = []
+
+        def recorded(ledger, src, dst, amount):
+            ticks.append(sim.ctx.now)
+            return transfer(ledger, src, dst, amount)
+
+        monkeypatch.setattr(Ledger, "transfer", recorded)
+        sim = Simulation(config)
+        assert sim.run()[0].violations == []
+        # Leak from the second tick with a transfer on: the first stays clean.
+        leak_from = sorted(set(ticks))[1]
+
+        def leaking(ledger, src, dst, amount):
+            transfer(ledger, src, dst, amount)
+            if sim.ctx.now >= leak_from:
+                ledger.balances[dst] -= 1
+
+        monkeypatch.setattr(Ledger, "transfer", leaking)
+        sim = Simulation(config)
+        metrics, _ = sim.run()
+        assert [v for v in metrics.violations if v.startswith("conservation:")] == [
+            f"conservation:tick{leak_from}"
+        ]
 
 
 class TestDeterminism:
@@ -833,6 +882,127 @@ class TestWakeUps:
         fresh = Simulation(load("honest")).clients[0]
         # Not bootstrapped yet: due at its start tick.
         assert fresh.next_tick(0) == fresh.config.start_tick
+
+
+class TickEveryActor(Simulation):
+    """The reference schedule: every actor is ticked on every tick, after
+    the tick's deliveries, in index order."""
+
+    def run(self):
+        ctx = self.ctx
+        for tick in range(1, self.config.total_ticks + 1):
+            ctx.now = tick
+            for src, dst, payload in self._mailbox.pop(tick, []):
+                self._actor_by_name[dst].handle_message(src, payload, ctx)
+            for actor in self.actors:
+                actor.on_tick(tick, ctx)
+            self._close_tick(tick)
+        self._finalize()
+        return self.metrics, self.log
+
+
+def every_strategy_population() -> ScenarioConfig:
+    """One provider of each strategy plus a leaver, three watchers, and eco
+    and ins clients, half of them maintaining."""
+    cp = min_compliant_challenge_period(8, 2)
+    eco = build_scenario(ProviderStrategy.HONEST, 2, cp, Protocol.ECO, seed=21)
+    ins = build_scenario(ProviderStrategy.HONEST, 2, cp, Protocol.INS, seed=21)
+    b_u = eco.update_epoch_blocks
+    providers = tuple(
+        ProviderSpec(stake=eth_to_wei(60 - 4 * i), strategy=strategy)
+        for i, strategy in enumerate(
+            [
+                ProviderStrategy.EXIT_SCAM,
+                ProviderStrategy.UNFINALIZED_HASH,
+                ProviderStrategy.WRONG_HASH,
+                ProviderStrategy.UNRESPONSIVE,
+                ProviderStrategy.HONEST,
+            ]
+        )
+    ) + (
+        ProviderSpec(
+            stake=eth_to_wei(30),
+            strategy=ProviderStrategy.HONEST,
+            register_tick=b_u // 2,
+            withdraw_tick=2 * b_u + 5,
+        ),
+    )
+    # Each value needs the two largest stakes. The first client asks about
+    # a block that is not final yet, which the unfinalized_hash provider
+    # answers and a watcher audits only once the block is final.
+    start = 2 * b_u + 1
+    clients = tuple(
+        dataclasses.replace(
+            (eco if i % 2 == 0 else ins).clients[0],
+            target_value=eth_to_wei(70 + 10 * i),
+            target_block=start - 4 if i == 0 else 2 + i,
+            start_tick=start + 5 * i,
+            maintain=i >= 2,
+        )
+        for i in range(4)
+    )
+    return dataclasses.replace(
+        eco, providers=providers, clients=clients, watcher_count=3, total_ticks=6 * b_u
+    )
+
+
+class TestSchedule:
+    """Ticking each actor only at its deadlines and deliveries gives the
+    bytes that ticking every actor on every tick gives."""
+
+    @pytest.mark.parametrize("name", sorted(golden_configs()))
+    def test_golden_configs(self, name):
+        config = golden_configs()[name]
+        assert outputs(Simulation(config)) == outputs(TickEveryActor(config))
+
+    def test_every_strategy_and_several_watchers(self, monkeypatch):
+        config = every_strategy_population()
+        waiting = []
+        on_tick = actors.WatcherActor.on_tick
+
+        def recorded(watcher, now, ctx):
+            waiting.append((bool(watcher._deferred), bool(watcher._pending_alerts)))
+            return on_tick(watcher, now, ctx)
+
+        monkeypatch.setattr(actors.WatcherActor, "on_tick", recorded)
+        sim = Simulation(config)
+        assert outputs(sim) == outputs(TickEveryActor(config))
+        # The run takes every path the watchers' and providers' schedules
+        # cover: audits that wait for finality, slashes and the alerts that
+        # wait for their records' finality, a register and a withdraw past
+        # tick 1, and standing event lists.
+        assert any(deferred for deferred, _ in waiting)
+        assert any(pending for _, pending in waiting)
+        assert sim.metrics.slash_count > 0
+        assert sim.metrics.withdrawals
+        assert sim.metrics.prediction_checks > 0
+
+    @given(populations() | maintaining_populations())
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_drawn_populations(self, config):
+        assert outputs(Simulation(config)) == outputs(TickEveryActor(config))
+
+    def test_quiet_actors_are_not_ticked(self, monkeypatch):
+        """Past its register tick a provider is ticked only for deliveries
+        and standing pushes; a watcher only for deliveries and pending
+        audits and alerts."""
+        calls = []
+        for cls in (DataProviderActor, actors.WatcherActor):
+            on_tick = cls.on_tick
+
+            def counted(actor, now, ctx, on_tick=on_tick):
+                calls.append(actor.name)
+                return on_tick(actor, now, ctx)
+
+            monkeypatch.setattr(cls, "on_tick", counted)
+        config = load("wrong_hash")
+        outputs(Simulation(config))
+        assert 0 < len(calls) < config.total_ticks // 4
 
 
 class TestMessageCounts:
