@@ -121,6 +121,36 @@ def scaled_insured() -> ScenarioConfig:
     )
 
 
+def grid(providers: int, clients: int, ticks: int) -> ScenarioConfig:
+    """ROADMAP's grid: honest providers at 24 + (7i mod 40) ETH and
+    maintaining clients at 10 ETH, eco and ins alternating, starting 0-6
+    ticks into epoch 2. Insured purchases collide, and every client shares
+    its provider-set views with the others."""
+    delta = 1
+    cp = min_compliant_challenge_period(8, delta)
+    eco = build_scenario(ProviderStrategy.HONEST, delta, cp, Protocol.ECO, seed=1)
+    ins = build_scenario(ProviderStrategy.HONEST, delta, cp, Protocol.INS, seed=1)
+    b_u = eco.update_epoch_blocks
+    return dataclasses.replace(
+        eco,
+        providers=tuple(
+            ProviderSpec(stake=eth_to_wei(24 + (7 * i) % 40), strategy=ProviderStrategy.HONEST)
+            for i in range(providers)
+        ),
+        clients=tuple(
+            dataclasses.replace(
+                (eco if i % 2 == 0 else ins).clients[0],
+                target_value=eth_to_wei(10),
+                start_tick=2 * b_u + 1 + i % 7,
+                maintain=True,
+                maintenance_challenge_period=cp,
+            )
+            for i in range(clients)
+        ),
+        total_ticks=ticks,
+    )
+
+
 def delta_case(
     adversary: ProviderStrategy, delta: int, protocol: Protocol, seed: int
 ) -> ScenarioConfig:
@@ -141,6 +171,7 @@ def configs() -> dict[str, ScenarioConfig]:
     out["scaled_insured"] = scaled_insured()
     out["delta3_ins"] = delta_case(ProviderStrategy.WRONG_HASH, 3, Protocol.INS, seed=11)
     out["delta4_eco"] = delta_case(ProviderStrategy.WRONG_HASH, 4, Protocol.ECO, seed=13)
+    out["grid_100x100"] = grid(100, 100, 600)
     return out
 
 
@@ -194,6 +225,10 @@ PINNED: dict[str, tuple[str, str]] = {
     "delta4_eco": (
         "0b422b3f2ffe2d6f69df4b2a2f35cd17dd7c3cafbae2001b144cf8076e663c87",
         "9cf8df43ce41df2d9b20545997c69579615bbb9d893f7a11fc780ed7473c6908",
+    ),
+    "grid_100x100": (
+        "2e71bc3191b62cf65f2e71ca9e5b4420f3d4a5404ffbde8a474e1c5913a687c1",
+        "d25cd2e29fa837922887b22aeeef12bc2683543fcf994e1a150fcfadd0485aca",
     ),
 }
 
