@@ -11,6 +11,7 @@ once the slash record is finalized.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import codec, crypto
@@ -428,10 +429,11 @@ class DataProviderActor:
         self._responses: dict[tuple, SignedResponse] = {}
         # Event-list replies for each epoch already complete on chain.
         self._event_lists: dict[int, EventListMsg] = {}
-        # Standing event-list requests: (client, tick first asked) in
-        # first-request order, keyed by the delay of the client's link here,
-        # and the next tick at which one of them is answered.
-        self._standing: dict[int, list[tuple[str, int]]] = {}
+        # Standing event-list requests, keyed by the delay of the client's
+        # link here: the clients and the ticks they first asked, in
+        # first-request order (so the ticks never fall), and the next tick
+        # at which one of them is answered.
+        self._standing: dict[int, tuple[list[str], list[int]]] = {}
         self._standing_clients: set[str] = set()
         self._next_push: int | None = None
 
@@ -476,7 +478,9 @@ class DataProviderActor:
                 if sender not in self._standing_clients:
                     self._standing_clients.add(sender)
                     delay = ctx.delay(sender, self.name)
-                    self._standing.setdefault(delay, []).append((sender, ctx.now))
+                    clients, asked = self._standing.setdefault(delay, ([], []))
+                    clients.append(sender)
+                    asked.append(ctx.now)
                     due = self._push_tick(delay, ctx.now, ctx)
                     if self._next_push is None or due < self._next_push:
                         self._next_push = due
@@ -523,8 +527,11 @@ class DataProviderActor:
         if epoch >= 0:
             msg = self._event_list(epoch, ctx)
             if msg.events:
-                # A client that asked this tick has its answer already.
-                clients = [client for client, asked in self._standing[delay] if asked < now]
+                clients, asked = self._standing[delay]
+                if asked[-1] == now:
+                    # The clients that asked this tick, last in the list,
+                    # have their answer already.
+                    clients = clients[: bisect_left(asked, now)]
                 ctx.send_to_each(self.name, clients, msg)
         self._next_push = min(self._push_tick(d, now + 1, ctx) for d in self._standing)
 

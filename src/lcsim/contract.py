@@ -286,10 +286,14 @@ def fold_membership(members: dict[bytes, int], records: Iterable[bytes]) -> dict
 
 
 class SlashingContract:
-    def __init__(self, config: ContractConfig, ledger: Ledger, params: PricingParams) -> None:
+    def __init__(
+        self, config: ContractConfig, ledger: Ledger, params: PricingParams, verify=None
+    ) -> None:
         self.config = config
         self.ledger = ledger
         self.params = params
+        # Checks slash evidence signatures; `crypto.verify` by default.
+        self._verify = verify or crypto.verify
         self.providers: dict[bytes, ProviderRecord] = {}
         self.retired: list[ProviderRecord] = []
         self.policies: dict[int, InsurancePolicy] = {}
@@ -322,6 +326,11 @@ class SlashingContract:
 
     def is_epoch_end(self, block_number: int) -> bool:
         return (block_number + 1) % self.config.update_epoch_blocks == 0
+
+    @property
+    def state_version(self) -> int:
+        """Bumped by every change of provider or policy state."""
+        return self._version
 
     # -- registry -----------------------------------------------------------
 
@@ -446,7 +455,7 @@ class SlashingContract:
         block_number: int,
         submitter: object | None = None,
     ) -> tuple[SlashEvent, bytes]:
-        if not crypto.verify(evidence.provider_pk, evidence.payload(), evidence.signature):
+        if not self._verify(evidence.provider_pk, evidence.payload(), evidence.signature):
             raise SlashRejected(RejectReason.SIGNATURE_INVALID)
         record = self.providers.get(evidence.provider_pk)
         if record is None or record.status is ProviderStatus.EXITED:

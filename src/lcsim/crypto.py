@@ -59,6 +59,13 @@ def _private_key(secret_key: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(secret_key)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _public_key(public_key: bytes) -> Ed25519PublicKey:
+    """The key object of public-key bytes, built once per key. Malformed
+    bytes raise ValueError, which the cache does not keep."""
+    return Ed25519PublicKey.from_public_bytes(public_key)
+
+
 def keygen(seed: int) -> KeyPair:
     """Deterministic Ed25519 key pair from a 64-bit seed."""
     seed_bytes = digest(_KEYGEN_TAG, seed.to_bytes(8, "big", signed=False))
@@ -74,7 +81,7 @@ def sign(secret_key: bytes, message: bytes) -> bytes:
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+        _public_key(public_key).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False

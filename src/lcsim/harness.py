@@ -15,9 +15,10 @@ identical (seed, config) pairs produce byte-identical event logs:
 3. execute the transaction pool, append the block, run the contract's
    block boundary, and sample the invariants.
 
-Signature checks by clients and watchers go through one memo per run
-(`crypto.VerifyMemo`), so each distinct signed response is verified once;
-the protocol's verification counters still count every check.
+Signature checks by clients, watchers and the contract's slash go through
+one memo per run (`crypto.VerifyMemo`), so each distinct signed response is
+verified once; the protocol's verification counters still count every
+check.
 
 The delays are the values `rng.randint(1, delta)` would give, one per
 ordered pair of endpoints in sorted-name order, but drawn in bulk and kept
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
@@ -53,6 +55,8 @@ from .light_client import (
     ClientConfig,
     LightClientActor,
     Protocol,
+    ProviderView,
+    provider_views,
 )
 from .messages import CompensationMsg, ReceiptMsg
 from .pricing import CoverageInputs, PricingParams, eth_to_wei, min_coverage_duration
@@ -289,21 +293,36 @@ class EventLog:
 
 class HeavyCheckOracle:
     """Trusted ground-truth reads with an invocation counter as the cost
-    model; used only at bootstrap and in the dispute path."""
+    model; used only at bootstrap and in the dispute path.
+
+    Every call counts a heavy check. A provider-set read hands out read-only
+    views (`light_client.ProviderView`), one pair for each (epoch, contract
+    state version): every client that reads the same contract state gets
+    the same view objects, and with them whatever is cached on them. The
+    oracle keeps only the last pair, so a view goes once no client holds it.
+    """
 
     def __init__(self, chain: Chain, contract: SlashingContract, metrics: Metrics) -> None:
         self._chain = chain
         self._contract = contract
         self._metrics = metrics
+        # (epoch, state version, stake view, attributable view) of the last read.
+        self._views: tuple[int, int, ProviderView, ProviderView] | None = None
 
     def provider_set(
         self, client: str, epoch: int | None = None
-    ) -> tuple[int, list[tuple[bytes, int, int]]]:
-        """The contract's provider set of `epoch`, the current one by default."""
+    ) -> tuple[int, ProviderView, ProviderView]:
+        """The contract's provider set of `epoch`, the current one by
+        default: (epoch, pk -> stake view, pk -> attributable stake view)."""
         self._metrics.client(client).heavy_checks += 1
+        contract = self._contract
         if epoch is None:
-            epoch = self._contract.current_epoch
-        return epoch, self._contract.active_set(epoch)
+            epoch = contract.current_epoch
+        views = self._views
+        if views is None or views[0] != epoch or views[1] != contract.state_version:
+            rows = contract.active_set(epoch)
+            views = self._views = (epoch, contract.state_version, *provider_views(rows))
+        return epoch, views[2], views[3]
 
     def verify_slash(
         self, client: str, block_number: int, record_tx_id: bytes, proof
@@ -335,6 +354,8 @@ class SimContext:
         self.now = 0
         # Signature checks of clients and watchers, memoised for the run.
         self.verify = sim.signatures.verify
+        # Provider name -> public key.
+        self.provider_keys: dict[str, bytes] = sim.provider_keys
 
     @property
     def chain(self) -> Chain:
@@ -364,19 +385,14 @@ class SimContext:
         sim = self._sim
         return sim._delay_rows[src][sim._index[dst]]
 
-    def provider_key(self, name: str) -> bytes:
-        return self._sim.provider_keys[name]
-
     def send_to_providers(self, src: str, pks, payload) -> None:
         """The same payload object to each provider of `pks`, in order."""
         names = self._sim.provider_names
-        self.send_to_each(src, [names[pk] for pk in pks], payload)
+        self._sim.enqueue_each(src, [names[pk] for pk in pks], payload)
 
     def send_to_each(self, src: str, dsts, payload) -> None:
         """The same payload object to each endpoint of `dsts`, in order."""
-        enqueue = self._sim.enqueue
-        for dst in dsts:
-            enqueue(src, dst, payload)
+        self._sim.enqueue_each(src, dsts, payload)
 
     def submit_tx(self, src: str, submission: Submission) -> int:
         return self._sim.submit(src, submission)
@@ -443,15 +459,17 @@ class Simulation:
             finality_depth_epochs=config.finality_depth_epochs,
         )
         self.ledger = Ledger()
-        self.contract = SlashingContract(config.contract_config(), self.ledger, config.pricing)
-        self.oracle = HeavyCheckOracle(self.chain, self.contract, self.metrics)
         self.signatures = crypto.VerifyMemo()
-        self.ctx = SimContext(self)
-
-        rng = random.Random(config.seed)
+        self.contract = SlashingContract(
+            config.contract_config(), self.ledger, config.pricing, self.signatures.verify
+        )
+        self.oracle = HeavyCheckOracle(self.chain, self.contract, self.metrics)
         self.providers: list[DataProviderActor] = []
         self.provider_names: dict[bytes, str] = {}
         self.provider_keys: dict[str, bytes] = {}
+        self.ctx = SimContext(self)
+
+        rng = random.Random(config.seed)
         for i, spec in enumerate(config.providers):
             name = f"p{i}"
             keypair = crypto.keygen(_derive_key_seed(config.seed, name))
@@ -518,10 +536,27 @@ class Simulation:
     # -- plumbing -----------------------------------------------------------
 
     def enqueue(self, src: str, dst: str, payload) -> None:
-        delay = self._delay_rows[src][self._index[dst]]
-        if not 0 < delay <= self.config.delta_ticks:
-            self.metrics.violations.append(f"delivery-bound:{src}->{dst}")
-        self._mailbox.setdefault(self.ctx.now + delay, []).append((src, dst, payload))
+        """Send one message (`enqueue_each`)."""
+        self.enqueue_each(src, (dst,), payload)
+
+    def enqueue_each(self, src: str, dsts: Iterable[str], payload) -> None:
+        """Send the same `payload` object from `src` to each of `dsts`, in
+        order, in one pass: one (src, dst, payload) entry per message in the
+        list of its arrival tick. Every message is sent through here."""
+        row = self._delay_rows[src]
+        index = self._index
+        bound = self.config.delta_ticks
+        now = self.ctx.now
+        mailbox = self._mailbox
+        arrival = batch = None
+        for dst in dsts:
+            delay = row[index[dst]]
+            if not 0 < delay <= bound:
+                self.metrics.violations.append(f"delivery-bound:{src}->{dst}")
+            if now + delay != arrival:  # most fan-outs arrive in one tick
+                arrival = now + delay
+                batch = mailbox.setdefault(arrival, [])
+            batch.append((src, dst, payload))
 
     def submit(self, src: str, submission: Submission) -> int:
         token = self._next_token
@@ -664,12 +699,9 @@ class Simulation:
                 continue
             self.metrics.prediction_checks += 1
             if expected is None:
-                expected = {
-                    (pk, stake) for pk, stake, _ in self.contract.active_set(epoch)
-                }
+                expected = {pk: stake for pk, stake, _ in self.contract.active_set(epoch)}
             held = client.set_for_epoch(epoch)
-            got = {(pk, stake) for pk, stake in held.items()} if held is not None else None
-            if got != expected:
+            if held is None or held != expected:
                 self.metrics.violations.append(
                     f"prediction:{client.name}@epoch{epoch}"
                 )

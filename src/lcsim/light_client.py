@@ -21,9 +21,13 @@ buys again.  GAVE_UP is terminal: no selection backs the value, purchases
 revert too often or for want of balance, or no provider is left for the
 target.  Restarting one check never moves the stage.
 
-A client ranks its held set once per held set and capacity dict, keeping
-only the pk order, takes the dropped providers out of it whenever more
-have been dropped, and each selection walks that order greedily
+Clients that read the same contract state hold the same read-only
+`ProviderView` of it, and clients that predict the same successor of a
+view hold the same successor. Whatever is a pure function of a view is
+computed once, on first use, and cached on the view: the pk order for each
+capacity view, and the view after each list of accepted records. A client
+keeps only the order less its dropped providers, taken out again whenever
+more have been dropped, and each selection walks that order greedily
 (`LightClientActor.select`), as `select_providers` does over a list.
 
 A maintaining client that stays online never repeats the bootstrap heavy
@@ -45,7 +49,7 @@ out or finish a check).
 from __future__ import annotations
 
 import enum
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -157,12 +161,88 @@ def required_coverage(checks: list[tuple[int, int, int]]) -> int:
 
 
 def apply_epoch_events(
-    provider_set: dict[bytes, int], events: list[tuple[int, bytes]]
+    provider_set: Mapping[bytes, int], events: Iterable[tuple[int, bytes]]
 ) -> dict[bytes, int]:
     """A copy of `provider_set` with the verified (block, record) `events`
     folded in, in block order, by `fold_membership`."""
     ordered = sorted(events, key=itemgetter(0))
     return fold_membership(dict(provider_set), [payload for _, payload in ordered])
+
+
+class ProviderView(dict):
+    """A read-only pk -> stake (or attributable stake) mapping that every
+    client reading the same contract state, or predicting the same
+    successor, shares.
+
+    What is a pure function of the view is computed on first use and cached
+    on it (`ranking`, `successor`), so the caches go with the view when the
+    last client holding it lets go. It is a dict, so reads cost what a
+    dict's do and it compares equal to a dict of the same pairs; every
+    method that would change it raises TypeError.
+    """
+
+    __slots__ = ("_by_stake", "_by_capacity", "_successors", "__weakref__")
+
+    def __init__(self, pairs=()) -> None:
+        super().__init__(pairs)
+        self._by_stake: list[bytes] | None = None
+        # (capacities, order) for each other capacity mapping, found by
+        # identity; a view is ranked against one or a few.
+        self._by_capacity: list[tuple[Mapping[bytes, int], list[bytes]]] | None = None
+        self._successors: dict[tuple[tuple[int, bytes], ...], ProviderView] | None = None
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a provider view is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # Copies rebuild through the constructor; the caches start empty.
+        return ProviderView, (dict(self),)
+
+    def ranking(self, capacities: Mapping[bytes, int]) -> list[bytes]:
+        """This view's pks in selection order by `capacities`, in which a
+        pk that is missing keeps its stake: capacities descend, pk breaks
+        ties (`_rank`). Computed once per capacity mapping."""
+        if capacities is self:
+            order = self._by_stake
+            if order is None:
+                order = self._by_stake = [pk for pk, _ in _rank(self.items())]
+            return order
+        cache = self._by_capacity
+        if cache is None:
+            cache = self._by_capacity = []
+        for ranked_by, order in cache:
+            if ranked_by is capacities:
+                return order
+        ranked = _rank((pk, capacities.get(pk, stake)) for pk, stake in self.items())
+        order = [pk for pk, _ in ranked]
+        cache.append((capacities, order))
+        return order
+
+    def successor(self, events: tuple[tuple[int, bytes], ...]) -> ProviderView:
+        """The view after the verified (block, record) `events`, by
+        `apply_epoch_events`: computed once per tuple of events, and this
+        view itself when there are none."""
+        if not events:
+            return self
+        cache = self._successors
+        if cache is None:
+            cache = self._successors = {}
+        view = cache.get(events)
+        if view is None:
+            view = cache[events] = ProviderView(apply_epoch_events(self, events))
+        return view
+
+
+def provider_views(rows: list[tuple[bytes, int, int]]) -> tuple[ProviderView, ProviderView]:
+    """The stake view and the attributable-stake view of (pk, stake,
+    attributable) rows, as `SlashingContract.active_set` lists them."""
+    return (
+        ProviderView((pk, stake) for pk, stake, _ in rows),
+        ProviderView((pk, attributable) for pk, _, attributable in rows),
+    )
 
 
 @dataclass(frozen=True)
@@ -229,7 +309,7 @@ class _Maintenance:
 
     epoch: int
     requested_tick: int
-    held: dict[bytes, int]
+    held: ProviderView
     events: set[tuple[int, bytes]] = field(default_factory=set)
     checks: list[Check] = field(default_factory=list)
     collected: bool = False
@@ -280,8 +360,8 @@ class LightClientActor:
         self.t_fin = t_fin
         self.stage = Stage.START
         self.bootstrap_epochs: list[int] = []
-        self.sets: dict[int, dict[bytes, int]] = {}
-        self.attributable: dict[bytes, int] = {}
+        self.sets: dict[int, ProviderView] = {}
+        self.attributable: Mapping[bytes, int] = {}
         self.current_epoch_held: int | None = None
         self.dropped: set[bytes] = set()
         self.checks: list[Check] = []
@@ -293,10 +373,11 @@ class LightClientActor:
         self._maintenance: _Maintenance | None = None
         # Providers sent an event-list request once; they keep answering.
         self._asked: set[bytes] = set()
-        # (held set, capacities, pks in selection order less the dropped
-        # ones, size of `dropped` when they were taken out) of the last
-        # ranking. `dropped` only grows, so an equal size is an equal set.
-        self._ranking: tuple[dict, dict, list[bytes], int] | None = None
+        # (held view, capacities, the held view's ranking by them less the
+        # dropped providers, size of `dropped` when they were taken out) of
+        # the last selection with providers dropped. `dropped` only grows,
+        # so an equal size is an equal set.
+        self._ranking: tuple[ProviderView, Mapping, list[bytes], int] | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -318,35 +399,38 @@ class LightClientActor:
         window = self.config.offline
         return window is not None and window[0] <= tick <= window[1]
 
-    def current_set(self) -> dict[bytes, int]:
-        if self.current_epoch_held is None:
-            return {}
-        return self.sets.get(self.current_epoch_held, {})
+    def current_set(self) -> ProviderView:
+        held = self.sets.get(self.current_epoch_held)
+        return held if held is not None else ProviderView()
 
-    def set_for_epoch(self, epoch: int) -> dict[bytes, int] | None:
+    def set_for_epoch(self, epoch: int) -> ProviderView | None:
         return self.sets.get(epoch)
 
     def select(self, use_attributable: bool, value: int) -> list[tuple[bytes, int]]:
         """`select_providers` over the held set less the dropped providers,
         by attributable stake or by stake.
 
-        The held set is ranked once per held set and capacity dict; both
-        are replaced, never changed, when the client learns a new set. The
-        dropped providers are taken out of that order whenever more have
-        been dropped. Each selection walks it and stops once `value` is
-        backed."""
+        The held view ranks itself once per capacity view, for every client
+        that holds it (`ProviderView.ranking`); views are replaced, never
+        changed, when the client learns a new set. The client takes its
+        dropped providers out of that order whenever more have been
+        dropped. Each selection walks it and stops once `value` is backed."""
         held = self.current_set()
         capacities = self.attributable if use_attributable else held
-        ranking = self._ranking
-        if ranking is None or ranking[0] is not held or ranking[1] is not capacities:
-            ranked = _rank((pk, capacities.get(pk, stake)) for pk, stake in held.items())
-            ranking = (held, capacities, [pk for pk, _ in ranked], 0)
         dropped = self.dropped
-        if ranking[3] != len(dropped):
-            kept = [pk for pk in ranking[2] if pk not in dropped]
-            ranking = (held, capacities, kept, len(dropped))
-        self._ranking = ranking
-        return _take_greedily(((pk, capacities.get(pk, held[pk])) for pk in ranking[2]), value)
+        order = held.ranking(capacities)
+        if dropped:
+            ranking = self._ranking
+            if (
+                ranking is None
+                or ranking[0] is not held
+                or ranking[1] is not capacities
+                or ranking[3] != len(dropped)
+            ):
+                kept = [pk for pk in order if pk not in dropped]
+                ranking = self._ranking = (held, capacities, kept, len(dropped))
+            order = ranking[2]
+        return _take_greedily(((pk, capacities.get(pk, held[pk])) for pk in order), value)
 
     def persistent_state_bytes(self) -> bytes:
         """Canonical encoding of what survives between checks."""
@@ -363,9 +447,9 @@ class LightClientActor:
     # -- bootstrap ------------------------------------------------------------
 
     def bootstrap(self, ctx, now: int) -> None:
-        epoch, snapshot = ctx.oracle.provider_set(self.name)
-        self.sets[epoch] = {pk: stake for pk, stake, _ in snapshot}
-        self.attributable = {pk: attributable for pk, _, attributable in snapshot}
+        epoch, held, attributable = ctx.oracle.provider_set(self.name)
+        self.sets[epoch] = held
+        self.attributable = attributable
         self._hold(epoch)
         self.bootstrap_epochs.append(epoch)
         ctx.log(self.name, "bootstrap", codec.encode_u64(epoch))
@@ -468,12 +552,12 @@ class LightClientActor:
             self.bootstrap(ctx, now)
 
     def _hold(self, epoch: int) -> None:
-        """Make `epoch` the held epoch and forget the set, maintenance record
-        and ranking of every earlier one; only this epoch's and the next are
-        read."""
+        """Make `epoch` the held epoch and let go of the view, maintenance
+        record and ranking of every earlier one; only this epoch's and the
+        next are read."""
         self.current_epoch_held = epoch
         self.sets = {e: held for e, held in self.sets.items() if e >= epoch}
-        self._ranking = None  # it would keep the replaced sets alive
+        self._ranking = None  # it would keep the replaced views alive
         if self._maintenance is not None and self._maintenance.epoch < epoch:
             self._maintenance = None
 
@@ -671,10 +755,23 @@ class LightClientActor:
 
     def handle_message(self, sender: str, payload, ctx) -> None:
         now = ctx.now
-        if self._offline_at(now):
+        window = self.config.offline  # `_offline_at`, inline
+        if window is not None and window[0] <= now <= window[1]:
             return
-        if type(payload) is EventListMsg:  # the bulk of a maintaining client's mail
-            self._handle_event_list(sender, payload, ctx)
+        if type(payload) is EventListMsg:
+            # The bulk of a maintaining client's mail, decided inline. Lists
+            # count only while the held epoch's are collected, and only from
+            # the providers held when it opened; one honest list among them
+            # suffices, whoever else still answers.
+            maintenance = self._maintenance
+            if (
+                maintenance is not None
+                and not maintenance.collected
+                and maintenance.epoch == payload.epoch + 1
+                and ctx.provider_keys[sender] in maintenance.held
+            ):
+                # An epoch's list names each record once, in a block of that epoch.
+                maintenance.events.update(payload.events)
         elif isinstance(payload, ResponseMsg):
             self._handle_response(payload.response, now, ctx)
         elif isinstance(payload, ReceiptMsg):
@@ -812,17 +909,20 @@ class LightClientActor:
                 # set is read through a heavy check.
                 maintenance.collected = True
                 if epoch > 0:
-                    _, snapshot = ctx.oracle.provider_set(self.name, epoch + 1)
-                    held = {pk: stake for pk, stake, _ in snapshot}
+                    _, held, _ = ctx.oracle.provider_set(self.name, epoch + 1)
                 self._predict(epoch + 1, held, ctx)
                 return
             # A provider asked once answers every later epoch on its own, at
             # the tick a request sent now would reach it; a client that opens
             # late may have missed those answers and asks every held provider.
-            if now == due:
-                ask = [pk for pk in held if pk not in self._asked]
-            else:
+            # Most opens on time ask nobody, which the subset test finds
+            # without building a list.
+            if now > due:
                 ask = list(held)
+            elif self._asked.issuperset(held):
+                ask = []
+            else:
+                ask = [pk for pk in held if pk not in self._asked]
             if ask:
                 ctx.send_to_providers(self.name, ask, EventListRequest(epoch=epoch - 1))
                 self._asked.update(ask)
@@ -843,29 +943,21 @@ class LightClientActor:
             self.checks.append(check)
         self._maintenance_event_done(maintenance, ctx)  # at once for no records
 
-    def _handle_event_list(self, sender: str, msg, ctx) -> None:
-        maintenance = self._maintenance
-        if maintenance is None or maintenance.collected or maintenance.epoch != msg.epoch + 1:
-            return
-        # Lists count only from the providers held when the epoch opened;
-        # one honest list among them suffices, whoever else still answers.
-        if ctx.provider_key(sender) in maintenance.held:
-            # An epoch's list names each record once, in a block of that epoch.
-            maintenance.events.update(msg.events)
-
     def _maintenance_event_done(self, maintenance: _Maintenance, ctx) -> None:
         """Predict the set after the held epoch once each of its record
         checks has ended, at once when it has none."""
         if any(c.outcome is None for c in maintenance.checks):
             return
-        events = [
+        # The checks are in (block, record) order, so equal sets of accepted
+        # records give equal tuples, and the held view's memo one successor.
+        events = tuple(
             (c.block_number, c.event_payload)
             for c in maintenance.checks
             if c.outcome == "accepted"
-        ]
+        )
         epoch = maintenance.epoch
-        self._predict(epoch + 1, apply_epoch_events(self.sets[epoch], events), ctx)
+        self._predict(epoch + 1, self.sets[epoch].successor(events), ctx)
 
-    def _predict(self, epoch: int, provider_set: dict[bytes, int], ctx) -> None:
+    def _predict(self, epoch: int, provider_set: ProviderView, ctx) -> None:
         self.sets[epoch] = provider_set
         ctx.log(self.name, "predicted_set", codec.encode_u64(epoch))

@@ -85,14 +85,15 @@ def test_an_instance_patched_append_block_runs_once_per_tick():
 def test_the_counting_mailbox_counts_every_delivered_message(bench_path, monkeypatch):
     from checks import BenchSimulation
 
-    enqueue = Simulation.enqueue
+    enqueue_each = Simulation.enqueue_each
     sent = []
 
-    def counted(sim, src, dst, payload):
-        sent.append(payload)
-        return enqueue(sim, src, dst, payload)
+    def counted(sim, src, dsts, payload):
+        dsts = list(dsts)
+        sent.extend(payload for _ in dsts)
+        return enqueue_each(sim, src, dsts, payload)
 
-    monkeypatch.setattr(Simulation, "enqueue", counted)
+    monkeypatch.setattr(Simulation, "enqueue_each", counted)
     sim = BenchSimulation(maintenance())
     sim.run()
     in_flight = sum(len(batch) for batch in sim._mailbox.values())

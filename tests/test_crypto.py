@@ -99,6 +99,39 @@ class TestKeyCache:
         crypto._private_key.cache_clear()
 
 
+class TestPublicKeyCache:
+    def setup_method(self):
+        self.kp = keygen(41)
+        self.message = b"evidence"
+        self.sig = sign(self.kp.secret_key, self.message)
+
+    def test_each_public_key_is_built_once(self, monkeypatch):
+        crypto._public_key.cache_clear()
+        built = []
+        real = crypto.Ed25519PublicKey.from_public_bytes
+        monkeypatch.setattr(
+            crypto.Ed25519PublicKey,
+            "from_public_bytes",
+            lambda data: built.append(data) or real(data),
+        )
+        forged = bytes([self.sig[0] ^ 1]) + self.sig[1:]
+        assert verify(self.kp.public_key, self.message, self.sig)
+        assert not verify(self.kp.public_key, self.message, forged)
+        assert verify(self.kp.public_key, self.message, self.sig)
+        assert built == [self.kp.public_key]
+        crypto._public_key.cache_clear()
+
+    @pytest.mark.parametrize("key", [b"", bytes(31), bytes(33)])
+    def test_malformed_key_bytes_fail_every_time_and_are_not_cached(self, key):
+        crypto._public_key.cache_clear()
+        for _ in range(2):
+            assert not verify(key, self.message, self.sig)
+        assert crypto._public_key.cache_info().currsize == 0
+        assert verify(self.kp.public_key, self.message, self.sig)
+        assert crypto._public_key.cache_info().currsize == 1
+        crypto._public_key.cache_clear()
+
+
 class TestVerifyMemo:
     def setup_method(self):
         self.kp = keygen(21)

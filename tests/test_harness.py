@@ -4,15 +4,19 @@ import copy
 import dataclasses
 import json
 import random
+import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lcsim import actors, codec, crypto, harness, scenario
+from lcsim import actors, codec, crypto, harness, light_client, scenario
 from lcsim.actors import AlertKind, DataProviderActor, ProviderStrategy
 from lcsim.harness import (
     ConfigInvalidError,
+    HeavyCheckOracle,
+    Metrics,
     ProviderSpec,
     ScenarioConfig,
     Simulation,
@@ -20,12 +24,20 @@ from lcsim.harness import (
     min_compliant_challenge_period,
     run_scenario,
 )
-from lcsim.contract import Ledger
-from lcsim.light_client import ClientConfig, LightClientActor, Protocol, Stage
+from lcsim.chain import Chain
+from lcsim.contract import (
+    ContractConfig,
+    Ledger,
+    RejectReason,
+    SlashEvidence,
+    SlashingContract,
+    SlashRejected,
+)
+from lcsim.light_client import ClientConfig, LightClientActor, Protocol, ProviderView, Stage
 from lcsim.messages import EventListMsg, EventListRequest
-from lcsim.pricing import CoverageInputs, eth_to_wei
+from lcsim.pricing import CoverageInputs, PricingParams, eth_to_wei
 from test_golden import configs as golden_configs
-from test_golden import scaled_maintain
+from test_golden import scaled_dispute, scaled_maintain
 
 ETH = eth_to_wei(1)
 
@@ -413,6 +425,25 @@ def recorded_sets(monkeypatch) -> dict[tuple[str, int], tuple[str, dict]]:
     return sets
 
 
+class TestPredictionCheck:
+    def test_a_missing_set_is_a_miss(self):
+        """The check compares each held set with the contract's; a client
+        holding no set for the epoch misses it."""
+        sim = Simulation(load("maintenance"))
+        client = sim.clients[0]
+        assert client.config.maintain and sim.contract.active_set(1) == []
+        client.bootstrap_epochs = [0]
+        for held, violations in (
+            (ProviderView(), []),
+            (None, ["prediction:c0@epoch1"]),
+            (ProviderView({client.public_key: ETH}), ["prediction:c0@epoch1"]),
+        ):
+            client.sets = {} if held is None else {1: held}
+            sim.metrics.violations.clear()
+            sim._check_predictions(1)
+            assert sim.metrics.violations == violations
+
+
 class TestBookkeeping:
     def test_bootstrap_snapshot_matches_contract(self, monkeypatch):
         config = load("maintenance")
@@ -460,15 +491,16 @@ class TestBookkeeping:
                 ticked.add(client.name)
 
         requests = []
-        enqueue = Simulation.enqueue
+        enqueue_each = Simulation.enqueue_each
 
-        def recorded(sim, src, dst, payload):
+        def recorded(sim, src, dsts, payload):
+            dsts = list(dsts)
             if isinstance(payload, EventListRequest):
-                requests.append((src, dst))
-            return enqueue(sim, src, dst, payload)
+                requests.extend((src, dst) for dst in dsts)
+            return enqueue_each(sim, src, dsts, payload)
 
         monkeypatch.setattr(LightClientActor, "on_tick", checked)
-        monkeypatch.setattr(Simulation, "enqueue", recorded)
+        monkeypatch.setattr(Simulation, "enqueue_each", recorded)
         config = scaled_maintain()
         config = dataclasses.replace(
             config,
@@ -1014,14 +1046,15 @@ class TestMessageCounts:
         empty ones, and 60 more come from providers that have left a client's
         set but were asked before; the client drops those."""
         counts: dict[str, int] = {}
-        enqueue = Simulation.enqueue
+        enqueue_each = Simulation.enqueue_each
 
-        def counted(sim, src, dst, payload):
+        def counted(sim, src, dsts, payload):
+            dsts = list(dsts)
             name = type(payload).__name__
-            counts[name] = counts.get(name, 0) + 1
-            return enqueue(sim, src, dst, payload)
+            counts[name] = counts.get(name, 0) + len(dsts)
+            return enqueue_each(sim, src, dsts, payload)
 
-        monkeypatch.setattr(Simulation, "enqueue", counted)
+        monkeypatch.setattr(Simulation, "enqueue_each", counted)
         Simulation(scaled_maintain()).run()
         assert counts == {
             "EventListMsg": 720,
@@ -1039,14 +1072,15 @@ class TestMessageCounts:
         reaches the client at the tick the answer to a request sent at the
         epoch's fetch tick would, and none arrives for an empty epoch."""
         sent: list[tuple[int, str, str, object]] = []
-        enqueue = Simulation.enqueue
+        enqueue_each = Simulation.enqueue_each
 
-        def recorded(sim, src, dst, payload):
+        def recorded(sim, src, dsts, payload):
+            dsts = list(dsts)
             if isinstance(payload, (EventListRequest, EventListMsg)):
-                sent.append((sim.ctx.now, src, dst, payload))
-            return enqueue(sim, src, dst, payload)
+                sent.extend((sim.ctx.now, src, dst, payload) for dst in dsts)
+            return enqueue_each(sim, src, dsts, payload)
 
-        monkeypatch.setattr(Simulation, "enqueue", recorded)
+        monkeypatch.setattr(Simulation, "enqueue_each", recorded)
         sim = Simulation(scaled_maintain())
         opened = []  # (client, epoch, tick, held provider names)
         run_maintenance = LightClientActor._run_maintenance
@@ -1275,6 +1309,119 @@ class TestVerifyMemo:
         # distinct triple reaches the primitive once.
         assert len(requests) > len(requested) == len(sim.signatures)
         assert sorted(c for c in calls if c in requested) == sorted(requested)
+
+    def test_slash_evidence_is_checked_through_the_memo(self, monkeypatch):
+        """Three watchers submit the same evidence; the contract checks its
+        signature once, and the losers are still rejected as AlreadySlashed."""
+        real = crypto.verify
+        calls = []
+        monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or real(*args))
+        sim = Simulation(dataclasses.replace(scaled_dispute(), watcher_count=3))
+        metrics, log = sim.run()
+        events = [line.split("\t")[2] for line in log.lines]
+        assert events.count("tx-slash-ok") == metrics.slash_count == 2
+        assert events.count("tx-SlashTx-AlreadySlashed") == 2
+        assert len(calls) == len(set(calls)) == len(sim.signatures)
+
+    def test_a_contract_built_alone_checks_with_crypto_verify(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or False)
+        config = load("wrong_hash")
+        contract = SlashingContract(config.contract_config(), Ledger(), config.pricing)
+        evidence = SlashEvidence(bytes(32), 1, bytes(32), bytes(32), bytes(64))
+        with pytest.raises(SlashRejected) as excinfo:
+            contract.slash(evidence, Chain(), 1)
+        assert excinfo.value.reason is RejectReason.SIGNATURE_INVALID
+        assert calls == [(evidence.provider_pk, evidence.payload(), evidence.signature)]
+
+
+class TestProviderViews:
+    """Clients that read the same contract state share one read-only view
+    of it, and what is computed from a view is computed once."""
+
+    def test_one_view_per_contract_state(self):
+        ledger = Ledger()
+        contract = SlashingContract(
+            ContractConfig(min_stake=ETH, update_epoch_blocks=8, max_challenge_period=4),
+            ledger,
+            PricingParams(),
+        )
+        metrics = Metrics()
+        ctx = SimpleNamespace(
+            oracle=HeavyCheckOracle(Chain(), contract, metrics), log=lambda *args: None
+        )
+        a, b, c = (crypto.keygen(seed).public_key for seed in (1, 2, 3))
+        for pk in (a, b, c):
+            ledger.mint(pk, 40 * ETH)
+        contract.register(a, 32 * ETH, 1)
+        contract.register(b, 16 * ETH, 1)
+        for block in range(1, 17):
+            contract.process_block_boundary(block)
+        config = ClientConfig(protocol=Protocol.ECO, challenge_period=1, target_value=ETH)
+        first, second, third = (
+            LightClientActor(f"c{i}", crypto.keygen(10 + i), config, 8, 1, 8) for i in range(3)
+        )
+        first.bootstrap(ctx, 17)
+        second.bootstrap(ctx, 17)
+        held = first.current_set()
+        assert held == {a: 32 * ETH, b: 16 * ETH}
+        assert second.current_set() is held
+        assert second.attributable is first.attributable
+        contract.register(c, 8 * ETH, 17)  # the state version moves
+        third.bootstrap(ctx, 17)
+        assert third.current_set() is not held and third.current_set() == held
+        assert third.attributable is not first.attributable
+        assert first.current_set() is held == {a: 32 * ETH, b: 16 * ETH}
+        assert all(metrics.client(name).heavy_checks == 1 for name in ("c0", "c1", "c2"))
+
+    def test_each_view_pair_is_ranked_once(self, monkeypatch):
+        ranks = []
+        rank = light_client._rank
+        monkeypatch.setattr(light_client, "_rank", lambda pairs: ranks.append(1) or rank(pairs))
+        # (held view, capacities) of every selection, kept so ids stay unique.
+        pairs: dict[tuple[int, int], tuple] = {}
+        selections = []
+        select = LightClientActor.select
+
+        def recorded(client, use_attributable, value):
+            held = client.current_set()
+            capacities = client.attributable if use_attributable else held
+            pairs.setdefault((id(held), id(capacities)), (held, capacities))
+            selections.append(client.name)
+            return select(client, use_attributable, value)
+
+        monkeypatch.setattr(LightClientActor, "select", recorded)
+        Simulation(scaled_maintain()).run()
+        assert 0 < len(ranks) <= len(pairs) < len(selections)
+
+    def test_no_view_outlives_its_last_holder(self, monkeypatch):
+        """Every view still alive after a run is held by a client or by the
+        oracle, or is cached on such a view."""
+        made = []
+        init = ProviderView.__init__
+
+        def recorded(view, pairs=()):
+            init(view, pairs)
+            made.append(weakref.ref(view))
+
+        monkeypatch.setattr(ProviderView, "__init__", recorded)
+        sim = Simulation(scaled_maintain())
+        sim.run()
+        roots = list(sim.oracle._views[2:])
+        for client in sim.clients:
+            roots += [*client.sets.values(), client.attributable]
+            if client._maintenance is not None:
+                roots.append(client._maintenance.held)
+        reachable: dict[int, ProviderView] = {}
+        while roots:
+            view = roots.pop()
+            if id(view) not in reachable:
+                reachable[id(view)] = view
+                roots += (view._successors or {}).values()
+                roots += [capacities for capacities, _ in view._by_capacity or ()]
+        live = [view for view in (ref() for ref in made) if view is not None]
+        assert len(live) < len(made)
+        assert all(id(view) in reachable for view in live)
 
 
 class TestResponseMemo:

@@ -22,11 +22,15 @@ from lcsim.light_client import (
     LightClientActor,
     NoEligibleProvidersError,
     Protocol,
+    ProviderView,
+    _Maintenance,
     apply_epoch_events,
+    provider_views,
     required_coverage,
     select_providers,
     verify_response,
 )
+from lcsim.messages import EventListMsg
 from lcsim.pricing import eth_to_wei
 
 ETH = eth_to_wei(1)
@@ -150,12 +154,13 @@ class TestSelectionOrder:
 
 
 class _Oracle:
-    """Heavy checks that return whatever snapshot the test set last."""
+    """Heavy checks that return fresh views of whatever snapshot the test
+    set last."""
 
     snapshot: list[tuple[bytes, int, int]] = []
 
     def provider_set(self, client, epoch=None):
-        return 0, self.snapshot
+        return (0, *provider_views(self.snapshot))
 
 
 class _Ctx:
@@ -254,6 +259,105 @@ class TestRequiredCoverage:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             required_coverage([(10, 5, ETH)])
+
+
+_records = st.lists(
+    st.tuples(
+        st.integers(0, 40),
+        st.one_of(
+            st.tuples(st.sampled_from(pks(5)), _capacities).map(
+                lambda pair: codec.register_record(pair[0], pair[1] + ETH)
+            ),
+            st.sampled_from(pks(5)).map(codec.withdraw_record),
+        ),
+    ),
+    max_size=8,
+)
+
+
+class TestProviderView:
+    def test_every_change_raises(self):
+        a, b = pks(2)
+        view = ProviderView({a: ETH})
+        with pytest.raises(TypeError):
+            view[b] = ETH
+        with pytest.raises(TypeError):
+            del view[a]
+        with pytest.raises(TypeError):
+            view |= {b: ETH}
+        for change in (
+            lambda: view.update({b: ETH}),
+            lambda: view.setdefault(b, ETH),
+            lambda: view.pop(a),
+            view.popitem,
+            view.clear,
+        ):
+            with pytest.raises(TypeError):
+                change()
+        assert view == {a: ETH} and type(dict(view)) is dict
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(pks(5)), _capacities.map(lambda c: c + ETH))),
+        _records,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_successor_is_apply_epoch_events(self, pairs, events):
+        view = ProviderView(pairs)
+        plain = dict(pairs)
+        successor = view.successor(tuple(events))
+        assert type(successor) is ProviderView
+        assert successor == apply_epoch_events(plain, events)
+        assert view.successor(tuple(events)) is successor  # computed once
+        assert view == plain  # the view itself is unchanged
+        assert view.successor(()) is view
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(pks(6)), _capacities)),
+        st.lists(st.tuples(st.sampled_from(pks(6)), _capacities)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ranking_is_the_selection_order(self, stakes, attributable):
+        held, capacities = ProviderView(stakes), ProviderView(attributable)
+        for caps in (held, capacities):
+            expected = [
+                pk
+                for pk, _ in sorted(
+                    ((pk, caps.get(pk, stake)) for pk, stake in held.items()),
+                    key=lambda item: (-item[1], item[0]),
+                )
+            ]
+            assert held.ranking(caps) == expected
+            assert held.ranking(caps) is held.ranking(caps)
+
+
+class TestEventListDelivery:
+    """A list counts only while the held epoch's lists are collected, from a
+    provider held when it opened, and while the client is online."""
+
+    def test_each_condition_decides(self):
+        held_pk, other_pk = pks(2)
+        record = (40, codec.register_record(other_pk, ETH))
+        config = ClientConfig(
+            protocol=Protocol.ECO, challenge_period=1, target_value=ETH, offline=(50, 60)
+        )
+        ctx = _Ctx()
+        ctx.provider_keys = {"p0": held_pk, "p1": other_pk}
+        cases = [  # (now, sender, list epoch, collected, counted)
+            (45, "p0", 1, False, True),
+            (45, "p1", 1, False, False),  # not held
+            (45, "p0", 2, False, False),  # another epoch's list
+            (45, "p0", 1, True, False),  # collection over
+            (55, "p0", 1, False, False),  # offline
+            (61, "p0", 1, False, True),
+        ]
+        for now, sender, epoch, collected, counted in cases:
+            client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+            maintenance = client._maintenance = _Maintenance(
+                2, 41, ProviderView({held_pk: 8 * ETH}), collected=collected
+            )
+            ctx.now = now
+            client.handle_message(sender, EventListMsg(epoch=epoch, events=(record,)), ctx)
+            assert maintenance.events == ({record} if counted else set())
 
 
 class TestApplyEpochEvents:
