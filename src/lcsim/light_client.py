@@ -185,6 +185,8 @@ class ProviderView(dict):
 
     def __init__(self, pairs=()) -> None:
         super().__init__(pairs)
+        # The order by the view's own stakes, kept apart from the others so
+        # that a view never refers to itself.
         self._by_stake: list[bytes] | None = None
         # (capacities, order) for each other capacity mapping, found by
         # identity; a view is ranked against one or a few.

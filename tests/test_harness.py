@@ -1371,7 +1371,8 @@ class TestProviderViews:
         third.bootstrap(ctx, 17)
         assert third.current_set() is not held and third.current_set() == held
         assert third.attributable is not first.attributable
-        assert first.current_set() is held == {a: 32 * ETH, b: 16 * ETH}
+        assert first.current_set() is held
+        assert held == {a: 32 * ETH, b: 16 * ETH}
         assert all(metrics.client(name).heavy_checks == 1 for name in ("c0", "c1", "c2"))
 
     def test_each_view_pair_is_ranked_once(self, monkeypatch):
