@@ -5,7 +5,8 @@ as canonical JSON. A refactor or speed-up must leave every pin as it is;
 an intended change of behaviour updates the pins in the same change and
 says why.
 
-    PYTHONPATH=src python3 tests/test_golden.py    # print the current digests
+    PYTHONPATH=src python3 tests/test_golden.py            # print every case's digests
+    PYTHONPATH=src python3 tests/test_golden.py NAME ...   # print the named cases only
 """
 
 from __future__ import annotations
@@ -151,6 +152,23 @@ def grid(providers: int, clients: int, ticks: int) -> ScenarioConfig:
     )
 
 
+def grid_churn(providers: int, clients: int, ticks: int) -> ScenarioConfig:
+    """The grid with churn: the last ten providers register one by one
+    through epoch 1, and the ten before them hold 16 ETH and withdraw one by
+    one through epoch 2, so every maintaining client merges non-empty
+    pushed event lists."""
+    config = grid(providers, clients, ticks)
+    b_u = config.update_epoch_blocks
+    specs = list(config.providers)
+    for k in range(10):
+        joiner, leaver = providers - 10 + k, providers - 20 + k
+        specs[joiner] = dataclasses.replace(specs[joiner], register_tick=b_u + 3 * k)
+        specs[leaver] = dataclasses.replace(
+            specs[leaver], stake=eth_to_wei(16), withdraw_tick=2 * b_u + 5 * k
+        )
+    return dataclasses.replace(config, providers=tuple(specs))
+
+
 def delta_case(
     adversary: ProviderStrategy, delta: int, protocol: Protocol, seed: int
 ) -> ScenarioConfig:
@@ -172,6 +190,7 @@ def configs() -> dict[str, ScenarioConfig]:
     out["delta3_ins"] = delta_case(ProviderStrategy.WRONG_HASH, 3, Protocol.INS, seed=11)
     out["delta4_eco"] = delta_case(ProviderStrategy.WRONG_HASH, 4, Protocol.ECO, seed=13)
     out["grid_100x100"] = grid(100, 100, 600)
+    out["grid_churn_100x100"] = grid_churn(100, 100, 600)
     return out
 
 
@@ -230,6 +249,10 @@ PINNED: dict[str, tuple[str, str]] = {
         "2e71bc3191b62cf65f2e71ca9e5b4420f3d4a5404ffbde8a474e1c5913a687c1",
         "d25cd2e29fa837922887b22aeeef12bc2683543fcf994e1a150fcfadd0485aca",
     ),
+    "grid_churn_100x100": (
+        "693f1760db832de19cbf3057b9d4093d839c41887a251fdcef11a6ac6981459a",
+        "083aa258b9d6c06799540ff26f267d0b5885e78d61f991376cf90be42fdfb504",
+    ),
 }
 
 
@@ -243,5 +266,8 @@ def test_pinned_digests(name):
 
 
 if __name__ == "__main__":
-    for name, config in configs().items():
-        print(f"    {name!r}: {digests(config)!r},")
+    import sys
+
+    cases = configs()
+    for name in sys.argv[1:] or cases:
+        print(f"    {name!r}: {digests(cases[name])!r},")
