@@ -399,8 +399,10 @@ class DataProviderActor:
     (`MEMBERSHIP_TAGS`) of an epoch to maintaining clients. A client's
     request stands: after the first, the provider sends every later epoch's
     list unasked, timed to arrive when the answer to a fresh request would.
-    Clients union the lists of every provider they hold, so one honest list
-    suffices and an omission by one provider does not change a client's set.
+    A complete epoch's list is one object per run, which every provider
+    sends (`_event_list`). Clients union the lists of every provider they
+    hold, so one honest list suffices and an omission by one provider does
+    not change a client's set.
 
     Every query passes the strategy's refusal checks afresh. One that passes
     and was answered before, by this provider to any client, gets the same
@@ -427,8 +429,6 @@ class DataProviderActor:
         self._withdraw_submitted = False
         # The answers built so far; see `provider_respond`.
         self._responses: dict[tuple, SignedResponse] = {}
-        # Event-list replies for each epoch already complete on chain.
-        self._event_lists: dict[int, EventListMsg] = {}
         # Standing event-list requests, keyed by the delay of the client's
         # link here: the clients and the ticks they first asked, in
         # first-request order (so the ticks never fall), and the next tick
@@ -436,6 +436,9 @@ class DataProviderActor:
         self._standing: dict[int, tuple[list[str], list[int]]] = {}
         self._standing_clients: set[str] = set()
         self._next_push: int | None = None
+        # (update_epoch_blocks, epoch 0's fetch tick), read at the first
+        # event-list request: neither changes during a run.
+        self._epoch_timing: tuple[int, int] | None = None
 
     @property
     def public_key(self) -> bytes:
@@ -478,9 +481,11 @@ class DataProviderActor:
                 if sender not in self._standing_clients:
                     self._standing_clients.add(sender)
                     delay = ctx.delay(sender, self.name)
-                    clients, asked = self._standing.setdefault(delay, ([], []))
-                    clients.append(sender)
-                    asked.append(ctx.now)
+                    standing = self._standing.get(delay)
+                    if standing is None:
+                        standing = self._standing[delay] = ([], [])
+                    standing[0].append(sender)
+                    standing[1].append(ctx.now)
                     due = self._push_tick(delay, ctx.now, ctx)
                     if self._next_push is None or due < self._next_push:
                         self._next_push = due
@@ -508,20 +513,29 @@ class DataProviderActor:
                     self._withdraw_submitted = True
                     ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
 
-    @staticmethod
-    def _push_tick(delay: int, tick: int, ctx) -> int:
+    def _timing(self, ctx) -> tuple[int, int]:
+        """(update_epoch_blocks, `fetch_tick` of epoch 0), worked out once."""
+        timing = self._epoch_timing
+        if timing is None:
+            blocks = ctx.contract.config.update_epoch_blocks
+            timing = self._epoch_timing = (
+                blocks,
+                fetch_tick(0, blocks, ctx.chain.finality_depth_blocks),
+            )
+        return timing
+
+    def _push_tick(self, delay: int, tick: int, ctx) -> int:
         """First tick from `tick` on at which a request sent at an epoch's
         `fetch_tick` over a link of `delay` arrives."""
-        blocks = ctx.contract.config.update_epoch_blocks
-        arrival = fetch_tick(0, blocks, ctx.chain.finality_depth_blocks) + delay
-        return tick + (arrival - tick) % blocks
+        blocks, first_fetch = self._timing(ctx)
+        return tick + (first_fetch + delay - tick) % blocks
 
     def _push_event_lists(self, now: int, ctx) -> None:
         """Answer the standing requests due now: a client asked once gets
         epoch e-1's list when its request would arrive had it sent it again
         at epoch e's fetch tick, so within the window it collects in."""
-        blocks = ctx.contract.config.update_epoch_blocks
-        since_fetch = now - fetch_tick(0, blocks, ctx.chain.finality_depth_blocks)
+        blocks, first_fetch = self._timing(ctx)
+        since_fetch = now - first_fetch
         delay = since_fetch % blocks
         epoch = since_fetch // blocks - 1
         if epoch >= 0:
@@ -536,8 +550,11 @@ class DataProviderActor:
         self._next_push = min(self._push_tick(d, now + 1, ctx) for d in self._standing)
 
     def _event_list(self, epoch: int, ctx) -> EventListMsg:
-        """The membership records of `epoch`, as the reply to send."""
-        msg = self._event_lists.get(epoch)
+        """The membership records of `epoch`, as the reply to send: every
+        answer, pushed or replied, is built here. A complete epoch's list
+        is the run's one object (`ctx.event_lists`)."""
+        lists = ctx.event_lists
+        msg = lists.get(epoch)
         if msg is not None:
             return msg
         first = epoch * ctx.contract.config.update_epoch_blocks
@@ -550,6 +567,6 @@ class DataProviderActor:
         msg = EventListMsg(epoch=epoch, events=events)
         if last <= ctx.chain.tip.number:
             # The chain only grows, so a complete epoch's records are final
-            # and one reply object serves every client that asks.
-            self._event_lists[epoch] = msg
+            # and one object serves every provider and every client.
+            lists[epoch] = msg
         return msg

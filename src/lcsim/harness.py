@@ -7,11 +7,12 @@ identical (seed, config) pairs produce byte-identical event logs:
 1. deliver the tick's messages in the order they were sent;
 2. tick the actors due this tick in index order, so providers before
    watchers and watchers before clients. An actor is due at its first
-   deadline (`first_tick`), on every tick a message is delivered to it, and
-   at the tick it names after each of its ticks (`next_tick`, None when
-   only a message can make it act). Every tick an actor skips would have
-   been a no-op, so the log is the one ticking every actor on every tick
-   gives;
+   deadline (`first_tick`), on every tick a message other than an event
+   list is delivered to it, and at the tick it names after each of its
+   ticks (`next_tick`, None when only a message can make it act). A list
+   only adds to a client's collected records and moves none of its
+   deadlines. Every tick an actor skips would have been a no-op, so the
+   log is the one ticking every actor on every tick gives;
 3. execute the transaction pool, append the block, run the contract's
    block boundary, and sample the invariants.
 
@@ -58,7 +59,7 @@ from .light_client import (
     ProviderView,
     provider_views,
 )
-from .messages import CompensationMsg, ReceiptMsg
+from .messages import CompensationMsg, EventListMsg, ReceiptMsg
 from .pricing import CoverageInputs, PricingParams, eth_to_wei, min_coverage_duration
 
 
@@ -356,6 +357,9 @@ class SimContext:
         self.verify = sim.signatures.verify
         # Provider name -> public key.
         self.provider_keys: dict[str, bytes] = sim.provider_keys
+        # The membership list of each complete epoch, one object for the
+        # run (`DataProviderActor._event_list`).
+        self.event_lists: dict[int, EventListMsg] = {}
 
     @property
     def chain(self) -> Chain:
@@ -615,7 +619,8 @@ class Simulation:
                 for src, dst, payload in delivered:
                     i = position[dst]
                     actors[i].handle_message(src, payload, ctx)
-                    ticking.add(i)
+                    if type(payload) is not EventListMsg:  # a list moves no deadline
+                        ticking.add(i)
             if ticking:
                 for i in sorted(ticking):
                     actor = actors[i]

@@ -313,6 +313,10 @@ class _Maintenance:
     requested_tick: int
     held: ProviderView
     events: set[tuple[int, bytes]] = field(default_factory=set)
+    # The events tuple last merged into `events`. Providers send a complete
+    # epoch's list as one shared object, so a list carrying this very tuple
+    # adds nothing; an equal tuple that is another object is merged again.
+    merged: tuple[tuple[int, bytes], ...] | None = None
     checks: list[Check] = field(default_factory=list)
     collected: bool = False
 
@@ -367,6 +371,8 @@ class LightClientActor:
         self.current_epoch_held: int | None = None
         self.dropped: set[bytes] = set()
         self.checks: list[Check] = []
+        # Every check before this index is closed; `next_tick` moves it on.
+        self._first_open = 0
         self.alerts_seen: list[Alert] = []
         self._pending_purchase: int | None = None  # token of the BUYING purchase
         self._purchase_attempts: int = 0
@@ -486,8 +492,15 @@ class LightClientActor:
         if not self.bootstrapped or not self._protocol_waits():
             return self._live_from(soon)
         deadlines = []
-        for check in self.checks:
-            if check.outcome is None:  # most checks are closed and have no deadline
+        # Move past the closed prefix, for this loop and the others that
+        # pass over closed checks; an outcome is never reset.
+        checks = self.checks
+        first = self._first_open
+        while first < len(checks) and checks[first].outcome is not None:
+            first += 1
+        self._first_open = first
+        for check in checks[first:]:
+            if check.outcome is None:
                 deadline = self._check_deadline(check)
                 if deadline is not None:
                     deadlines.append(deadline)
@@ -636,7 +649,7 @@ class LightClientActor:
 
     def _rebuy_policy(self) -> None:
         """Abandon the voided policy and its checks; buy anew from START."""
-        for check in self.checks:
+        for check in self.checks[self._first_open :]:
             if check.outcome is None and check.kind is not CheckKind.EPOCH_EVENT:
                 check.outcome = "abandoned"
         self.stage = Stage.START
@@ -702,7 +715,7 @@ class LightClientActor:
 
     def _drive_checks(self, now: int, ctx) -> None:
         """Issue, time out or finish each check whose deadline has come."""
-        for check in self.checks:
+        for check in self.checks[self._first_open :]:
             if check.outcome is not None:
                 continue
             deadline = self._check_deadline(check)
@@ -764,16 +777,20 @@ class LightClientActor:
             # The bulk of a maintaining client's mail, decided inline. Lists
             # count only while the held epoch's are collected, and only from
             # the providers held when it opened; one honest list among them
-            # suffices, whoever else still answers.
+            # suffices, whoever else still answers. The shared list of a
+            # complete epoch is merged once.
             maintenance = self._maintenance
+            events = payload.events
             if (
                 maintenance is not None
+                and events is not maintenance.merged
                 and not maintenance.collected
                 and maintenance.epoch == payload.epoch + 1
                 and ctx.provider_keys[sender] in maintenance.held
             ):
                 # An epoch's list names each record once, in a block of that epoch.
-                maintenance.events.update(payload.events)
+                maintenance.merged = events
+                maintenance.events.update(events)
         elif isinstance(payload, ResponseMsg):
             self._handle_response(payload.response, now, ctx)
         elif isinstance(payload, ReceiptMsg):
@@ -786,7 +803,7 @@ class LightClientActor:
             ctx.log(self.name, "compensated", codec.encode_u128(payload.amount))
 
     def _handle_response(self, response: SignedResponse, now: int, ctx) -> None:
-        for check in self.checks:
+        for check in self.checks[self._first_open :]:
             if check.outcome is not None or response.provider_pk not in check.selected:
                 continue
             if (

@@ -1,6 +1,8 @@
 """Provider strategies and watcher verdicts against a real chain."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsim import codec, crypto
 from lcsim.actors import (
@@ -12,9 +14,15 @@ from lcsim.actors import (
     watcher_check,
 )
 from lcsim.chain import Chain, Transaction
-from lcsim.contract import ContractConfig, Ledger, ProviderStatus, SlashingContract
+from lcsim.contract import (
+    MEMBERSHIP_TAGS,
+    ContractConfig,
+    Ledger,
+    ProviderStatus,
+    SlashingContract,
+)
 from lcsim.light_client import Check, CheckKind, verify_response
-from lcsim.messages import EventListMsg, EventListRequest, QueryMsg
+from lcsim.messages import EventListMsg, EventListRequest, QueryMsg, fetch_tick
 from lcsim.pricing import PricingParams, eth_to_wei
 
 ETH = eth_to_wei(1)
@@ -206,8 +214,8 @@ class TestWatcherCheck:
 
 class _SendLog:
     """The slice of the harness context a provider answers event lists with:
-    it records (tick, destination, message) and gives each client's link
-    delay to the provider."""
+    it records (tick, destination, message), gives each client's link delay
+    to the provider and holds the run's list of each complete epoch."""
 
     def __init__(self, chain, contract, delays=None):
         self.chain = chain
@@ -215,6 +223,7 @@ class _SendLog:
         self.delays = delays or {}
         self.now = 0
         self.sent = []
+        self.event_lists = {}
 
     def send(self, src, dst, payload):
         self.sent.append((self.now, dst, payload))
@@ -279,6 +288,119 @@ class TestEpochEventMemo:
         # Epoch 1 is still open: each request gets a fresh reply.
         assert len({id(msg) for msg in open_}) == len(open_)
         assert all(msg == EventListMsg(epoch=1, events=((16, withdraw),)) for msg in open_)
+
+
+class TestSharedEventList:
+    """A complete epoch's list is one object per run, which every provider
+    that serves lists answers with; an open epoch is scanned afresh."""
+
+    SERVING = (ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH)
+
+    def test_every_serving_provider_answers_with_one_object(self, env):
+        chain, contract, _, _ = env
+        register = codec.register_record(crypto.keygen(78).public_key, 32 * ETH)
+        chain.append_block([Transaction.create(register)])  # block 12
+        while chain.tip.number < 16:  # epoch 0 complete, epoch 1 open
+            chain.append_block([])
+        ctx = _SendLog(chain, contract)
+        providers = [
+            DataProviderActor(f"p{i}", crypto.keygen(90 + i), 32 * ETH, strategy)
+            for i, strategy in enumerate(self.SERVING * 3)
+        ]
+        for provider in providers:
+            for client in ("c0", "c1"):
+                provider.handle_message(client, EventListRequest(epoch=0), ctx)
+        replies = [msg for _, _, msg in ctx.sent]
+        assert len(replies) == 2 * len(providers)
+        assert all(msg is replies[0] for msg in replies)
+        assert replies[0] == EventListMsg(epoch=0, events=((12, register),))
+        # A push is built by the same method: the same object again.
+        assert all(p._event_list(0, ctx) is replies[0] for p in providers)
+        # Another run has its own list.
+        assert providers[0]._event_list(0, _SendLog(chain, contract)) is not replies[0]
+
+    @given(
+        st.integers(1, 6),
+        st.lists(st.lists(st.sampled_from("rwo"), max_size=3), min_size=1, max_size=30),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_a_fresh_scan_at_every_tip(self, blocks, history):
+        """Providers asked about every epoch at every tip of a random history
+        of register, withdraw and other records answer what a fresh scan
+        filtered by MEMBERSHIP_TAGS gives; an open epoch is never kept."""
+        chain = Chain()
+        contract = SlashingContract(
+            ContractConfig(min_stake=ETH, update_epoch_blocks=blocks, max_challenge_period=4),
+            Ledger(),
+            PricingParams(),
+        )
+        ctx = _SendLog(chain, contract)
+        providers = [
+            DataProviderActor(f"p{i}", crypto.keygen(90 + i), 32 * ETH, s)
+            for i, s in enumerate(self.SERVING)
+        ]
+        make = {
+            "r": lambda n: codec.register_record(crypto.keygen(n).public_key, 8 * ETH),
+            "w": lambda n: codec.withdraw_record(crypto.keygen(n).public_key),
+            "o": lambda n: b"other-record:" + n.to_bytes(8, "big"),
+        }
+        for number, kinds in enumerate(history, start=1):
+            chain.append_block(
+                [Transaction.create(make[k](100 * number + j)) for j, k in enumerate(kinds)]
+            )
+            for epoch in range(chain.tip.number // blocks + 2):
+                first, last = epoch * blocks, (epoch + 1) * blocks - 1
+                fresh = tuple(
+                    (n, tx.payload)
+                    for n, tx in chain.transactions_between(first, last)
+                    if codec.record_tag(tx.payload) in MEMBERSHIP_TAGS
+                )
+                answers = [p._event_list(epoch, ctx) for p in providers]
+                assert all(msg == EventListMsg(epoch, fresh) for msg in answers)
+                if last <= chain.tip.number:
+                    assert all(msg is ctx.event_lists[epoch] for msg in answers)
+                else:
+                    assert epoch not in ctx.event_lists
+
+
+class TestPushTiming:
+    """The push tick a provider works out from its once-read epoch timing
+    is the first tick from the request on at which a request sent at an
+    epoch's fetch tick over the client's link arrives."""
+
+    @staticmethod
+    def first_arrival(tick, delay, blocks, t_fin):
+        arrival = tick
+        while (arrival - delay - fetch_tick(0, blocks, t_fin)) % blocks:
+            arrival += 1
+        return arrival
+
+    @given(
+        st.integers(1, 64),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(st.tuples(st.integers(0, 300), st.integers(1, 255)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_precomputed_push_tick(self, blocks, slots, depth, requests):
+        chain = Chain(slots_per_epoch=slots, finality_depth_epochs=depth)
+        contract = SlashingContract(
+            ContractConfig(min_stake=ETH, update_epoch_blocks=blocks, max_challenge_period=4),
+            Ledger(),
+            PricingParams(),
+        )
+        t_fin = slots * depth
+        clients = {f"c{i}": delay for i, (_, delay) in enumerate(requests)}
+        ctx = _SendLog(chain, contract, delays=clients)
+        provider = DataProviderActor("p0", crypto.keygen(77), 32 * ETH, ProviderStrategy.HONEST)
+        expected = []
+        for (tick, delay), client in sorted(zip(requests, clients)):
+            ctx.now = tick
+            provider.handle_message(client, EventListRequest(epoch=0), ctx)
+            due = self.first_arrival(tick, delay, blocks, t_fin)
+            assert provider._push_tick(delay, tick, ctx) == due
+            expected.append(due)
+            assert provider._next_push == min(expected)
 
 
 class TestStandingRequests:

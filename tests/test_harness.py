@@ -1019,6 +1019,40 @@ class TestSchedule:
     def test_drawn_populations(self, config):
         assert outputs(Simulation(config)) == outputs(TickEveryActor(config))
 
+    def test_a_list_only_delivery_ticks_no_client(self, monkeypatch):
+        """A client is ticked at its first tick, at a tick its next_tick
+        named, or on a delivery other than an event list; never for lists
+        alone, which move none of its deadlines."""
+        allowed, ticked, list_only = set(), [], set()
+        next_tick = LightClientActor.next_tick
+        on_tick = LightClientActor.on_tick
+        handle_message = LightClientActor.handle_message
+
+        def recorded_next_tick(client, now):
+            wake = next_tick(client, now)
+            allowed.add((client.name, wake))
+            return wake
+
+        def recorded_on_tick(client, now, ctx):
+            ticked.append((client.name, now))
+            return on_tick(client, now, ctx)
+
+        def recorded_handle_message(client, sender, payload, ctx):
+            if type(payload) is EventListMsg:
+                list_only.add((client.name, ctx.now))
+            else:
+                allowed.add((client.name, ctx.now))
+            return handle_message(client, sender, payload, ctx)
+
+        monkeypatch.setattr(LightClientActor, "next_tick", recorded_next_tick)
+        monkeypatch.setattr(LightClientActor, "on_tick", recorded_on_tick)
+        monkeypatch.setattr(LightClientActor, "handle_message", recorded_handle_message)
+        sim = Simulation(scaled_maintain())
+        allowed.update((c.name, c.first_tick()) for c in sim.clients)
+        sim.run()
+        assert list_only - allowed  # some ticks bring a client only lists
+        assert set(ticked) <= allowed
+
     def test_quiet_actors_are_not_ticked(self, monkeypatch):
         """Past its register tick a provider is ticked only for deliveries
         and standing pushes; a watcher only for deliveries and pending

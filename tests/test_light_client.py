@@ -17,12 +17,14 @@ from lcsim.harness import (
     min_compliant_challenge_period,
 )
 from lcsim.light_client import (
+    Check,
     CheckKind,
     ClientConfig,
     LightClientActor,
     NoEligibleProvidersError,
     Protocol,
     ProviderView,
+    Stage,
     _Maintenance,
     apply_epoch_events,
     provider_views,
@@ -358,6 +360,101 @@ class TestEventListDelivery:
             ctx.now = now
             client.handle_message(sender, EventListMsg(epoch=epoch, events=(record,)), ctx)
             assert maintenance.events == ({record} if counted else set())
+
+
+class _CountingSet(set):
+    """A set that counts its `update` calls."""
+
+    updates = 0
+
+    def update(self, *others):
+        self.updates += 1
+        super().update(*others)
+
+
+class TestMergeOnce:
+    """A shared events tuple is merged once; another tuple, equal or not,
+    is merged again, and the union is the one merging every list gives."""
+
+    def deliver(self, lists):
+        """Deliver (sender, events) lists of epoch 1 to a client collecting
+        epoch 2's records and holding p0-p2; its maintenance record."""
+        held = pks(3)
+        ctx = _Ctx()
+        ctx.now = 45
+        ctx.provider_keys = {f"p{i}": pk for i, pk in enumerate(pks(4))}
+        config = ClientConfig(protocol=Protocol.ECO, challenge_period=1, target_value=ETH)
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        maintenance = client._maintenance = _Maintenance(
+            2, 41, ProviderView({pk: 8 * ETH for pk in held})
+        )
+        maintenance.events = _CountingSet()
+        for sender, events in lists:
+            client.handle_message(sender, EventListMsg(epoch=1, events=events), ctx)
+        return maintenance
+
+    def records(self, n):
+        return tuple((33 + i, codec.register_record(bytes([9 + i]) * 32, ETH)) for i in range(n))
+
+    def test_shared_tuple_once_other_tuples_again(self):
+        shared = self.records(3)
+        copy = tuple(list(shared))  # equal, another object
+        omitting = shared[1:]
+        assert copy == shared and copy is not shared
+        maintenance = self.deliver(
+            [("p0", shared), ("p1", shared), ("p2", copy), ("p3", omitting), ("p2", shared)]
+        )
+        # p1's list is the tuple just merged; p3 is not held.
+        assert maintenance.events.updates == 3
+        assert maintenance.events == set(shared)
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(["p0", "p1", "p2", "p3"]), st.integers(0, 3))),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_same_union_as_merging_every_list(self, deliveries):
+        full = self.records(4)
+        # The shared tuple, an equal copy, and two omitting lists.
+        tuples = [full, tuple(list(full)), full[1:], full[:2]]
+        lists = [(sender, tuples[k]) for sender, k in deliveries]
+        maintenance = self.deliver(lists)
+        counted = [events for sender, events in lists if sender != "p3"]
+        assert maintenance.events == set().union(*counted)
+        # One merge per run of one tuple object among the counted lists.
+        runs = sum(1 for i, ev in enumerate(counted) if i == 0 or ev is not counted[i - 1])
+        assert maintenance.events.updates == runs
+
+
+class TestOpenChecks:
+    """The loops that pass over closed checks skip the closed prefix, which
+    `next_tick` moves past."""
+
+    def test_next_tick_reads_only_open_checks(self, monkeypatch):
+        config = ClientConfig(protocol=Protocol.ECO, challenge_period=4, target_value=ETH)
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        client.bootstrap_epochs = [0]
+        client.current_epoch_held = 0
+        client.stage = Stage.QUERYING
+        checks = [
+            Check(CheckKind.EPOCH_EVENT, 1, bytes(32), 4, ETH, query_tick=t) for t in range(12)
+        ]
+        for check in checks[:9] + checks[10:]:
+            check.outcome = "accepted"
+        client.checks = list(checks)
+        read = []
+        deadline = LightClientActor._check_deadline
+        monkeypatch.setattr(
+            LightClientActor,
+            "_check_deadline",
+            lambda self, check: read.append(check) or deadline(self, check),
+        )
+        assert client.next_tick(5) == 9
+        assert read == [checks[9]]
+        assert client._first_open == 9
+        checks[9].outcome = "abandoned"
+        assert client.next_tick(5) is None
+        assert client._first_open == 12
+        assert client.checks == checks  # the closed checks are kept
 
 
 class TestApplyEpochEvents:
