@@ -7,12 +7,12 @@ identical (seed, config) pairs produce byte-identical event logs:
 1. deliver the tick's messages in the order they were sent;
 2. tick the actors due this tick in index order, so providers before
    watchers and watchers before clients. An actor is due at its first
-   deadline (`first_tick`), on every tick a message other than an event
-   list is delivered to it, and at the tick it names after each of its
-   ticks (`next_tick`, None when only a message can make it act). A list
-   only adds to a client's collected records and moves none of its
-   deadlines. Every tick an actor skips would have been a no-op, so the
-   log is the one ticking every actor on every tick gives;
+   deadline (`first_tick`), on every tick a message is delivered to it
+   unless its `handle_message` returns False (a client's event list only
+   adds to its collected records and moves none of its deadlines), and at
+   the tick it names after each of its ticks (`next_tick`, None when only
+   a message can make it act). Every tick an actor skips would have been a
+   no-op, so the log is the one ticking every actor on every tick gives;
 3. execute the transaction pool, append the block, run the contract's
    block boundary, and sample the invariants.
 
@@ -618,8 +618,7 @@ class Simulation:
                     ticking = set()
                 for src, dst, payload in delivered:
                     i = position[dst]
-                    actors[i].handle_message(src, payload, ctx)
-                    if type(payload) is not EventListMsg:  # a list moves no deadline
+                    if actors[i].handle_message(src, payload, ctx) is not False:
                         ticking.add(i)
             if ticking:
                 for i in sorted(ticking):

@@ -371,7 +371,8 @@ class LightClientActor:
         self.current_epoch_held: int | None = None
         self.dropped: set[bytes] = set()
         self.checks: list[Check] = []
-        # Every check before this index is closed; `next_tick` moves it on.
+        # Every check before this index is closed, so the loops that pass
+        # over closed checks start here; `_accept` moves it on.
         self._first_open = 0
         self.alerts_seen: list[Alert] = []
         self._pending_purchase: int | None = None  # token of the BUYING purchase
@@ -467,7 +468,7 @@ class LightClientActor:
     def on_tick(self, now: int, ctx) -> None:
         if self._live_from(now) != now:
             return
-        if not self.bootstrapped:
+        if not self.bootstrap_epochs:
             self.bootstrap(ctx, now)
         if self.config.maintain:
             self._advance_epoch(now, ctx)
@@ -489,17 +490,10 @@ class LightClientActor:
         too early costs one no-op tick.
         """
         soon = now + 1
-        if not self.bootstrapped or not self._protocol_waits():
+        if not self.bootstrap_epochs or not self._protocol_waits():
             return self._live_from(soon)
         deadlines = []
-        # Move past the closed prefix, for this loop and the others that
-        # pass over closed checks; an outcome is never reset.
-        checks = self.checks
-        first = self._first_open
-        while first < len(checks) and checks[first].outcome is not None:
-            first += 1
-        self._first_open = first
-        for check in checks[first:]:
+        for check in self.checks[self._first_open :]:
             if check.outcome is None:
                 deadline = self._check_deadline(check)
                 if deadline is not None:
@@ -751,6 +745,12 @@ class LightClientActor:
     def _accept(self, check: Check, now: int, ctx) -> None:
         check.accepted_tick = now
         check.outcome = "accepted"
+        # Most checks close here; an outcome is never reset.
+        checks = self.checks
+        first = self._first_open
+        while first < len(checks) and checks[first].outcome is not None:
+            first += 1
+        self._first_open = first
         metrics = ctx.metrics.client(self.name)
         if check.kind is CheckKind.TARGET:
             self.stage = Stage.ACCEPTED
@@ -768,7 +768,9 @@ class LightClientActor:
 
     # -- message handling ---------------------------------------------------------
 
-    def handle_message(self, sender: str, payload, ctx) -> None:
+    def handle_message(self, sender: str, payload, ctx) -> bool | None:
+        """Act on a delivered message; False when it moves none of the
+        client's deadlines (an event list), so it needs no tick."""
         now = ctx.now
         window = self.config.offline  # `_offline_at`, inline
         if window is not None and window[0] <= now <= window[1]:
@@ -791,6 +793,7 @@ class LightClientActor:
                 # An epoch's list names each record once, in a block of that epoch.
                 maintenance.merged = events
                 maintenance.events.update(events)
+            return False
         elif isinstance(payload, ResponseMsg):
             self._handle_response(payload.response, now, ctx)
         elif isinstance(payload, ReceiptMsg):

@@ -2,6 +2,7 @@
 reject paths and lifecycle in whole runs."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from lcsim import actors, codec, crypto, scenario
 from lcsim.actors import ProviderStrategy
 from lcsim.contract import fold_membership
 from lcsim.harness import (
+    Metrics,
     ProviderSpec,
     Simulation,
     build_scenario,
@@ -426,35 +428,38 @@ class TestMergeOnce:
 
 
 class TestOpenChecks:
-    """The loops that pass over closed checks skip the closed prefix, which
-    `next_tick` moves past."""
+    """Accepting a check moves the client past the closed checks at the head
+    of `checks`, and the loops that pass over closed checks start there."""
 
-    def test_next_tick_reads_only_open_checks(self, monkeypatch):
+    def test_loops_skip_the_closed_prefix(self):
         config = ClientConfig(protocol=Protocol.ECO, challenge_period=4, target_value=ETH)
         client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
         client.bootstrap_epochs = [0]
         client.current_epoch_held = 0
         client.stage = Stage.QUERYING
+        ctx = _Ctx()
+        ctx.metrics = Metrics()
         checks = [
             Check(CheckKind.EPOCH_EVENT, 1, bytes(32), 4, ETH, query_tick=t) for t in range(12)
         ]
-        for check in checks[:9] + checks[10:]:
-            check.outcome = "accepted"
         client.checks = list(checks)
-        read = []
-        deadline = LightClientActor._check_deadline
-        monkeypatch.setattr(
-            LightClientActor,
-            "_check_deadline",
-            lambda self, check: read.append(check) or deadline(self, check),
-        )
-        assert client.next_tick(5) == 9
-        assert read == [checks[9]]
+        for check in checks[:9] + checks[10:]:
+            client._accept(check, 5, ctx)
         assert client._first_open == 9
-        checks[9].outcome = "abandoned"
-        assert client.next_tick(5) is None
-        assert client._first_open == 12
         assert client.checks == checks  # the closed checks are kept
+        # No loop reads the closed prefix.
+        client.checks[:9] = [None] * 9
+        assert client.next_tick(5) == 9
+        client._drive_checks(5, ctx)
+        response = SimpleNamespace(provider_pk=bytes(32))
+        client._handle_response(response, 5, ctx)
+        client._rebuy_policy()
+        assert checks[9].outcome is None
+        # A check closed elsewhere is passed at the next acceptance.
+        checks[9].outcome = "abandoned"
+        client.checks.append(Check(CheckKind.EPOCH_EVENT, 1, bytes(32), 4, ETH, query_tick=7))
+        client._accept(client.checks[-1], 7, ctx)
+        assert client._first_open == 13
 
 
 class TestApplyEpochEvents:
