@@ -191,6 +191,7 @@ def configs() -> dict[str, ScenarioConfig]:
     out["delta4_eco"] = delta_case(ProviderStrategy.WRONG_HASH, 4, Protocol.ECO, seed=13)
     out["grid_100x100"] = grid(100, 100, 600)
     out["grid_churn_100x100"] = grid_churn(100, 100, 600)
+    out["grid_300x1000"] = grid(300, 1000, 600)
     return out
 
 
@@ -252,6 +253,10 @@ PINNED: dict[str, tuple[str, str]] = {
     "grid_churn_100x100": (
         "693f1760db832de19cbf3057b9d4093d839c41887a251fdcef11a6ac6981459a",
         "083aa258b9d6c06799540ff26f267d0b5885e78d61f991376cf90be42fdfb504",
+    ),
+    "grid_300x1000": (
+        "5a030e9c691af756cd94bcb41d8a7d74e979bafcfd29e9db0a2e0c5a9dad2141",
+        "006606b8085e00c04ea18ebe432eeb7c49e826cf752556eb0d6bfa7b9e81496a",
     ),
 }
 
