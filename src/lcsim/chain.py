@@ -133,13 +133,17 @@ class Chain:
         return self.blocks[number]
 
     def append_block(self, transactions: list[Transaction]) -> Block:
-        parent = self.tip
-        txs = tuple(transactions)
-        root = _transactions_root(txs)
+        parent = self.blocks[-1]
         number = parent.number + 1
+        if transactions:
+            txs = tuple(transactions)
+            root = _transactions_root(txs)
+        else:  # most blocks: nothing to root or index
+            txs, root = (), EMPTY_TRANSACTIONS_ROOT
         block = Block(number, parent.hash, txs, root, block_hash(number, parent.hash, root))
         self.blocks.append(block)
-        self._index(block)
+        if txs:
+            self._index(block)
         return block
 
     def _index(self, block: Block) -> None:

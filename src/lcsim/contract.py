@@ -189,9 +189,9 @@ class ContractConfig:
 class Ledger:
     """Flat wei accounts; every movement is a transfer, so Σ is invariant.
 
-    `total()` sums the balances afresh after each mint or transfer and
-    returns the last sum otherwise. The sum is never derived from the
-    amounts moved, so a transfer that loses or makes wei still shows in it.
+    `total()` sums the balances afresh, never from the amounts moved, so a
+    transfer that loses or makes wei shows in it. `version` is bumped by
+    every mint and transfer, so a caller can tell when Σ may have changed.
     """
 
     def __init__(self) -> None:
@@ -201,12 +201,12 @@ class Ledger:
             BURN_SINK: 0,
             GAS_SINK: 0,
         }
-        self._total: int | None = None  # the last sum; None once it is stale
+        self.version = 0
 
     def mint(self, account: object, amount: int) -> None:
         """Initial funding only; never called after a run starts."""
         self.balances[account] = self.balances.get(account, 0) + amount
-        self._total = None
+        self.version += 1
 
     def balance(self, account: object) -> int:
         return self.balances.get(account, 0)
@@ -218,12 +218,10 @@ class Ledger:
             raise ValueError(f"insufficient funds in {src!r}")
         self.balances[src] = self.balances.get(src, 0) - amount
         self.balances[dst] = self.balances.get(dst, 0) + amount
-        self._total = None
+        self.version += 1
 
     def total(self) -> int:
-        if self._total is None:
-            self._total = sum(self.balances.values())
-        return self._total
+        return sum(self.balances.values())
 
 
 # Submissions actors place in the transaction pool.
@@ -290,6 +288,7 @@ class SlashingContract:
         self, config: ContractConfig, ledger: Ledger, params: PricingParams, verify=None
     ) -> None:
         self.config = config
+        self._epoch_blocks = config.update_epoch_blocks
         self.ledger = ledger
         self.params = params
         # Checks slash evidence signatures; `crypto.verify` by default.
@@ -532,7 +531,7 @@ class SlashingContract:
         before withdrawals."""
         self.current_block = block_number
         expiry = self._expiry
-        if not (expiry and expiry[0][0] < block_number) and not self.is_epoch_end(block_number):
+        if (block_number + 1) % self._epoch_blocks and not (expiry and expiry[0][0] < block_number):
             return []  # most blocks: nothing expires and no epoch ends
         effects: list[tuple] = []
         due = []

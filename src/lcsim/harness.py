@@ -14,7 +14,9 @@ identical (seed, config) pairs produce byte-identical event logs:
    a message can make it act). Every tick an actor skips would have been a
    no-op, so the log is the one ticking every actor on every tick gives;
 3. execute the transaction pool, append the block, run the contract's
-   block boundary, and sample the invariants.
+   block boundary, and sample the invariants. A quiet tick (empty pool, no
+   target due) costs one header hash and one log line: the invariants are
+   read again only once the contract's or the ledger's version has moved.
 
 Signature checks by clients, watchers and the contract's slash go through
 one memo per run (`crypto.VerifyMemo`), so each distinct signed response is
@@ -44,6 +46,7 @@ from .actors import (
 )
 from .chain import Chain, Transaction
 from .contract import (
+    BuyInsuranceTx,
     ContractConfig,
     Ledger,
     SlashingContract,
@@ -69,6 +72,8 @@ class ConfigInvalidError(ValueError):
 
 # Delays are stored one byte per edge.
 MAX_DELTA_TICKS = 255
+
+_sha256 = hashlib.sha256
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +284,7 @@ class EventLog:
         self.lines: list[str] = []
 
     def add(self, tick: int, actor: str, event_type: str, payload: bytes = b"") -> None:
-        self.lines.append(
-            f"{tick}\t{actor}\t{event_type}\t{hashlib.sha256(payload).hexdigest()[:16]}"
-        )
+        self.lines.append(f"{tick}\t{actor}\t{event_type}\t{_sha256(payload).hexdigest()[:16]}")
 
     def serialize(self) -> bytes:
         return ("\n".join(self.lines) + "\n").encode()
@@ -536,6 +539,11 @@ class Simulation:
         self._next_token = 1
         self.metrics.conservation_total = self.ledger.total()
         self._conservation_broken = False
+        # What `_sample` last read: the ledger and contract versions, and
+        # the utilization run it added to (None while no stake is active).
+        self._checked_ledger = self.ledger.version
+        self._sampled_contract: int | None = None
+        self._utilization_run: list[int] | None = None
 
     # -- plumbing -----------------------------------------------------------
 
@@ -634,8 +642,10 @@ class Simulation:
     def _close_tick(self, tick: int) -> None:
         """Execute the pool, append the tick's block, run the contract's
         block boundary and sample the invariants."""
-        block_txs = self._execute_pool(tick)
-        block_txs.extend(self._target_payloads.pop(tick, ()))
+        block_txs = self._execute_pool(tick) if self._pool else []
+        targets = self._target_payloads.pop(tick, None)
+        if targets:
+            block_txs += targets
         block = self.chain.append_block(block_txs)
         self.log.add(tick, "chain", "block", block.hash)
         for effect in self.contract.process_block_boundary(block.number):
@@ -661,6 +671,11 @@ class Simulation:
                 records[0] if records else b"",
             )
             self.enqueue(CONTRACT_ENDPOINT, src, ReceiptMsg(token=token, receipt=receipt))
+            if isinstance(submission, BuyInsuranceTx) and receipt.ok:
+                # Counted here, where the ledger moves, not when the receipt lands.
+                spent = self.metrics.client(src)
+                spent.premium_spent += receipt.premium_wei
+                spent.gas_spent += receipt.gas_wei
             if isinstance(submission, SlashTx) and receipt.ok:
                 self.metrics.slash_ticks.append(tick)
                 event = self.contract.slash_events[-1]
@@ -681,12 +696,25 @@ class Simulation:
         return block_txs
 
     def _sample(self, tick: int) -> None:
-        locked, stake = self.contract.utilization_sample()
-        if stake > 0:
-            self.metrics.sample_utilization(locked, stake)
-        if self.ledger.total() != self.metrics.conservation_total and not self._conservation_broken:
-            self._conservation_broken = True
-            self.metrics.violations.append(f"conservation:tick{tick}")
+        """Sample utilization and check conservation, each afresh only once
+        the contract's or the ledger's version has moved (else the last run of
+        samples grows by a tick), and check predictions at an epoch's end."""
+        version = self.contract.state_version
+        if version != self._sampled_contract:
+            self._sampled_contract = version
+            locked, stake = self.contract.utilization_sample()
+            self._utilization_run = None
+            if stake > 0:
+                self.metrics.sample_utilization(locked, stake)
+                self._utilization_run = self.metrics.utilization[-1]
+        elif self._utilization_run is not None:
+            self._utilization_run[2] += 1
+        ledger = self.ledger
+        if ledger.version != self._checked_ledger and not self._conservation_broken:
+            self._checked_ledger = ledger.version
+            if ledger.total() != self.metrics.conservation_total:
+                self._conservation_broken = True
+                self.metrics.violations.append(f"conservation:tick{tick}")
         if tick % self.config.update_epoch_blocks == 0:
             self._check_predictions(tick // self.config.update_epoch_blocks)
 

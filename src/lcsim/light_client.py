@@ -853,9 +853,6 @@ class LightClientActor:
             return
         self.stage = Stage.CONFIRMING
         self._insurance_id = receipt.insurance_id
-        metrics = ctx.metrics.client(self.name)
-        metrics.premium_spent += receipt.premium_wei
-        metrics.gas_spent += receipt.gas_wei
         # Confirm the purchase record through the economic path.
         self.checks.append(
             Check(

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from lcsim import codec, crypto
 from lcsim.actors import find_slash_record
-from lcsim.chain import Chain, Transaction, TxNotInBlockError, UnknownHeightError
+from lcsim.chain import (
+    GENESIS_PARENT,
+    Chain,
+    Transaction,
+    TxNotInBlockError,
+    UnknownHeightError,
+    _transactions_root,
+    block_hash,
+)
 
 
 def make_txs(n, tag=b"t"):
@@ -212,6 +220,31 @@ class TestTransactionIndex:
         for payload in _PAYLOADS:
             tx_id = crypto.digest(payload)
             assert rebuilt.find_transaction(tx_id) == original.find_transaction(tx_id)
+
+    @given(_BLOCKS, st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_every_block_is_rooted_hashed_and_indexed(self, blocks, passed_in):
+        """Empty and non-empty blocks, passed to the constructor or appended:
+        each block's root and hash are the one formula's, and the index
+        equals a scan."""
+        head = build_chain(blocks[:passed_in])
+        chain = Chain(blocks=list(head.blocks))
+        for txs in blocks[passed_in:]:
+            chain.append_block([Transaction.create(p, value=v) for p, v in txs])
+        assert chain.blocks == build_chain(blocks).blocks
+        parent = GENESIS_PARENT
+        for number, block in enumerate(chain.blocks):
+            assert (block.number, block.parent_hash) == (number, parent)
+            assert type(block.transactions) is tuple
+            assert block.transactions_root == _transactions_root(block.transactions)
+            assert block.hash == block_hash(number, parent, block.transactions_root)
+            parent = block.hash
+        every = linear_scan(chain)
+        assert chain.transactions_between(0, chain.tip.number) == every
+        for payload in _PAYLOADS:
+            tx_id = crypto.digest(payload)
+            expected = next((e for e in every if e[1].id == tx_id), None)
+            assert chain.find_transaction(tx_id) == expected
 
     @given(_BLOCKS)
     @settings(max_examples=100, deadline=None)

@@ -7,6 +7,9 @@ says why.
 
     PYTHONPATH=src python3 tests/test_golden.py            # print every case's digests
     PYTHONPATH=src python3 tests/test_golden.py NAME ...   # print the named cases only
+
+Each printed line ends with a comment: the seconds the case took to set
+up, run and hash.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from lcsim.actors import ProviderStrategy
 from lcsim.harness import (
     ProviderSpec,
     ScenarioConfig,
+    Simulation,
     build_scenario,
     min_compliant_challenge_period,
-    run_scenario,
 )
 from lcsim.light_client import Protocol
 from lcsim.pricing import eth_to_wei
@@ -195,8 +198,8 @@ def configs() -> dict[str, ScenarioConfig]:
     return out
 
 
-def digests(config: ScenarioConfig) -> tuple[str, str]:
-    metrics, log = run_scenario(config)
+def digests(config: ScenarioConfig, simulation=Simulation) -> tuple[str, str]:
+    metrics, log = simulation(config).run()
     canonical = json.dumps(metrics.to_dict(), sort_keys=True, separators=(",", ":"))
     return (
         hashlib.sha256(log.serialize()).hexdigest(),
@@ -272,7 +275,10 @@ def test_pinned_digests(name):
 
 if __name__ == "__main__":
     import sys
+    import time
 
     cases = configs()
     for name in sys.argv[1:] or cases:
-        print(f"    {name!r}: {digests(cases[name])!r},")
+        start = time.perf_counter()
+        pinned = digests(cases[name])
+        print(f"    {name!r}: {pinned!r},  # {time.perf_counter() - start:.3f} s")

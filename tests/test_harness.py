@@ -28,6 +28,7 @@ from lcsim.chain import Chain
 from lcsim.contract import (
     ContractConfig,
     Ledger,
+    ProviderStatus,
     RejectReason,
     SlashEvidence,
     SlashingContract,
@@ -37,7 +38,8 @@ from lcsim.light_client import ClientConfig, LightClientActor, Protocol, Provide
 from lcsim.messages import EventListMsg, EventListRequest
 from lcsim.pricing import CoverageInputs, PricingParams, eth_to_wei
 from test_golden import configs as golden_configs
-from test_golden import scaled_dispute, scaled_maintain
+from test_golden import PINNED, scaled_dispute, scaled_insured, scaled_maintain
+from test_golden import digests as golden_digests
 
 ETH = eth_to_wei(1)
 
@@ -174,6 +176,38 @@ class TestInsuredScenario:
         client = metrics.clients["c0"]
         assert client.gas_spent == config.pricing.gas_cost_wei  # one purchase
         assert client.gas_spent == 300_000 * config.pricing.gas_price_wei
+
+    def test_fees_count_when_the_receipt_never_arrives(self):
+        """A purchase executed on the run's last tick is charged and counted,
+        though its receipt is still in flight when the run ends."""
+        cp = min_compliant_challenge_period(8, 1)
+        base = build_scenario(ProviderStrategy.HONEST, 1, cp, Protocol.INS, seed=0)
+        client = dataclasses.replace(base.clients[0], start_tick=base.total_ticks)
+        sim = Simulation(dataclasses.replace(base, clients=(client,)))
+        metrics, _ = sim.run()
+        [policy] = sim.contract.policies.values()
+        assert sim.clients[0]._pending_purchase is not None  # no receipt yet
+        spent = metrics.clients["c0"]
+        gas = base.pricing.gas_cost_wei
+        assert (spent.premium_spent, spent.gas_spent) == (policy.premium_wei, gas)
+        assert spent.final_balance - spent.initial_balance == -(policy.premium_wei + gas)
+        assert metrics.violations == []
+
+    def test_fees_are_those_of_the_executed_purchases(self):
+        """Colliding purchases revert and are bought again: each client has
+        spent the premium and gas of exactly the policies it bought, as a
+        revert moves no wei."""
+        sim = Simulation(scaled_insured())
+        metrics, log = sim.run()
+        assert any("\tinsurance_reverted\t" in line for line in log.lines)
+        gas = sim.config.pricing.gas_cost_wei
+        for client in sim.clients:
+            bought = [
+                p for p in sim.contract.policies.values() if p.buyer_pk == client.public_key
+            ]
+            spent = metrics.clients[client.name]
+            assert spent.premium_spent == sum(p.premium_wei for p in bought)
+            assert spent.gas_spent == len(bought) * gas
 
     def test_instant_acceptance(self):
         metrics, _ = run_scenario(load("insured"))
@@ -532,7 +566,7 @@ class TestBookkeeping:
 
 
 class TestConservation:
-    """The ledger re-sums its balances only after a mint or a transfer; a
+    """The harness re-sums the ledger only after a mint or a transfer; a
     transfer that loses wei still shows at the tick it runs."""
 
     def test_a_leaking_transfer_is_reported_at_its_tick(self, monkeypatch):
@@ -1071,6 +1105,75 @@ class TestSchedule:
         config = load("wrong_hash")
         outputs(Simulation(config))
         assert 0 < len(calls) < config.total_ticks // 4
+
+
+class SampleEveryTick(Simulation):
+    """The reference tick close: the pool is executed on every tick, and
+    utilization and conservation are summed afresh on every tick."""
+
+    def _close_tick(self, tick):
+        block_txs = self._execute_pool(tick)
+        block_txs.extend(self._target_payloads.pop(tick, ()))
+        block = self.chain.append_block(block_txs)
+        self.log.add(tick, "chain", "block", block.hash)
+        for effect in self.contract.process_block_boundary(block.number):
+            self.log.add(tick, harness.CONTRACT_ENDPOINT, effect[0], repr(effect).encode())
+            if effect[0] == "withdrawn":
+                self.metrics.withdrawals.append((tick, effect[1], effect[2]))
+        active = [
+            r for r in self.contract.providers.values() if r.status is ProviderStatus.ACTIVE
+        ]
+        stake = sum(r.stake for r in active)
+        if stake > 0:
+            self.metrics.sample_utilization(sum(r.locked for r in active), stake)
+        total = sum(self.ledger.balances.values())
+        if total != self.metrics.conservation_total and not self._conservation_broken:
+            self._conservation_broken = True
+            self.metrics.violations.append(f"conservation:tick{tick}")
+        if tick % self.config.update_epoch_blocks == 0:
+            self._check_predictions(tick // self.config.update_epoch_blocks)
+
+
+class TestLeanTick:
+    """A quiet tick appends and logs its block and reads the invariants
+    only once their inputs have changed; the bytes are those of executing
+    and sampling on every tick."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_golden_configs(self, name):
+        assert golden_digests(golden_configs()[name], SampleEveryTick) == PINNED[name]
+
+    @given(populations() | maintaining_populations())
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_drawn_populations(self, config):
+        assert outputs(Simulation(config)) == outputs(SampleEveryTick(config))
+
+    def test_samples_follow_every_change_of_stake_or_locks(self):
+        """Each tick whose block registers, starts a withdrawal, sells a
+        policy or expires one starts a new run of samples, as in the
+        reference; between them one run grows a tick at a time."""
+        config = scaled_maintain()
+        metrics, log = Simulation(config).run()
+        assert metrics.utilization == SampleEveryTick(config).run()[0].utilization
+        events = [line.split("\t") for line in log.lines]
+        expiries = {int(tick) for tick, _, event, _ in events if event == "policy_expired"}
+        changed = expiries | {
+            int(tick)
+            for tick, _, event, _ in events
+            if event in ("tx-register-ok", "tx-withdraw-ok", "tx-buy_insurance-ok")
+        }
+        starts, tick = set(), 1
+        for _, _, ticks in metrics.utilization:
+            starts.add(tick)
+            tick += ticks
+        assert tick == config.total_ticks + 1
+        assert len(expiries) >= 3
+        assert changed == starts
 
 
 class TestMessageCounts:
