@@ -140,7 +140,10 @@ class Chain:
             root = _transactions_root(txs)
         else:  # most blocks: nothing to root or index
             txs, root = (), EMPTY_TRANSACTIONS_ROOT
-        block = Block(number, parent.hash, txs, root, block_hash(number, parent.hash, root))
+        # One block per tick: tuple.__new__ skips the NamedTuple's Python-level __new__.
+        block = tuple.__new__(
+            Block, (number, parent.hash, txs, root, block_hash(number, parent.hash, root))
+        )
         self.blocks.append(block)
         if txs:
             self._index(block)

@@ -310,7 +310,7 @@ class SlashingContract:
         self._expiry: list[tuple[int, int]] = []
         # Bumped by every change of provider or policy state; the views
         # below are memoised against it.
-        self._version = 0
+        self.state_version = 0
         self._active_memo: tuple[int, int, list[tuple[bytes, int, int]]] | None = None
         self._utilization_memo: tuple[int, tuple[int, int]] | None = None
 
@@ -326,11 +326,6 @@ class SlashingContract:
     def is_epoch_end(self, block_number: int) -> bool:
         return (block_number + 1) % self.config.update_epoch_blocks == 0
 
-    @property
-    def state_version(self) -> int:
-        """Bumped by every change of provider or policy state."""
-        return self._version
-
     # -- registry -----------------------------------------------------------
 
     def register(self, pk: bytes, stake: int, block_number: int) -> bytes:
@@ -343,7 +338,7 @@ class SlashingContract:
             # A node that exited and rejoins is a fresh provider.
             self.retired.append(existing)
         self.ledger.transfer(pk, STAKE_VAULT, stake)
-        self._version += 1
+        self.state_version += 1
         epoch = self.epoch_of(block_number)
         self.providers[pk] = ProviderRecord(
             public_key=pk,
@@ -361,7 +356,7 @@ class SlashingContract:
         epoch = self.epoch_of(block_number)
         record.status = ProviderStatus.LEAVING
         record.withdraw_requested_epoch = epoch
-        self._version += 1
+        self.state_version += 1
         return self._record(epoch, codec.withdraw_record(pk))
 
     def _record(self, epoch: int, payload: bytes) -> bytes:
@@ -424,7 +419,7 @@ class SlashingContract:
         self._next_policy_id += 1
         self.policies[policy.id] = policy
         heapq.heappush(self._expiry, (policy.last_covered_block, policy.id))
-        self._version += 1
+        self.state_version += 1
         payload = codec.insurance_record(
             policy.id, buyer_pk, coverage_value, block_number, duration, list(allocations)
         )
@@ -473,7 +468,7 @@ class SlashingContract:
         record.stake = 0
         record.locked = 0
         record.status = ProviderStatus.SLASHED
-        self._version += 1
+        self.state_version += 1
 
         compensation = 0
         claimed_id = None
@@ -549,7 +544,7 @@ class SlashingContract:
                     ProviderStatus.LEAVING,
                 ):
                     record.locked -= amount
-            self._version += 1
+            self.state_version += 1
             effects.append(("policy_expired", policy.id))
         if self.is_epoch_end(block_number):
             epoch = self.epoch_of(block_number)
@@ -564,7 +559,7 @@ class SlashingContract:
                 record.stake = 0
                 record.locked = 0
                 record.status = ProviderStatus.EXITED
-                self._version += 1
+                self.state_version += 1
                 self.ledger.transfer(STAKE_VAULT, record.public_key, amount)
                 effects.append(("withdrawn", record.public_key, amount))
         return effects
@@ -592,8 +587,8 @@ class SlashingContract:
                 f"epoch {epoch} is beyond current epoch {self.current_epoch} + 1"
             )
         memo = self._active_memo
-        if memo is None or memo[0] != epoch or memo[1] != self._version:
-            memo = self._active_memo = (epoch, self._version, self._active_rows(epoch))
+        if memo is None or memo[0] != epoch or memo[1] != self.state_version:
+            memo = self._active_memo = (epoch, self.state_version, self._active_rows(epoch))
         return list(memo[2])
 
     def _active_rows(self, epoch: int) -> list[tuple[bytes, int, int]]:
@@ -623,7 +618,7 @@ class SlashingContract:
     def utilization_sample(self) -> tuple[int, int]:
         """(total locked, total stake) over currently active providers."""
         memo = self._utilization_memo
-        if memo is not None and memo[0] == self._version:
+        if memo is not None and memo[0] == self.state_version:
             return memo[1]
         locked = 0
         stake = 0
@@ -631,7 +626,7 @@ class SlashingContract:
             if record.status is ProviderStatus.ACTIVE:
                 locked += record.locked
                 stake += record.stake
-        self._utilization_memo = (self._version, (locked, stake))
+        self._utilization_memo = (self.state_version, (locked, stake))
         return locked, stake
 
     # -- transaction execution ----------------------------------------------

@@ -539,7 +539,7 @@ class Simulation:
         self._next_token = 1
         self.metrics.conservation_total = self.ledger.total()
         self._conservation_broken = False
-        # What `_sample` last read: the ledger and contract versions, and
+        # What `_close_tick` last read: the ledger and contract versions, and
         # the utilization run it added to (None while no stake is active).
         self._checked_ledger = self.ledger.version
         self._sampled_contract: int | None = None
@@ -641,7 +641,10 @@ class Simulation:
 
     def _close_tick(self, tick: int) -> None:
         """Execute the pool, append the tick's block, run the contract's
-        block boundary and sample the invariants."""
+        block boundary, and sample the invariants: utilization and
+        conservation each afresh only once the contract's or the ledger's
+        version has moved (else the last run of samples grows by a tick),
+        and predictions at an epoch's end."""
         block_txs = self._execute_pool(tick) if self._pool else []
         targets = self._target_payloads.pop(tick, None)
         if targets:
@@ -652,7 +655,24 @@ class Simulation:
             self.log.add(tick, CONTRACT_ENDPOINT, effect[0], repr(effect).encode())
             if effect[0] == "withdrawn":
                 self.metrics.withdrawals.append((tick, effect[1], effect[2]))
-        self._sample(tick)
+        version = self.contract.state_version
+        if version != self._sampled_contract:
+            self._sampled_contract = version
+            locked, stake = self.contract.utilization_sample()
+            self._utilization_run = None
+            if stake > 0:
+                self.metrics.sample_utilization(locked, stake)
+                self._utilization_run = self.metrics.utilization[-1]
+        elif self._utilization_run is not None:
+            self._utilization_run[2] += 1
+        ledger = self.ledger
+        if ledger.version != self._checked_ledger and not self._conservation_broken:
+            self._checked_ledger = ledger.version
+            if ledger.total() != self.metrics.conservation_total:
+                self._conservation_broken = True
+                self.metrics.violations.append(f"conservation:tick{tick}")
+        if tick % self.config.update_epoch_blocks == 0:
+            self._check_predictions(tick // self.config.update_epoch_blocks)
 
     def _execute_pool(self, tick: int) -> list[Transaction]:
         pool, self._pool = self._pool, []
@@ -694,29 +714,6 @@ class Simulation:
                             ),
                         )
         return block_txs
-
-    def _sample(self, tick: int) -> None:
-        """Sample utilization and check conservation, each afresh only once
-        the contract's or the ledger's version has moved (else the last run of
-        samples grows by a tick), and check predictions at an epoch's end."""
-        version = self.contract.state_version
-        if version != self._sampled_contract:
-            self._sampled_contract = version
-            locked, stake = self.contract.utilization_sample()
-            self._utilization_run = None
-            if stake > 0:
-                self.metrics.sample_utilization(locked, stake)
-                self._utilization_run = self.metrics.utilization[-1]
-        elif self._utilization_run is not None:
-            self._utilization_run[2] += 1
-        ledger = self.ledger
-        if ledger.version != self._checked_ledger and not self._conservation_broken:
-            self._checked_ledger = ledger.version
-            if ledger.total() != self.metrics.conservation_total:
-                self._conservation_broken = True
-                self.metrics.violations.append(f"conservation:tick{tick}")
-        if tick % self.config.update_epoch_blocks == 0:
-            self._check_predictions(tick // self.config.update_epoch_blocks)
 
     def _check_predictions(self, epoch: int) -> None:
         expected = None  # the contract's set, computed once the first client qualifies
