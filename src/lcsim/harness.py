@@ -542,7 +542,7 @@ class Simulation:
         # What `_close_tick` last read: the ledger and contract versions, and
         # the utilization run it added to (None while no stake is active).
         self._checked_ledger = self.ledger.version
-        self._sampled_contract: int | None = None
+        self._sampled_contract = -1
         self._utilization_run: list[int] | None = None
 
     # -- plumbing -----------------------------------------------------------
