@@ -436,9 +436,6 @@ class DataProviderActor:
         self._standing: dict[int, tuple[list[str], list[int]]] = {}
         self._standing_clients: set[str] = set()
         self._next_push: int | None = None
-        # (update_epoch_blocks, epoch 0's fetch tick), read at the first
-        # event-list request: neither changes during a run.
-        self._epoch_timing: tuple[int, int] | None = None
 
     @property
     def public_key(self) -> bytes:
@@ -514,15 +511,9 @@ class DataProviderActor:
                     ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
 
     def _timing(self, ctx) -> tuple[int, int]:
-        """(update_epoch_blocks, `fetch_tick` of epoch 0), worked out once."""
-        timing = self._epoch_timing
-        if timing is None:
-            blocks = ctx.contract.config.update_epoch_blocks
-            timing = self._epoch_timing = (
-                blocks,
-                fetch_tick(0, blocks, ctx.chain.finality_depth_blocks),
-            )
-        return timing
+        """(update_epoch_blocks, `fetch_tick` of epoch 0)."""
+        blocks = ctx.contract.config.update_epoch_blocks
+        return blocks, fetch_tick(0, blocks, ctx.chain.finality_depth_blocks)
 
     def _push_tick(self, delay: int, tick: int, ctx) -> int:
         """First tick from `tick` on at which a request sent at an epoch's

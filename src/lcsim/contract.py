@@ -11,8 +11,9 @@ epoch `e + 1`, deferred further while any open policy allocates the
 provider's stake.
 
 The contract keeps one state version, bumped by every change of a provider
-or policy record, so the population-wide views (`active_set`,
-`utilization_sample`) are computed once per change, not once per call.
+or policy record. Its readers key their own reuse on it: the oracle's
+provider views and the harness's utilization samples are taken afresh
+only once it has moved, so the contract's views are plain computations.
 Open policies wait in a heap ordered by their last covered block, so a
 block boundary touches only the policies that expire at it.
 """
@@ -308,23 +309,17 @@ class SlashingContract:
         self.current_block = 0
         # Open policies by (last covered block, id): the next to expire first.
         self._expiry: list[tuple[int, int]] = []
-        # Bumped by every change of provider or policy state; the views
-        # below are memoised against it.
+        # Bumped by every change of provider or policy state.
         self.state_version = 0
-        self._active_memo: tuple[int, int, list[tuple[bytes, int, int]]] | None = None
-        self._utilization_memo: tuple[int, tuple[int, int]] | None = None
 
     # -- time ---------------------------------------------------------------
 
     def epoch_of(self, block_number: int) -> int:
-        return block_number // self.config.update_epoch_blocks
+        return block_number // self._epoch_blocks
 
     @property
     def current_epoch(self) -> int:
         return self.epoch_of(self.current_block)
-
-    def is_epoch_end(self, block_number: int) -> bool:
-        return (block_number + 1) % self.config.update_epoch_blocks == 0
 
     # -- registry -----------------------------------------------------------
 
@@ -526,7 +521,8 @@ class SlashingContract:
         before withdrawals."""
         self.current_block = block_number
         expiry = self._expiry
-        if (block_number + 1) % self._epoch_blocks and not (expiry and expiry[0][0] < block_number):
+        epoch_end = (block_number + 1) % self._epoch_blocks == 0
+        if not epoch_end and not (expiry and expiry[0][0] < block_number):
             return []  # most blocks: nothing expires and no epoch ends
         effects: list[tuple] = []
         due = []
@@ -546,7 +542,7 @@ class SlashingContract:
                     record.locked -= amount
             self.state_version += 1
             effects.append(("policy_expired", policy.id))
-        if self.is_epoch_end(block_number):
+        if epoch_end:
             epoch = self.epoch_of(block_number)
             for record in list(self.providers.values()):
                 if record.status is not ProviderStatus.LEAVING:
@@ -579,19 +575,13 @@ class SlashingContract:
         epoch i-1 events; the set is static within an epoch. Currently
         slashed providers are excluded.
 
-        The last answer is kept until the epoch asked for or the state
-        version changes; each caller gets its own list.
+        Each call builds a fresh list; the oracle keeps its views of it for
+        one (epoch, state version).
         """
         if epoch > self.current_epoch + 1:
             raise EpochTooFarError(
                 f"epoch {epoch} is beyond current epoch {self.current_epoch} + 1"
             )
-        memo = self._active_memo
-        if memo is None or memo[0] != epoch or memo[1] != self.state_version:
-            memo = self._active_memo = (epoch, self.state_version, self._active_rows(epoch))
-        return list(memo[2])
-
-    def _active_rows(self, epoch: int) -> list[tuple[bytes, int, int]]:
         last = epoch - 2
         if last > self._folded_epoch:
             # Records only arrive for the current epoch or later, so every
@@ -617,16 +607,12 @@ class SlashingContract:
 
     def utilization_sample(self) -> tuple[int, int]:
         """(total locked, total stake) over currently active providers."""
-        memo = self._utilization_memo
-        if memo is not None and memo[0] == self.state_version:
-            return memo[1]
         locked = 0
         stake = 0
         for record in self.providers.values():
             if record.status is ProviderStatus.ACTIVE:
                 locked += record.locked
                 stake += record.stake
-        self._utilization_memo = (self.state_version, (locked, stake))
         return locked, stake
 
     # -- transaction execution ----------------------------------------------

@@ -356,6 +356,11 @@ class SimContext:
     def __init__(self, sim: "Simulation") -> None:
         self._sim = sim
         self.now = 0
+        self.chain: Chain = sim.chain
+        self.contract: SlashingContract = sim.contract
+        self.oracle: HeavyCheckOracle = sim.oracle
+        self.metrics: Metrics = sim.metrics
+        self.watcher_names: list[str] = sim.watcher_names
         # Signature checks of clients and watchers, memoised for the run.
         self.verify = sim.signatures.verify
         # Provider name -> public key.
@@ -363,26 +368,6 @@ class SimContext:
         # The membership list of each complete epoch, one object for the
         # run (`DataProviderActor._event_list`).
         self.event_lists: dict[int, EventListMsg] = {}
-
-    @property
-    def chain(self) -> Chain:
-        return self._sim.chain
-
-    @property
-    def contract(self) -> SlashingContract:
-        return self._sim.contract
-
-    @property
-    def oracle(self) -> HeavyCheckOracle:
-        return self._sim.oracle
-
-    @property
-    def metrics(self) -> Metrics:
-        return self._sim.metrics
-
-    @property
-    def watcher_names(self) -> list[str]:
-        return self._sim.watcher_names
 
     def send(self, src: str, dst: str, payload) -> None:
         self._sim.enqueue(src, dst, payload)
@@ -474,7 +459,6 @@ class Simulation:
         self.providers: list[DataProviderActor] = []
         self.provider_names: dict[bytes, str] = {}
         self.provider_keys: dict[str, bytes] = {}
-        self.ctx = SimContext(self)
 
         rng = random.Random(config.seed)
         for i, spec in enumerate(config.providers):
@@ -495,6 +479,7 @@ class Simulation:
 
         self.watchers = [WatcherActor(f"w{i}") for i in range(config.watcher_count)]
         self.watcher_names = [w.name for w in self.watchers]
+        self.ctx = SimContext(self)
 
         self.clients: list[LightClientActor] = []
         self.client_by_pk: dict[bytes, str] = {}
@@ -722,7 +707,7 @@ class Simulation:
                 continue
             if client._offline_at(self.ctx.now):
                 continue
-            if not client.bootstrap_epochs or epoch <= min(client.bootstrap_epochs):
+            if epoch <= min(client.bootstrap_epochs):
                 continue
             if epoch in client.bootstrap_epochs:
                 continue

@@ -25,10 +25,10 @@ Clients that read the same contract state hold the same read-only
 `ProviderView` of it, and clients that predict the same successor of a
 view hold the same successor. Whatever is a pure function of a view is
 computed once, on first use, and cached on the view: the pk order for each
-capacity view, and the view after each list of accepted records. A client
-keeps only the order less its dropped providers, taken out again whenever
-more have been dropped, and each selection walks that order greedily
-(`LightClientActor.select`), as `select_providers` does over a list.
+capacity view, and the view after each list of accepted records. Each
+selection walks the held view's order greedily, passing over the client's
+dropped providers (`LightClientActor.select`), as `select_providers` does
+over a list.
 
 A maintaining client that stays online never repeats the bootstrap heavy
 check: it predicts the epoch e+1 provider set by folding the verified
@@ -382,11 +382,6 @@ class LightClientActor:
         self._maintenance: _Maintenance | None = None
         # Providers sent an event-list request once; they keep answering.
         self._asked: set[bytes] = set()
-        # (held view, capacities, the held view's ranking by them less the
-        # dropped providers, size of `dropped` when they were taken out) of
-        # the last selection with providers dropped. `dropped` only grows,
-        # so an equal size is an equal set.
-        self._ranking: tuple[ProviderView, Mapping, list[bytes], int] | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -421,31 +416,25 @@ class LightClientActor:
 
         The held view ranks itself once per capacity view, for every client
         that holds it (`ProviderView.ranking`); views are replaced, never
-        changed, when the client learns a new set. The client takes its
-        dropped providers out of that order whenever more have been
-        dropped. Each selection walks it and stops once `value` is backed."""
+        changed, when the client learns a new set. Each selection walks that
+        order, passing over the dropped providers, and stops once `value` is
+        backed."""
         held = self.current_set()
         capacities = self.attributable if use_attributable else held
         dropped = self.dropped
-        order = held.ranking(capacities)
-        if dropped:
-            ranking = self._ranking
-            if (
-                ranking is None
-                or ranking[0] is not held
-                or ranking[1] is not capacities
-                or ranking[3] != len(dropped)
-            ):
-                kept = [pk for pk in order if pk not in dropped]
-                ranking = self._ranking = (held, capacities, kept, len(dropped))
-            order = ranking[2]
-        return _take_greedily(((pk, capacities.get(pk, held[pk])) for pk in order), value)
+        return _take_greedily(
+            (
+                (pk, capacities.get(pk, held[pk]))
+                for pk in held.ranking(capacities)
+                if pk not in dropped
+            ),
+            value,
+        )
 
     def persistent_state_bytes(self) -> bytes:
         """Canonical encoding of what survives between checks."""
         parts = []
-        for pk in sorted(self.current_set()):
-            stake = self.current_set()[pk]
+        for pk, stake in sorted(self.current_set().items()):
             parts.append(
                 codec.encode_bytes(pk)
                 + codec.encode_u128(stake)
@@ -561,12 +550,11 @@ class LightClientActor:
             self.bootstrap(ctx, now)
 
     def _hold(self, epoch: int) -> None:
-        """Make `epoch` the held epoch and let go of the view, maintenance
-        record and ranking of every earlier one; only this epoch's and the
-        next are read."""
+        """Make `epoch` the held epoch and let go of the view and maintenance
+        record of every earlier one; only this epoch's and the next are
+        read."""
         self.current_epoch_held = epoch
         self.sets = {e: held for e, held in self.sets.items() if e >= epoch}
-        self._ranking = None  # it would keep the replaced views alive
         if self._maintenance is not None and self._maintenance.epoch < epoch:
             self._maintenance = None
 

@@ -364,9 +364,9 @@ class TestSharedEventList:
 
 
 class TestPushTiming:
-    """The push tick a provider works out from its once-read epoch timing
-    is the first tick from the request on at which a request sent at an
-    epoch's fetch tick over the client's link arrives."""
+    """The push tick a provider works out from the epoch length and epoch
+    0's fetch tick is the first tick from the request on at which a request
+    sent at an epoch's fetch tick over the client's link arrives."""
 
     @staticmethod
     def first_arrival(tick, delay, blocks, t_fin):

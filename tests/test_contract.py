@@ -663,9 +663,10 @@ def recomputed_utilization(contract):
 
 
 class TestVersionedViews:
-    """`active_set` and `utilization_sample` answer from a memo of the
-    contract's state version; after every transaction and every boundary
-    they equal an uncached recomputation."""
+    """After every transaction and every boundary, `active_set` and
+    `utilization_sample` equal a recomputation from the chain's records
+    and the provider records, and each `active_set` call returns a list
+    of the caller's own."""
 
     @staticmethod
     def assert_views_fresh(contract, chain):

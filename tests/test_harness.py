@@ -5,6 +5,7 @@ import dataclasses
 import json
 import random
 import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -1596,3 +1597,107 @@ class TestResponseMemo:
             )
             reference = outputs(Simulation(config))
         assert got == reference
+
+
+class TestCacheAudit:
+    """Each cache lcsim keeps must still pay: a cache that an outer layer
+    has made dead shows here as one that never hits."""
+
+    def test_every_kept_cache_still_hits(self, monkeypatch):
+        """Each cache's method is wrapped from outside. A call that returns
+        an answer without calling what the cache saves is a hit."""
+        saved = Counter()  # calls of what the caches save
+        calls = Counter()
+        hits = Counter()
+
+        def cache(owner, attr, name, *spares):
+            """`name(*args)` names the cache a call of `owner.attr` reads, or
+            is None when the call reads none; `spares` are the (owner, attr)
+            that a hit does not call."""
+            for spare in spares:
+                spare_fn = getattr(*spare)
+
+                def counted(*args, spare=spare, spare_fn=spare_fn):
+                    saved[spare] += 1
+                    return spare_fn(*args)
+
+                monkeypatch.setattr(*spare, counted)
+            fn = getattr(owner, attr)
+
+            def wrapper(*args):
+                which = name(*args)
+                before = sum(saved[spare] for spare in spares)
+                result = fn(*args)
+                if which is not None and result is not None:
+                    calls[which] += 1
+                    hits[which] += sum(saved[spare] for spare in spares) == before
+                return result
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        cache(
+            ProviderView,
+            "ranking",
+            lambda view, capacities: "ranking, own stakes"
+            if capacities is view
+            else "ranking, other capacities",
+            (light_client, "_rank"),
+        )
+        cache(
+            ProviderView,
+            "successor",
+            lambda view, events: "successor" if events else None,
+            (light_client, "apply_epoch_events"),
+        )
+        cache(
+            actors,
+            "provider_respond",
+            lambda *args: "response memo",
+            (actors, "_fabricated_response"),
+            (actors, "_true_response"),
+        )
+        cache(crypto.VerifyMemo, "verify", lambda *args: "VerifyMemo", (crypto, "verify"))
+        cache(Chain, "inclusion_proof", lambda *args: "chain trees", (crypto, "merkle_levels"))
+        cache(
+            HeavyCheckOracle,
+            "provider_set",
+            lambda *args: "oracle views",
+            (SlashingContract, "active_set"),
+        )
+
+        drive_checks = LightClientActor._drive_checks
+
+        def skipping(client, now, ctx):
+            closed = client.checks[: client._first_open]
+            assert all(check.outcome is not None for check in closed)
+            calls["_first_open"] += 1
+            hits["_first_open"] += bool(closed)
+            return drive_checks(client, now, ctx)
+
+        monkeypatch.setattr(LightClientActor, "_drive_checks", skipping)
+
+        folded: dict[SlashingContract, list[int]] = {}
+        fold_epochs = SlashingContract._fold_epochs
+
+        def folding(contract, members, first, last):
+            folded.setdefault(contract, []).extend(range(first, last + 1))
+            return fold_epochs(contract, members, first, last)
+
+        monkeypatch.setattr(SlashingContract, "_fold_epochs", folding)
+
+        for name in ("scaled_maintain", "scaled_insured", "grid_churn_100x100"):
+            # The wrappers change nothing a run does.
+            assert golden_digests(golden_configs()[name]) == PINNED[name]
+        assert set(calls) == {
+            "ranking, own stakes",
+            "ranking, other capacities",
+            "successor",
+            "_first_open",
+            "response memo",
+            "VerifyMemo",
+            "chain trees",
+            "oracle views",
+        }
+        assert [name for name in calls if hits[name] == 0] == [], (hits, calls)
+        # The running membership fold folds each epoch once: it never replays.
+        assert folded and all(len(set(e)) == len(e) for e in folded.values())
