@@ -19,6 +19,8 @@ import pytest
 
 from lcsim import scenario
 from lcsim.harness import Simulation
+from lcsim.light_client import Protocol
+from test_golden import table3_row
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -69,6 +71,22 @@ def test_bench_simulation_runs_and_checks_a_bundled_scenario(bench_path):
 
 def test_an_instance_patched_append_block_runs_once_per_tick():
     config = maintenance()
+    sim = Simulation(config)
+    append_block = sim.chain.append_block
+    calls = []
+
+    def counted(txs):
+        calls.append(sim.ctx.now)
+        return append_block(txs)
+
+    sim.chain.append_block = counted
+    sim.run()
+    assert calls == list(range(1, config.total_ticks + 1))
+
+
+@pytest.mark.parametrize("protocol", [Protocol.ECO, Protocol.INS])
+def test_an_instance_patched_append_block_runs_once_per_tick_of_a_long_quiet_run(protocol):
+    config = table3_row(protocol)
     sim = Simulation(config)
     append_block = sim.chain.append_block
     calls = []

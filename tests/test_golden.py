@@ -182,6 +182,21 @@ def delta_case(
     return dataclasses.replace(base, watcher_count=3)
 
 
+def table3_row(protocol: Protocol) -> ScenarioConfig:
+    """Table 3's 10 ETH row at cp = 1500 over two 32 ETH providers: one
+    client waits out a long challenge period (eco) or buys a policy that
+    expires mid-run (ins), so almost every tick is quiet."""
+    return build_scenario(
+        ProviderStrategy.HONEST,
+        1,
+        1500,
+        protocol,
+        value_eth=10,
+        adversary_stake_eth=32,
+        honest_stake_eth=32,
+    )
+
+
 def configs() -> dict[str, ScenarioConfig]:
     out = {
         name: scenario.load_scenario(scenario.builtin_scenario_path(name))
@@ -195,6 +210,8 @@ def configs() -> dict[str, ScenarioConfig]:
     out["grid_100x100"] = grid(100, 100, 600)
     out["grid_churn_100x100"] = grid_churn(100, 100, 600)
     out["grid_300x1000"] = grid(300, 1000, 600)
+    out["table3_10eth_eco"] = table3_row(Protocol.ECO)
+    out["table3_10eth_ins"] = table3_row(Protocol.INS)
     return out
 
 
@@ -260,6 +277,14 @@ PINNED: dict[str, tuple[str, str]] = {
     "grid_300x1000": (
         "5a030e9c691af756cd94bcb41d8a7d74e979bafcfd29e9db0a2e0c5a9dad2141",
         "006606b8085e00c04ea18ebe432eeb7c49e826cf752556eb0d6bfa7b9e81496a",
+    ),
+    "table3_10eth_eco": (
+        "b6e6a60a2c1e8d89ff9503d3233d518e8510b1466288c9264d033938bd16106f",
+        "60a404c6f7087408e610646bd6200f359e482cb91e6daa0487b961c005328b9b",
+    ),
+    "table3_10eth_ins": (
+        "88de13aaa167ee3835709658a8ad69235475ca67d823d39f36021823c44c3660",
+        "95c472855eb7f7d6bce62e7a5166348a0c983c2f8e64209fbecc8e05b6dfec73",
     ),
 }
 
