@@ -50,11 +50,6 @@ class Query:
     block_number: int
     state_hash: bytes
     insurance_id: int | None = None
-    client_pk: bytes | None = None
-    client_signature: bytes | None = None
-
-    def payload(self) -> bytes:
-        return codec.query_payload(self.block_number, self.state_hash, self.insurance_id)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -83,6 +84,28 @@ def report_row(
     )
 
 
+def _number(ctx, param, text: str) -> Fraction:
+    """An exact number option (`pricing.as_fraction`)."""
+    try:
+        return pricing.as_fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.BadParameter(f"{text!r} is not a number") from exc
+
+
+def _counts(ctx, param, text: str) -> list[int]:
+    """A comma-separated list of non-negative integers."""
+    try:
+        counts = [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise click.BadParameter(f"{text!r} is not a list of integers") from exc
+    if any(count < 0 for count in counts):
+        raise click.BadParameter(f"{text!r} holds a negative number")
+    return counts
+
+
+_NON_NEGATIVE = click.IntRange(min=0)
+
+
 @click.group()
 def main() -> None:
     """Light-client protocol simulator and insurance pricing."""
@@ -114,35 +137,40 @@ def cmd_run(scenario_path: str, out_dir: str) -> None:
 
 
 @main.command("price")
-@click.option("--value", required=True, help="Covered value in ETH.")
-@click.option("--duration", required=True, type=int, help="Coverage duration in blocks.")
-@click.option("--apy", default="0.06", show_default=True)
-@click.option("--utilization", default="0.75", show_default=True)
-@click.option("--eth-usd", default="3200", show_default=True)
-@click.option("--gas-gwei", default="9.377", show_default=True)
+@click.option("--value", required=True, callback=_number, help="Covered value in ETH.")
+@click.option(
+    "--duration", required=True, type=_NON_NEGATIVE, help="Coverage duration in blocks."
+)
+@click.option("--apy", default="0.06", callback=_number, show_default=True)
+@click.option("--utilization", default="0.75", callback=_number, show_default=True)
+@click.option("--eth-usd", default="3200", callback=_number, show_default=True)
+@click.option("--gas-gwei", default="9.377", callback=_number, show_default=True)
 @click.option("--gas-units", default=200_000, type=int, show_default=True)
 @click.option("--blocks-per-year", default=pricing.BLOCKS_PER_YEAR, type=int, show_default=True)
 def cmd_price(
-    value: str,
+    value: Fraction,
     duration: int,
-    apy: str,
-    utilization: str,
-    eth_usd: str,
-    gas_gwei: str,
+    apy: Fraction,
+    utilization: Fraction,
+    eth_usd: Fraction,
+    gas_gwei: Fraction,
     gas_units: int,
     blocks_per_year: int,
 ) -> None:
     """Quote an insurance purchase."""
-    params = PricingParams.create(
-        apy=apy,
-        blocks_per_year=blocks_per_year,
-        utilization=utilization,
-        eth_price_usd=eth_usd,
-        gas_price_gwei=gas_gwei,
-        gas_units=gas_units,
-    )
-    value_wei = eth_to_wei(value)
-    premium_wei = pricing.premium(params, duration, value_wei)
+    try:
+        params = PricingParams.create(
+            apy=apy,
+            blocks_per_year=blocks_per_year,
+            utilization=utilization,
+            eth_price_usd=eth_usd,
+            gas_price_gwei=gas_gwei,
+            gas_units=gas_units,
+        )
+        value_wei = eth_to_wei(value)
+        premium_wei = pricing.premium(params, duration, value_wei)
+    except ValueError as exc:
+        raise click.UsageError(f"invalid pricing: {exc}") from exc
     gas_usd, premium_usd, total_usd = pricing.total_cost_usd(params, duration, value_wei)
     click.echo(f"premium: {format_eth(premium_wei)} ETH (${format_usd(premium_usd)})")
     click.echo(f"gas: ${format_usd(gas_usd)}")
@@ -157,7 +185,9 @@ _CSV_HEADER = (
 
 @main.command("table3")
 @click.argument("out_path", type=click.Path())
-@click.option("--challenge-period", default=TABLE3_CHALLENGE_PERIOD, type=int, show_default=True)
+@click.option(
+    "--challenge-period", default=TABLE3_CHALLENGE_PERIOD, type=_NON_NEGATIVE, show_default=True
+)
 def cmd_table3(out_path: str, challenge_period: int) -> None:
     """Reproduce the headline cost table as CSV."""
     params = PricingParams()
@@ -170,14 +200,14 @@ def cmd_table3(out_path: str, challenge_period: int) -> None:
 
 @main.command("fig1")
 @click.argument("out_path", type=click.Path())
-@click.option("--durations", default="500,1500,3000", show_default=True)
-@click.option("--values", default="1,5,10,32,64,100,160,320", show_default=True)
-def cmd_fig1(out_path: str, durations: str, values: str) -> None:
+@click.option("--durations", default="500,1500,3000", callback=_counts, show_default=True)
+@click.option("--values", default="1,5,10,32,64,100,160,320", callback=_counts, show_default=True)
+def cmd_fig1(out_path: str, durations: list[int], values: list[int]) -> None:
     """Insurance cost grid (value x duration) for plotting."""
     params = PricingParams()
     lines = ["value_eth,duration_blocks,total_usd"]
-    for duration in (int(d) for d in durations.split(",")):
-        for value_eth in (int(v) for v in values.split(",")):
+    for duration in durations:
+        for value_eth in values:
             _, _, total = pricing.total_cost_usd(params, duration, eth_to_wei(value_eth))
             lines.append(f"{value_eth},{duration},{_cents_str(usd_cents(total))}")
     Path(out_path).write_text("\n".join(lines) + "\n")

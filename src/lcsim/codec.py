@@ -12,8 +12,6 @@ from __future__ import annotations
 import struct
 
 # Message-type tags (first byte of every canonical payload).
-TAG_QUERY_ECO = 0x01
-TAG_QUERY_INS = 0x02
 TAG_RESPONSE_ECO = 0x03
 TAG_RESPONSE_INS = 0x04
 TAG_REGISTER = 0x10
@@ -96,20 +94,6 @@ class _Reader:
 # ---------------------------------------------------------------------------
 # Protocol messages (signed payloads)
 # ---------------------------------------------------------------------------
-
-def query_payload(block_number: int, state_hash: bytes, insurance_id: int | None) -> bytes:
-    """Canonical bytes a light client signs when issuing a query."""
-    if len(state_hash) != DIGEST_LEN:
-        raise ValueError("state_hash must be 32 bytes")
-    if insurance_id is None:
-        return bytes([TAG_QUERY_ECO]) + encode_u64(block_number) + state_hash
-    return (
-        bytes([TAG_QUERY_INS])
-        + encode_u64(block_number)
-        + state_hash
-        + encode_u64(insurance_id)
-    )
-
 
 def response_payload(
     block_number: int,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -309,6 +310,8 @@ class SlashingContract:
         self.current_block = 0
         # Open policies by (last covered block, id): the next to expire first.
         self._expiry: list[tuple[int, int]] = []
+        # Providers in LEAVING status, the only ones an epoch end acts on.
+        self._leaving = 0
         # Bumped by every change of provider or policy state.
         self.state_version = 0
 
@@ -351,6 +354,7 @@ class SlashingContract:
         epoch = self.epoch_of(block_number)
         record.status = ProviderStatus.LEAVING
         record.withdraw_requested_epoch = epoch
+        self._leaving += 1
         self.state_version += 1
         return self._record(epoch, codec.withdraw_record(pk))
 
@@ -462,6 +466,8 @@ class SlashingContract:
         slashed_amount = record.stake
         record.stake = 0
         record.locked = 0
+        if record.status is ProviderStatus.LEAVING:
+            self._leaving -= 1
         record.status = ProviderStatus.SLASHED
         self.state_version += 1
 
@@ -516,14 +522,25 @@ class SlashingContract:
 
     # -- block boundary -----------------------------------------------------
 
+    def next_boundary_block(self) -> int | float:
+        """The first block after `current_block` whose boundary acts: the
+        block after the next policy expiry or, while a provider is leaving,
+        the next epoch's last block; infinity when neither is ahead."""
+        expiry = self._expiry
+        nxt = expiry[0][0] + 1 if expiry else math.inf
+        if self._leaving:
+            blocks = self._epoch_blocks
+            nxt = min(nxt, ((self.current_block + 1) // blocks + 1) * blocks - 1)
+        return nxt
+
     def process_block_boundary(self, block_number: int) -> list[tuple]:
         """Run once after each appended block; expiries, in policy id order,
         before withdrawals."""
+        boundary = self.next_boundary_block()
         self.current_block = block_number
+        if block_number < boundary:
+            return []  # most blocks: nothing expires and no leaver's epoch ends
         expiry = self._expiry
-        epoch_end = (block_number + 1) % self._epoch_blocks == 0
-        if not epoch_end and not (expiry and expiry[0][0] < block_number):
-            return []  # most blocks: nothing expires and no epoch ends
         effects: list[tuple] = []
         due = []
         while expiry and expiry[0][0] < block_number:
@@ -542,7 +559,7 @@ class SlashingContract:
                     record.locked -= amount
             self.state_version += 1
             effects.append(("policy_expired", policy.id))
-        if epoch_end:
+        if self._leaving and (block_number + 1) % self._epoch_blocks == 0:
             epoch = self.epoch_of(block_number)
             for record in list(self.providers.values()):
                 if record.status is not ProviderStatus.LEAVING:
@@ -555,6 +572,7 @@ class SlashingContract:
                 record.stake = 0
                 record.locked = 0
                 record.status = ProviderStatus.EXITED
+                self._leaving -= 1
                 self.state_version += 1
                 self.ledger.transfer(STAKE_VAULT, record.public_key, amount)
                 effects.append(("withdrawn", record.public_key, amount))

@@ -44,7 +44,7 @@ from .actors import (
     ProviderStrategy,
     WatcherActor,
 )
-from .chain import Chain, Transaction
+from .chain import Block, Chain, Transaction
 from .contract import (
     BuyInsuranceTx,
     ContractConfig,
@@ -233,12 +233,12 @@ class Metrics:
             self.clients[name] = ClientMetrics()
         return self.clients[name]
 
-    def sample_utilization(self, locked: int, stake: int) -> None:
+    def sample_utilization(self, locked: int, stake: int, ticks: int = 1) -> None:
         runs = self.utilization
         if runs and runs[-1][0] == locked and runs[-1][1] == stake:
-            runs[-1][2] += 1
+            runs[-1][2] += ticks
         else:
-            runs.append([locked, stake, 1])
+            runs.append([locked, stake, ticks])
 
     def mean_utilization(self) -> Fraction | None:
         """The mean of locked / stake over the sampled ticks."""
@@ -602,7 +602,18 @@ class Simulation:
             first = actor.first_tick()
             if first is not None:
                 due.setdefault(first, set()).add(i)
-        for tick in range(1, self.config.total_ticks + 1):
+        targets = self._target_payloads
+        next_boundary = self.contract.next_boundary_block
+        # Predictions are checked at each epoch's first tick, and only
+        # maintaining clients are checked.
+        predict_every = (
+            self.config.update_epoch_blocks
+            if any(client.config.maintain for client in self.clients)
+            else None
+        )
+        end = self.config.total_ticks + 1
+        tick = 1
+        while tick < end:
             ctx.now = tick
             ticking = due.pop(tick, None)
             delivered = mailbox.pop(tick, None)
@@ -620,9 +631,45 @@ class Simulation:
                     wake = actor.next_tick(tick)
                     if wake is not None:
                         due.setdefault(wake, set()).add(i)
+            elif delivered is None:
+                # Nothing is due and no mail arrives, so the pool is empty:
+                # every tick before the next event is quiet.
+                stop = min(
+                    end,
+                    min(due, default=end),
+                    min(mailbox, default=end),
+                    min(targets, default=end),
+                    next_boundary(),
+                )
+                if predict_every:
+                    stop = min(stop, -(-tick // predict_every) * predict_every)
+                if stop > tick:
+                    self._close_stretch(tick, stop)
+                    tick = stop
+                    continue
             self._close_tick(tick)
+            tick += 1
         self._finalize()
         return self.metrics, self.log
+
+    def _append_block(self, tick: int, transactions) -> Block:
+        """Append the tick's block and log it."""
+        block = self.chain.append_block(transactions)
+        self.log.add(tick, "chain", "block", block.hash)
+        return block
+
+    def _close_stretch(self, first: int, stop: int) -> None:
+        """Close the quiet ticks first..stop-1 in one pass: no actor acts,
+        no target block lands, the contract's boundary does nothing and no
+        prediction is checked, so each tick only appends and logs its empty
+        block, and the utilization run grows by the stretch's length."""
+        ctx = self.ctx
+        append = self._append_block
+        for tick in range(first, stop):
+            ctx.now = tick
+            append(tick, ())
+        self.contract.current_block = stop - 1
+        self._sample_utilization(stop - first)
 
     def _close_tick(self, tick: int) -> None:
         """Execute the pool, append the tick's block, run the contract's
@@ -634,22 +681,12 @@ class Simulation:
         targets = self._target_payloads.pop(tick, None)
         if targets:
             block_txs += targets
-        block = self.chain.append_block(block_txs)
-        self.log.add(tick, "chain", "block", block.hash)
+        block = self._append_block(tick, block_txs)
         for effect in self.contract.process_block_boundary(block.number):
             self.log.add(tick, CONTRACT_ENDPOINT, effect[0], repr(effect).encode())
             if effect[0] == "withdrawn":
                 self.metrics.withdrawals.append((tick, effect[1], effect[2]))
-        version = self.contract.state_version
-        if version != self._sampled_contract:
-            self._sampled_contract = version
-            locked, stake = self.contract.utilization_sample()
-            self._utilization_run = None
-            if stake > 0:
-                self.metrics.sample_utilization(locked, stake)
-                self._utilization_run = self.metrics.utilization[-1]
-        elif self._utilization_run is not None:
-            self._utilization_run[2] += 1
+        self._sample_utilization(1)
         ledger = self.ledger
         if ledger.version != self._checked_ledger and not self._conservation_broken:
             self._checked_ledger = ledger.version
@@ -658,6 +695,20 @@ class Simulation:
                 self.metrics.violations.append(f"conservation:tick{tick}")
         if tick % self.config.update_epoch_blocks == 0:
             self._check_predictions(tick // self.config.update_epoch_blocks)
+
+    def _sample_utilization(self, ticks: int) -> None:
+        """Sample utilization afresh once the contract's version has moved,
+        else grow the last run of samples, by `ticks` ticks."""
+        version = self.contract.state_version
+        if version != self._sampled_contract:
+            self._sampled_contract = version
+            locked, stake = self.contract.utilization_sample()
+            self._utilization_run = None
+            if stake > 0:
+                self.metrics.sample_utilization(locked, stake, ticks)
+                self._utilization_run = self.metrics.utilization[-1]
+        elif self._utilization_run is not None:
+            self._utilization_run[2] += ticks
 
     def _execute_pool(self, tick: int) -> list[Transaction]:
         pool, self._pool = self._pool, []

@@ -682,17 +682,10 @@ class LightClientActor:
         return all(verify_response(check, r, ctx.verify) for r in check.responses.values())
 
     def _make_query(self, check: Check) -> Query:
-        if check.insurance_id is None:
-            return Query(block_number=check.block_number, state_hash=check.state_hash)
-        payload = codec.query_payload(
-            check.block_number, check.state_hash, check.insurance_id
-        )
         return Query(
             block_number=check.block_number,
             state_hash=check.state_hash,
             insurance_id=check.insurance_id,
-            client_pk=self.public_key,
-            client_signature=crypto.sign(self.keypair.secret_key, payload),
         )
 
     def _drive_checks(self, now: int, ctx) -> None:

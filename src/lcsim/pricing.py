@@ -60,6 +60,12 @@ class PricingParams:
             raise ValueError("blocks_per_year must be positive")
         if not 0 < self.utilization <= 1:
             raise ValueError("utilization must be in (0, 1]")
+        if self.eth_price_usd < 0:
+            raise ValueError("eth_price_usd must be non-negative")
+        if self.gas_price_wei < 0:
+            raise ValueError("gas price must be non-negative")
+        if self.gas_units < 0:
+            raise ValueError("gas_units must be non-negative")
 
     @classmethod
     def create(

@@ -166,6 +166,21 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert f"invalid scenario: {named}" in result.output
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("gas_units", "-3", "pricing: gas_units must be non-negative"),
+            ("gas_price_gwei", "-1", "pricing: gas price must be non-negative"),
+        ],
+    )
+    def test_bad_pricing_exits_two(self, runner, tmp_path, key, value, named):
+        text = scenario.builtin_scenario_path("honest").read_text()
+        path = tmp_path / "bad.ini"
+        path.write_text(f"{text}\n[pricing]\n{key} = {value}\n")
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"invalid scenario: {named}" in result.output
+
     def test_violation_exits_one_and_names_invariant(self, runner, tmp_path):
         # T_cp = 0 against a lying provider: the eco-safety invariant must
         # trip and be named.
@@ -217,6 +232,23 @@ class TestPrice:
         result = runner.invoke(main, ["price", "--value", "10"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--value", "abc", "Invalid value for '--value': 'abc' is not a number"),
+            ("--apy", "-1", "invalid pricing: apy must be non-negative"),
+            ("--duration", "-5", "Invalid value for '--duration'"),
+            ("--utilization", "0", "invalid pricing: utilization must be in (0, 1]"),
+            ("--gas-gwei", "-1", "invalid pricing: gas price must be non-negative"),
+        ],
+    )
+    def test_bad_input_exits_two(self, runner, flag, value, named):
+        flags = {"--value": "10", "--duration": "1500", flag: value}
+        result = runner.invoke(main, ["price", *(part for item in flags.items() for part in item)])
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert "total:" not in result.output
+
 
 class TestTable3:
     def test_rows_match_headline_numbers(self, runner, tmp_path):
@@ -236,6 +268,13 @@ class TestTable3:
         for r in rows:
             assert round(float(r[2]) + float(r[3]), 2) == float(r[4])
 
+    def test_negative_challenge_period_exits_two(self, runner, tmp_path):
+        out = tmp_path / "table3.csv"
+        result = runner.invoke(main, ["table3", str(out), "--challenge-period", "-5"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--challenge-period'" in result.output
+        assert not out.exists()
+
     def test_provider_counts(self):
         assert [provider_count_for_value(v) for v in (10, 32, 160, 320)] == [1, 1, 5, 10]
 
@@ -253,6 +292,13 @@ class TestFig1:
         assert (value, duration) == ("10", "1500")
         price = runner.invoke(main, ["price", "--value", "10", "--duration", "1500"])
         assert f"total: ${total}" in price.output
+
+    def test_non_numeric_values_exit_two(self, runner, tmp_path):
+        out = tmp_path / "fig1.csv"
+        result = runner.invoke(main, ["fig1", str(out), "--values", "abc"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--values': 'abc' is not a list of integers" in result.output
+        assert not out.exists()
 
     def test_grid_size(self, runner, tmp_path):
         out = tmp_path / "grid.csv"

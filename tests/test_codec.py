@@ -24,12 +24,6 @@ def test_response_payload_layout_insured():
     assert len(payload) == 81
 
 
-def test_query_payload_tags():
-    h_s = b"\x03" * 32
-    assert codec.query_payload(1, h_s, None)[0] == codec.TAG_QUERY_ECO
-    assert codec.query_payload(1, h_s, 9)[0] == codec.TAG_QUERY_INS
-
-
 def test_register_round_trip():
     payload = codec.register_record(b"\xaa" * 32, 32 * 10**18)
     assert codec.decode_register_record(payload) == (b"\xaa" * 32, 32 * 10**18)

@@ -1110,7 +1110,13 @@ class TestSchedule:
 
 class SampleEveryTick(Simulation):
     """The reference tick close: the pool is executed on every tick, and
-    utilization and conservation are summed afresh on every tick."""
+    utilization and conservation are summed afresh on every tick, quiet
+    stretches included."""
+
+    def _close_stretch(self, first, stop):
+        for tick in range(first, stop):
+            self.ctx.now = tick
+            self._close_tick(tick)
 
     def _close_tick(self, tick):
         block_txs = self._execute_pool(tick)
@@ -1175,6 +1181,109 @@ class TestLeanTick:
         assert tick == config.total_ticks + 1
         assert len(expiries) >= 3
         assert changed == starts
+
+
+class RecordStretches(Simulation):
+    """Records each quiet stretch (first, stop) and each tick closed alone."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.stretches = []
+        self.closed = []
+
+    def _close_stretch(self, first, stop):
+        self.stretches.append((first, stop))
+        super()._close_stretch(first, stop)
+
+    def _close_tick(self, tick):
+        self.closed.append(tick)
+        super()._close_tick(tick)
+
+
+class TestStretches:
+    """A tick with nothing due and no mail closes every tick before the next
+    event in one pass; each kind of event ends the stretch at its tick,
+    which is then closed alone, and the bytes are the reference's."""
+
+    @staticmethod
+    def run(config):
+        sim = RecordStretches(config)
+        assert outputs(sim) == outputs(SampleEveryTick(config))
+        ticks = [t for first, stop in sim.stretches for t in range(first, stop)] + sim.closed
+        assert sorted(ticks) == list(range(1, config.total_ticks + 1))
+        return sim
+
+    @staticmethod
+    def ends(sim, tick):
+        """Whether a stretch of more than one tick stops at `tick`, which
+        is closed alone."""
+        return tick in sim.closed and any(
+            stop == tick and stop - first > 1 for first, stop in sim.stretches
+        )
+
+    @staticmethod
+    def base():
+        """One eco client from tick 51 (B_u = 25, delta 1, 144 ticks)."""
+        return build_scenario(ProviderStrategy.HONEST, 1, 11, Protocol.ECO)
+
+    def test_a_policy_expiry(self):
+        config = golden_configs()["table3_10eth_ins"]
+        sim = self.run(config)
+        (expired,) = [
+            int(line.split("\t")[0]) for line in sim.log.lines if "\tpolicy_expired\t" in line
+        ]
+        assert self.ends(sim, expired)
+
+    def test_an_epoch_end_with_a_leaving_provider(self):
+        base = self.base()
+        b_u = base.update_epoch_blocks
+        leaver = dataclasses.replace(base.providers[1], withdraw_tick=5)
+        sim = self.run(dataclasses.replace(base, providers=(base.providers[0], leaver)))
+        # The withdraw requested in epoch 0 is released at epoch 1's last
+        # block; epoch 0's last block acts on the leaver too, releasing nothing.
+        assert sim.metrics.withdrawals[0][0] == 2 * b_u - 1
+        assert self.ends(sim, 2 * b_u - 1)
+        assert self.ends(sim, b_u - 1)
+        # With no provider leaving, epoch ends lie inside stretches.
+        quiet = self.run(base)
+        assert b_u - 1 not in quiet.closed and 2 * b_u - 1 not in quiet.closed
+
+    def test_a_target_block(self):
+        base = self.base()
+        client = dataclasses.replace(base.clients[0], target_block=40)
+        sim = self.run(dataclasses.replace(base, clients=(client,)))
+        assert self.ends(sim, 40)
+
+    def test_a_mail_arrival(self):
+        # The providers register at tick 1, and their receipts take 4 ticks.
+        config = build_scenario(
+            ProviderStrategy.HONEST, 4, min_compliant_challenge_period(8, 4), Protocol.ECO, seed=1
+        )
+        sim = RecordStretches(config)
+        assert {sim.ctx.delay(harness.CONTRACT_ENDPOINT, p.name) for p in sim.providers} == {4}
+        sim = self.run(config)
+        assert self.ends(sim, 5)
+
+    def test_a_prediction_tick_with_a_maintaining_client(self):
+        config = load("maintenance")
+        b_u = config.update_epoch_blocks
+        sim = self.run(config)
+        assert sim.metrics.prediction_checks > 0
+        epochs = [t for t in range(b_u, config.total_ticks + 1, b_u)]
+        assert set(epochs) <= set(sim.closed)
+        assert self.ends(sim, 2 * b_u)
+        # Without a maintaining client no prediction is checked, and the
+        # epochs' first ticks lie inside stretches.
+        client = dataclasses.replace(config.clients[0], maintain=False)
+        sim = self.run(dataclasses.replace(config, clients=(client,)))
+        assert not set(epochs[2:]) & set(sim.closed)
+
+    def test_total_ticks(self):
+        config = golden_configs()["table3_10eth_eco"]
+        sim = self.run(config)
+        first, stop = sim.stretches[-1]
+        assert stop == config.total_ticks + 1
+        assert stop - first > 1000
 
 
 class TestMessageCounts:
@@ -1567,16 +1676,16 @@ class TestProviderViews:
 
 class TestResponseMemo:
     def test_scaled_maintain_signs_each_distinct_payload_once(self, monkeypatch):
-        """Providers answer 114 queries and insured clients sign 6: 32
-        distinct (secret key, payload) pairs, each signed once. Was 120
-        calls, one per answer sent and one per insured query sent."""
+        """Providers answer 114 queries: 26 distinct (secret key, payload)
+        pairs, each signed once. Was 114 calls, one per answer sent. Clients
+        sign no query."""
         calls = []
         real = crypto.sign
         monkeypatch.setattr(
             crypto, "sign", lambda sk, msg: calls.append((sk, msg)) or real(sk, msg)
         )
         Simulation(scaled_maintain()).run()
-        assert len(calls) == len(set(calls)) == 32
+        assert len(calls) == len(set(calls)) == 26
 
     @given(populations() | maintaining_populations())
     @settings(
