@@ -14,9 +14,13 @@ identical (seed, config) pairs produce byte-identical event logs:
    a message can make it act). Every tick an actor skips would have been a
    no-op, so the log is the one ticking every actor on every tick gives;
 3. execute the transaction pool, append the block, run the contract's
-   block boundary, and sample the invariants. A quiet tick (empty pool, no
-   target due) costs one header hash and one log line: the invariants are
-   read again only once the contract's or the ledger's version has moved.
+   block boundary, and sample the invariants, which are read again only
+   once the contract's or the ledger's version has moved. A tick at which
+   no actor is due and no mail arrives starts a quiet stretch: every tick
+   before the next event (a due actor, mail, a target block, a prediction
+   tick while some client maintains, the contract's next boundary block,
+   or the end of the run) is closed in one pass, each with one header hash
+   and one log line.
 
 Signature checks by clients, watchers and the contract's slash go through
 one memo per run (`crypto.VerifyMemo`), so each distinct signed response is

@@ -652,7 +652,7 @@ class LightClientActor:
         check.responses.clear()
         check.last_forward_tick = None
         check.query_tick = now
-        msg = QueryMsg(query=self._make_query(check))
+        msg = QueryMsg(query=Query(check.block_number, check.state_hash, check.insurance_id))
         ctx.send_to_providers(self.name, check.selected, msg)
         ctx.log(self.name, "query", check.state_hash)
 
@@ -680,13 +680,6 @@ class LightClientActor:
         if check.kind is CheckKind.TARGET:
             metrics.target_signature_verifications += len(check.responses)
         return all(verify_response(check, r, ctx.verify) for r in check.responses.values())
-
-    def _make_query(self, check: Check) -> Query:
-        return Query(
-            block_number=check.block_number,
-            state_hash=check.state_hash,
-            insurance_id=check.insurance_id,
-        )
 
     def _drive_checks(self, now: int, ctx) -> None:
         """Issue, time out or finish each check whose deadline has come."""
