@@ -351,10 +351,6 @@ class WatcherActor:
             # Lost the race to another watcher; alert with the winner's record.
             self._audit(client, response, ctx)
 
-    def first_tick(self) -> int | None:
-        """A watcher acts first on a message."""
-        return None
-
     def next_tick(self, now: int) -> int | None:
         """The next tick while an audit awaits finality or an alert awaits
         its record's finality; None when only a message can make it act."""
@@ -435,10 +431,6 @@ class DataProviderActor:
     @property
     def public_key(self) -> bytes:
         return self.keypair.public_key
-
-    def first_tick(self) -> int | None:
-        """A provider acts first at its register tick."""
-        return self.next_tick(0)
 
     def next_tick(self, now: int) -> int | None:
         """Earliest tick after `now` at which on_tick acts: the register

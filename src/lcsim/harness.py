@@ -6,13 +6,14 @@ identical (seed, config) pairs produce byte-identical event logs:
 
 1. deliver the tick's messages in the order they were sent;
 2. tick the actors due this tick in index order, so providers before
-   watchers and watchers before clients. An actor is due at its first
-   deadline (`first_tick`), on every tick a message is delivered to it
-   unless its `handle_message` returns False (a client's event list only
-   adds to its collected records and moves none of its deadlines), and at
-   the tick it names after each of its ticks (`next_tick`, None when only
-   a message can make it act). Every tick an actor skips would have been a
-   no-op, so the log is the one ticking every actor on every tick gives;
+   watchers and watchers before clients. An actor is due at the tick it
+   names before the run and after each of its ticks (`next_tick(now)`,
+   with now = 0 before the run; None when only a message can make it
+   act), and on every tick a message is delivered to it unless its
+   `handle_message` returns False (a client's event list only adds to its
+   collected records and moves none of its deadlines). Every tick an actor
+   skips would have been a no-op, so the log is the one ticking every
+   actor on every tick gives;
 3. execute the transaction pool, append the block, run the contract's
    block boundary, and sample the invariants, which are read again only
    once the contract's or the ledger's version has moved. A tick at which
@@ -88,14 +89,14 @@ _sha256 = hashlib.sha256
 @dataclass(frozen=True)
 class ProviderSpec:
     stake: int
-    strategy: ProviderStrategy
+    strategy: ProviderStrategy = ProviderStrategy.HONEST
     register_tick: int = 1
     withdraw_tick: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    seed: int
+    seed: int = 7
     providers: tuple[ProviderSpec, ...]
     clients: tuple[ClientConfig, ...]
     slots_per_epoch: int = 4
@@ -603,7 +604,7 @@ class Simulation:
         # one no-op tick.
         due: dict[int, set[int]] = {}
         for i, actor in enumerate(actors):
-            first = actor.first_tick()
+            first = actor.next_tick(0)
             if first is not None:
                 due.setdefault(first, set()).add(i)
         targets = self._target_payloads
@@ -756,15 +757,12 @@ class Simulation:
         return block_txs
 
     def _check_predictions(self, epoch: int) -> None:
+        # No client bootstrapped at this epoch: one at tick t <= epoch * B_u read (t - 1) // B_u.
         expected = None  # the contract's set, computed once the first client qualifies
         for client in self.clients:
             if not client.config.maintain or not client.bootstrapped:
                 continue
             if client._offline_at(self.ctx.now):
-                continue
-            if epoch <= min(client.bootstrap_epochs):
-                continue
-            if epoch in client.bootstrap_epochs:
                 continue
             self.metrics.prediction_checks += 1
             if expected is None:

@@ -247,9 +247,9 @@ def provider_views(rows: list[tuple[bytes, int, int]]) -> tuple[ProviderView, Pr
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ClientConfig:
-    protocol: Protocol
+    protocol: Protocol = Protocol.ECO
     challenge_period: int
     target_value: int
     target_block: int = 2
@@ -295,7 +295,6 @@ class Check:
     selected: list[bytes] = field(default_factory=list)  # the providers queried
     responses: dict[bytes, SignedResponse] = field(default_factory=dict)
     query_tick: int | None = None
-    last_forward_tick: int | None = None
     accepted_tick: int | None = None
     first_response_tick: int | None = None
     last_response_tick: int | None = None
@@ -465,10 +464,6 @@ class LightClientActor:
         self._drive_protocol(now, ctx)
         self._drive_checks(now, ctx)
 
-    def first_tick(self) -> int:
-        """A client is first ticked at its start tick."""
-        return max(1, self.config.start_tick or 0)
-
     def next_tick(self, now: int) -> int | None:
         """Earliest tick after `now` at which on_tick could change anything,
         or None when only a delivered message can.
@@ -533,9 +528,9 @@ class LightClientActor:
         # Only the selected providers' responses are kept.
         if len(check.responses) < len(check.selected):
             return check.query_tick + 2 * self.delta + 1  # time out
-        if check.insurance_id is not None or check.last_forward_tick is None:
+        if check.insurance_id is not None:
             return None  # insured: accepted on receipt, listening only
-        return check.last_forward_tick + check.challenge_period  # accept
+        return check.last_response_tick + check.challenge_period  # accept
 
     def _advance_epoch(self, now: int, ctx) -> None:
         """Hold the clock's epoch: the predicted set, or a fresh heavy check."""
@@ -650,7 +645,6 @@ class LightClientActor:
         if not check.selected:
             raise NoEligibleProvidersError("no providers left for this check")
         check.responses.clear()
-        check.last_forward_tick = None
         check.query_tick = now
         msg = QueryMsg(query=Query(check.block_number, check.state_hash, check.insurance_id))
         ctx.send_to_providers(self.name, check.selected, msg)
@@ -794,10 +788,9 @@ class LightClientActor:
             if check.first_response_tick is None:
                 check.first_response_tick = now
             check.last_response_tick = now
-            # Forward to every watcher; the challenge clock runs from the
-            # last forward.
+            # Forward to every watcher on receipt, so the challenge clock
+            # runs from the last forward.
             ctx.send_to_each(self.name, ctx.watcher_names, ForwardMsg(response=response))
-            check.last_forward_tick = now
             if check.insurance_id is not None and len(check.responses) == len(check.selected):
                 if self._verify_all(check, ctx):
                     self._accept(check, now, ctx)

@@ -68,26 +68,17 @@ class PricingParams:
             raise ValueError("gas_units must be non-negative")
 
     @classmethod
-    def create(
-        cls,
-        apy: int | str | float | Fraction = "0.06",
-        blocks_per_year: int = BLOCKS_PER_YEAR,
-        utilization: int | str | float | Fraction = "0.75",
-        eth_price_usd: int | str | float | Fraction = 3200,
-        gas_price_gwei: int | str | float | Fraction = "9.377",
-        gas_units: int = 200_000,
-    ) -> "PricingParams":
-        gas_price = as_fraction(gas_price_gwei) * WEI_PER_GWEI
-        if gas_price.denominator != 1:
-            raise ValueError("gas price must be a whole number of wei")
-        return cls(
-            apy=as_fraction(apy),
-            blocks_per_year=blocks_per_year,
-            utilization=as_fraction(utilization),
-            eth_price_usd=as_fraction(eth_price_usd),
-            gas_price_wei=int(gas_price),
-            gas_units=gas_units,
-        )
+    def create(cls, **given: int | str | float | Fraction) -> "PricingParams":
+        """Params from numbers or their text (gas price in gwei); unset ones keep the default."""
+        counts = ("blocks_per_year", "gas_units")
+        values = {key: int(given.pop(key)) for key in counts if key in given}
+        if "gas_price_gwei" in given:
+            gas_price = as_fraction(given.pop("gas_price_gwei")) * WEI_PER_GWEI
+            if gas_price.denominator != 1:
+                raise ValueError("gas price must be a whole number of wei")
+            values["gas_price_wei"] = int(gas_price)
+        values.update((key, as_fraction(value)) for key, value in given.items())
+        return cls(**values)
 
     @property
     def gas_cost_wei(self) -> int:

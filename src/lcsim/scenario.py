@@ -2,12 +2,15 @@
 
 INI sections: one `[scenario]`, one optional `[pricing]`, then any number
 of `[provider.<label>]` and `[client.<label>]` sections in the order the
-simulation should index them.
+simulation should index them. `_KEYS` lists the keys each kind of section
+may hold; any other key or section is rejected. A key that is left out, or
+left blank where its converter allows, keeps the config class's default.
 """
 
 from __future__ import annotations
 
 import configparser
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -29,89 +32,99 @@ def list_builtin_scenarios() -> list[str]:
     return sorted(p.name[: -len(".ini")] for p in folder.iterdir() if p.name.endswith(".ini"))
 
 
-def _get_int(section, key: str, default: int | None = None) -> int | None:
-    raw = section.get(key)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"{key} must be an integer, got {raw!r}") from exc
+# What a key's text that does not read as its type fails with (an enum's: unknown).
+_ERRORS = {
+    int: "{key} must be an integer, got {raw!r}",
+    bool: "{key} must be a boolean, got {raw!r}",
+    eth_to_wei: "{key}: {exc}",
+}
 
 
-def _get_bool(section, key: str, default: bool) -> bool:
-    try:
-        return section.getboolean(key, fallback=default)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"{key} must be a boolean, got {section.get(key)!r}") from exc
-
-
-def _get_wei(section, key_eth: str, default_eth: str | None = None) -> int | None:
-    raw = section.get(key_eth, default_eth)
-    if raw is None or str(raw).strip() == "":
+def _value(where: str, key: str, raw: str, kind):
+    """`raw` read as `kind`; None, to keep the default, for a blank integer or ETH amount."""
+    if kind in (int, eth_to_wei) and not raw.strip():
         return None
     try:
-        return eth_to_wei(str(raw))
-    except ValueError as exc:
-        raise ConfigInvalidError(f"{key_eth}: {exc}") from exc
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        message = _ERRORS.get(kind, "{where}: unknown {key} {raw!r}")
+        raise ConfigInvalidError(message.format(where=where, key=key, raw=raw, exc=exc)) from exc
 
 
-def _parse_provider(label: str, section) -> ProviderSpec:
-    stake = _get_wei(section, "stake_eth")
-    if stake is None:
-        raise ConfigInvalidError(f"provider {label}: stake_eth is required")
-    strategy_raw = section.get("strategy", "honest")
-    try:
-        strategy = ProviderStrategy(strategy_raw)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"provider {label}: unknown strategy {strategy_raw!r}") from exc
-    return ProviderSpec(
-        stake=stake,
-        strategy=strategy,
-        register_tick=_get_int(section, "register_tick", 1),
-        withdraw_tick=_get_int(section, "withdraw_tick", None),
-    )
+_COVERAGE = ("insurance_challenge_period", "delta_comm", "delta_comp")
+
+# The keys of each kind of section (its name up to the first dot) and their types. A key
+# `<field>_eth` sets `<field>` in wei, any other the field of its own name; PricingParams.create
+# reads the pricing keys, and only an insured client the coverage keys.
+_KEYS = {
+    "scenario": {
+        **dict.fromkeys(
+            "seed slots_per_epoch finality_depth_epochs update_epoch_blocks max_challenge_period"
+            " delta_ticks total_ticks watcher_count".split(),
+            int,
+        ),
+        "min_stake_eth": eth_to_wei,
+    },
+    "pricing": dict.fromkeys(
+        ("apy", "blocks_per_year", "utilization", "eth_price_usd", "gas_price_gwei", "gas_units"),
+        str,
+    ),
+    "provider.": {
+        "stake_eth": eth_to_wei,
+        "strategy": ProviderStrategy,
+        "register_tick": int,
+        "withdraw_tick": int,
+    },
+    "client.": {
+        "protocol": Protocol,
+        "challenge_period": int,
+        "target_value_eth": eth_to_wei,
+        "target_block": int,
+        "start_tick": int,
+        "initial_balance_eth": eth_to_wei,
+        "maintain": bool,
+        "maintenance_challenge_period": int,
+        "perform_check": bool,
+        **dict.fromkeys(_COVERAGE, str),
+    },
+}
+_REQUIRED = ("stake_eth", "target_value_eth", "challenge_period")
 
 
-def _parse_client(label: str, section, t_fin: int) -> ClientConfig:
-    protocol_raw = section.get("protocol", "eco")
-    try:
-        protocol = Protocol(protocol_raw)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"client {label}: unknown protocol {protocol_raw!r}") from exc
-    value = _get_wei(section, "target_value_eth")
-    if value is None:
-        raise ConfigInvalidError(f"client {label}: target_value_eth is required")
-    challenge_period = _get_int(section, "challenge_period")
-    if challenge_period is None:
-        raise ConfigInvalidError(f"client {label}: challenge_period is required")
-    coverage = None
-    if protocol is Protocol.INS:
+def _read(parser: configparser.ConfigParser, name: str) -> dict:
+    """The fields section `name` sets, read by the table of its kind."""
+    head, dot, _ = name.partition(".")
+    keys = _KEYS.get(head + dot)
+    if keys is None:
+        raise ConfigInvalidError(f"unknown section [{name}]")
+    where = f"{head} {name}"
+    values = {}
+    for key, raw in parser.items(name):
+        if key not in keys:
+            raise ConfigInvalidError(f"[{name}]: unknown key {key!r}")
+        value = _value(where, key, raw, keys[key])
+        if value is not None:
+            values[key.removesuffix("_eth")] = value
+    for key in _REQUIRED:
+        if key in keys and key.removesuffix("_eth") not in values:
+            raise ConfigInvalidError(f"{where}: {key} is required")
+    return values
+
+
+def _client(name: str, values: dict, t_fin: int) -> ClientConfig:
+    given = {key: values.pop(key) for key in _COVERAGE if key in values}
+    if values.get("protocol") is Protocol.INS:
+        cp = values["challenge_period"]
+        coverage = {k: v for k in given if (v := _value(name, k, given[k], int)) is not None}
         try:
-            coverage = CoverageInputs(
+            values["coverage_inputs"] = CoverageInputs(
                 t_fin=t_fin,
-                challenge_periods=(
-                    _get_int(section, "insurance_challenge_period", challenge_period),
-                    challenge_period,
-                ),
-                delta_comm=_get_int(section, "delta_comm", 0),
-                delta_comp=_get_int(section, "delta_comp", 0),
+                challenge_periods=(coverage.pop("insurance_challenge_period", cp), cp),
+                **coverage,
             )
         except ValueError as exc:
-            raise ConfigInvalidError(f"client {label}: {exc}") from exc
-    balance = _get_wei(section, "initial_balance_eth")
-    return ClientConfig(
-        protocol=protocol,
-        challenge_period=challenge_period,
-        target_value=value,
-        target_block=_get_int(section, "target_block", 2),
-        start_tick=_get_int(section, "start_tick", None),
-        coverage_inputs=coverage,
-        initial_balance=balance if balance is not None else eth_to_wei(1),
-        maintain=_get_bool(section, "maintain", False),
-        maintenance_challenge_period=_get_int(section, "maintenance_challenge_period", None),
-        perform_check=_get_bool(section, "perform_check", True),
-    )
+            raise ConfigInvalidError(f"client {name}: {exc}") from exc
+    return ClientConfig(**values)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -123,55 +136,23 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigInvalidError(f"malformed scenario file: {exc}") from exc
     if not read:
         raise ConfigInvalidError(f"scenario file not found: {path}")
-    if "scenario" not in parser:
+    if parser.defaults():
+        raise ConfigInvalidError(f"unknown section [{parser.default_section}]")
+    sections = {name: _read(parser, name) for name in parser.sections()}
+    if "scenario" not in sections:
         raise ConfigInvalidError("scenario file needs a [scenario] section")
-    base = parser["scenario"]
-
-    if "pricing" in parser:
-        p = parser["pricing"]
-        try:
-            params = PricingParams.create(
-                apy=p.get("apy", "0.06"),
-                blocks_per_year=int(p.get("blocks_per_year", "2628000")),
-                utilization=p.get("utilization", "0.75"),
-                eth_price_usd=p.get("eth_price_usd", "3200"),
-                gas_price_gwei=p.get("gas_price_gwei", "9.377"),
-                gas_units=int(p.get("gas_units", "200000")),
-            )
-        except ValueError as exc:
-            raise ConfigInvalidError(f"pricing: {exc}") from exc
-    else:
-        params = PricingParams()
-
-    slots = _get_int(base, "slots_per_epoch", 4)
-    depth = _get_int(base, "finality_depth_epochs", 2)
-    t_fin = slots * depth
-    providers = []
-    clients = []
-    for section_name in parser.sections():
-        if section_name.startswith("provider."):
-            providers.append(_parse_provider(section_name, parser[section_name]))
-        elif section_name.startswith("client."):
-            clients.append(_parse_client(section_name, parser[section_name], t_fin))
+    try:
+        params = PricingParams.create(**sections.get("pricing", {}))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigInvalidError(f"pricing: {exc}") from exc
+    config = ScenarioConfig(**sections["scenario"], providers=(), clients=(), pricing=params)
+    t_fin = config.t_fin
+    providers = tuple(ProviderSpec(**v) for n, v in sections.items() if n.startswith("provider."))
+    clients = tuple(_client(n, v, t_fin) for n, v in sections.items() if n.startswith("client."))
     if not providers:
         raise ConfigInvalidError("scenario needs at least one [provider.*] section")
     if not clients:
         raise ConfigInvalidError("scenario needs at least one [client.*] section")
-
-    min_stake = _get_wei(base, "min_stake_eth")
-    config = ScenarioConfig(
-        seed=_get_int(base, "seed", 7),
-        providers=tuple(providers),
-        clients=tuple(clients),
-        slots_per_epoch=slots,
-        finality_depth_epochs=depth,
-        update_epoch_blocks=_get_int(base, "update_epoch_blocks", 32),
-        max_challenge_period=_get_int(base, "max_challenge_period", 16),
-        delta_ticks=_get_int(base, "delta_ticks", 2),
-        total_ticks=_get_int(base, "total_ticks", 300),
-        min_stake=min_stake if min_stake is not None else eth_to_wei(1),
-        watcher_count=_get_int(base, "watcher_count", 1),
-        pricing=params,
-    )
+    config = replace(config, providers=providers, clients=clients)
     config.validate()
     return config

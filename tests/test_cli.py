@@ -1,5 +1,6 @@
 """CLI surface: run/price/table3/fig1, exit codes, output formats."""
 
+import configparser
 import json
 import os
 import subprocess
@@ -12,7 +13,9 @@ from click.testing import CliRunner
 import lcsim
 from lcsim import scenario
 from lcsim.cli import main, provider_count_for_value
-from lcsim.harness import ConfigInvalidError
+from lcsim.harness import ConfigInvalidError, ProviderSpec, ScenarioConfig
+from lcsim.light_client import ClientConfig
+from lcsim.pricing import eth_to_wei
 
 
 @pytest.fixture
@@ -51,6 +54,31 @@ class TestScenarioFiles:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigInvalidError, match="not found"):
             scenario.load_scenario(tmp_path / "nope.ini")
+
+    def test_left_out_and_blank_values_take_the_config_defaults(self, tmp_path):
+        path = tmp_path / "blank.ini"
+        path.write_text(
+            "[scenario]\ntotal_ticks =\n"
+            "[provider.a]\nstake_eth = 32\nregister_tick = \nwithdraw_tick =\n"
+            "[client.b]\nchallenge_period = 13\ntarget_value_eth = 1\nstart_tick =\n"
+        )
+        assert scenario.load_scenario(path) == ScenarioConfig(
+            providers=(ProviderSpec(stake=eth_to_wei(32)),),
+            clients=(ClientConfig(challenge_period=13, target_value=eth_to_wei(1)),),
+        )
+
+    def test_readme_block_loads_as_printed_and_lists_every_key(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        config = scenario.load_scenario(path)
+        assert config.total_ticks == 220
+        assert config.clients[0].challenge_period == 13
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(block)
+        documented = {name.partition(".")[0]: set(parser[name]) for name in parser.sections()}
+        assert documented == {kind.rstrip("."): set(keys) for kind, keys in scenario._KEYS.items()}
 
 
 class TestRun:
@@ -111,7 +139,12 @@ class TestRun:
         "section, key, value, named",
         [
             ("client.main", "maintain", "sometimes", "maintain must be a boolean"),
+            ("client.main", "maintain", "", "maintain must be a boolean"),
             ("client.main", "perform_check", "maybe", "perform_check must be a boolean"),
+            ("client.main", "protocol", "", "client client.main: unknown protocol ''"),
+            ("provider.a", "strategy", "", "provider provider.a: unknown strategy ''"),
+            ("provider.a", "stake_eth", "", "provider provider.a: stake_eth is required"),
+            ("provider.a", "stake_eth", "1/0", "stake_eth: "),
             ("scenario", "slots_per_epoch", "0", "slots_per_epoch"),
             ("scenario", "seed", "-3", "seed must be in"),
             ("client.main", "target_value_eth", "0", "client 0: target_value must be positive"),
@@ -171,6 +204,9 @@ class TestRun:
         [
             ("gas_units", "-3", "pricing: gas_units must be non-negative"),
             ("gas_price_gwei", "-1", "pricing: gas price must be non-negative"),
+            ("apy", "", "pricing: "),
+            ("gas_units", "", "pricing: "),
+            ("utilization", "1/0", "pricing: "),
         ],
     )
     def test_bad_pricing_exits_two(self, runner, tmp_path, key, value, named):
@@ -180,6 +216,32 @@ class TestRun:
         result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert f"invalid scenario: {named}" in result.output
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("scenario", "total_tick"),
+            ("pricing", "gas_price"),
+            ("provider.a", "stake"),
+            ("client.main", "maintian"),
+        ],
+    )
+    def test_unknown_key_exits_two(self, runner, tmp_path, section, key):
+        text = scenario.builtin_scenario_path("honest").read_text() + "\n[pricing]\n"
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 50\n"))
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"invalid scenario: [{section}]: unknown key '{key}'" in result.output
+
+    @pytest.mark.parametrize("section", ["clients.main", "provider", "scenario.extra", "DEFAULT"])
+    def test_unknown_section_exits_two(self, runner, tmp_path, section):
+        text = scenario.builtin_scenario_path("honest").read_text()
+        path = tmp_path / "bad.ini"
+        path.write_text(f"{text}\n[{section}]\nmaintain = true\n")
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"invalid scenario: unknown section [{section}]" in result.output
 
     def test_violation_exits_one_and_names_invariant(self, runner, tmp_path):
         # T_cp = 0 against a lying provider: the eco-safety invariant must

@@ -306,6 +306,52 @@ class TestUnfinalizedTarget:
         assert metrics.acceptances[0].correct is True
 
 
+    def test_watcher_defers_then_slashes_a_lie(self, monkeypatch):
+        # The liar answers at once about a block that is not final yet: the
+        # watcher defers its audit until finality, then disputes, so the
+        # liar is slashed and the client alerted. The challenge period
+        # covers the wait for the target's finality too.
+        b_u = 40
+        start = 2 * b_u + 1
+        config = ScenarioConfig(
+            seed=11,
+            providers=(
+                ProviderSpec(stake=64 * ETH, strategy=ProviderStrategy.WRONG_HASH),
+                ProviderSpec(stake=32 * ETH, strategy=ProviderStrategy.HONEST),
+            ),
+            clients=(
+                ClientConfig(
+                    protocol=Protocol.ECO,
+                    challenge_period=24,
+                    target_value=10 * ETH,
+                    target_block=start - 1,  # exists, 1 block deep, not final
+                    start_tick=start,
+                ),
+            ),
+            update_epoch_blocks=b_u,
+            max_challenge_period=24,
+            delta_ticks=2,
+            total_ticks=start + 80,
+        )
+        verdicts = []
+        watcher_check = actors.watcher_check
+
+        def recorded(*args):
+            verdicts.append(watcher_check(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(actors, "watcher_check", recorded)
+        sim = Simulation(config)
+        metrics, _ = sim.run()
+        liar = sim.providers[0].public_key
+        assert verdicts[0] is actors.Verdict.PENDING
+        assert actors.Verdict.DISPUTE in verdicts
+        assert metrics.slash_count == 1
+        assert [alert.offending_pk for alert in sim.clients[0].alerts_seen] == [liar]
+        assert metrics.violations == []
+        assert metrics.clients["c0"].accepted == 1
+
+
 class TestEmptyBootstrap:
     def test_no_usable_providers_fails_cleanly(self):
         # Providers register too late to be in the client's epochal set:
@@ -867,8 +913,9 @@ class TestWakeUps:
         assert 0 < len(calls) < online // 3
 
     def test_clients_are_ticked_from_start_and_on_delivery(self, monkeypatch):
-        """With no client naming a next tick, a client is ticked only at its
-        start tick and on ticks that deliver to it, in index order."""
+        """With no client naming a tick after its start tick, a client is
+        ticked only at its start tick and on ticks that deliver to it, in
+        index order."""
         sim = Simulation(scaled_dispute_population())
         index = {client.name: i for i, client in enumerate(sim.clients)}
         delivered = {(client.config.start_tick, client.name) for client in sim.clients}
@@ -884,7 +931,10 @@ class TestWakeUps:
             ticked.append((now, client.name))
             return on_tick(client, now, ctx)
 
-        monkeypatch.setattr(LightClientActor, "next_tick", lambda self, now: None)
+        def start_only(client, now):
+            return client.config.start_tick if now == 0 else None
+
+        monkeypatch.setattr(LightClientActor, "next_tick", start_only)
         monkeypatch.setattr(LightClientActor, "handle_message", recorded_handle)
         monkeypatch.setattr(LightClientActor, "on_tick", recorded_tick)
         sim.run()
@@ -1057,9 +1107,9 @@ class TestSchedule:
         assert outputs(Simulation(config)) == outputs(TickEveryActor(config))
 
     def test_a_list_only_delivery_ticks_no_client(self, monkeypatch):
-        """A client is ticked at its first tick, at a tick its next_tick
-        named, or on a delivery other than an event list; never for lists
-        alone, which move none of its deadlines."""
+        """A client is ticked at a tick its next_tick named (its first tick
+        included), or on a delivery other than an event list; never for
+        lists alone, which move none of its deadlines."""
         allowed, ticked, list_only = set(), [], set()
         next_tick = LightClientActor.next_tick
         on_tick = LightClientActor.on_tick
@@ -1085,7 +1135,6 @@ class TestSchedule:
         monkeypatch.setattr(LightClientActor, "on_tick", recorded_on_tick)
         monkeypatch.setattr(LightClientActor, "handle_message", recorded_handle_message)
         sim = Simulation(scaled_maintain())
-        allowed.update((c.name, c.first_tick()) for c in sim.clients)
         sim.run()
         assert list_only - allowed  # some ticks bring a client only lists
         assert set(ticked) <= allowed

@@ -35,7 +35,7 @@ from lcsim.light_client import (
     verify_response,
 )
 from lcsim.messages import EventListMsg
-from lcsim.pricing import eth_to_wei
+from lcsim.pricing import CoverageInputs, eth_to_wei
 
 ETH = eth_to_wei(1)
 
@@ -460,6 +460,39 @@ class TestOpenChecks:
         client.checks.append(Check(CheckKind.EPOCH_EVENT, 1, bytes(32), 4, ETH, query_tick=7))
         client._accept(client.checks[-1], 7, ctx)
         assert client._first_open == 13
+
+
+class TestVoidedPolicy:
+    def test_a_confirmed_client_rebuys_when_an_allocation_is_dropped(self):
+        """A provider backing the confirmed policy was dropped (a record
+        check timed out through it, say): the client buys anew instead of
+        querying the target, and its open non-record checks are abandoned."""
+        coverage = CoverageInputs(t_fin=8, challenge_periods=(4, 4))
+        config = ClientConfig(
+            protocol=Protocol.INS, challenge_period=4, target_value=ETH, coverage_inputs=coverage
+        )
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        backer, other = pks(2)
+        client.bootstrap_epochs = [0]
+        client.stage = Stage.CONFIRMED
+        client._allocations = [(backer, ETH)]
+        client.dropped.add(backer)
+        inclusion = Check(CheckKind.INSURANCE_INCLUSION, 3, bytes(32), 4, ETH, query_tick=5)
+        record = Check(CheckKind.EPOCH_EVENT, 4, bytes(32), 4, ETH, query_tick=5)
+        client.checks = [inclusion, record]
+        ctx = _Ctx()
+        ctx.target_state_hash = lambda name: bytes(32)
+        client._drive_protocol(6, ctx)
+        assert client.stage is Stage.START
+        assert inclusion.outcome == "abandoned"
+        assert record.outcome is None
+        assert client.checks == [inclusion, record]  # no target check opened
+        # With `other` dropped instead, the policy stands and the target is queried.
+        client.stage = Stage.CONFIRMED
+        client.dropped = {other}
+        client._drive_protocol(7, ctx)
+        assert client.stage is Stage.QUERYING
+        assert client.checks[-1].kind is CheckKind.TARGET
 
 
 class TestApplyEpochEvents:
