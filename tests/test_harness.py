@@ -305,7 +305,6 @@ class TestUnfinalizedTarget:
         assert metrics.clients["c0"].accepted == 1
         assert metrics.acceptances[0].correct is True
 
-
     def test_watcher_defers_then_slashes_a_lie(self, monkeypatch):
         # The liar answers at once about a block that is not final yet: the
         # watcher defers its audit until finality, then disputes, so the
