@@ -1,16 +1,20 @@
 """Command-line entry point: run scenarios, quote insurance, emit tables.
 
 Exit codes for `run`: 0 clean, 1 invariant violation (named on stderr),
-2 invalid scenario configuration.
+2 invalid scenario configuration or an output path that cannot be written
+(named on stderr, before the simulation starts). `table3` and `fig1` exit 2
+on an output path that cannot be written, too.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -106,6 +110,19 @@ def _counts(ctx, param, text: str) -> list[int]:
 _NON_NEGATIVE = click.IntRange(min=0)
 
 
+def _unwritable(exc: OSError) -> NoReturn:
+    """Exit 2, naming the output path that could not be written and why."""
+    click.echo(f"cannot write {exc.filename}: {exc.strerror}", err=True)
+    sys.exit(2)
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _unwritable(exc)
+
+
 @click.group()
 def main() -> None:
     """Light-client protocol simulator and insurance pricing."""
@@ -121,11 +138,17 @@ def cmd_run(scenario_path: str, out_dir: str) -> None:
     except ConfigInvalidError as exc:
         click.echo(f"invalid scenario: {exc}", err=True)
         sys.exit(2)
-    metrics, log = run_scenario(config)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.json").write_text(json.dumps(metrics.to_dict(), indent=2) + "\n")
-    (out / "events.log").write_bytes(log.serialize())
+    with ExitStack() as files:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            metrics_file = files.enter_context((out / "metrics.json").open("w"))
+            log_file = files.enter_context((out / "events.log").open("wb"))
+        except OSError as exc:
+            _unwritable(exc)
+        metrics, log = run_scenario(config)
+        metrics_file.write(json.dumps(metrics.to_dict(), indent=2) + "\n")
+        log_file.write(log.serialize())
     if metrics.violations:
         for violation in metrics.violations:
             click.echo(f"invariant violated: {violation}", err=True)
@@ -194,7 +217,7 @@ def cmd_table3(out_path: str, challenge_period: int) -> None:
     lines = [_CSV_HEADER]
     for value_eth in TABLE3_VALUES_ETH:
         lines.append(report_row(params, value_eth, challenge_period, challenge_period).csv())
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_text(out_path, "\n".join(lines) + "\n")
     click.echo(f"wrote {len(TABLE3_VALUES_ETH)} rows to {out_path}")
 
 
@@ -210,7 +233,7 @@ def cmd_fig1(out_path: str, durations: list[int], values: list[int]) -> None:
         for value_eth in values:
             _, _, total = pricing.total_cost_usd(params, duration, eth_to_wei(value_eth))
             lines.append(f"{value_eth},{duration},{_cents_str(usd_cents(total))}")
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_text(out_path, "\n".join(lines) + "\n")
     click.echo(f"wrote {len(lines) - 1} points to {out_path}")
 
 

@@ -283,13 +283,22 @@ class Metrics:
 
 
 class EventLog:
-    """Append-only, line-serializable record of everything observable."""
+    """Append-only, line-serializable record of everything observable.
+
+    A line is `tick<TAB>actor<TAB>event<TAB>digest`, the digest 16 hex
+    digits: the first 8 bytes of the sha256 of the event's payload (`add`),
+    or on a `chain`/`block` line the first 8 bytes of the block's own
+    header hash (`add_block`), which the chain has already computed.
+    """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
 
     def add(self, tick: int, actor: str, event_type: str, payload: bytes = b"") -> None:
         self.lines.append(f"{tick}\t{actor}\t{event_type}\t{_sha256(payload).hexdigest()[:16]}")
+
+    def add_block(self, tick: int, block: Block) -> None:
+        self.lines.append(f"{tick}\tchain\tblock\t{block.hash[:8].hex()}")
 
     def serialize(self) -> bytes:
         return ("\n".join(self.lines) + "\n").encode()
@@ -660,7 +669,7 @@ class Simulation:
     def _append_block(self, tick: int, transactions) -> Block:
         """Append the tick's block and log it."""
         block = self.chain.append_block(transactions)
-        self.log.add(tick, "chain", "block", block.hash)
+        self.log.add_block(tick, block)
         return block
 
     def _close_stretch(self, first: int, stop: int) -> None:

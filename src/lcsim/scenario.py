@@ -34,9 +34,9 @@ def list_builtin_scenarios() -> list[str]:
 
 # What a key's text that does not read as its type fails with (an enum's: unknown).
 _ERRORS = {
-    int: "{key} must be an integer, got {raw!r}",
-    bool: "{key} must be a boolean, got {raw!r}",
-    eth_to_wei: "{key}: {exc}",
+    int: "{where}: {key} must be an integer, got {raw!r}",
+    bool: "{where}: {key} must be a boolean, got {raw!r}",
+    eth_to_wei: "{where}: {key}: {exc}",
 }
 
 
@@ -97,7 +97,7 @@ def _read(parser: configparser.ConfigParser, name: str) -> dict:
     keys = _KEYS.get(head + dot)
     if keys is None:
         raise ConfigInvalidError(f"unknown section [{name}]")
-    where = f"{head} {name}"
+    where = f"{head} {name}" if dot else name
     values = {}
     for key, raw in parser.items(name):
         if key not in keys:
@@ -112,10 +112,11 @@ def _read(parser: configparser.ConfigParser, name: str) -> dict:
 
 
 def _client(name: str, values: dict, t_fin: int) -> ClientConfig:
+    where = f"client {name}"
     given = {key: values.pop(key) for key in _COVERAGE if key in values}
     if values.get("protocol") is Protocol.INS:
         cp = values["challenge_period"]
-        coverage = {k: v for k in given if (v := _value(name, k, given[k], int)) is not None}
+        coverage = {k: v for k in given if (v := _value(where, k, given[k], int)) is not None}
         try:
             values["coverage_inputs"] = CoverageInputs(
                 t_fin=t_fin,
@@ -123,7 +124,7 @@ def _client(name: str, values: dict, t_fin: int) -> ClientConfig:
                 **coverage,
             )
         except ValueError as exc:
-            raise ConfigInvalidError(f"client {name}: {exc}") from exc
+            raise ConfigInvalidError(f"{where}: {exc}") from exc
     return ClientConfig(**values)
 
 

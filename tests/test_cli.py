@@ -51,6 +51,15 @@ class TestScenarioFiles:
         with pytest.raises(ConfigInvalidError, match="client client.main: coverage components"):
             scenario.load_scenario(path)
 
+    def test_bad_coverage_input_named_with_its_section(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        text = scenario.builtin_scenario_path("insured").read_text()
+        path.write_text(text.replace("delta_comm = 20", "delta_comm = soon"))
+        with pytest.raises(
+            ConfigInvalidError, match="^client client.main: delta_comm must be an integer"
+        ):
+            scenario.load_scenario(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigInvalidError, match="not found"):
             scenario.load_scenario(tmp_path / "nope.ini")
@@ -138,13 +147,16 @@ class TestRun:
     @pytest.mark.parametrize(
         "section, key, value, named",
         [
-            ("client.main", "maintain", "sometimes", "maintain must be a boolean"),
-            ("client.main", "maintain", "", "maintain must be a boolean"),
-            ("client.main", "perform_check", "maybe", "perform_check must be a boolean"),
+            ("client.main", "maintain", "sometimes", "client client.main: maintain must be a"),
+            ("client.main", "maintain", "", "client client.main: maintain must be a boolean"),
+            ("client.main", "perform_check", "maybe", "client client.main: perform_check must be"),
+            ("client.main", "start_tick", "soon", "client client.main: start_tick must be an"),
             ("client.main", "protocol", "", "client client.main: unknown protocol ''"),
             ("provider.a", "strategy", "", "provider provider.a: unknown strategy ''"),
             ("provider.a", "stake_eth", "", "provider provider.a: stake_eth is required"),
-            ("provider.a", "stake_eth", "1/0", "stake_eth: "),
+            ("provider.a", "stake_eth", "1/0", "provider provider.a: stake_eth: "),
+            ("provider.a", "register_tick", "1.5", "provider provider.a: register_tick must be an"),
+            ("scenario", "total_ticks", "many", "scenario: total_ticks must be an integer, got"),
             ("scenario", "slots_per_epoch", "0", "slots_per_epoch"),
             ("scenario", "seed", "-3", "seed must be in"),
             ("client.main", "target_value_eth", "0", "client 0: target_value must be positive"),
@@ -243,6 +255,27 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert f"invalid scenario: unknown section [{section}]" in result.output
 
+    @pytest.mark.parametrize(
+        "out, named",
+        [
+            # -o names an existing file, not a directory.
+            ("taken", "cannot write {out}: File exists"),
+            # The directory holds a directory where events.log goes.
+            ("dir", "cannot write {out}/events.log: Is a directory"),
+        ],
+    )
+    def test_unwritable_out_dir_exits_two_before_the_run(
+        self, runner, tmp_path, monkeypatch, out, named
+    ):
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "dir" / "events.log").mkdir(parents=True)
+        monkeypatch.setattr("lcsim.cli.run_scenario", lambda config: pytest.fail("ran"))
+        path = tmp_path / out
+        scenario_path = str(scenario.builtin_scenario_path("honest"))
+        result = runner.invoke(main, ["run", scenario_path, "-o", str(path)])
+        assert result.exit_code == 2, result.output
+        assert named.format(out=path) in result.output
+
     def test_violation_exits_one_and_names_invariant(self, runner, tmp_path):
         # T_cp = 0 against a lying provider: the eco-safety invariant must
         # trip and be named.
@@ -337,6 +370,12 @@ class TestTable3:
         assert "Invalid value for '--challenge-period'" in result.output
         assert not out.exists()
 
+    def test_directory_as_out_path_exits_two(self, runner, tmp_path):
+        result = runner.invoke(main, ["table3", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot write {tmp_path}: Is a directory" in result.output
+        assert "wrote" not in result.output
+
     def test_provider_counts(self):
         assert [provider_count_for_value(v) for v in (10, 32, 160, 320)] == [1, 1, 5, 10]
 
@@ -361,6 +400,13 @@ class TestFig1:
         assert result.exit_code == 2, result.output
         assert "Invalid value for '--values': 'abc' is not a list of integers" in result.output
         assert not out.exists()
+
+    def test_missing_directory_exits_two(self, runner, tmp_path):
+        out = tmp_path / "missing" / "fig1.csv"
+        result = runner.invoke(main, ["fig1", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot write {out}: No such file or directory" in result.output
+        assert "wrote" not in result.output
 
     def test_grid_size(self, runner, tmp_path):
         out = tmp_path / "grid.csv"

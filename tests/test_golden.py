@@ -9,7 +9,8 @@ says why.
     PYTHONPATH=src python3 tests/test_golden.py NAME ...   # print the named cases only
 
 Each printed line ends with a comment: the seconds the case took to set
-up, run and hash.
+up, run and hash, and for each half of the pin, log then metrics, whether
+it is the same as in `PINNED` or changed.
 """
 
 from __future__ import annotations
@@ -227,63 +228,63 @@ def digests(config: ScenarioConfig, simulation=Simulation) -> tuple[str, str]:
 # name -> (sha256 of EventLog.serialize(), sha256 of canonical metrics JSON)
 PINNED: dict[str, tuple[str, str]] = {
     "exit_scam": (
-        "bdc98aa30b57347a0cc5846c9d788320a85da9ac5f6e50e7fef8363e0261b8e5",
+        "f730b956a8d06d45ff37ba3cbb7ff5251faafdeeab6f0a1538601787cec619a3",
         "fa9f1a369924f6f267f947140472af91adc95675e96994e7398b004f2f0a70f6",
     ),
     "honest": (
-        "027e695299b98b60b6b31fbc706e2e18b651a64b2e92d080c609b9a75de7d843",
+        "8413ad9784fd7fd86a3efac2d812f0430c6e3e4dfd03cc38199eaf4a20516e16",
         "090085330a385abd8232317dfb8d62b910f7c17f26e2071b773b6385cb740f5f",
     ),
     "insured": (
-        "3821c36040994180e4b7551b17e4d826bdb8529ead321677f993e0ac9ec60e53",
+        "34fbb68397574870873e46d5f5f154921e005704cd6b7c463b054dc7b9f29f99",
         "a2eeaa221a53c84ab509f80d6ac837abbedeb5248a45348bb0b553171c11ada5",
     ),
     "maintenance": (
-        "85b9441ea848e4625b4705087382b02f633388b1d50852d0f161f3739cb2680d",
+        "fc0030bc7449509c8bfbc243eeb3b64f38fec44da9d0f12324d22331cef600c1",
         "077760bc1f88584a7ab794c400b8551b54ea847d116d60a390dfb4b77dd77a73",
     ),
     "wrong_hash": (
-        "3247409e1465dab0924f087d53bdbe215c096ab6137026d8dd366aaadabc0b28",
+        "5931bd21733085d490c0bcef4f792720b92b0c0d2864de33cc37313e742de9b3",
         "fa9f1a369924f6f267f947140472af91adc95675e96994e7398b004f2f0a70f6",
     ),
     "scaled_dispute": (
-        "88bdcb8aec3ccc1bdff9d7e20a3a43d610c3040e40eed1cfe4f2fa9213b5561f",
+        "4ab4bbe08f02c1b90e8afd5191253d8e34ea69e064ffb1d39360dd7beccbd560",
         "d5f1ea66c7e6ad5de448aa6c9d068379c16ea91cb0f3f44b6afe2aec7d13091e",
     ),
     "scaled_maintain": (
-        "c3c8175672ea57e168e65ce824832ca18bfb2fc43d3d5085beb471a3c29bacb7",
+        "a4c3db073c53506edf16c98a004396defe922a0425e64cdf78a93abdff0fdf2f",
         "99c30a8a1103a935a8bc9463d36526aa2d211c76b39b4fd591b737d19b79c953",
     ),
     "scaled_insured": (
-        "5a937b24cfd3018ad7d7c5bdd11cac59e33067f7247697a69800c44291abf369",
+        "f93d7fe9e4916e88968eb00be8c69316ea9094eff4920475678be96fa8e041a6",
         "c179f560322862e283b24cc23889f4af6615bbdbb53bf3f5bfac6d938dc4a554",
     ),
     "delta3_ins": (
-        "91d146b7734e2d63f846d707ea19370045fb7c6b3ec1e26ef513c9d0b016f3e6",
+        "f5243d8347bad534cd0969e96d2b76109be9e2dbb45d1addaeac81cf506fc69f",
         "0c4b82822662e3bd6e3290174c1fa07e66962989c6d0fcf6dbb7380b54b5a742",
     ),
     "delta4_eco": (
-        "0b422b3f2ffe2d6f69df4b2a2f35cd17dd7c3cafbae2001b144cf8076e663c87",
+        "056d14f1d14aa7482b59ee6cd5ff89a74bc60d64dff20de270e2ce6cefb5e7ed",
         "9cf8df43ce41df2d9b20545997c69579615bbb9d893f7a11fc780ed7473c6908",
     ),
     "grid_100x100": (
-        "2e71bc3191b62cf65f2e71ca9e5b4420f3d4a5404ffbde8a474e1c5913a687c1",
+        "6a93ede2b257ff172bd30dbd5731bd53ae3c9bda3a2de4a866f7c92a90307da6",
         "d25cd2e29fa837922887b22aeeef12bc2683543fcf994e1a150fcfadd0485aca",
     ),
     "grid_churn_100x100": (
-        "693f1760db832de19cbf3057b9d4093d839c41887a251fdcef11a6ac6981459a",
+        "d7e53f3f353d77f4a10637380903b010ce2cdeee4f57f08acef0a2a26953ec35",
         "083aa258b9d6c06799540ff26f267d0b5885e78d61f991376cf90be42fdfb504",
     ),
     "grid_300x1000": (
-        "5a030e9c691af756cd94bcb41d8a7d74e979bafcfd29e9db0a2e0c5a9dad2141",
+        "279349cf68ea43a1f3e342da4a48516d1efb665c2af545a6f96a9b481b19a570",
         "006606b8085e00c04ea18ebe432eeb7c49e826cf752556eb0d6bfa7b9e81496a",
     ),
     "table3_10eth_eco": (
-        "b6e6a60a2c1e8d89ff9503d3233d518e8510b1466288c9264d033938bd16106f",
+        "ea53147ef3649444ac96c90b3e2bf76f1135dd4dacb3d8dad4fe8dac5f0e5a83",
         "60a404c6f7087408e610646bd6200f359e482cb91e6daa0487b961c005328b9b",
     ),
     "table3_10eth_ins": (
-        "88de13aaa167ee3835709658a8ad69235475ca67d823d39f36021823c44c3660",
+        "2d7dac41623d45a8c317e1f18dbf580e16043ca3957d620a237147ec699362b2",
         "95c472855eb7f7d6bce62e7a5166348a0c983c2f8e64209fbecc8e05b6dfec73",
     ),
 }
@@ -306,4 +307,7 @@ if __name__ == "__main__":
     for name in sys.argv[1:] or cases:
         start = time.perf_counter()
         pinned = digests(cases[name])
-        print(f"    {name!r}: {pinned!r},  # {time.perf_counter() - start:.3f} s")
+        seconds = time.perf_counter() - start
+        old = PINNED.get(name, (None, None))
+        log, metrics = ("same" if new == was else "changed" for new, was in zip(pinned, old))
+        print(f"    {name!r}: {pinned!r},  # {seconds:.3f} s, log {log}, metrics {metrics}")

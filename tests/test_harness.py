@@ -1170,7 +1170,7 @@ class SampleEveryTick(Simulation):
         block_txs = self._execute_pool(tick)
         block_txs.extend(self._target_payloads.pop(tick, ()))
         block = self.chain.append_block(block_txs)
-        self.log.add(tick, "chain", "block", block.hash)
+        self.log.add_block(tick, block)
         for effect in self.contract.process_block_boundary(block.number):
             self.log.add(tick, harness.CONTRACT_ENDPOINT, effect[0], repr(effect).encode())
             if effect[0] == "withdrawn":
@@ -1229,6 +1229,30 @@ class TestLeanTick:
         assert tick == config.total_ticks + 1
         assert len(expiries) >= 3
         assert changed == starts
+
+
+class TestBlockLines:
+    """Each tick, busy or quiet, logs one block line, and its digest is the
+    first 8 bytes of the block's own header hash."""
+
+    @given(populations() | maintaining_populations())
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_drawn_populations(self, config):
+        sim = Simulation(config)
+        _, log = sim.run()
+        fields = [line.split("\t") for line in log.lines]
+        blocks = [
+            (int(tick), digest) for tick, *event, digest in fields if event == ["chain", "block"]
+        ]
+        assert blocks == [
+            (tick, sim.chain.blocks[tick].hash[:8].hex())
+            for tick in range(1, config.total_ticks + 1)
+        ]
 
 
 class RecordStretches(Simulation):
