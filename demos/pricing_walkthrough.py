@@ -9,13 +9,11 @@ Usage:
     python3 demos/pricing_walkthrough.py
 """
 
-from fractions import Fraction
-
 from lcsim.cli import report_row
+from lcsim.harness import run_scenario
 from lcsim.pricing import (
     CoverageInputs,
     PricingParams,
-    average_utilization,
     eth_to_wei,
     format_eth,
     format_usd,
@@ -23,23 +21,21 @@ from lcsim.pricing import (
     premium,
     total_cost_usd,
     unit_cost,
-    utilization_at_block,
 )
+from lcsim.scenario import builtin_scenario_path, load_scenario
 
 
 def main() -> None:
+    params = PricingParams()  # APY 6%, 2,628,000 blocks/year, u = 0.75
     print("=" * 68)
     print("Stake utilization")
     print("=" * 68)
-    one_provider = [(eth_to_wei(32), eth_to_wei(24))]
-    print(f"one provider, 24 of 32 ETH locked : u_t = {utilization_at_block(one_provider)}")
-    two_providers = [(eth_to_wei(32), eth_to_wei(32)), (eth_to_wei(32), eth_to_wei(16))]
-    print(f"two providers, 48 of 64 locked    : u_t = {utilization_at_block(two_providers)}")
-    series = [Fraction(3, 4)] * 80 + [Fraction(3, 4)] * 20
-    print(f"year-long average                 : u   = {average_utilization(series)}")
+    print(f"quote input (a market parameter)  : u = {params.utilization}")
+    metrics, _ = run_scenario(load_scenario(builtin_scenario_path("insured")))
+    print(f"measured in the insured scenario  : u = {metrics.mean_utilization()}")
+    print("(the measured figure is reported, never fed back into quotes)")
     print()
 
-    params = PricingParams()  # APY 6%, 2,628,000 blocks/year, u = 0.75
     print("=" * 68)
     print("Unit cost and premium")
     print("=" * 68)

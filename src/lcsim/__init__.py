@@ -3,76 +3,16 @@
 Two client modes are implemented end to end: the economic one, which waits
 out a watcher-audited challenge period at zero cost, and the insured one,
 which buys slashable-stake-backed coverage and accepts data instantly.
+
+The package root exports what README's "Library use" block imports, and the
+chain and pricing names a reference check reads; everything else is imported
+from its submodule.
 """
 
-from .actors import (
-    Alert,
-    AlertKind,
-    DataProviderActor,
-    ProviderStrategy,
-    Query,
-    SignedResponse,
-    Verdict,
-    WatcherActor,
-    provider_respond,
-    watcher_check,
-)
-from .chain import Block, Chain, Transaction, TxNotInBlockError, UnknownHeightError
-from .contract import (
-    BuyInsuranceTx,
-    ContractConfig,
-    InsurancePolicy,
-    Ledger,
-    PolicyState,
-    ProviderRecord,
-    ProviderStatus,
-    RegisterTx,
-    RejectReason,
-    Reverted,
-    RevertReason,
-    SlashEvent,
-    SlashEvidence,
-    SlashingContract,
-    SlashRejected,
-    SlashTx,
-    WithdrawRequestTx,
-)
-from .crypto import KeyPair, MerkleProof, keygen, merkle_prove, merkle_root, merkle_verify, sign, verify
-from .harness import (
-    ConfigInvalidError,
-    EventLog,
-    Metrics,
-    ProviderSpec,
-    ScenarioConfig,
-    SweepReport,
-    build_scenario,
-    min_compliant_challenge_period,
-    run_scenario,
-    sweep,
-)
-from .light_client import (
-    CheckKind,
-    ClientConfig,
-    LightClientActor,
-    NoEligibleProvidersError,
-    Protocol,
-    apply_epoch_events,
-    required_coverage,
-    select_providers,
-)
-from .pricing import (
-    BLOCKS_PER_YEAR,
-    WEI_PER_ETH,
-    CoverageInputs,
-    PricingParams,
-    average_utilization,
-    eth_to_wei,
-    min_coverage_duration,
-    premium,
-    total_cost_usd,
-    unit_cost,
-    utilization_at_block,
-)
-from .scenario import builtin_scenario_path, list_builtin_scenarios, load_scenario
+from .actors import ProviderStrategy
+from .chain import Chain, Transaction
+from .harness import build_scenario, run_scenario, sweep
+from .light_client import Protocol
+from .pricing import PricingParams, eth_to_wei, premium
 
 __version__ = "0.1.0"

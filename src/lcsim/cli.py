@@ -21,7 +21,7 @@ import click
 from . import pricing
 from .harness import ConfigInvalidError, run_scenario
 from .light_client import select_providers
-from .pricing import PricingParams, eth_to_wei, format_eth, format_usd, usd_cents
+from .pricing import PricingParams, eth_to_wei, format_cents, format_eth, format_usd, usd_cents
 from .scenario import load_scenario
 
 TABLE3_VALUES_ETH = (10, 32, 160, 320)
@@ -49,17 +49,13 @@ class ReportRow:
             [
                 str(self.covered_value_eth),
                 str(self.provider_count),
-                _cents_str(self.premium_usd_cents),
-                _cents_str(self.gas_usd_cents),
-                _cents_str(self.total_usd_cents),
+                format_cents(self.premium_usd_cents),
+                format_cents(self.gas_usd_cents),
+                format_cents(self.total_usd_cents),
                 str(self.signature_count),
                 str(self.latency_ticks),
             ]
         )
-
-
-def _cents_str(cents: int) -> str:
-    return f"{cents // 100}.{cents % 100:02d}"
 
 
 def provider_count_for_value(value_eth: int, stake_eth: int = PROVIDER_STAKE_ETH) -> int:
@@ -232,7 +228,7 @@ def cmd_fig1(out_path: str, durations: list[int], values: list[int]) -> None:
     for duration in durations:
         for value_eth in values:
             _, _, total = pricing.total_cost_usd(params, duration, eth_to_wei(value_eth))
-            lines.append(f"{value_eth},{duration},{_cents_str(usd_cents(total))}")
+            lines.append(f"{value_eth},{duration},{format_usd(total)}")
     _write_text(out_path, "\n".join(lines) + "\n")
     click.echo(f"wrote {len(lines) - 1} points to {out_path}")
 

@@ -169,22 +169,6 @@ def insurance_record(
     return b"".join(out)
 
 
-def decode_insurance_record(
-    payload: bytes,
-) -> tuple[int, bytes, int, int, int, list[tuple[bytes, int]]]:
-    r = _Reader(payload)
-    if r.u8() != TAG_INSURANCE:
-        raise DecodeError("not an insurance record")
-    insurance_id = r.u64()
-    buyer = r.lp_bytes()
-    coverage = r.u128()
-    start = r.u64()
-    duration = r.u64()
-    allocations = [(r.lp_bytes(), r.u128()) for _ in range(r.u32())]
-    r.done()
-    return insurance_id, buyer, coverage, start, duration, allocations
-
-
 def slash_record(
     provider_pk: bytes,
     block_number: int,

@@ -684,43 +684,3 @@ class SlashingContract:
             block_number=block_number,
             record_tx_id=crypto.digest(payload),
         )
-
-    # -- determinism --------------------------------------------------------
-
-    def state_digest(self) -> bytes:
-        """Canonical digest of the full contract state."""
-        parts: list[bytes] = [self.current_block.to_bytes(8, "big")]
-        for pk in sorted(self.providers):
-            r = self.providers[pk]
-            parts.append(
-                codec.encode_bytes(pk)
-                + codec.encode_u128(r.stake)
-                + codec.encode_u128(r.locked)
-                + r.status.value.encode()
-                + codec.encode_u64(r.joined_epoch)
-                + codec.encode_u64(
-                    r.withdraw_requested_epoch if r.withdraw_requested_epoch is not None else 0
-                )
-            )
-        for pid in sorted(self.policies):
-            p = self.policies[pid]
-            parts.append(
-                codec.encode_u64(p.id)
-                + p.state.value.encode()
-                + codec.insurance_record(
-                    p.id, p.buyer_pk, p.coverage_value, p.start_block, p.duration,
-                    list(p.allocations),
-                )
-            )
-        for event in self.slash_events:
-            parts.append(
-                codec.slash_record(
-                    event.provider_pk,
-                    event.block_number,
-                    b"\x00" * 32,
-                    event.slashed_amount,
-                    event.insurance_id,
-                    event.offending_signature,
-                )
-            )
-        return crypto.digest(*parts)

@@ -135,6 +135,8 @@ class ScenarioConfig:
             raise ConfigInvalidError("total_ticks must be positive")
         if self.watcher_count < 1:
             raise ConfigInvalidError("watcher_count must be at least 1")
+        if self.min_stake < 0:
+            raise ConfigInvalidError("min_stake must not be negative")
         try:
             self.contract_config().validate(self.t_fin, self.delta_ticks)
         except ValueError as exc:

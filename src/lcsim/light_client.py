@@ -139,27 +139,6 @@ def _take_greedily(
     )
 
 
-def required_coverage(checks: list[tuple[int, int, int]]) -> int:
-    """Coverage needed for checks given as (start, end, value) windows.
-
-    Overlapping challenge windows must be covered by the sum of their
-    values, independent ones only by the maximum, so the answer is the
-    peak of the sum of active values over time.
-    """
-    deltas: dict[int, int] = {}
-    for start, end, value in checks:
-        if end < start:
-            raise ValueError("check window ends before it starts")
-        deltas[start] = deltas.get(start, 0) + value
-        deltas[end + 1] = deltas.get(end + 1, 0) - value
-    peak = 0
-    running = 0
-    for t in sorted(deltas):
-        running += deltas[t]
-        peak = max(peak, running)
-    return peak
-
-
 def apply_epoch_events(
     provider_set: Mapping[bytes, int], events: Iterable[tuple[int, bytes]]
 ) -> dict[bytes, int]:

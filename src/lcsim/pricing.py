@@ -1,11 +1,11 @@
-"""Insurance pricing: utilization, unit cost, premiums, coverage bounds.
+"""Insurance pricing: unit cost, premiums, coverage bounds.
 
 All money is integer wei; everything else is exact `Fraction` arithmetic.
 The only rounding anywhere is the final ceil to a whole wei when a premium
 is charged (never under-charge), and half-up cents when a USD figure is
 *displayed*.  The utilization used for quoting is a configured market
-parameter; the realized utilization a simulation measures is reported
-separately and never fed back into quotes.
+parameter; the realized utilization a simulation measures
+(`harness.Metrics.mean_utilization`) is reported, never fed back into quotes.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ WEI_PER_GWEI = 10**9
 
 #: Blocks per year at a 12-second slot time.
 BLOCKS_PER_YEAR = 2_628_000
-
-
-class NoProvidersError(ValueError):
-    """Utilization is undefined without providers."""
-
-
-class EmptySeriesError(ValueError):
-    """An average needs at least one sample."""
 
 
 def as_fraction(value: int | str | float | Fraction) -> Fraction:
@@ -101,23 +93,6 @@ class CoverageInputs:
             raise ValueError("challenge periods must be non-negative")
 
 
-def utilization_at_block(providers: list[tuple[int, int]]) -> Fraction:
-    """Locked-over-total stake across `(stake, locked)` pairs at one block."""
-    if not providers:
-        raise NoProvidersError("utilization is undefined with no providers")
-    total = sum(stake for stake, _ in providers)
-    if total <= 0:
-        raise NoProvidersError("utilization is undefined with zero total stake")
-    locked = sum(locked for _, locked in providers)
-    return Fraction(locked, total)
-
-
-def average_utilization(per_block: list[Fraction]) -> Fraction:
-    if not per_block:
-        raise EmptySeriesError("cannot average an empty utilization series")
-    return Fraction(sum(per_block), len(per_block))
-
-
 def unit_cost(params: PricingParams) -> Fraction:
     """Cost of locking one unit of stake for one block: apy / (B * u)."""
     return params.apy / (params.blocks_per_year * params.utilization)
@@ -154,9 +129,13 @@ def usd_cents(amount: Fraction) -> int:
     return (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
 
 
-def format_usd(amount: Fraction) -> str:
-    cents = usd_cents(amount)
+def format_cents(cents: int) -> str:
+    """Whole cents as a USD amount with two decimals: 746 -> "7.46"."""
     return f"{cents // 100}.{cents % 100:02d}"
+
+
+def format_usd(amount: Fraction) -> str:
+    return format_cents(usd_cents(amount))
 
 
 def format_eth(wei: int, places: int = 6) -> str:

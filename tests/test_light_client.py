@@ -30,7 +30,6 @@ from lcsim.light_client import (
     _Maintenance,
     apply_epoch_events,
     provider_views,
-    required_coverage,
     select_providers,
     verify_response,
 )
@@ -242,27 +241,6 @@ class TestRankedSelection:
         assert client.select(False, 16 * ETH) == [(b, 16 * ETH)]
         with pytest.raises(NoEligibleProvidersError):
             client.select(False, 20 * ETH)
-
-
-class TestRequiredCoverage:
-    def test_overlapping_checks_sum(self):
-        checks = [(0, 100, 10 * ETH), (50, 150, 7 * ETH)]
-        assert required_coverage(checks) == 17 * ETH
-
-    def test_disjoint_checks_take_max(self):
-        checks = [(0, 100, 10 * ETH), (200, 300, 7 * ETH)]
-        assert required_coverage(checks) == 10 * ETH
-
-    def test_nested_windows(self):
-        checks = [(0, 300, 5 * ETH), (100, 150, 2 * ETH), (120, 130, 1 * ETH)]
-        assert required_coverage(checks) == 8 * ETH
-
-    def test_empty(self):
-        assert required_coverage([]) == 0
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            required_coverage([(10, 5, ETH)])
 
 
 _records = st.lists(

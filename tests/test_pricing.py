@@ -7,57 +7,70 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsim import pricing
+from lcsim.harness import Metrics, ProviderSpec, ScenarioConfig, run_scenario
+from lcsim.light_client import ClientConfig
 from lcsim.pricing import (
     CoverageInputs,
-    EmptySeriesError,
-    NoProvidersError,
     PricingParams,
-    average_utilization,
     eth_to_wei,
     min_coverage_duration,
     premium,
     total_cost_usd,
     unit_cost,
     usd_cents,
-    utilization_at_block,
 )
 
 ETH = pricing.WEI_PER_ETH
 
 
 class TestUtilization:
+    """Measured utilization: `Metrics.mean_utilization` over the
+    (locked, stake, ticks) runs `Metrics.sample_utilization` records."""
+
+    @staticmethod
+    def mean(*samples):
+        metrics = Metrics()
+        for sample in samples:
+            metrics.sample_utilization(*sample)
+        return metrics.mean_utilization()
+
     def test_all_unlocked_is_zero(self):
-        assert utilization_at_block([(32 * ETH, 0)]) == 0
+        assert self.mean((0, 32 * ETH)) == 0
 
     def test_worked_example_single_provider(self):
-        assert utilization_at_block([(32 * ETH, 24 * ETH)]) == Fraction(3, 4)
+        assert self.mean((24 * ETH, 32 * ETH)) == Fraction(3, 4)
 
     def test_two_providers(self):
-        providers = [(32 * ETH, 32 * ETH), (32 * ETH, 16 * ETH)]
-        assert utilization_at_block(providers) == Fraction(48, 64)
+        # 32 of 32 and 16 of 32 locked: one sample of the sums.
+        assert self.mean((48 * ETH, 64 * ETH)) == Fraction(3, 4)
 
     def test_no_providers(self):
-        with pytest.raises(NoProvidersError):
-            utilization_at_block([])
+        # A run whose one provider stakes nothing takes no sample.
+        config = ScenarioConfig(
+            min_stake=0,
+            providers=(ProviderSpec(stake=0),),
+            clients=(ClientConfig(challenge_period=13, target_value=ETH),),
+        )
+        metrics, _ = run_scenario(config)
+        assert metrics.utilization == [] and metrics.mean_utilization() is None
 
     def test_average_constant_series(self):
-        assert average_utilization([Fraction(3, 4)] * 10) == Fraction(3, 4)
+        samples = [(24 * ETH, 32 * ETH, 10), (3, 4, 1), (48 * ETH, 64 * ETH, 89)]
+        assert self.mean(*samples) == Fraction(3, 4)
 
     def test_average_of_extremes(self):
-        assert average_utilization([Fraction(0), Fraction(1)]) == Fraction(1, 2)
+        assert self.mean((0, 64, 1), (64, 64, 1)) == Fraction(1, 2)
 
     def test_average_empty(self):
-        with pytest.raises(EmptySeriesError):
-            average_utilization([])
+        assert self.mean() is None
 
     def test_average_matches_independent_resummation(self):
-        # 100-sample series from a deterministic schedule, checked against
-        # a plain accumulator loop.
-        series = [Fraction(i % 7, 10) for i in range(100)]
+        # 100-sample schedule, checked against a plain accumulator loop.
+        series = [(i % 7, 10) for i in range(100)]
         total = Fraction(0)
-        for sample in series:
-            total += sample
-        assert average_utilization(series) == total / 100
+        for locked, stake in series:
+            total += Fraction(locked, stake)
+        assert self.mean(*series) == total / 100
 
 
 class TestUnitCost:
