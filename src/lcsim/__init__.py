@@ -13,6 +13,6 @@ from .actors import ProviderStrategy
 from .chain import Chain, Transaction
 from .harness import build_scenario, run_scenario, sweep
 from .light_client import Protocol
-from .pricing import PricingParams, eth_to_wei, premium
+from .pricing import PricingParams, premium
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ parameter; the realized utilization a simulation measures
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,14 @@ def as_fraction(value: int | str | float | Fraction) -> Fraction:
     return Fraction(value)
 
 
+# Plain decimal text: ASCII digits, then optionally a point and at most 18 more.
+_DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]{1,18}))?")
+
+
 def eth_to_wei(amount: int | str | float | Fraction) -> int:
+    if isinstance(amount, str) and (plain := _DECIMAL.fullmatch(amount)):
+        whole, frac = plain.groups("")
+        return int(whole) * WEI_PER_ETH + int(frac.ljust(18, "0"))
     wei = as_fraction(amount) * WEI_PER_ETH
     if wei.denominator != 1:
         raise ValueError(f"{amount} ETH is not a whole number of wei")

@@ -5,11 +5,18 @@ of `[provider.<label>]` and `[client.<label>]` sections in the order the
 simulation should index them. `_KEYS` lists the keys each kind of section
 may hold; any other key or section is rejected. A key that is left out, or
 left blank where its converter allows, keeps the config class's default.
+
+The file is UTF-8 text read line by line. A line is blank, a comment (its
+first non-blank character is `#` or `;`), a `[name]` header, or a
+`key = value` pair split at its first `=`; headers and pairs start at
+column 0. Keys are case-insensitive, values are stripped and read
+literally (a `;` after a value belongs to it). Anything else, a line that
+continues the one before it included, and a section or a key within one
+given twice, is a malformed file.
 """
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -32,6 +39,11 @@ def list_builtin_scenarios() -> list[str]:
     return sorted(p.name[: -len(".ini")] for p in folder.iterdir() if p.name.endswith(".ini"))
 
 
+_BOOLEANS = {
+    **dict.fromkeys(("1", "yes", "true", "on"), True),
+    **dict.fromkeys(("0", "no", "false", "off"), False),
+}
+
 # What a key's text that does not read as its type fails with (an enum's: unknown).
 _ERRORS = {
     int: "{where}: {key} must be an integer, got {raw!r}",
@@ -45,7 +57,7 @@ def _value(where: str, key: str, raw: str, kind):
     if kind in (int, eth_to_wei) and not raw.strip():
         return None
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
+        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         message = _ERRORS.get(kind, "{where}: unknown {key} {raw!r}")
         raise ConfigInvalidError(message.format(where=where, key=key, raw=raw, exc=exc)) from exc
@@ -91,7 +103,50 @@ _KEYS = {
 _REQUIRED = ("stake_eth", "target_value_eth", "challenge_period")
 
 
-def _read(parser: configparser.ConfigParser, name: str) -> dict:
+def _sections(path: str | Path) -> dict[str, dict[str, str]]:
+    """Each section's values by key, in file order."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigInvalidError(f"scenario file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot read scenario file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalidError(f"malformed scenario file: {path}: not UTF-8: {exc}") from exc
+    sections: dict[str, dict[str, str]] = {}
+    values = None
+    for number, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0].isspace():
+            problem = "a line may not start with whitespace (values do not continue)"
+        elif line[0] == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]" or not name:
+                problem = "expected a [section] header"
+            elif name in sections:
+                problem = f"section [{name}] given twice"
+            else:
+                values = sections[name] = {}
+                continue
+        else:
+            key, eq, value = line.partition("=")
+            key = key.strip().lower()
+            if not eq or not key:
+                problem = "expected 'key = value'"
+            elif values is None:
+                problem = "a key comes before any [section]"
+            elif key in values:
+                problem = f"key {key!r} given twice in its section"
+            else:
+                values[key] = value.strip()
+                continue
+        raise ConfigInvalidError(f"malformed scenario file: {path}:{number}: {problem}: {line!r}")
+    return sections
+
+
+def _read(name: str, given: dict[str, str]) -> dict:
     """The fields section `name` sets, read by the table of its kind."""
     head, dot, _ = name.partition(".")
     keys = _KEYS.get(head + dot)
@@ -99,7 +154,7 @@ def _read(parser: configparser.ConfigParser, name: str) -> dict:
         raise ConfigInvalidError(f"unknown section [{name}]")
     where = f"{head} {name}" if dot else name
     values = {}
-    for key, raw in parser.items(name):
+    for key, raw in given.items():
         if key not in keys:
             raise ConfigInvalidError(f"[{name}]: unknown key {key!r}")
         value = _value(where, key, raw, keys[key])
@@ -129,17 +184,7 @@ def _client(name: str, values: dict, t_fin: int) -> ClientConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    # No interpolation: a `%` in a value is read literally.
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigInvalidError(f"malformed scenario file: {exc}") from exc
-    if not read:
-        raise ConfigInvalidError(f"scenario file not found: {path}")
-    if parser.defaults():
-        raise ConfigInvalidError(f"unknown section [{parser.default_section}]")
-    sections = {name: _read(parser, name) for name in parser.sections()}
+    sections = {name: _read(name, given) for name, given in _sections(path).items()}
     if "scenario" not in sections:
         raise ConfigInvalidError("scenario file needs a [scenario] section")
     try:

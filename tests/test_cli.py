@@ -3,12 +3,15 @@
 import configparser
 import json
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcsim
 from lcsim import scenario
@@ -21,6 +24,37 @@ from lcsim.pricing import eth_to_wei
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def configparser_sections(path):
+    """The reference reader: each section's values as ConfigParser reads them."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path, encoding="utf-8")
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def _in_order(sections):
+    return [(name, list(values.items())) for name, values in sections.items()]
+
+
+_KEY = st.text(string.ascii_letters + string.digits + "_.", min_size=1, max_size=8)
+_VALUE = st.text(string.ascii_letters + string.digits + " =:;%#.-/", max_size=12)
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_FILLER = st.lists(st.sampled_from(["", "  ", "# note", "; a = b", "  # indented"]), max_size=2)
+
+
+@st.composite
+def _ini_texts(draw):
+    """Text in the accepted grammar: spacing, comments, any-case keys, `=` `:` `;` in values."""
+    lines = draw(_FILLER)
+    names = st.text(string.ascii_letters + string.digits + "._-", min_size=1, max_size=10)
+    for name in draw(st.lists(names.filter(lambda n: n != "DEFAULT"), unique=True, max_size=4)):
+        lines.append(f"[{name}]" + draw(_SPACE))
+        lines += draw(_FILLER)
+        for key in draw(st.lists(_KEY, unique_by=str.lower, max_size=5)):
+            lines.append(f"{key}{draw(_SPACE)}={draw(_SPACE)}{draw(_VALUE)}{draw(_SPACE)}")
+            lines += draw(_FILLER)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestScenarioFiles:
@@ -89,6 +123,27 @@ class TestScenarioFiles:
         documented = {name.partition(".")[0]: set(parser[name]) for name in parser.sections()}
         assert documented == {kind.rstrip("."): set(keys) for kind, keys in scenario._KEYS.items()}
 
+    @given(_ini_texts())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_reader_matches_configparser(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "drawn.ini"
+        path.write_text(text, encoding="utf-8")
+        assert _in_order(scenario._sections(path)) == _in_order(configparser_sections(path))
+
+    @pytest.mark.parametrize("name", [*scenario.list_builtin_scenarios(), "README"])
+    def test_bundled_and_readme_scenarios_load_alike_through_configparser(
+        self, tmp_path, monkeypatch, name
+    ):
+        if name == "README":
+            readme = Path(__file__).resolve().parents[1] / "README.md"
+            path = tmp_path / "readme.ini"
+            path.write_text(readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0])
+        else:
+            path = scenario.builtin_scenario_path(name)
+        config = scenario.load_scenario(path)
+        monkeypatch.setattr(scenario, "_sections", configparser_sections)
+        assert scenario.load_scenario(path) == config
+
 
 class TestRun:
     def test_honest_scenario_exits_zero(self, runner, tmp_path):
@@ -125,11 +180,44 @@ class TestRun:
         client = metrics["clients"]["c0"]
         assert client["final_balance"] == client["initial_balance"]
 
-    def test_malformed_file_exits_two(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("this is not an ini [\n", 1, id="not-ini"),
+            pytest.param("seed = 1\n[scenario]\n", 1, id="key-before-section"),
+            pytest.param("[scenario]\nseed 1\n", 2, id="no-equals"),
+            # `:` is not a delimiter.
+            pytest.param("[scenario]\nseed: 1\n", 2, id="colon"),
+            pytest.param("[scenario]\n\n[provider.a\nstake_eth = 32\n", 3, id="unclosed-header"),
+            # No continuation lines: this one would join the value of `seed`.
+            pytest.param("[scenario]\nseed = 1\n  total_ticks = 5\n", 3, id="indented"),
+            pytest.param("[scenario]\nseed = 1\n[pricing]\n[scenario]\n", 4, id="section-twice"),
+            pytest.param("[scenario]\nseed = 1\n# seed again\nSeed = 2\n", 4, id="key-twice"),
+        ],
+    )
+    def test_malformed_file_exits_two(self, runner, tmp_path, text, line):
         path = tmp_path / "broken.ini"
-        path.write_text("this is not an ini [\n")
+        path.write_text(text)
         result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
-        assert result.exit_code == 2
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert f"invalid scenario: malformed scenario file: {path}:{line}: " in result.output
+
+    @pytest.mark.parametrize(
+        "make, named",
+        [
+            (lambda path: path.write_bytes(b"[scenario]\nseed = 1\n\xff\xfe\n"), "not UTF-8"),
+            (lambda path: path.mkdir(), "cannot read scenario file {path}: Is a directory"),
+        ],
+        ids=["not-utf-8", "directory"],
+    )
+    def test_unreadable_file_exits_two(self, runner, tmp_path, make, named):
+        path = tmp_path / "bad.ini"
+        make(path)
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert named.format(path=path) in result.output
 
     def test_percent_sign_exits_two(self, runner, tmp_path):
         # `%` is read literally, so the bad APY reaches pricing and is named.

@@ -196,6 +196,35 @@ class TestUnits:
         with pytest.raises(ValueError):
             eth_to_wei(Fraction(1, 3 * 10**18))
 
+    @staticmethod
+    def fraction_wei(text):
+        """The reference: the amount as an exact Fraction, in whole wei."""
+        wei = Fraction(text) * ETH
+        if wei.denominator != 1:
+            raise ValueError(text)
+        return int(wei)
+
+    @given(
+        st.one_of(
+            # Decimals with leading zeros and 0-25 fractional digits, `32.` included.
+            st.builds(
+                lambda whole, frac: whole + frac,
+                st.text("0123456789", min_size=1, max_size=25),
+                st.text("0123456789", max_size=25).map(lambda digits: "." + digits) | st.just(""),
+            ),
+            st.from_regex(r"[+-]?[0-9]{0,4}(\.[0-9]{0,20})?(e[+-]?[0-9]{1,3})?", fullmatch=True),
+        )
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_eth_to_wei_matches_the_fraction_formula(self, text):
+        try:
+            expected = self.fraction_wei(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                eth_to_wei(text)
+        else:
+            assert eth_to_wei(text) == expected
+
     def test_gas_price_from_gwei(self):
         params = PricingParams.create(gas_price_gwei="9.377")
         assert params.gas_price_wei == 9_377_000_000
