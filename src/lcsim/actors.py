@@ -11,15 +11,14 @@ once the slash record is finalized.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import codec, crypto
 from .chain import Chain, TxNotInBlockError, block_hash
 from .contract import (
-    MEMBERSHIP_TAGS,
     ProviderStatus,
     RegisterTx,
+    RejectReason,
     SlashEvidence,
     SlashingContract,
     SlashTx,
@@ -269,12 +268,11 @@ def watcher_check(
     return Verdict.DISPUTE
 
 
-def find_slash_record(pk: bytes, chain: Chain) -> tuple[int, bytes] | None:
-    """Most recent on-chain slash record for a provider, if any."""
-    for number, tx in chain.transactions_newest_first():
-        if codec.record_tag(tx.payload) == codec.TAG_SLASH_RECORD:
-            if codec.decode_slash_record(tx.payload)[0] == pk:
-                return number, tx.id
+def find_slash_record(pk: bytes, contract: SlashingContract) -> tuple[int, bytes] | None:
+    """(block, tx id) of the most recent slash record for a provider, if any."""
+    for event in reversed(contract.slash_events):
+        if event.provider_pk == pk:
+            return event.recorded_in_block, event.record_tx_id
     return None
 
 
@@ -320,7 +318,7 @@ class WatcherActor:
             token = ctx.submit_tx(self.name, SlashTx(evidence=response.evidence()))
             self._submitted[token] = (client, response)
         elif verdict is Verdict.PROVIDER_INACTIVE:
-            found = find_slash_record(response.provider_pk, ctx.chain)
+            found = find_slash_record(response.provider_pk, ctx.contract)
             if found is not None:
                 block_number, tx_id = found
                 self._pending_alerts.append(
@@ -347,7 +345,7 @@ class WatcherActor:
                     record_block=receipt.block_number,
                 )
             )
-        elif receipt.reason == "AlreadySlashed":
+        elif receipt.reason == RejectReason.ALREADY_SLASHED:
             # Lost the race to another watcher; alert with the winner's record.
             self._audit(client, response, ctx)
 
@@ -387,13 +385,15 @@ class DataProviderActor:
     """A staked provider node following one fixed strategy.
 
     An honest or unfinalized_hash provider serves the membership records
-    (`MEMBERSHIP_TAGS`) of an epoch to maintaining clients. A client's
-    request stands: after the first, the provider sends every later epoch's
-    list unasked, timed to arrive when the answer to a fresh request would.
-    A complete epoch's list is one object per run, which every provider
-    sends (`_event_list`). Clients union the lists of every provider they
-    hold, so one honest list suffices and an omission by one provider does
-    not change a client's set.
+    of an epoch (`SlashingContract.membership_records`) to maintaining
+    clients. A client's request for epoch e stands: the provider answers it
+    at once, then sends every later epoch's list unasked. It is due once an
+    epoch, at each fetch tick (`messages.fetch_tick`), and sends the epoch
+    before to every standing client in one call, each list timed by the
+    harness to arrive when the answer to a request sent then would. It reads
+    no delays. Clients union the lists of every provider they hold, so one
+    honest list suffices and an omission by one provider does not change a
+    client's set.
 
     Every query passes the strategy's refusal checks afresh. One that passes
     and was answered before, by this provider to any client, gets the same
@@ -420,12 +420,9 @@ class DataProviderActor:
         self._withdraw_submitted = False
         # The answers built so far; see `provider_respond`.
         self._responses: dict[tuple, SignedResponse] = {}
-        # Standing event-list requests, keyed by the delay of the client's
-        # link here: the clients and the ticks they first asked, in
-        # first-request order (so the ticks never fall), and the next tick
-        # at which one of them is answered.
-        self._standing: dict[int, tuple[list[str], list[int]]] = {}
-        self._standing_clients: set[str] = set()
+        # The clients with a standing event-list request, in first-request
+        # order, and the next fetch tick at which they are sent a list.
+        self._standing: dict[str, None] = {}
         self._next_push: int | None = None
 
     @property
@@ -455,6 +452,7 @@ class DataProviderActor:
             self._withdraw_submitted = True
             ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
         if now == self._next_push:
+            self._next_push = now + ctx.contract.config.update_epoch_blocks
             self._push_event_lists(now, ctx)
 
     def handle_message(self, sender: str, payload, ctx) -> None:
@@ -462,17 +460,8 @@ class DataProviderActor:
             # Adversarial providers stay silent. An empty list adds nothing
             # to a client's union of every held provider's list: none is sent.
             if self.strategy in (ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH):
-                if sender not in self._standing_clients:
-                    self._standing_clients.add(sender)
-                    delay = ctx.delay(sender, self.name)
-                    standing = self._standing.get(delay)
-                    if standing is None:
-                        standing = self._standing[delay] = ([], [])
-                    standing[0].append(sender)
-                    standing[1].append(ctx.now)
-                    due = self._push_tick(delay, ctx.now, ctx)
-                    if self._next_push is None or due < self._next_push:
-                        self._next_push = due
+                if sender not in self._standing:
+                    self._stand(sender, payload.epoch, ctx)
                 msg = self._event_list(payload.epoch, ctx)
                 if msg.events:
                     ctx.send(self.name, sender, msg)
@@ -497,54 +486,33 @@ class DataProviderActor:
                     self._withdraw_submitted = True
                     ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
 
-    def _timing(self, ctx) -> tuple[int, int]:
-        """(update_epoch_blocks, `fetch_tick` of epoch 0)."""
+    def _stand(self, client: str, epoch: int, ctx) -> None:
+        """Record `client`'s request for `epoch` as standing. A client asks
+        for epoch e between the fetch ticks of epochs e+1 and e+2, so a
+        request for an epoch before the one the last fetch tick pushed left
+        before that tick: it is sent that push now, timed as the push was."""
+        self._standing[client] = None
         blocks = ctx.contract.config.update_epoch_blocks
-        return blocks, fetch_tick(0, blocks, ctx.chain.finality_depth_blocks)
-
-    def _push_tick(self, delay: int, tick: int, ctx) -> int:
-        """First tick from `tick` on at which a request sent at an epoch's
-        `fetch_tick` over a link of `delay` arrives."""
-        blocks, first_fetch = self._timing(ctx)
-        return tick + (first_fetch + delay - tick) % blocks
+        first_fetch = fetch_tick(0, blocks, ctx.chain.finality_depth_blocks)
+        last = (ctx.now - first_fetch - 1) // blocks  # whose fetch tick is the last before now
+        last_fetch = first_fetch + last * blocks
+        self._next_push = last_fetch + blocks
+        if last - 1 > epoch:
+            msg = self._event_list(last - 1, ctx)
+            if msg.events:
+                ctx.send_to_each(self.name, (client,), msg, asked=last_fetch)
 
     def _push_event_lists(self, now: int, ctx) -> None:
-        """Answer the standing requests due now: a client asked once gets
-        epoch e-1's list when its request would arrive had it sent it again
-        at epoch e's fetch tick, so within the window it collects in."""
-        blocks, first_fetch = self._timing(ctx)
-        since_fetch = now - first_fetch
-        delay = since_fetch % blocks
-        epoch = since_fetch // blocks - 1
+        """At epoch e's fetch tick, send epoch e-1's list to every standing
+        client, timed as the answer to a request each sent now."""
+        blocks = ctx.contract.config.update_epoch_blocks
+        epoch = (now - fetch_tick(0, blocks, ctx.chain.finality_depth_blocks)) // blocks - 1
         if epoch >= 0:
             msg = self._event_list(epoch, ctx)
             if msg.events:
-                clients, asked = self._standing[delay]
-                if asked[-1] == now:
-                    # The clients that asked this tick, last in the list,
-                    # have their answer already.
-                    clients = clients[: bisect_left(asked, now)]
-                ctx.send_to_each(self.name, clients, msg)
-        self._next_push = min(self._push_tick(d, now + 1, ctx) for d in self._standing)
+                ctx.send_to_each(self.name, self._standing, msg, asked=now)
 
     def _event_list(self, epoch: int, ctx) -> EventListMsg:
         """The membership records of `epoch`, as the reply to send: every
-        answer, pushed or replied, is built here. A complete epoch's list
-        is the run's one object (`ctx.event_lists`)."""
-        lists = ctx.event_lists
-        msg = lists.get(epoch)
-        if msg is not None:
-            return msg
-        first = epoch * ctx.contract.config.update_epoch_blocks
-        last = (epoch + 1) * ctx.contract.config.update_epoch_blocks - 1
-        events = tuple(
-            (number, tx.payload)
-            for number, tx in ctx.chain.transactions_between(first, last)
-            if codec.record_tag(tx.payload) in MEMBERSHIP_TAGS
-        )
-        msg = EventListMsg(epoch=epoch, events=events)
-        if last <= ctx.chain.tip.number:
-            # The chain only grows, so a complete epoch's records are final
-            # and one object serves every provider and every client.
-            lists[epoch] = msg
-        return msg
+        answer, pushed or replied, carries the contract's tuple."""
+        return EventListMsg(epoch=epoch, events=ctx.contract.membership_records(epoch))

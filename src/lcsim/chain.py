@@ -6,16 +6,10 @@ measured in block ticks; one block is appended per simulation tick, and a
 block at height n is finalized once the tip is at least
 `finality_depth_epochs * slots_per_epoch` blocks above it.
 
-The chain indexes its transactions as blocks are appended (and, for blocks
-passed to the constructor, once at construction):
-
-- a height-ordered list of `(height, tx)` pairs, which
-  `transactions_between` cuts by binary search and
-  `transactions_newest_first` walks from the tip;
-- a map from transaction id to the first `(height, tx)` carrying it, which
-  answers `find_transaction` without a scan.
-
-Both only ever grow, so a full node's lookups no longer walk every block.
+The chain maps each transaction id to the first `(height, tx)` carrying
+it as blocks are appended (and, for blocks passed to the constructor, once
+at construction), so `find_transaction` answers without a scan. It keeps no
+other index: the contract owns the membership and slash records it emits.
 Blocks never change, so a block's Merkle levels and the first index of each
 of its transaction ids are built once, on the block's first inclusion
 proof, and every later proof of the block is read off them.
@@ -24,8 +18,6 @@ proof, and every later proof of the block is read off them.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -97,9 +89,6 @@ class Chain:
     slots_per_epoch: int = 4
     finality_depth_epochs: int = 2
     blocks: list[Block] = field(default_factory=list)
-    _indexed: list[tuple[int, Transaction]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
     _first_by_id: dict[bytes, tuple[int, Transaction]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -151,9 +140,7 @@ class Chain:
 
     def _index(self, block: Block) -> None:
         for tx in block.transactions:
-            entry = (block.number, tx)
-            self._indexed.append(entry)
-            self._first_by_id.setdefault(tx.id, entry)
+            self._first_by_id.setdefault(tx.id, (block.number, tx))
 
     def is_finalized(self, number: int) -> bool:
         return (
@@ -185,19 +172,6 @@ class Chain:
         if index is None:
             raise TxNotInBlockError(f"transaction not in block {number}")
         return crypto.merkle_path(levels, len(block.transactions), index)
-
-    def transactions_between(self, first: int, last: int) -> list[tuple[int, Transaction]]:
-        """`(height, tx)` for every transaction in blocks `first..last`
-        inclusive, in chain order; heights past the tip contribute nothing."""
-        # A 1-tuple sorts before every (height, tx) pair of the same height,
-        # so the search never compares transactions.
-        lo = bisect_left(self._indexed, (first,))
-        hi = bisect_left(self._indexed, (last + 1,))
-        return self._indexed[lo:hi]
-
-    def transactions_newest_first(self) -> Iterator[tuple[int, Transaction]]:
-        """`(height, tx)` for every transaction, from the tip back to genesis."""
-        return reversed(self._indexed)
 
     def find_transaction(self, tx_id: bytes) -> tuple[int, Transaction] | None:
         """First `(height, tx)` carrying `tx_id`; used by providers and

@@ -144,11 +144,11 @@ class InsurancePolicy:
 @dataclass(frozen=True)
 class SlashEvent:
     provider_pk: bytes
-    offending_signature: bytes
     block_number: int
     slashed_amount: int
     insurance_id: int | None
     recorded_in_block: int
+    record_tx_id: bytes
     compensation: int = 0
     bounty: int = 0
     burned: int = 0
@@ -300,8 +300,9 @@ class SlashingContract:
         self.policies: dict[int, InsurancePolicy] = {}
         self.slash_events: list[SlashEvent] = []
         self.reward_pool: dict[bytes, int] = {}
-        # The membership records emitted in each epoch, in execution order.
-        self._epoch_records: dict[int, list[bytes]] = {}
+        # The (block, record) pairs of the membership records emitted in
+        # each epoch, in execution order (`membership_records`).
+        self._epoch_records: dict[int, tuple[tuple[int, bytes], ...]] = {}
         # Running fold of the records of every epoch up to `_folded_epoch`,
         # kept for the latest membership asked for.
         self._folded_epoch = -1
@@ -345,7 +346,7 @@ class SlashingContract:
             status=ProviderStatus.ACTIVE,
             joined_epoch=epoch,
         )
-        return self._record(epoch, codec.register_record(pk, stake))
+        return self._record(block_number, codec.register_record(pk, stake))
 
     def request_withdraw(self, pk: bytes, block_number: int) -> bytes:
         record = self.providers.get(pk)
@@ -356,20 +357,29 @@ class SlashingContract:
         record.withdraw_requested_epoch = epoch
         self._leaving += 1
         self.state_version += 1
-        return self._record(epoch, codec.withdraw_record(pk))
+        return self._record(block_number, codec.withdraw_record(pk))
 
-    def _record(self, epoch: int, payload: bytes) -> bytes:
-        self._epoch_records.setdefault(epoch, []).append(payload)
+    def _record(self, block_number: int, payload: bytes) -> bytes:
+        epoch = self.epoch_of(block_number)
+        records = self._epoch_records.get(epoch, ())
+        self._epoch_records[epoch] = records + ((block_number, payload),)
         if epoch <= self._folded_epoch:
             # Only a caller executing out of block order reaches a folded
             # epoch; start the fold over.
             self._folded_epoch, self._folded = -1, {}
         return payload
 
+    def membership_records(self, epoch: int) -> tuple[tuple[int, bytes], ...]:
+        """The (block, record) pairs of `epoch`'s membership records, in
+        execution order (chain order in a run): the list providers serve.
+        The tuple is replaced when a record lands, so until then every call
+        returns the same object."""
+        return self._epoch_records.get(epoch, ())
+
     def _fold_epochs(self, members: dict[bytes, int], first: int, last: int) -> dict[bytes, int]:
         """`fold_membership` of the records of epochs first..last."""
-        epochs = (self._epoch_records.get(e, ()) for e in range(first, last + 1))
-        return fold_membership(members, (payload for records in epochs for payload in records))
+        epochs = (self.membership_records(e) for e in range(first, last + 1))
+        return fold_membership(members, (payload for records in epochs for _, payload in records))
 
     # -- insurance ----------------------------------------------------------
 
@@ -498,18 +508,6 @@ class SlashingContract:
         burned = slashed_amount - compensation - bounty
         self.ledger.transfer(STAKE_VAULT, BURN_SINK, burned)
 
-        event = SlashEvent(
-            provider_pk=evidence.provider_pk,
-            offending_signature=evidence.signature,
-            block_number=evidence.block_number,
-            slashed_amount=slashed_amount,
-            insurance_id=claimed_id,
-            recorded_in_block=block_number,
-            compensation=compensation,
-            bounty=bounty,
-            burned=burned,
-        )
-        self.slash_events.append(event)
         payload = codec.slash_record(
             evidence.provider_pk,
             evidence.block_number,
@@ -518,6 +516,18 @@ class SlashingContract:
             claimed_id,
             evidence.signature,
         )
+        event = SlashEvent(
+            provider_pk=evidence.provider_pk,
+            block_number=evidence.block_number,
+            slashed_amount=slashed_amount,
+            insurance_id=claimed_id,
+            recorded_in_block=block_number,
+            record_tx_id=crypto.digest(payload),
+            compensation=compensation,
+            bounty=bounty,
+            burned=burned,
+        )
+        self.slash_events.append(event)
         return event, payload
 
     # -- block boundary -----------------------------------------------------

@@ -67,7 +67,7 @@ from .light_client import (
     ProviderView,
     provider_views,
 )
-from .messages import CompensationMsg, EventListMsg, ReceiptMsg
+from .messages import CompensationMsg, ReceiptMsg
 from .pricing import CoverageInputs, PricingParams, eth_to_wei, min_coverage_duration
 
 
@@ -367,7 +367,8 @@ CONTRACT_ENDPOINT = "contract"
 
 
 class SimContext:
-    """What actors see: messaging, the pool, ground truth, metrics."""
+    """What actors see: messaging, the pool, ground truth, metrics; no delays,
+    so a pushed answer names the tick it answers as if asked then."""
 
     def __init__(self, sim: "Simulation") -> None:
         self._sim = sim
@@ -381,26 +382,19 @@ class SimContext:
         self.verify = sim.signatures.verify
         # Provider name -> public key.
         self.provider_keys: dict[str, bytes] = sim.provider_keys
-        # The membership list of each complete epoch, one object for the
-        # run (`DataProviderActor._event_list`).
-        self.event_lists: dict[int, EventListMsg] = {}
 
     def send(self, src: str, dst: str, payload) -> None:
         self._sim.enqueue(src, dst, payload)
-
-    def delay(self, src: str, dst: str) -> int:
-        """Ticks a message from `src` takes to reach `dst`."""
-        sim = self._sim
-        return sim._delay_rows[src][sim._index[dst]]
 
     def send_to_providers(self, src: str, pks, payload) -> None:
         """The same payload object to each provider of `pks`, in order."""
         names = self._sim.provider_names
         self._sim.enqueue_each(src, [names[pk] for pk in pks], payload)
 
-    def send_to_each(self, src: str, dsts, payload) -> None:
-        """The same payload object to each endpoint of `dsts`, in order."""
-        self._sim.enqueue_each(src, dsts, payload)
+    def send_to_each(self, src: str, dsts, payload, asked: int | None = None) -> None:
+        """The same payload object to each endpoint of `dsts`, in order; with
+        `asked`, as the answer to a request each sent at that tick."""
+        self._sim.enqueue_each(src, dsts, payload, asked)
 
     def submit_tx(self, src: str, submission: Submission) -> int:
         return self._sim.submit(src, submission)
@@ -552,11 +546,17 @@ class Simulation:
         """Send one message (`enqueue_each`)."""
         self.enqueue_each(src, (dst,), payload)
 
-    def enqueue_each(self, src: str, dsts: Iterable[str], payload) -> None:
+    def enqueue_each(
+        self, src: str, dsts: Iterable[str], payload, asked: int | None = None
+    ) -> None:
         """Send the same `payload` object from `src` to each of `dsts`, in
         order, in one pass: one (src, dst, payload) entry per message in the
-        list of its arrival tick. Every message is sent through here."""
-        row = self._delay_rows[src]
+        list of its arrival tick. Every message is sent through here, and the
+        delay table is read only here. With `asked`, each message answers a
+        request its destination sent at tick `asked`: it arrives a round
+        trip after that tick, and both legs are bound-checked."""
+        rows = self._delay_rows
+        row = rows[src]
         index = self._index
         bound = self.config.delta_ticks
         now = self.ctx.now
@@ -566,7 +566,12 @@ class Simulation:
             delay = row[index[dst]]
             if not 0 < delay <= bound:
                 self.metrics.violations.append(f"delivery-bound:{src}->{dst}")
-            if now + delay != arrival:  # most fan-outs arrive in one tick
+            if asked is not None:
+                request = rows[dst][index[src]]
+                if not 0 < request <= bound:
+                    self.metrics.violations.append(f"delivery-bound:{dst}->{src}")
+                delay += asked + request - now
+            if now + delay != arrival:  # most one-way fan-outs arrive in one tick
                 arrival = now + delay
                 batch = mailbox.setdefault(arrival, [])
             batch.append((src, dst, payload))

@@ -291,9 +291,9 @@ class _Maintenance:
     requested_tick: int
     held: ProviderView
     events: set[tuple[int, bytes]] = field(default_factory=set)
-    # The events tuple last merged into `events`. Providers send a complete
-    # epoch's list as one shared object, so a list carrying this very tuple
-    # adds nothing; an equal tuple that is another object is merged again.
+    # The events tuple last merged into `events`. Providers send the
+    # contract's tuple of the epoch, so a list carrying this very tuple adds
+    # nothing; an equal tuple that is another object is merged again.
     merged: tuple[tuple[int, bytes], ...] | None = None
     checks: list[Check] = field(default_factory=list)
     collected: bool = False
@@ -726,8 +726,8 @@ class LightClientActor:
             # The bulk of a maintaining client's mail, decided inline. Lists
             # count only while the held epoch's are collected, and only from
             # the providers held when it opened; one honest list among them
-            # suffices, whoever else still answers. The shared list of a
-            # complete epoch is merged once.
+            # suffices, whoever else still answers. A shared tuple is merged
+            # once.
             maintenance = self._maintenance
             events = payload.events
             if (
@@ -877,9 +877,9 @@ class LightClientActor:
                     _, held, _ = ctx.oracle.provider_set(self.name, epoch + 1)
                 self._predict(epoch + 1, held, ctx)
                 return
-            # A provider asked once answers every later epoch on its own, at
-            # the tick a request sent now would reach it; a client that opens
-            # late may have missed those answers and asks every held provider.
+            # A provider asked once answers every later epoch on its own, on
+            # the tick its answer to a request sent now would arrive; a client
+            # that opens late may have missed those and asks every held provider.
             # Most opens on time ask nobody, which the subset test finds
             # without building a list.
             if now > due:

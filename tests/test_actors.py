@@ -19,10 +19,12 @@ from lcsim.contract import (
     ContractConfig,
     Ledger,
     ProviderStatus,
+    RegisterTx,
     SlashingContract,
+    WithdrawRequestTx,
 )
 from lcsim.light_client import Check, CheckKind, verify_response
-from lcsim.messages import EventListMsg, EventListRequest, QueryMsg, fetch_tick
+from lcsim.messages import EventListMsg, EventListRequest, QueryMsg
 from lcsim.pricing import PricingParams, eth_to_wei
 
 ETH = eth_to_wei(1)
@@ -213,27 +215,67 @@ class TestWatcherCheck:
 
 
 class _SendLog:
-    """The slice of the harness context a provider answers event lists with:
-    it records (tick, destination, message), gives each client's link delay
-    to the provider and holds the run's list of each complete epoch."""
+    """The slice of the harness context a provider answers with: it records
+    (tick, destination, message, asked) per message, `asked` being the tick
+    a push answers as if asked then. It reads no delays and keeps no lists,
+    so a provider that asks it for either fails."""
 
-    def __init__(self, chain, contract, delays=None):
+    def __init__(self, chain, contract):
         self.chain = chain
         self.contract = contract
-        self.delays = delays or {}
         self.now = 0
         self.sent = []
-        self.event_lists = {}
 
     def send(self, src, dst, payload):
-        self.sent.append((self.now, dst, payload))
+        self.sent.append((self.now, dst, payload, None))
 
-    def send_to_each(self, src, dsts, payload):
+    def send_to_each(self, src, dsts, payload, asked=None):
         for dst in dsts:
-            self.send(src, dst, payload)
+            self.sent.append((self.now, dst, payload, asked))
 
-    def delay(self, src, dst):
-        return self.delays.get(src, 1)
+
+@pytest.fixture
+def records_env():
+    """A chain and a contract with 16-block epochs at tip 11, and no records:
+    every record lands on both through `land`, as in a run."""
+    chain = Chain()
+    contract = SlashingContract(
+        ContractConfig(min_stake=ETH, update_epoch_blocks=16, max_challenge_period=4),
+        Ledger(),
+        PricingParams(),
+    )
+    while chain.tip.number < 11:
+        chain.append_block([])
+    return chain, contract
+
+
+def land(chain, contract, *items):
+    """Append the next block: each submission executed by the contract at
+    it, each bytes item put on chain as it is. Returns the block."""
+    number = chain.tip.number + 1
+    txs = []
+    for item in items:
+        if isinstance(item, bytes):
+            txs.append(Transaction.create(item))
+            continue
+        if isinstance(item, RegisterTx):
+            contract.ledger.mint(item.public_key, item.stake)
+        records, receipt = contract.execute_transaction(item, chain, number)
+        assert receipt.ok, receipt
+        txs += [Transaction.create(payload) for payload in records]
+    return chain.append_block(txs)
+
+
+def scanned_records(chain, contract, epoch):
+    """The (block, record) pairs of `epoch`'s register and withdraw records,
+    by a linear scan of the chain's blocks."""
+    blocks = contract.config.update_epoch_blocks
+    return tuple(
+        (block.number, tx.payload)
+        for block in chain.blocks[epoch * blocks : (epoch + 1) * blocks]
+        for tx in block.transactions
+        if codec.record_tag(tx.payload) in MEMBERSHIP_TAGS
+    )
 
 
 class TestEpochEventMemo:
@@ -242,66 +284,72 @@ class TestEpochEventMemo:
         provider.handle_message("c0", EventListRequest(epoch=epoch), ctx)
         if not ctx.sent:
             return None
-        _, dst, msg = ctx.sent.pop()
+        _, dst, msg, _ = ctx.sent.pop()
         assert dst == "c0" and isinstance(msg, EventListMsg) and msg.epoch == epoch
         return msg.events
 
-    def test_open_epoch_is_rescanned_and_complete_epoch_memoised(self, env):
-        chain, contract, kp, _ = env  # 16-block epochs, tip 11: epoch 0 still open
-        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
+    def test_open_epoch_changes_only_when_a_record_lands(self, records_env):
+        chain, contract = records_env  # epoch 0 still open
+        provider = DataProviderActor("p0", crypto.keygen(77), 32 * ETH, ProviderStrategy.HONEST)
         ctx = _SendLog(chain, contract)
         # No records yet: an empty list adds nothing to a union, so none is sent.
         assert self.ask(provider, ctx, 0) is None
-        register = codec.register_record(crypto.keygen(78).public_key, 32 * ETH)
-        block = chain.append_block([Transaction.create(register)])  # block 12
-        assert self.ask(provider, ctx, 0) == ((block.number, register),)
-
+        pk = crypto.keygen(78).public_key
+        block = land(chain, contract, RegisterTx(pk, 32 * ETH))  # block 12
+        register = codec.register_record(pk, 32 * ETH)
+        first = self.ask(provider, ctx, 0)
+        assert first == ((block.number, register),) == scanned_records(chain, contract, 0)
         while chain.tip.number < 15:  # epoch 0's last block
-            chain.append_block([])
-        complete = self.ask(provider, ctx, 0)
-        assert complete == ((block.number, register),)
-        # Records appended to epoch 1 leave epoch 0's answer, the memoised
-        # tuple itself, unchanged.
-        withdraw = codec.withdraw_record(kp.public_key)
-        chain.append_block([Transaction.create(withdraw)])  # block 16
-        assert self.ask(provider, ctx, 0) is complete
+            land(chain, contract, b"other-record")
+        # Blocks without a membership record leave the tuple itself unchanged.
+        assert self.ask(provider, ctx, 0) is first
+        # Records landing in epoch 1 leave epoch 0's tuple unchanged.
+        land(chain, contract, WithdrawRequestTx(pk))  # block 16
+        assert self.ask(provider, ctx, 0) is first
+        withdraw = codec.withdraw_record(pk)
         assert self.ask(provider, ctx, 1) == ((16, withdraw),)
         assert self.ask(provider, ctx, 2) is None
 
-    def test_complete_epoch_is_answered_with_one_reply_object(self, env):
-        chain, contract, kp, _ = env
-        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
+    def test_complete_epoch_is_answered_with_one_reply_object(self, records_env):
+        """Every reply about an epoch carries the contract's tuple: one object
+        for a complete epoch, replaced in an open one when a record lands."""
+        chain, contract = records_env
+        provider = DataProviderActor("p0", crypto.keygen(77), 32 * ETH, ProviderStrategy.HONEST)
         ctx = _SendLog(chain, contract)
-        register = codec.register_record(crypto.keygen(78).public_key, 32 * ETH)
-        withdraw = codec.withdraw_record(kp.public_key)
-        chain.append_block([Transaction.create(register)])  # block 12
+        pks = [crypto.keygen(78 + i).public_key for i in range(3)]
+        land(chain, contract, RegisterTx(pks[0], 32 * ETH))  # block 12
         while chain.tip.number < 15:  # epoch 0's last block
-            chain.append_block([])
-        chain.append_block([Transaction.create(withdraw)])  # block 16, epoch 1
+            land(chain, contract)
+        land(chain, contract, RegisterTx(pks[1], 32 * ETH))  # block 16, epoch 1
         replies = []
         for client in ("c0", "c1", "c0"):
             for epoch in (0, 1):
                 provider.handle_message(client, EventListRequest(epoch=epoch), ctx)
-                replies.append(ctx.sent.pop()[2])
+                replies.append(ctx.sent.pop()[2].events)
         complete, open_ = replies[0::2], replies[1::2]
-        assert all(msg is complete[0] for msg in complete)
-        # Epoch 1 is still open: each request gets a fresh reply.
-        assert len({id(msg) for msg in open_}) == len(open_)
-        assert all(msg == EventListMsg(epoch=1, events=((16, withdraw),)) for msg in open_)
+        assert all(events is contract.membership_records(0) for events in complete)
+        assert all(events is open_[0] for events in open_)
+        land(chain, contract, RegisterTx(pks[2], 32 * ETH))  # block 17
+        provider.handle_message("c0", EventListRequest(epoch=1), ctx)
+        replaced = ctx.sent.pop()[2].events
+        assert replaced is not open_[0]
+        assert replaced == scanned_records(chain, contract, 1) == open_[0] + (
+            (17, codec.register_record(pks[2], 32 * ETH)),
+        )
 
 
 class TestSharedEventList:
-    """A complete epoch's list is one object per run, which every provider
-    that serves lists answers with; an open epoch is scanned afresh."""
+    """Every provider that serves lists answers with the contract's tuple of
+    the epoch, so one object per epoch state serves the run."""
 
     SERVING = (ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH)
 
-    def test_every_serving_provider_answers_with_one_object(self, env):
-        chain, contract, _, _ = env
-        register = codec.register_record(crypto.keygen(78).public_key, 32 * ETH)
-        chain.append_block([Transaction.create(register)])  # block 12
+    def test_every_serving_provider_answers_with_one_object(self, records_env):
+        chain, contract = records_env
+        pk = crypto.keygen(78).public_key
+        land(chain, contract, RegisterTx(pk, 32 * ETH))  # block 12
         while chain.tip.number < 16:  # epoch 0 complete, epoch 1 open
-            chain.append_block([])
+            land(chain, contract)
         ctx = _SendLog(chain, contract)
         providers = [
             DataProviderActor(f"p{i}", crypto.keygen(90 + i), 32 * ETH, strategy)
@@ -310,14 +358,13 @@ class TestSharedEventList:
         for provider in providers:
             for client in ("c0", "c1"):
                 provider.handle_message(client, EventListRequest(epoch=0), ctx)
-        replies = [msg for _, _, msg in ctx.sent]
+        replies = [msg for _, _, msg, _ in ctx.sent]
         assert len(replies) == 2 * len(providers)
-        assert all(msg is replies[0] for msg in replies)
+        assert all(msg.events is contract.membership_records(0) for msg in replies)
+        register = codec.register_record(pk, 32 * ETH)
         assert replies[0] == EventListMsg(epoch=0, events=((12, register),))
-        # A push is built by the same method: the same object again.
-        assert all(p._event_list(0, ctx) is replies[0] for p in providers)
-        # Another run has its own list.
-        assert providers[0]._event_list(0, _SendLog(chain, contract)) is not replies[0]
+        # A push is built by the same method: the same tuple again.
+        assert all(p._event_list(0, ctx).events is replies[0].events for p in providers)
 
     @given(
         st.integers(1, 6),
@@ -325,9 +372,11 @@ class TestSharedEventList:
     )
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_matches_a_fresh_scan_at_every_tip(self, blocks, history):
-        """Providers asked about every epoch at every tip of a random history
-        of register, withdraw and other records answer what a fresh scan
-        filtered by MEMBERSHIP_TAGS gives; an open epoch is never kept."""
+        """At every tip of a random history of register, withdraw and other
+        records, `membership_records` of every epoch equals a linear scan of
+        the chain's blocks, and is the same tuple object as at the last tip
+        unless a record of that epoch landed in between; providers answer
+        with it."""
         chain = Chain()
         contract = SlashingContract(
             ContractConfig(min_stake=ETH, update_epoch_blocks=blocks, max_challenge_period=4),
@@ -339,119 +388,86 @@ class TestSharedEventList:
             DataProviderActor(f"p{i}", crypto.keygen(90 + i), 32 * ETH, s)
             for i, s in enumerate(self.SERVING)
         ]
-        make = {
-            "r": lambda n: codec.register_record(crypto.keygen(n).public_key, 8 * ETH),
-            "w": lambda n: codec.withdraw_record(crypto.keygen(n).public_key),
-            "o": lambda n: b"other-record:" + n.to_bytes(8, "big"),
-        }
+        active = []
+        seen = {}
         for number, kinds in enumerate(history, start=1):
-            chain.append_block(
-                [Transaction.create(make[k](100 * number + j)) for j, k in enumerate(kinds)]
-            )
-            for epoch in range(chain.tip.number // blocks + 2):
-                first, last = epoch * blocks, (epoch + 1) * blocks - 1
-                fresh = tuple(
-                    (n, tx.payload)
-                    for n, tx in chain.transactions_between(first, last)
-                    if codec.record_tag(tx.payload) in MEMBERSHIP_TAGS
-                )
-                answers = [p._event_list(epoch, ctx) for p in providers]
-                assert all(msg == EventListMsg(epoch, fresh) for msg in answers)
-                if last <= chain.tip.number:
-                    assert all(msg is ctx.event_lists[epoch] for msg in answers)
+            items = []
+            for j, kind in enumerate(kinds):
+                if kind == "r":
+                    pk = crypto.keygen(100 * number + j).public_key
+                    items.append(RegisterTx(pk, 8 * ETH))
+                    active.append(pk)
+                elif kind == "w" and active:
+                    items.append(WithdrawRequestTx(active.pop(0)))
                 else:
-                    assert epoch not in ctx.event_lists
-
-
-class TestPushTiming:
-    """The push tick a provider works out from the epoch length and epoch
-    0's fetch tick is the first tick from the request on at which a request
-    sent at an epoch's fetch tick over the client's link arrives."""
-
-    @staticmethod
-    def first_arrival(tick, delay, blocks, t_fin):
-        arrival = tick
-        while (arrival - delay - fetch_tick(0, blocks, t_fin)) % blocks:
-            arrival += 1
-        return arrival
-
-    @given(
-        st.integers(1, 64),
-        st.integers(1, 4),
-        st.integers(1, 4),
-        st.lists(st.tuples(st.integers(0, 300), st.integers(1, 255)), min_size=1, max_size=4),
-    )
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    def test_precomputed_push_tick(self, blocks, slots, depth, requests):
-        chain = Chain(slots_per_epoch=slots, finality_depth_epochs=depth)
-        contract = SlashingContract(
-            ContractConfig(min_stake=ETH, update_epoch_blocks=blocks, max_challenge_period=4),
-            Ledger(),
-            PricingParams(),
-        )
-        t_fin = slots * depth
-        clients = {f"c{i}": delay for i, (_, delay) in enumerate(requests)}
-        ctx = _SendLog(chain, contract, delays=clients)
-        provider = DataProviderActor("p0", crypto.keygen(77), 32 * ETH, ProviderStrategy.HONEST)
-        expected = []
-        for (tick, delay), client in sorted(zip(requests, clients)):
-            ctx.now = tick
-            provider.handle_message(client, EventListRequest(epoch=0), ctx)
-            due = self.first_arrival(tick, delay, blocks, t_fin)
-            assert provider._push_tick(delay, tick, ctx) == due
-            expected.append(due)
-            assert provider._next_push == min(expected)
+                    items.append(b"other-record:" + (100 * number + j).to_bytes(8, "big"))
+            land(chain, contract, *items)
+            landed = {number // blocks} if any(not isinstance(i, bytes) for i in items) else set()
+            for epoch in range(chain.tip.number // blocks + 2):
+                records = contract.membership_records(epoch)
+                assert records == scanned_records(chain, contract, epoch)
+                if epoch in seen and epoch not in landed:
+                    assert records is seen[epoch]
+                seen[epoch] = records
+                assert all(p._event_list(epoch, ctx).events is records for p in providers)
 
 
 class TestStandingRequests:
-    """A provider asked once pushes each later epoch's list at the tick a
-    request sent at that epoch's fetch tick would reach it."""
+    """A provider asked once sends each later epoch's list at that epoch's
+    fetch tick, as the answer to a request sent then."""
 
     # 16-block epochs, T_fin = 8: epoch e's fetch tick is 16e + 9.
     RECORDS = {12: 0, 40: 2, 70: 4}  # block -> epoch of a register record
-    REQUESTS = {26: ["c0"], 30: ["c1"], 60: ["c0"]}  # tick -> clients asking
+    # tick -> (client, epoch asked) of each request arriving then.
+    REQUESTS = {26: [("c0", 0)], 30: [("c1", 0)], 59: [("c2", 1)], 60: [("c0", 2)]}
 
-    def run(self, env, strategy):
-        chain, contract, kp, _ = env
-        provider = DataProviderActor("p0", kp, 32 * ETH, strategy)
-        ctx = _SendLog(chain, contract, delays={"c0": 1, "c1": 2})
+    def run(self, records_env, strategy):
+        chain, contract = records_env
+        provider = DataProviderActor("p0", crypto.keygen(77), 32 * ETH, strategy)
+        ctx = _SendLog(chain, contract)
         records = {}
         for tick in range(12, 96):  # the tip is block tick - 1 during a tick
             ctx.now = tick
-            for client in self.REQUESTS.get(tick, []):
-                epoch = (tick - 9) // 16 - 1
+            for client, epoch in self.REQUESTS.get(tick, []):
                 provider.handle_message(client, EventListRequest(epoch=epoch), ctx)
             provider.on_tick(tick, ctx)
-            txs = []
+            assert chain.tip.number == tick - 1
             if tick in self.RECORDS:
-                records[tick] = codec.register_record(crypto.keygen(tick).public_key, 8 * ETH)
-                txs.append(Transaction.create(records[tick]))
-            chain.append_block(txs)
-        return [(tick, dst, msg.epoch, msg.events) for tick, dst, msg in ctx.sent], records
+                pk = crypto.keygen(tick).public_key
+                records[tick] = codec.register_record(pk, 8 * ETH)
+                land(chain, contract, RegisterTx(pk, 8 * ETH))
+            else:
+                land(chain, contract)
+        sent = [(tick, dst, msg.epoch, msg.events, asked) for tick, dst, msg, asked in ctx.sent]
+        return sent, records
 
     @pytest.mark.parametrize(
         "strategy", [ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH]
     )
-    def test_asked_once_then_pushed_each_epoch(self, env, strategy):
-        sent, records = self.run(env, strategy)
+    def test_asked_once_then_pushed_each_epoch(self, records_env, strategy):
+        sent, records = self.run(records_env, strategy)
         lists = {self.RECORDS[b]: ((b, payload),) for b, payload in records.items()}
         assert sent == [
-            (26, "c0", 0, lists[0]),  # the reply, and no push to c0 at the same tick
-            (30, "c1", 0, lists[0]),  # a late request: the reply
-            # Epochs 1 and 3 have no records: nothing is pushed.
-            (58, "c0", 2, lists[2]),  # 16*3 + 9 + c0's delay of 1
-            (59, "c1", 2, lists[2]),  # ... + c1's delay of 2
-            (60, "c0", 2, lists[2]),  # a repeated request is answered ...
-            (90, "c0", 4, lists[4]),  # ... but recorded once
-            (91, "c1", 4, lists[4]),
+            (26, "c0", 0, lists[0], None),  # the reply
+            (30, "c1", 0, lists[0], None),  # a later request: the reply
+            # Epoch 1 has no records: nothing is pushed at 41, or replied at 59.
+            (57, "c0", 2, lists[2], 57),  # the push at epoch 3's fetch tick
+            (57, "c1", 2, lists[2], 57),
+            # c2 asked for epoch 1 before 57 but arrives after: it gets the
+            # push it missed, timed from 57.
+            (59, "c2", 2, lists[2], 57),
+            (60, "c0", 2, lists[2], None),  # a repeated request is answered ...
+            (89, "c0", 4, lists[4], 89),  # ... but recorded once
+            (89, "c1", 4, lists[4], 89),
+            (89, "c2", 4, lists[4], 89),
         ]
 
     @pytest.mark.parametrize(
         "strategy",
         [ProviderStrategy.WRONG_HASH, ProviderStrategy.EXIT_SCAM, ProviderStrategy.UNRESPONSIVE],
     )
-    def test_silent_strategies_record_nothing(self, env, strategy):
-        sent, _ = self.run(env, strategy)
+    def test_silent_strategies_record_nothing(self, records_env, strategy):
+        sent, _ = self.run(records_env, strategy)
         assert sent == []
 
 
@@ -472,7 +488,7 @@ class TestResponseMemo:
         provider.handle_message(client, QueryMsg(query=query), ctx)
         if len(ctx.sent) == before:
             return None
-        _, dst, msg = ctx.sent.pop()
+        _, dst, msg, _ = ctx.sent.pop()
         assert dst == client
         return msg.response
 

@@ -20,6 +20,7 @@ import pytest
 from lcsim import scenario
 from lcsim.harness import Simulation
 from lcsim.light_client import Protocol
+from test_golden import configs as golden_configs
 from test_golden import table3_row
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -51,6 +52,23 @@ def test_tracer_keeps_the_log_and_uninstall_restores_every_attribute(bench_path)
         assert owner.__dict__[attr] is original, (owner, attr)
     for name in ("harness.loop", "light_client.on_tick", "actors.provider.event_list"):
         assert tracer.stats(name)[0] > 0, name
+
+
+def test_tracer_spans_find_slash_record_in_a_run_that_slashes(bench_path):
+    """No bundled scenario reaches `actors.find_slash_record`; the golden
+    `delta4_eco` case does, so the by-name wrap is checked on it."""
+    from spans import Tracer
+
+    config = golden_configs()["delta4_eco"]
+    untraced = Simulation(config).run()[1].serialize()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = Simulation(config).run()[1].serialize()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracer.stats("actors.find_slash_record")[0] > 0
 
 
 def test_bench_simulation_runs_and_checks_a_bundled_scenario(bench_path):
@@ -106,10 +124,10 @@ def test_the_counting_mailbox_counts_every_delivered_message(bench_path, monkeyp
     enqueue_each = Simulation.enqueue_each
     sent = []
 
-    def counted(sim, src, dsts, payload):
+    def counted(sim, src, dsts, payload, *rest):
         dsts = list(dsts)
         sent.extend(payload for _ in dsts)
-        return enqueue_each(sim, src, dsts, payload)
+        return enqueue_each(sim, src, dsts, payload, *rest)
 
     monkeypatch.setattr(Simulation, "enqueue_each", counted)
     sim = BenchSimulation(maintenance())

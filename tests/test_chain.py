@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsim import codec, crypto
+from lcsim import actors, codec, crypto
 from lcsim.actors import find_slash_record
 from lcsim.chain import (
     GENESIS_PARENT,
@@ -17,6 +17,8 @@ from lcsim.chain import (
     _transactions_root,
     block_hash,
 )
+from lcsim.harness import Simulation
+from test_golden import configs as golden_configs
 
 
 def make_txs(n, tag=b"t"):
@@ -191,17 +193,6 @@ def linear_scan(chain):
 class TestTransactionIndex:
     @given(_BLOCKS)
     @settings(max_examples=100, deadline=None)
-    def test_transactions_between_matches_scan(self, blocks):
-        chain = build_chain(blocks)
-        every = linear_scan(chain)
-        tip = chain.tip.number
-        for first in range(-2, tip + 3):
-            for last in range(first - 2, tip + 3):
-                expected = [e for e in every if first <= e[0] <= last]
-                assert chain.transactions_between(first, last) == expected
-
-    @given(_BLOCKS)
-    @settings(max_examples=100, deadline=None)
     def test_find_transaction_returns_first_occurrence(self, blocks):
         chain = build_chain(blocks)
         every = linear_scan(chain)
@@ -215,8 +206,6 @@ class TestTransactionIndex:
     def test_chain_built_from_blocks_is_indexed(self, blocks):
         original = build_chain(blocks)
         rebuilt = Chain(blocks=list(original.blocks))
-        tip = original.tip.number
-        assert rebuilt.transactions_between(0, tip) == linear_scan(original)
         for payload in _PAYLOADS:
             tx_id = crypto.digest(payload)
             assert rebuilt.find_transaction(tx_id) == original.find_transaction(tx_id)
@@ -225,7 +214,7 @@ class TestTransactionIndex:
     @settings(max_examples=100, deadline=None)
     def test_every_block_is_rooted_hashed_and_indexed(self, blocks, passed_in):
         """Empty and non-empty blocks, passed to the constructor or appended:
-        each block's root and hash are the one formula's, and the index
+        each block's root and hash are the one formula's, and the id index
         equals a scan."""
         head = build_chain(blocks[:passed_in])
         chain = Chain(blocks=list(head.blocks))
@@ -240,20 +229,40 @@ class TestTransactionIndex:
             assert block.hash == block_hash(number, parent, block.transactions_root)
             parent = block.hash
         every = linear_scan(chain)
-        assert chain.transactions_between(0, chain.tip.number) == every
         for payload in _PAYLOADS:
             tx_id = crypto.digest(payload)
             expected = next((e for e in every if e[1].id == tx_id), None)
             assert chain.find_transaction(tx_id) == expected
 
-    @given(_BLOCKS)
-    @settings(max_examples=100, deadline=None)
-    def test_find_slash_record_is_most_recent(self, blocks):
-        chain = build_chain(blocks)
-        for pk in _KEYS + (b"\x03" * 32,):
-            expected = None
-            for number, tx in linear_scan(chain):
-                if codec.record_tag(tx.payload) == codec.TAG_SLASH_RECORD:
-                    if codec.decode_slash_record(tx.payload)[0] == pk:
-                        expected = (number, tx.id)
-            assert find_slash_record(pk, chain) == expected
+    def test_find_slash_record_is_most_recent(self, monkeypatch):
+        """Every call a watcher makes in two golden runs that slash, and a
+        final call for each provider and an unknown key, gives the newest
+        slash record on chain, found by a scan from the tip."""
+        calls = {}
+        for name in ("scaled_dispute", "delta4_eco"):
+            sim = Simulation(golden_configs()[name])
+            calls[name] = 0
+
+            def checked(pk, contract):
+                calls[name] += 1
+                found = find_slash_record(pk, contract)
+                assert found == newest_slash_record(sim.chain, pk)
+                return found
+
+            with monkeypatch.context() as patch:
+                patch.setattr(actors, "find_slash_record", checked)
+                sim.run()
+            assert sim.contract.slash_events
+            for pk in [*sim.provider_keys.values(), b"\x03" * 32]:
+                assert find_slash_record(pk, sim.contract) == newest_slash_record(sim.chain, pk)
+        assert calls == {"scaled_dispute": 6, "delta4_eco": 2}
+
+
+def newest_slash_record(chain, pk):
+    """(block, tx id) of the newest slash record of `pk` on chain, or None."""
+    for block in reversed(chain.blocks):
+        for tx in reversed(block.transactions):
+            tag = codec.record_tag(tx.payload)
+            if tag == codec.TAG_SLASH_RECORD and codec.decode_slash_record(tx.payload)[0] == pk:
+                return block.number, tx.id
+    return None

@@ -595,7 +595,8 @@ def replayed_active_set(contract, chain, epoch):
     """The provider set of `epoch` replayed from the records on chain, with
     the contract's live slashed filter, stakes and locks."""
     members = {}
-    for number, tx in chain.transactions_between(0, chain.tip.number):
+    scan = [(block.number, tx) for block in chain.blocks for tx in block.transactions]
+    for number, tx in scan:
         if number // B_U > epoch - 2:
             break
         tag = codec.record_tag(tx.payload)

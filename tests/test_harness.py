@@ -49,6 +49,12 @@ def load(name):
     return scenario.load_scenario(scenario.builtin_scenario_path(name))
 
 
+def link_delay(sim: Simulation, src: str, dst: str) -> int:
+    """Ticks a message from `src` takes to reach `dst`, read off the run's
+    delay table, which only the harness reads."""
+    return sim._delay_rows[src][sim._index[dst]]
+
+
 class TestConfigValidation:
     def test_update_epoch_bound_named(self):
         config = dataclasses.replace(load("honest"), update_epoch_blocks=10)
@@ -573,11 +579,11 @@ class TestBookkeeping:
         requests = []
         enqueue_each = Simulation.enqueue_each
 
-        def recorded(sim, src, dsts, payload):
+        def recorded(sim, src, dsts, payload, *rest):
             dsts = list(dsts)
             if isinstance(payload, EventListRequest):
                 requests.extend((src, dst) for dst in dsts)
-            return enqueue_each(sim, src, dsts, payload)
+            return enqueue_each(sim, src, dsts, payload, *rest)
 
         monkeypatch.setattr(LightClientActor, "on_tick", checked)
         monkeypatch.setattr(Simulation, "enqueue_each", recorded)
@@ -1332,7 +1338,7 @@ class TestStretches:
             ProviderStrategy.HONEST, 4, min_compliant_challenge_period(8, 4), Protocol.ECO, seed=1
         )
         sim = RecordStretches(config)
-        assert {sim.ctx.delay(harness.CONTRACT_ENDPOINT, p.name) for p in sim.providers} == {4}
+        assert {link_delay(sim, harness.CONTRACT_ENDPOINT, p.name) for p in sim.providers} == {4}
         sim = self.run(config)
         assert self.ends(sim, 5)
 
@@ -1369,11 +1375,11 @@ class TestMessageCounts:
         counts: dict[str, int] = {}
         enqueue_each = Simulation.enqueue_each
 
-        def counted(sim, src, dsts, payload):
+        def counted(sim, src, dsts, payload, *rest):
             dsts = list(dsts)
             name = type(payload).__name__
             counts[name] = counts.get(name, 0) + len(dsts)
-            return enqueue_each(sim, src, dsts, payload)
+            return enqueue_each(sim, src, dsts, payload, *rest)
 
         monkeypatch.setattr(Simulation, "enqueue_each", counted)
         Simulation(scaled_maintain()).run()
@@ -1392,14 +1398,14 @@ class TestMessageCounts:
         answers every epoch unasked. Every held provider's non-empty list
         reaches the client at the tick the answer to a request sent at the
         epoch's fetch tick would, and none arrives for an empty epoch."""
-        sent: list[tuple[int, str, str, object]] = []
+        sent: list[tuple[int, str, str, object, int | None]] = []
         enqueue_each = Simulation.enqueue_each
 
-        def recorded(sim, src, dsts, payload):
+        def recorded(sim, src, dsts, payload, asked=None):
             dsts = list(dsts)
             if isinstance(payload, (EventListRequest, EventListMsg)):
-                sent.extend((sim.ctx.now, src, dst, payload) for dst in dsts)
-            return enqueue_each(sim, src, dsts, payload)
+                sent.extend((sim.ctx.now, src, dst, payload, asked) for dst in dsts)
+            return enqueue_each(sim, src, dsts, payload, asked)
 
         monkeypatch.setattr(Simulation, "enqueue_each", recorded)
         sim = Simulation(scaled_maintain())
@@ -1416,11 +1422,10 @@ class TestMessageCounts:
 
         monkeypatch.setattr(LightClientActor, "_run_maintenance", recorded_maintenance)
         sim.run()
-        delay = sim.ctx.delay
         fetch = sim.config.t_fin + 1
         blocks = sim.config.update_epoch_blocks
-        requests = [(tick, src, dst, msg) for tick, src, dst, msg in sent if src.startswith("c")]
-        lists = [(tick, src, dst, msg) for tick, src, dst, msg in sent if src.startswith("p")]
+        requests = [(tick, src, dst, msg) for tick, src, dst, msg, _ in sent if src[0] == "c"]
+        lists = [entry for entry in sent if entry[1][0] == "p"]
         # Every open is on time, and each (client, provider) pair is asked once.
         assert opened and all(tick == epoch * blocks + fetch for _, epoch, tick, _ in opened)
         pairs = [(src, dst) for _, src, dst, _ in requests]
@@ -1434,20 +1439,29 @@ class TestMessageCounts:
             {(tick, src) for tick, src, _, _ in requests}
         )
         arrivals = {}
-        for tick, src, dst, msg in lists:
+        for tick, src, dst, msg, asked in lists:
             assert msg.events
-            arrivals.setdefault((dst, msg.epoch + 1), set()).add((src, tick + delay(src, dst)))
+            # A reply leaves at once; a push leaves at the fetch tick and
+            # arrives a round trip after it.
+            at = tick + link_delay(sim, src, dst)
+            if asked is not None:
+                assert asked == tick == (tick - fetch) // blocks * blocks + fetch
+                at += link_delay(sim, dst, src)
+            arrivals.setdefault((dst, msg.epoch + 1), set()).add((src, at))
         provider_records = (codec.TAG_REGISTER, codec.TAG_WITHDRAW_REQUEST)
         with_records = 0
         for client, epoch, tick, held in opened:
             assert all(asked_at[client, name] <= tick for name in held)
-            first = (epoch - 1) * blocks
             records = any(
                 codec.record_tag(tx.payload) in provider_records
-                for _, tx in sim.chain.transactions_between(first, first + blocks - 1)
+                for block in sim.chain.blocks[(epoch - 1) * blocks : epoch * blocks]
+                for tx in block.transactions
             )
             got = {(src, at) for src, at in arrivals.get((client, epoch), ()) if src in held}
-            answer = {(name, tick + delay(client, name) + delay(name, client)) for name in held}
+            answer = {
+                (name, tick + link_delay(sim, client, name) + link_delay(sim, name, client))
+                for name in held
+            }
             assert got == (answer if records else set()), (client, epoch)
             with_records += records
         assert 0 < with_records < len(opened)
@@ -1542,6 +1556,59 @@ class TestStandingRequests:
         begin = 3 * base.update_epoch_blocks + base.t_fin + 1 + shift
         client = dataclasses.replace(base.clients[0], offline=(begin, begin + length))
         self.assert_same_as_reference(monkeypatch, dataclasses.replace(base, clients=(client,)))
+
+    def test_same_run_when_a_first_request_crosses_a_fetch_tick(self, monkeypatch):
+        """T_fin = 1 and delta = 6: c0 starts on an epoch's last tick, asks
+        its held providers at once, and requests that take more than 3 ticks
+        arrive after the next fetch tick, whose push of the epoch carrying
+        p2's registration they missed. Those providers send that list on
+        arrival, timed as the push; without it c0 misses p2."""
+        base = load("maintenance")
+        delta, t_fin = 6, 1
+        cp = t_fin + 2 * delta + 1
+        b_u = cp + t_fin + 2 * delta
+        client = dataclasses.replace(
+            base.clients[0],
+            challenge_period=cp,
+            maintenance_challenge_period=None,
+            start_tick=3 * b_u - 1,
+            target_block=1,
+        )
+        providers = (
+            ProviderSpec(stake=eth_to_wei(40)),
+            ProviderSpec(stake=eth_to_wei(32)),
+            ProviderSpec(stake=eth_to_wei(24), register_tick=2 * b_u + 3),
+        )
+        config = dataclasses.replace(
+            base,
+            seed=3,
+            slots_per_epoch=1,
+            finality_depth_epochs=1,
+            delta_ticks=delta,
+            max_challenge_period=cp,
+            update_epoch_blocks=b_u,
+            providers=providers,
+            clients=(client,),
+            total_ticks=6 * b_u,
+        )
+        late = []
+        enqueue_each = Simulation.enqueue_each
+
+        def recorded(sim, src, dsts, payload, asked=None):
+            if asked is not None and asked < sim.ctx.now:
+                late.extend((sim.ctx.now, src, dst, asked) for dst in dsts)
+            return enqueue_each(sim, src, dsts, payload, asked)
+
+        monkeypatch.setattr(Simulation, "enqueue_each", recorded)
+        self.assert_same_as_reference(monkeypatch, config)
+        fetch = 3 * b_u + t_fin + 1
+        assert late and {asked for *_, asked in late} == {fetch}
+        joiner = Simulation(config).providers[2].public_key
+        with monkeypatch.context() as patch:
+            sets = recorded_sets(patch)
+            run_scenario(config)
+        source, predicted = sets["c0", 5]
+        assert source == "predicted" and joiner in predicted
 
     def test_lists_count_only_from_held_providers(self, monkeypatch):
         config = leaver_and_silent_provider()
