@@ -391,9 +391,12 @@ class DataProviderActor:
     epoch, at each fetch tick (`messages.fetch_tick`), and sends the epoch
     before to every standing client in one call, each list timed by the
     harness to arrive when the answer to a request sent then would. It reads
-    no delays. Clients union the lists of every provider they hold, so one
-    honest list suffices and an omission by one provider does not change a
-    client's set.
+    no delays. A provider whose withdraw request landed in epoch w pushes
+    lists up to w's, which carries that record, and then stops waking for
+    pushes: from epoch w+2 on no client with a correct set holds it
+    (`_pushes`). It still answers every request. Clients union the lists of
+    every provider they hold, so one honest list suffices and an omission by
+    one provider does not change a client's set.
 
     Every query passes the strategy's refusal checks afresh. One that passes
     and was answered before, by this provider to any client, gets the same
@@ -497,20 +500,32 @@ class DataProviderActor:
         last = (ctx.now - first_fetch - 1) // blocks  # whose fetch tick is the last before now
         last_fetch = first_fetch + last * blocks
         self._next_push = last_fetch + blocks
-        if last - 1 > epoch:
+        if last - 1 > epoch and self._pushes(last - 1, ctx):
             msg = self._event_list(last - 1, ctx)
             if msg.events:
                 ctx.send_to_each(self.name, (client,), msg, asked=last_fetch)
 
     def _push_event_lists(self, now: int, ctx) -> None:
         """At epoch e's fetch tick, send epoch e-1's list to every standing
-        client, timed as the answer to a request each sent now."""
+        client, timed as the answer to a request each sent now; once past
+        the last epoch this provider pushes (`_pushes`), stop waking."""
         blocks = ctx.contract.config.update_epoch_blocks
         epoch = (now - fetch_tick(0, blocks, ctx.chain.finality_depth_blocks)) // blocks - 1
-        if epoch >= 0:
+        if not self._pushes(epoch, ctx):
+            self._next_push = None
+        elif epoch >= 0:
             msg = self._event_list(epoch, ctx)
             if msg.events:
                 ctx.send_to_each(self.name, self._standing, msg, asked=now)
+
+    def _pushes(self, epoch: int, ctx) -> bool:
+        """Whether this provider pushes `epoch`'s list unasked: not once its
+        withdraw request has landed in an earlier epoch w. Membership lags
+        two epochs, so from w+2 on no client with a correct set holds it,
+        and the last list it pushes, w's, carries its own withdraw record."""
+        record = ctx.contract.provider(self.public_key)
+        left = None if record is None else record.withdraw_requested_epoch
+        return left is None or epoch <= left
 
     def _event_list(self, epoch: int, ctx) -> EventListMsg:
         """The membership records of `epoch`, as the reply to send: every

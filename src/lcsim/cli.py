@@ -149,9 +149,11 @@ def cmd_run(scenario_path: str, out_dir: str) -> None:
         for violation in metrics.violations:
             click.echo(f"invariant violated: {violation}", err=True)
         sys.exit(1)
+    clients = metrics.clients.values()
     click.echo(
         f"ok: {len(log.lines)} events, {metrics.slash_count} slashes, "
-        f"{sum(m.accepted for m in metrics.clients.values())} acceptances"
+        f"{sum(m.accepted for m in clients)} acceptances, "
+        f"{sum(m.heavy_checks for m in clients)} heavy checks"
     )
 
 

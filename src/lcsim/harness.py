@@ -62,6 +62,7 @@ from .light_client import (
     Check,
     CheckKind,
     ClientConfig,
+    HeavyCheckCause,
     LightClientActor,
     Protocol,
     ProviderView,
@@ -201,6 +202,7 @@ class ClientMetrics:
     target_signature_verifications: int = 0
     signature_verifications_total: int = 0
     heavy_checks: int = 0
+    heavy_checks_by_cause: dict[str, int] = field(default_factory=dict)  # cause value -> count
     premium_spent: int = 0
     gas_spent: int = 0
     compensation_received: int = 0
@@ -313,13 +315,23 @@ class EventLog:
 
 class HeavyCheckOracle:
     """Trusted ground-truth reads with an invocation counter as the cost
-    model; used only at bootstrap and in the dispute path.
+    model.
 
-    Every call counts a heavy check. A provider-set read hands out read-only
-    views (`light_client.ProviderView`), one pair for each (epoch, contract
-    state version): every client that reads the same contract state gets
-    the same view objects, and with them whatever is cached on them. The
-    oracle keeps only the last pair, so a view goes once no client holds it.
+    Every call counts one heavy check against the client, under the cause
+    its caller gives (`HeavyCheckCause`). A client pays one when it first
+    reads the provider set (bootstrap); when it has no prediction of the
+    clock's epoch (epoch gap) or no held provider to ask for the records it
+    would predict from (empty held set); when an insured purchase reverts or
+    no selection backs a repeat purchase (purchase revert, purchase retry);
+    and when a slash alert names a provider that an open check queried or
+    that backs the policy not yet used (alert). An alert that can no longer
+    change the client's next step costs none.
+
+    A provider-set read hands out read-only views
+    (`light_client.ProviderView`), one pair for each (epoch, contract state
+    version): every client that reads the same contract state gets the same
+    view objects, and with them whatever is cached on them. The oracle keeps
+    only the last pair, so a view goes once no client holds it.
     """
 
     def __init__(self, chain: Chain, contract: SlashingContract, metrics: Metrics) -> None:
@@ -329,12 +341,18 @@ class HeavyCheckOracle:
         # (epoch, state version, stake view, attributable view) of the last read.
         self._views: tuple[int, int, ProviderView, ProviderView] | None = None
 
+    def _count(self, client: str, cause: HeavyCheckCause) -> None:
+        metrics = self._metrics.client(client)
+        metrics.heavy_checks += 1
+        by_cause = metrics.heavy_checks_by_cause
+        by_cause[cause.value] = by_cause.get(cause.value, 0) + 1
+
     def provider_set(
-        self, client: str, epoch: int | None = None
+        self, client: str, cause: HeavyCheckCause, epoch: int | None = None
     ) -> tuple[int, ProviderView, ProviderView]:
         """The contract's provider set of `epoch`, the current one by
         default: (epoch, pk -> stake view, pk -> attributable stake view)."""
-        self._metrics.client(client).heavy_checks += 1
+        self._count(client, cause)
         contract = self._contract
         if epoch is None:
             epoch = contract.current_epoch
@@ -345,9 +363,14 @@ class HeavyCheckOracle:
         return epoch, views[2], views[3]
 
     def verify_slash(
-        self, client: str, block_number: int, record_tx_id: bytes, proof
+        self,
+        client: str,
+        cause: HeavyCheckCause,
+        block_number: int,
+        record_tx_id: bytes,
+        proof,
     ) -> bool:
-        self._metrics.client(client).heavy_checks += 1
+        self._count(client, cause)
         if not self._chain.is_finalized(block_number):
             return False
         block = self._chain.block_at(block_number)

@@ -250,6 +250,17 @@ class ClientConfig:
         return self.coverage_inputs.challenge_periods[0]
 
 
+class HeavyCheckCause(enum.Enum):
+    """Why a client pays a heavy check (`HeavyCheckOracle`)."""
+
+    BOOTSTRAP = "bootstrap"  # the first provider-set read
+    EPOCH_GAP = "epoch_gap"  # no predicted set for the clock's epoch
+    PURCHASE_REVERT = "purchase_revert"  # a purchase reverted: read a fresh set
+    PURCHASE_RETRY = "purchase_retry"  # no selection backs a repeat purchase
+    EMPTY_HELD_SET = "empty_held_set"  # no held provider to ask for records
+    ALERT = "alert"  # a slash alert that can change the next step
+
+
 class CheckKind(enum.Enum):
     TARGET = "target"
     INSURANCE_INCLUSION = "insurance_inclusion"
@@ -422,8 +433,10 @@ class LightClientActor:
 
     # -- bootstrap ------------------------------------------------------------
 
-    def bootstrap(self, ctx, now: int) -> None:
-        epoch, held, attributable = ctx.oracle.provider_set(self.name)
+    def bootstrap(
+        self, ctx, now: int, cause: HeavyCheckCause = HeavyCheckCause.BOOTSTRAP
+    ) -> None:
+        epoch, held, attributable = ctx.oracle.provider_set(self.name, cause)
         self.sets[epoch] = held
         self.attributable = attributable
         self._hold(epoch)
@@ -519,9 +532,9 @@ class LightClientActor:
         if epoch in self.sets:
             self._hold(epoch)
         else:
-            # Offline across at least one full update epoch: prediction
-            # chain broken, fall back to a fresh heavy check.
-            self.bootstrap(ctx, now)
+            # No predicted set for this epoch (offline across an epoch, or
+            # the prediction was not done in time): a fresh heavy check.
+            self.bootstrap(ctx, now, HeavyCheckCause.EPOCH_GAP)
 
     def _hold(self, epoch: int) -> None:
         """Make `epoch` the held epoch and let go of the view and maintenance
@@ -579,7 +592,7 @@ class LightClientActor:
             if self._purchase_attempts == 0:
                 raise
             # Stale attributable data; refresh it and retry once more.
-            self.bootstrap(ctx, now)
+            self.bootstrap(ctx, now, HeavyCheckCause.PURCHASE_RETRY)
             allocations = self.select(True, self.config.target_value)
         self._purchase_attempts += 1
         self._allocations = allocations
@@ -794,7 +807,7 @@ class LightClientActor:
             if self._purchase_attempts >= len(self.current_set()) + 2:
                 self.stage = Stage.GAVE_UP
                 return
-            self.bootstrap(ctx, now)
+            self.bootstrap(ctx, now, HeavyCheckCause.PURCHASE_REVERT)
             self._buy(now, ctx)
             return
         self.stage = Stage.CONFIRMING
@@ -814,32 +827,32 @@ class LightClientActor:
 
     def _handle_alert(self, alert: Alert, now: int, ctx) -> None:
         self.alerts_seen.append(alert)
+        pk = alert.offending_pk
         active = [
             check
-            for check in self.checks
-            if check.outcome is None and alert.offending_pk in check.selected
+            for check in self.checks[self._first_open :]
+            if check.outcome is None and pk in check.selected
         ]
-        involved_accepted = any(
-            check.outcome == "accepted" and alert.offending_pk in check.selected
-            for check in self.checks
-        )
-        policy_hit = self._policy_voided((alert.offending_pk,))
-        if not active and not involved_accepted and not policy_hit:
-            # Not ours; still drop the provider from future selection.
-            self.dropped.add(alert.offending_pk)
+        policy_hit = self._policy_voided((pk,))
+        if not active and not policy_hit:
+            # The alert cannot change what the client does next: no open
+            # check queried the provider and it backs no unused policy. Drop
+            # it from future selection without a heavy check.
+            self.dropped.add(pk)
             return
         # Verify the slashing event actually happened: the dispute path's
         # heavy check.
         verified = ctx.oracle.verify_slash(
             self.name,
+            HeavyCheckCause.ALERT,
             alert.slash_event_block,
             alert.slash_record_tx_id,
             alert.slash_event_inclusion_proof,
         )
-        ctx.log(self.name, "alert", alert.offending_pk)
+        ctx.log(self.name, "alert", pk)
         if not verified:
             return
-        self.dropped.add(alert.offending_pk)
+        self.dropped.add(pk)
         if policy_hit:
             # The slashed provider backs our still-unconsumed policy, so the
             # coverage is void; start over with the remaining providers.
@@ -874,7 +887,9 @@ class LightClientActor:
                 # set is read through a heavy check.
                 maintenance.collected = True
                 if epoch > 0:
-                    _, held, _ = ctx.oracle.provider_set(self.name, epoch + 1)
+                    _, held, _ = ctx.oracle.provider_set(
+                        self.name, HeavyCheckCause.EMPTY_HELD_SET, epoch + 1
+                    )
                 self._predict(epoch + 1, held, ctx)
                 return
             # A provider asked once answers every later epoch on its own, on

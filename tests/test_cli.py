@@ -165,6 +165,25 @@ class TestRun:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["slash_count"] == 1
 
+    @pytest.mark.parametrize(
+        "name, counts",
+        [
+            # The economic client checks the alert on its open target check;
+            # the insured one has accepted before its alert comes.
+            ("wrong_hash", "1 slashes, 1 acceptances, 2 heavy checks"),
+            ("insured", "1 slashes, 1 acceptances, 1 heavy checks"),
+        ],
+    )
+    def test_ok_line_counts_heavy_checks(self, runner, tmp_path, name, counts):
+        path = scenario.builtin_scenario_path(name)
+        result = runner.invoke(main, ["run", str(path), "-o", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("ok: ")
+        assert result.output.endswith(f" events, {counts}\n")
+        client = json.loads((tmp_path / "metrics.json").read_text())["clients"]["c0"]
+        assert sum(client["heavy_checks_by_cause"].values()) == client["heavy_checks"]
+        assert client["heavy_checks_by_cause"]["bootstrap"] == 1
+
     def test_buyer_short_of_premium_plus_gas_reverts_without_traceback(self, runner, tmp_path):
         # 0.0018 ETH pays the premium of the insured scenario but not the gas too.
         path = tmp_path / "poor.ini"

@@ -229,64 +229,76 @@ def digests(config: ScenarioConfig, simulation=Simulation) -> tuple[str, str]:
 PINNED: dict[str, tuple[str, str]] = {
     "exit_scam": (
         "f730b956a8d06d45ff37ba3cbb7ff5251faafdeeab6f0a1538601787cec619a3",
-        "fa9f1a369924f6f267f947140472af91adc95675e96994e7398b004f2f0a70f6",
+        "9fc78e4bbdef9f0638be0a49986ef5c98c0f0b4bff999bdb5f4e0629aee8e988",
     ),
     "honest": (
         "8413ad9784fd7fd86a3efac2d812f0430c6e3e4dfd03cc38199eaf4a20516e16",
-        "090085330a385abd8232317dfb8d62b910f7c17f26e2071b773b6385cb740f5f",
+        "b0150819a5ac77ccddd2985210d664175728101e9614d7b77f746adc66c6c33f",
     ),
     "insured": (
-        "34fbb68397574870873e46d5f5f154921e005704cd6b7c463b054dc7b9f29f99",
-        "a2eeaa221a53c84ab509f80d6ac837abbedeb5248a45348bb0b553171c11ada5",
+        "dd32282de38eac7a772e8c45c93cbf3f14aaaacc9edaba671597eb41ecc1d00d",
+        "8ddf3bcdca21d07751355164373d40c43de7f8cefa6df12436a8926b19354d0d",
     ),
     "maintenance": (
         "fc0030bc7449509c8bfbc243eeb3b64f38fec44da9d0f12324d22331cef600c1",
-        "077760bc1f88584a7ab794c400b8551b54ea847d116d60a390dfb4b77dd77a73",
+        "d51cd2a58403380968a2b66812aa4c8b75aecf4c4f33d38e245f0d55a34664c8",
     ),
     "wrong_hash": (
         "5931bd21733085d490c0bcef4f792720b92b0c0d2864de33cc37313e742de9b3",
-        "fa9f1a369924f6f267f947140472af91adc95675e96994e7398b004f2f0a70f6",
+        "9fc78e4bbdef9f0638be0a49986ef5c98c0f0b4bff999bdb5f4e0629aee8e988",
     ),
     "scaled_dispute": (
         "4ab4bbe08f02c1b90e8afd5191253d8e34ea69e064ffb1d39360dd7beccbd560",
-        "d5f1ea66c7e6ad5de448aa6c9d068379c16ea91cb0f3f44b6afe2aec7d13091e",
+        "f6bde61db6ebe2b48fe5f81b75910f6865103b1f30f90d9ccf014b646a4eabad",
     ),
     "scaled_maintain": (
         "a4c3db073c53506edf16c98a004396defe922a0425e64cdf78a93abdff0fdf2f",
-        "99c30a8a1103a935a8bc9463d36526aa2d211c76b39b4fd591b737d19b79c953",
+        "c576172cd646639fe7efbc25d282215b6965a60244f7b7be37b182c1d35b4da6",
     ),
     "scaled_insured": (
-        "f93d7fe9e4916e88968eb00be8c69316ea9094eff4920475678be96fa8e041a6",
-        "c179f560322862e283b24cc23889f4af6615bbdbb53bf3f5bfac6d938dc4a554",
+        "0569a82dd59fc94e5367ea1e71e769ec6bd9dc52fb303251aed120f02f9faca7",
+        "1cceeb6d199a581f6fa59db3c69b8d37d31b3c4c252043f8f8fdacda038d2de0",
     ),
     "delta3_ins": (
-        "f5243d8347bad534cd0969e96d2b76109be9e2dbb45d1addaeac81cf506fc69f",
-        "0c4b82822662e3bd6e3290174c1fa07e66962989c6d0fcf6dbb7380b54b5a742",
+        "149d82e78db72c75dfe77b544da5af6c3643cab7144913bcad87cadb65ecf757",
+        "3c2148d8ecb5383f90a667d32c3a4a2e26f348168f8d112a4c51e8f5fd826a44",
     ),
     "delta4_eco": (
         "056d14f1d14aa7482b59ee6cd5ff89a74bc60d64dff20de270e2ce6cefb5e7ed",
-        "9cf8df43ce41df2d9b20545997c69579615bbb9d893f7a11fc780ed7473c6908",
+        "babdd3a80ff3f469635da6ea0c2a4d95939d3e8f6a348ddbf4caa10c29a1092d",
     ),
     "grid_100x100": (
         "6a93ede2b257ff172bd30dbd5731bd53ae3c9bda3a2de4a866f7c92a90307da6",
-        "d25cd2e29fa837922887b22aeeef12bc2683543fcf994e1a150fcfadd0485aca",
+        "f5915bcc845341bdc7c952097b8cef7990170ce063d826e1350aab113a20ca6b",
     ),
     "grid_churn_100x100": (
         "d7e53f3f353d77f4a10637380903b010ce2cdeee4f57f08acef0a2a26953ec35",
-        "083aa258b9d6c06799540ff26f267d0b5885e78d61f991376cf90be42fdfb504",
+        "134b45d8c1c091e357ba60a2bbf61b6370a8250a07cef7f52b3c417f30dc0cf1",
     ),
     "grid_300x1000": (
         "279349cf68ea43a1f3e342da4a48516d1efb665c2af545a6f96a9b481b19a570",
-        "006606b8085e00c04ea18ebe432eeb7c49e826cf752556eb0d6bfa7b9e81496a",
+        "fdc91e5a29f583e90f3ecadef56f60dd535933e0224678159c159f6b7c38ead0",
     ),
     "table3_10eth_eco": (
         "ea53147ef3649444ac96c90b3e2bf76f1135dd4dacb3d8dad4fe8dac5f0e5a83",
-        "60a404c6f7087408e610646bd6200f359e482cb91e6daa0487b961c005328b9b",
+        "b6f5ad5d630aab02db01b8a4a854070e60eda519e128b6e2e82a0a812f5b99c9",
     ),
     "table3_10eth_ins": (
         "2d7dac41623d45a8c317e1f18dbf580e16043ca3957d620a237147ec699362b2",
-        "95c472855eb7f7d6bce62e7a5166348a0c983c2f8e64209fbecc8e05b6dfec73",
+        "7b1c6716d58ff86e0fb010d52ee0d8502468d17b4e9787b6b5c6239e21ea2d03",
     ),
+}
+
+
+# Heavy checks by (protocol, cause) over the 80 two-provider cells that
+# `bench/workloads.sweep` builds for one scenario seed: every strategy x
+# delta 1-4 x {T_cp, T_cp + 5} x eco/ins, here at 288545019, the first seed
+# its seed-1 round draws. A change that adds a heavy check fails here.
+SWEEP_SEED = 288545019
+SWEEP_HEAVY_CHECKS = {
+    ("eco", "bootstrap"): 40,
+    ("eco", "alert"): 16,
+    ("ins", "bootstrap"): 40,
 }
 
 
@@ -297,6 +309,35 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_digests(name):
     assert digests(configs()[name]) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_heavy_checks_by_cause_sum_to_the_total(name):
+    metrics, _ = Simulation(configs()[name]).run()
+    for client in metrics.clients.values():
+        assert sum(client.heavy_checks_by_cause.values()) == client.heavy_checks
+
+
+def test_sweep_heavy_checks_by_cause():
+    counts: dict[tuple[str, str], int] = {}
+    cells = 0
+    for strategy in ProviderStrategy:
+        for delta in (1, 2, 3, 4):
+            cp = min_compliant_challenge_period(8, delta)
+            for challenge_period in (cp, cp + 5):
+                for protocol in Protocol:
+                    config = build_scenario(
+                        strategy, delta, challenge_period, protocol, seed=SWEEP_SEED
+                    )
+                    metrics, _ = Simulation(config).run()
+                    cells += 1
+                    for client in metrics.clients.values():
+                        assert sum(client.heavy_checks_by_cause.values()) == client.heavy_checks
+                        for cause, n in client.heavy_checks_by_cause.items():
+                            key = (protocol.value, cause)
+                            counts[key] = counts.get(key, 0) + n
+    assert cells == 80
+    assert counts == SWEEP_HEAVY_CHECKS
 
 
 if __name__ == "__main__":

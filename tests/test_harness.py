@@ -498,8 +498,8 @@ def recorded_sets(monkeypatch) -> dict[tuple[str, int], tuple[str, dict]]:
     bootstrap = LightClientActor.bootstrap
     predict = LightClientActor._predict
 
-    def recorded_bootstrap(client, ctx, now):
-        bootstrap(client, ctx, now)
+    def recorded_bootstrap(client, ctx, now, *cause):
+        bootstrap(client, ctx, now, *cause)
         sets[client.name, client.current_epoch_held] = ("bootstrap", client.current_set())
 
     def recorded_predict(client, epoch, provider_set, ctx):
@@ -1368,10 +1368,10 @@ class TestMessageCounts:
     def test_scaled_maintain_enqueues_by_type(self, monkeypatch):
         """Per-type message counts of the scaled maintain run. With standing
         requests each client asks each held provider once: 240 requests, was
-        900 with one per held provider per epoch. Lists: 720, was 900. The 660
-        non-empty lists of held providers are all still sent, none of the 240
-        empty ones, and 60 more come from providers that have left a client's
-        set but were asked before; the client drops those."""
+        900 with one per held provider per epoch. Lists: 660, was 900. The 660
+        non-empty lists of held providers are all still sent, and none of the
+        240 empty ones. A provider that has left a client's set pushes it no
+        list: it stops after the epoch its withdraw request landed in."""
         counts: dict[str, int] = {}
         enqueue_each = Simulation.enqueue_each
 
@@ -1384,13 +1384,48 @@ class TestMessageCounts:
         monkeypatch.setattr(Simulation, "enqueue_each", counted)
         Simulation(scaled_maintain()).run()
         assert counts == {
-            "EventListMsg": 720,
+            "EventListMsg": 660,
             "EventListRequest": 240,
             "ForwardMsg": 114,
             "QueryMsg": 114,
             "ReceiptMsg": 34,
             "ResponseMsg": 114,
         }
+
+    def test_a_leaver_pushes_no_list_after_its_withdraw_epoch(self):
+        """In the scaled maintain run, a provider whose withdraw request
+        landed in epoch w sends lists of epochs up to w's, which carries its
+        withdraw record, and none after; the run keeps its digests."""
+        sims = []
+
+        class Recorded(Simulation):
+            def __init__(self, config):
+                super().__init__(config)
+                self.lists = []
+                sims.append(self)
+
+            def enqueue_each(self, src, dsts, payload, *rest):
+                if type(payload) is EventListMsg:
+                    self.lists.append((src, payload))
+                return super().enqueue_each(src, dsts, payload, *rest)
+
+        assert golden_digests(scaled_maintain(), Recorded) == PINNED["scaled_maintain"]
+        (sim,) = sims
+        left = {}  # leaver name -> (w, its withdraw record)
+        for provider in sim.providers:
+            w = sim.contract.provider(provider.public_key).withdraw_requested_epoch
+            if w is not None:
+                left[provider.name] = (w, codec.withdraw_record(provider.public_key))
+        assert len(left) == 4
+        last_lists = set()
+        for src, msg in sim.lists:
+            if src in left:
+                w, record = left[src]
+                assert msg.epoch <= w
+                if msg.epoch == w:
+                    assert record in [payload for _, payload in msg.events]
+                    last_lists.add(src)
+        assert last_lists == set(left)
 
     def test_each_held_provider_is_asked_once_then_pushes(self, monkeypatch):
         """Each held provider gets one request object per client, sent the

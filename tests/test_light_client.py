@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsim import actors, codec, crypto, scenario
-from lcsim.actors import ProviderStrategy
+from lcsim.actors import Alert, AlertKind, ProviderStrategy
 from lcsim.contract import fold_membership
 from lcsim.harness import (
     Metrics,
@@ -22,6 +22,7 @@ from lcsim.light_client import (
     Check,
     CheckKind,
     ClientConfig,
+    HeavyCheckCause,
     LightClientActor,
     NoEligibleProvidersError,
     Protocol,
@@ -35,6 +36,7 @@ from lcsim.light_client import (
 )
 from lcsim.messages import EventListMsg
 from lcsim.pricing import CoverageInputs, eth_to_wei
+from test_golden import configs as golden_configs
 
 ETH = eth_to_wei(1)
 
@@ -162,7 +164,7 @@ class _Oracle:
 
     snapshot: list[tuple[bytes, int, int]] = []
 
-    def provider_set(self, client, epoch=None):
+    def provider_set(self, client, cause, epoch=None):
         return (0, *provider_views(self.snapshot))
 
 
@@ -513,6 +515,163 @@ class TestApplyEpochEvents:
         records = [codec.register_record(b, 16 * ETH), codec.withdraw_record(a)]
         assert fold_membership(members, records) is members
         assert members == {b: 16 * ETH}
+
+
+class _HeavyCheckCtx(_Ctx):
+    """Records the cause of each heavy check and the event of each log line;
+    every slash proof verifies, and a provider-set read returns the snapshot
+    the test set last."""
+
+    def __init__(self, snapshot=()):
+        super().__init__()
+        self.oracle.snapshot = list(snapshot)
+        self.metrics = Metrics()
+        self.causes = []
+        self.events = []
+        read = self.oracle.provider_set
+
+        def provider_set(client, cause, epoch=None):
+            self.causes.append(cause)
+            return read(client, cause, epoch)
+
+        def verify_slash(client, cause, *proof):
+            self.causes.append(cause)
+            return True
+
+        self.oracle.provider_set = provider_set
+        self.oracle.verify_slash = verify_slash
+        self.send_to_providers = lambda *args: None
+        self.submit_tx = lambda *args: 1
+        self.record_acceptance = lambda *args: None
+
+    def log(self, actor, event, payload=b""):
+        self.events.append(event)
+
+
+def _alert(pk: bytes) -> Alert:
+    return Alert(AlertKind.PROVIDER_SLASHED, pk, 1, bytes(32), None)
+
+
+class TestAlerts:
+    """An alert costs one heavy check (`verify_slash`) when it can still
+    change what the client does next, and none otherwise."""
+
+    def test_an_alert_after_acceptance_costs_no_heavy_check(self):
+        liar, other = pks(2)
+        config = ClientConfig(protocol=Protocol.ECO, challenge_period=4, target_value=ETH)
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        ctx = _HeavyCheckCtx([(liar, 32 * ETH, 32 * ETH), (other, 32 * ETH, 32 * ETH)])
+        client.bootstrap(ctx, 1)
+        target = Check(CheckKind.TARGET, 2, bytes(32), 4, ETH, selected=[liar], query_tick=1)
+        client.checks = [target]
+        client._accept(target, 9, ctx)
+        ctx.causes.clear()
+        client._handle_alert(_alert(liar), 10, ctx)
+        assert ctx.causes == []
+        assert liar in client.dropped
+        assert "alert" not in ctx.events
+        assert client.stage is Stage.ACCEPTED
+
+    def test_an_alert_on_an_open_economic_check_costs_one(self):
+        liar, other = pks(2)
+        config = ClientConfig(protocol=Protocol.ECO, challenge_period=4, target_value=ETH)
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        ctx = _HeavyCheckCtx([(liar, 32 * ETH, 32 * ETH), (other, 16 * ETH, 16 * ETH)])
+        client.bootstrap(ctx, 1)
+        client.stage = Stage.QUERYING
+        target = Check(CheckKind.TARGET, 2, bytes(32), 4, ETH, query_tick=1)
+        client.checks = [target]
+        client._drive_checks(1, ctx)
+        assert target.selected == [liar]
+        ctx.causes.clear()
+        client._handle_alert(_alert(liar), 5, ctx)
+        assert ctx.causes == [HeavyCheckCause.ALERT]
+        assert liar in client.dropped
+        assert ctx.events.count("alert") == 1
+        assert target.restarts == 1 and target.selected == [other]
+
+    def test_an_alert_that_voids_the_policy_costs_one(self):
+        """The provider backs the confirmed policy, which the target query
+        has not used yet: the client checks the alert and buys anew."""
+        backer, other = pks(2)
+        coverage = CoverageInputs(t_fin=8, challenge_periods=(4, 4))
+        config = ClientConfig(
+            protocol=Protocol.INS, challenge_period=4, target_value=ETH, coverage_inputs=coverage
+        )
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        ctx = _HeavyCheckCtx([(backer, 32 * ETH, 32 * ETH), (other, 16 * ETH, 16 * ETH)])
+        client.bootstrap(ctx, 1)
+        client.stage = Stage.CONFIRMED
+        client._allocations = [(backer, ETH)]
+        ctx.causes.clear()
+        client._handle_alert(_alert(backer), 5, ctx)
+        assert ctx.causes == [HeavyCheckCause.ALERT]
+        assert backer in client.dropped
+        assert ctx.events.count("alert") == 1
+        assert client.stage is Stage.START
+        assert ctx.metrics.client("c0").rejected == 1
+
+    def test_a_repeat_purchase_with_no_backing_reads_the_set_again(self):
+        """A repeat purchase that no held selection backs pays one heavy
+        check, counted as a purchase retry, and buys from the fresh set."""
+        backer = pks(1)[0]
+        coverage = CoverageInputs(t_fin=8, challenge_periods=(4, 4))
+        config = ClientConfig(
+            protocol=Protocol.INS, challenge_period=4, target_value=ETH, coverage_inputs=coverage
+        )
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        ctx = _HeavyCheckCtx([(backer, 32 * ETH, 0)])
+        client.bootstrap(ctx, 1)
+        client._purchase_attempts = 1
+        ctx.oracle.snapshot = [(backer, 32 * ETH, 32 * ETH)]
+        client._buy(5, ctx)
+        assert ctx.causes == [HeavyCheckCause.BOOTSTRAP, HeavyCheckCause.PURCHASE_RETRY]
+        assert client.stage is Stage.BUYING and client._allocations == [(backer, ETH)]
+
+    def test_whole_runs(self):
+        """In a bundled run the insured client's alert comes after it has
+        accepted and costs nothing; the economic client's comes while its
+        target check is open and costs one."""
+        for name, by_cause, alerted in [
+            ("insured", {"bootstrap": 1}, 0),
+            ("wrong_hash", {"bootstrap": 1, "alert": 1}, 1),
+        ]:
+            sim = Simulation(scenario.load_scenario(scenario.builtin_scenario_path(name)))
+            metrics, log = sim.run()
+            liar = sim.providers[0]
+            assert liar.strategy is ProviderStrategy.WRONG_HASH
+            client = metrics.clients["c0"]
+            assert client.heavy_checks_by_cause == by_cause
+            assert client.heavy_checks == sum(by_cause.values())
+            assert liar.public_key in sim.clients[0].dropped
+            events = [line.split("\t")[1:3] for line in log.lines]
+            assert events.count(["w0", "alert"]) == 1
+            assert events.count(["c0", "alert"]) == alerted
+
+    @pytest.mark.parametrize(
+        "name", ["scaled_dispute", "scaled_insured", "delta3_ins", "delta4_eco", "exit_scam"]
+    )
+    def test_every_alert_of_a_golden_run(self, monkeypatch, name):
+        """Each alert costs one heavy check exactly when an open check
+        queried the provider or the provider backs the unused policy."""
+        seen = []
+        handle_alert = LightClientActor._handle_alert
+
+        def counted(client, alert, now, ctx):
+            pk = alert.offending_pk
+            matters = client._policy_voided((pk,)) or any(
+                check.outcome is None and pk in check.selected for check in client.checks
+            )
+            metrics = ctx.metrics.client(client.name)
+            before = metrics.heavy_checks
+            handle_alert(client, alert, now, ctx)
+            seen.append(matters)
+            assert metrics.heavy_checks - before == matters
+            assert pk in client.dropped
+
+        monkeypatch.setattr(LightClientActor, "_handle_alert", counted)
+        Simulation(golden_configs()[name]).run()
+        assert seen
 
 
 # -- the client in whole runs ---------------------------------------------------
