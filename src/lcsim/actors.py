@@ -281,27 +281,21 @@ def find_slash_record(pk: bytes, contract: SlashingContract) -> tuple[int, bytes
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _PendingAlert:
-    client: str
-    kind: AlertKind
-    offending_pk: bytes
-    record_tx_id: bytes
-    record_block: int
-
-
 class WatcherActor:
     """Honest watcher: audits forwards, slashes, and alerts clients.
 
-    Alerts are delivered only once the slash record's own block is
-    finalized, so the inclusion proof the client heavy-checks is stable.
+    An alert is built, with its slash record's inclusion proof, as soon as
+    the record is known (blocks never change, so the proof holds for good),
+    and sent once the record's block is final: the client's heavy check of
+    it (`HeavyCheckOracle.verify_slash`) accepts only a final record.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._deferred: list[tuple[str, SignedResponse]] = []
         self._submitted: dict[int, tuple[str, SignedResponse]] = {}
-        self._pending_alerts: list[_PendingAlert] = []
+        # (client, alert) pairs whose slash record's block is not yet final.
+        self._pending_alerts: list[tuple[str, Alert]] = []
 
     def handle_message(self, sender: str, payload, ctx) -> None:
         if isinstance(payload, ForwardMsg):
@@ -320,34 +314,26 @@ class WatcherActor:
         elif verdict is Verdict.PROVIDER_INACTIVE:
             found = find_slash_record(response.provider_pk, ctx.contract)
             if found is not None:
-                block_number, tx_id = found
-                self._pending_alerts.append(
-                    _PendingAlert(
-                        client=client,
-                        kind=AlertKind.PROVIDER_INACTIVE,
-                        offending_pk=response.provider_pk,
-                        record_tx_id=tx_id,
-                        record_block=block_number,
-                    )
-                )
+                self._queue_alert(client, AlertKind.PROVIDER_INACTIVE, response, found, ctx)
 
     def _handle_receipt(self, token: int, receipt, ctx) -> None:
         if token not in self._submitted:
             return
         client, response = self._submitted.pop(token)
         if receipt.ok:
-            self._pending_alerts.append(
-                _PendingAlert(
-                    client=client,
-                    kind=AlertKind.PROVIDER_SLASHED,
-                    offending_pk=response.provider_pk,
-                    record_tx_id=receipt.record_tx_id,
-                    record_block=receipt.block_number,
-                )
-            )
+            record = (receipt.block_number, receipt.record_tx_id)
+            self._queue_alert(client, AlertKind.PROVIDER_SLASHED, response, record, ctx)
         elif receipt.reason == RejectReason.ALREADY_SLASHED:
             # Lost the race to another watcher; alert with the winner's record.
             self._audit(client, response, ctx)
+
+    def _queue_alert(self, client: str, kind: AlertKind, response, record, ctx) -> None:
+        """Build the alert about `response`'s provider from its slash record,
+        a (block, tx id) pair, and hold it until that block is final."""
+        block_number, tx_id = record
+        proof = ctx.chain.inclusion_proof(block_number, tx_id)
+        alert = Alert(kind, response.provider_pk, block_number, tx_id, proof)
+        self._pending_alerts.append((client, alert))
 
     def next_tick(self, now: int) -> int | None:
         """The next tick while an audit awaits finality or an alert awaits
@@ -365,20 +351,12 @@ class WatcherActor:
                     self._audit(client, response, ctx)
         if self._pending_alerts:
             pending, self._pending_alerts = self._pending_alerts, []
-            for item in pending:
-                if ctx.chain.is_finalized(item.record_block):
-                    proof = ctx.chain.inclusion_proof(item.record_block, item.record_tx_id)
-                    alert = Alert(
-                        kind=item.kind,
-                        offending_pk=item.offending_pk,
-                        slash_event_block=item.record_block,
-                        slash_record_tx_id=item.record_tx_id,
-                        slash_event_inclusion_proof=proof,
-                    )
-                    ctx.send(self.name, item.client, alert)
-                    ctx.log(self.name, "alert", item.kind.value.encode())
+            for client, alert in pending:
+                if ctx.chain.is_finalized(alert.slash_event_block):
+                    ctx.send(self.name, client, alert)
+                    ctx.log(self.name, "alert", alert.kind.value.encode())
                 else:
-                    self._pending_alerts.append(item)
+                    self._pending_alerts.append((client, alert))
 
 
 class DataProviderActor:

@@ -7,8 +7,11 @@ a single `Ledger`, so conservation of wei is checkable at any block.
 
 Timing conventions: block `n` belongs to update epoch `n // B_u`; a
 withdraw requested in epoch `e` becomes releasable at the last block of
-epoch `e + 1`, deferred further while any open policy allocates the
-provider's stake.
+epoch `e + 1`, deferred further while any of the provider's stake is locked.
+A provider's `locked` moves only when a policy opens (`buy_insurance`) or
+closes (`_close`: at expiry, or once a claim pays it in full), and a slash
+zeroes it, so an unslashed provider's `locked` is the sum of its
+allocations in open policies.
 
 The contract keeps one state version, bumped by every change of a provider
 or policy record. Its readers key their own reuse on it: the oracle's
@@ -37,6 +40,9 @@ GAS_SINK = "sink:gas"
 
 #: Share of a slashed stake paid to the submitting watcher.
 BOUNTY_FRACTION = (5, 100)
+
+#: The longest coverage, in blocks, a policy may buy.
+MAX_COVERAGE_DURATION = 100_000
 
 #: Tags of the records that change the provider set (`fold_membership`).
 MEMBERSHIP_TAGS = frozenset({codec.TAG_REGISTER, codec.TAG_WITHDRAW_REQUEST})
@@ -111,9 +117,9 @@ class PolicyState(enum.Enum):
 class ProviderRecord:
     public_key: bytes
     stake: int
-    locked: int
     status: ProviderStatus
     joined_epoch: int
+    locked: int = 0
     withdraw_requested_epoch: int | None = None
 
     @property
@@ -176,7 +182,6 @@ class ContractConfig:
     min_stake: int
     update_epoch_blocks: int
     max_challenge_period: int
-    max_coverage_duration: int = 10_000
 
     def validate(self, finality_depth_blocks: int, delta_ticks: int) -> None:
         """The safety bound behind "T_u much greater than maxT_cp"."""
@@ -342,7 +347,6 @@ class SlashingContract:
         self.providers[pk] = ProviderRecord(
             public_key=pk,
             stake=stake,
-            locked=0,
             status=ProviderStatus.ACTIVE,
             joined_epoch=epoch,
         )
@@ -391,7 +395,7 @@ class SlashingContract:
         duration: int,
         block_number: int,
     ) -> tuple[InsurancePolicy, bytes]:
-        if duration > self.config.max_coverage_duration:
+        if duration > MAX_COVERAGE_DURATION:
             raise Reverted(RevertReason.DURATION_EXCEEDS_MAX)
         per_provider: dict[bytes, int] = {}
         for pk, amount in allocations:
@@ -495,7 +499,7 @@ class SlashingContract:
                 compensation = min(policy.coverage_value - policy.paid, slashed_amount)
                 policy.paid += compensation
                 if policy.paid == policy.coverage_value:
-                    policy.state = PolicyState.CLAIMED
+                    self._close(policy, PolicyState.CLAIMED)
                 claimed_id = policy.id
                 self.ledger.transfer(STAKE_VAULT, policy.buyer_pk, compensation)
 
@@ -559,15 +563,7 @@ class SlashingContract:
             policy = self.policies[policy_id]
             if policy.state is not PolicyState.OPEN:
                 continue  # claimed in full before it ran out
-            policy.state = PolicyState.EXPIRED
-            for pk, amount in policy.allocations:
-                record = self.providers.get(pk)
-                if record is not None and record.status in (
-                    ProviderStatus.ACTIVE,
-                    ProviderStatus.LEAVING,
-                ):
-                    record.locked -= amount
-            self.state_version += 1
+            self._close(policy, PolicyState.EXPIRED)
             effects.append(("policy_expired", policy.id))
         if self._leaving and (block_number + 1) % self._epoch_blocks == 0:
             epoch = self.epoch_of(block_number)
@@ -576,11 +572,10 @@ class SlashingContract:
                     continue
                 if record.withdraw_requested_epoch >= epoch:
                     continue  # releasable from the next epoch's last block
-                if self._has_open_policy(record.public_key):
-                    continue
+                if record.locked:
+                    continue  # an open policy still allocates its stake
                 amount = record.stake
                 record.stake = 0
-                record.locked = 0
                 record.status = ProviderStatus.EXITED
                 self._leaving -= 1
                 self.state_version += 1
@@ -588,10 +583,14 @@ class SlashingContract:
                 effects.append(("withdrawn", record.public_key, amount))
         return effects
 
-    def _has_open_policy(self, pk: bytes) -> bool:
-        return any(
-            p.state is PolicyState.OPEN and p.allocates(pk) for p in self.policies.values()
-        )
+    def _close(self, policy: InsurancePolicy, state: PolicyState) -> None:
+        """Close an open policy as `state`, releasing its locks on every unslashed provider."""
+        policy.state = state
+        for pk, amount in policy.allocations:
+            record = self.providers[pk]
+            if record.status is not ProviderStatus.SLASHED:
+                record.locked -= amount
+        self.state_version += 1
 
     # -- views --------------------------------------------------------------
 
@@ -601,7 +600,8 @@ class SlashingContract:
         Membership is `fold_membership` of the records up to epoch i-2, the
         two-epoch lag an online light client can reconstruct from verified
         epoch i-1 events; the set is static within an epoch. Currently
-        slashed providers are excluded.
+        slashed providers are excluded, and only active ones, the only ones
+        that can back a new policy, show attributable stake; others show 0.
 
         Each call builds a fresh list; the oracle keeps its views of it for
         one (epoch, state version).
@@ -625,9 +625,8 @@ class SlashingContract:
             record = self.providers.get(pk)
             if record is None or record.status is ProviderStatus.SLASHED:
                 continue
-            stake = members[pk]
-            locked = record.locked if record.status is not ProviderStatus.EXITED else 0
-            out.append((pk, stake, stake - locked))
+            attributable = record.attributable if record.status is ProviderStatus.ACTIVE else 0
+            out.append((pk, members[pk], attributable))
         return out
 
     def provider(self, pk: bytes) -> ProviderRecord | None:

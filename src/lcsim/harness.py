@@ -108,7 +108,6 @@ class ScenarioConfig:
     total_ticks: int = 300
     min_stake: int = eth_to_wei(1)
     watcher_count: int = 1
-    max_coverage_duration: int = 100_000
     pricing: PricingParams = field(default_factory=PricingParams)
 
     @property
@@ -120,7 +119,6 @@ class ScenarioConfig:
             min_stake=self.min_stake,
             update_epoch_blocks=self.update_epoch_blocks,
             max_challenge_period=self.max_challenge_period,
-            max_coverage_duration=self.max_coverage_duration,
         )
 
     def validate(self) -> None:
@@ -376,10 +374,9 @@ class HeavyCheckOracle:
         block = self._chain.block_at(block_number)
         if not crypto.merkle_verify(block.transactions_root, record_tx_id, proof):
             return False
-        for tx in block.transactions:
-            if tx.id == record_tx_id:
-                return codec.record_tag(tx.payload) == codec.TAG_SLASH_RECORD
-        return False
+        # An id is its payload's hash, so any transaction carrying it has this one's payload.
+        found = self._chain.find_transaction(record_tx_id)
+        return found is not None and codec.record_tag(found[1].payload) == codec.TAG_SLASH_RECORD
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,6 @@ class LightClientActor:
         # Every check before this index is closed, so the loops that pass
         # over closed checks start here; `_accept` moves it on.
         self._first_open = 0
-        self.alerts_seen: list[Alert] = []
         self._pending_purchase: int | None = None  # token of the BUYING purchase
         self._purchase_attempts: int = 0
         self._insurance_id: int | None = None  # the policy, from CONFIRMING on
@@ -826,7 +825,6 @@ class LightClientActor:
         ctx.log(self.name, "insurance_open", codec.encode_u64(receipt.insurance_id))
 
     def _handle_alert(self, alert: Alert, now: int, ctx) -> None:
-        self.alerts_seen.append(alert)
         pk = alert.offending_pk
         active = [
             check

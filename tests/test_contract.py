@@ -17,6 +17,7 @@ from lcsim.contract import (
     EpochTooFarError,
     GAS_SINK,
     Ledger,
+    MAX_COVERAGE_DURATION,
     NotActiveError,
     PolicyState,
     ProviderStatus,
@@ -38,14 +39,9 @@ ETH = eth_to_wei(1)
 B_U = 8  # small update epochs so boundary logic is cheap to exercise
 
 
-def make_env(max_coverage_duration=10_000):
+def make_env():
     ledger = Ledger()
-    config = ContractConfig(
-        min_stake=1 * ETH,
-        update_epoch_blocks=B_U,
-        max_challenge_period=4,
-        max_coverage_duration=max_coverage_duration,
-    )
+    config = ContractConfig(min_stake=1 * ETH, update_epoch_blocks=B_U, max_challenge_period=4)
     contract = SlashingContract(config, ledger, PricingParams())
     chain = Chain()  # desk scale: finality depth 8 blocks
     return ledger, contract, chain
@@ -286,9 +282,10 @@ class TestBuyInsurance:
 
     def test_duration_cap(self):
         _, contract, _, kp, buyer = self.setup_provider()
+        duration = MAX_COVERAGE_DURATION + 1
         with pytest.raises(Reverted) as excinfo:
             contract.buy_insurance(
-                buyer.public_key, [(kp.public_key, 5 * ETH)], 5 * ETH, 10_001, 10
+                buyer.public_key, [(kp.public_key, 5 * ETH)], 5 * ETH, duration, 10
             )
         assert excinfo.value.reason is RevertReason.DURATION_EXCEEDS_MAX
 
@@ -593,7 +590,8 @@ class TestActiveSet:
 
 def replayed_active_set(contract, chain, epoch):
     """The provider set of `epoch` replayed from the records on chain, with
-    the contract's live slashed filter, stakes and locks."""
+    the contract's live slashed filter; only an active provider shows
+    attributable stake, its record's stake less its locks."""
     members = {}
     scan = [(block.number, tx) for block in chain.blocks for tx in block.transactions]
     for number, tx in scan:
@@ -610,8 +608,8 @@ def replayed_active_set(contract, chain, epoch):
         record = contract.providers[pk]
         if record.status is ProviderStatus.SLASHED:
             continue
-        locked = record.locked if record.status is not ProviderStatus.EXITED else 0
-        out.append((pk, members[pk], members[pk] - locked))
+        active = record.status is ProviderStatus.ACTIVE
+        out.append((pk, members[pk], record.stake - record.locked if active else 0))
     return out
 
 
@@ -725,8 +723,9 @@ class TestVersionedViews:
 
 
     def test_exit_with_a_lock_left_by_a_claimed_policy_refreshes_the_view(self):
-        # A policy claimed in full through one provider's slash leaves its
-        # allocation on the other locked until that provider exits.
+        # A policy claimed in full through one provider's slash leaves no
+        # lock behind: its allocation on the other is released at once. Once
+        # leaving, and after it exits, the other shows no attributable stake.
         ledger, contract, chain = make_env()
         liar, other = funded_provider(ledger, 770), funded_provider(ledger, 771)
         buyer = crypto.keygen(772)
@@ -738,13 +737,15 @@ class TestVersionedViews:
         step(chain, contract, [BuyInsuranceTx(buyer.public_key, allocations, 10 * ETH, 100)])
         step(chain, contract, [SlashTx(false_evidence(liar, 2, insurance_id=1))])
         assert contract.policies[1].state is PolicyState.CLAIMED
-        step(chain, contract, [WithdrawRequestTx(other.public_key)])
+        assert contract.provider(other.public_key).locked == 0
         epoch = contract.current_epoch
-        assert contract.active_set(epoch + 1) == [(other.public_key, 32 * ETH, 22 * ETH)]
+        assert contract.active_set(epoch + 1) == [(other.public_key, 32 * ETH, 32 * ETH)]
+        step(chain, contract, [WithdrawRequestTx(other.public_key)])
+        assert contract.active_set(epoch + 1) == [(other.public_key, 32 * ETH, 0)]
         while contract.provider(other.public_key).status is not ProviderStatus.EXITED:
             step(chain, contract)
             assert contract.active_set(epoch + 1) == replayed_active_set(contract, chain, epoch + 1)
-        assert contract.active_set(epoch + 1) == [(other.public_key, 32 * ETH, 32 * ETH)]
+        assert contract.active_set(epoch + 1) == [(other.public_key, 32 * ETH, 0)]
 
 
 class TestDeterminism:
@@ -782,7 +783,9 @@ class TestNoOverload:
     def test_randomized_schedules_never_overload(self):
         # Compact version of the acceptance criterion: random buy, expire,
         # withdraw, and claim interleavings keep locked <= stake at every
-        # block and conserve total wei.
+        # block and conserve total wei, and every unslashed provider's
+        # locked stake is its allocations in open policies, so a full claim
+        # releases the locks on a policy's other providers.
         for schedule_seed in range(25):
             rng = random.Random(schedule_seed)
             ledger, contract, chain = make_env()
@@ -802,12 +805,15 @@ class TestNoOverload:
                 roll = rng.random()
                 kp = rng.choice(keypairs)
                 if roll < 0.35:
-                    amount = rng.randrange(1, 40) * ETH
+                    backers = rng.sample(keypairs, rng.randrange(1, 3))
+                    allocations = tuple(
+                        (k.public_key, rng.randrange(1, 40) * ETH) for k in backers
+                    )
                     submissions.append(
                         BuyInsuranceTx(
                             buyer.public_key,
-                            ((kp.public_key, amount),),
-                            amount,
+                            allocations,
+                            sum(a for _, a in allocations),
                             rng.randrange(1, 3 * B_U),
                         )
                     )
@@ -821,8 +827,15 @@ class TestNoOverload:
                     if receipt.ok and isinstance(submission, BuyInsuranceTx):
                         open_policies.append(next_policy)
                         next_policy += 1
-                for record in contract.providers.values():
+                allocated = defaultdict(int)
+                for policy in contract.policies.values():
+                    if policy.state is PolicyState.OPEN:
+                        for pk, amount in policy.allocations:
+                            allocated[pk] += amount
+                for pk, record in contract.providers.items():
                     assert 0 <= record.locked <= record.stake
+                    if record.status is not ProviderStatus.SLASHED:
+                        assert record.locked == allocated[pk]
                 assert ledger.total() == total
 
 

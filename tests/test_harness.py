@@ -49,6 +49,19 @@ def load(name):
     return scenario.load_scenario(scenario.builtin_scenario_path(name))
 
 
+def record_alerts(monkeypatch) -> list:
+    """The (client, alert) pairs clients handle in a run, in order."""
+    alerts = []
+    handle = LightClientActor._handle_alert
+
+    def recorded(client, alert, now, ctx):
+        alerts.append((client.name, alert))
+        return handle(client, alert, now, ctx)
+
+    monkeypatch.setattr(LightClientActor, "_handle_alert", recorded)
+    return alerts
+
+
 def link_delay(sim: Simulation, src: str, dst: str) -> int:
     """Ticks a message from `src` takes to reach `dst`, read off the run's
     delay table, which only the harness reads."""
@@ -346,13 +359,14 @@ class TestUnfinalizedTarget:
             return verdicts[-1]
 
         monkeypatch.setattr(actors, "watcher_check", recorded)
+        alerts = record_alerts(monkeypatch)
         sim = Simulation(config)
         metrics, _ = sim.run()
         liar = sim.providers[0].public_key
         assert verdicts[0] is actors.Verdict.PENDING
         assert actors.Verdict.DISPUTE in verdicts
         assert metrics.slash_count == 1
-        assert [alert.offending_pk for alert in sim.clients[0].alerts_seen] == [liar]
+        assert [(name, alert.offending_pk) for name, alert in alerts] == [("c0", liar)]
         assert metrics.violations == []
         assert metrics.clients["c0"].accepted == 1
 
@@ -440,14 +454,65 @@ class TestInsuredResidualRisk:
         assert all(r.correct for r in eco_records)
 
 
+class TestLeavingProvider:
+    def test_insured_client_is_not_offered_a_provider_that_asked_to_withdraw(self):
+        # The 64 ETH provider asks to withdraw at tick 48, before the client
+        # starts at 51. It can back no new policy, so the provider set shows
+        # it with no attributable stake, and the client buys from the other
+        # two on its first read instead of reverting on the leaver.
+        base = build_scenario(ProviderStrategy.HONEST, 1, 11, Protocol.INS, seed=3, value_eth=20)
+        providers = (
+            ProviderSpec(stake=64 * ETH, withdraw_tick=48),
+            ProviderSpec(stake=32 * ETH),
+            ProviderSpec(stake=32 * ETH),
+        )
+        sim = Simulation(dataclasses.replace(base, providers=providers))
+        metrics, _ = sim.run()
+        client = metrics.clients["c0"]
+        assert sim.clients[0].stage is Stage.ACCEPTED
+        assert client.accepted == 1
+        assert client.heavy_checks_by_cause == {"bootstrap": 1}
+        assert metrics.violations == []
+
+
+class WorstCaseDelays(Simulation):
+    """Every link takes the full delta ticks except the liar's (p0's)
+    outgoing links, which take 1: the lie reaches the client as early as
+    it can, and the forward, the slash receipt and the alert as late as
+    the bound allows."""
+
+    def __init__(self, config: ScenarioConfig) -> None:
+        super().__init__(config)
+        for name, row in self._delay_rows.items():
+            delay = 1 if name == "p0" else config.delta_ticks
+            self._delay_rows[name] = bytes(delay if d else 0 for d in row)
+
+
+class TestWorstCaseDelays:
+    """`min_compliant_challenge_period` is the smallest safe T_cp: under
+    the worst-case schedule an economic client accepts the liar's answer
+    on every seed one tick below it, and on none at it."""
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 4])
+    def test_challenge_period_bound_is_tight(self, delta):
+        t_cp = min_compliant_challenge_period(8, delta)
+        for cp, broken in ((t_cp, False), (t_cp - 1, True)):
+            for seed in range(5):
+                config = build_scenario(
+                    ProviderStrategy.WRONG_HASH, delta, cp, Protocol.ECO, seed=seed
+                )
+                metrics, _ = WorstCaseDelays(config).run()
+                assert ("eco-safety:c0" in metrics.violations) is broken, (cp, seed)
+
+
 class TestWatcherRace:
-    def test_duplicate_dispute_yields_inactive_alert(self):
+    def test_duplicate_dispute_yields_inactive_alert(self, monkeypatch):
         base = load("wrong_hash")
         config = dataclasses.replace(base, watcher_count=2, total_ticks=base.total_ticks + 40)
-        sim = Simulation(config)
-        metrics, _ = sim.run()
+        alerts = record_alerts(monkeypatch)
+        metrics, _ = Simulation(config).run()
         assert metrics.slash_count == 1  # second dispute rejected
-        kinds = {alert.kind for alert in sim.clients[0].alerts_seen}
+        kinds = {alert.kind for name, alert in alerts if name == "c0"}
         assert kinds == {AlertKind.PROVIDER_SLASHED, AlertKind.PROVIDER_INACTIVE}
         assert metrics.violations == []
         assert metrics.clients["c0"].accepted == 1
