@@ -3,8 +3,9 @@
 Providers answer inclusion queries by signing (block hash, proof) pairs;
 adversarial variants fabricate internally consistent fake blocks so that
 signature and proof checks pass on the light client and only a watcher
-comparing against the real chain can catch them.  Watchers audit
-forwarded responses, submit slash evidence on-chain, and alert the client
+comparing against the real chain can catch them.  Providers also answer
+membership-list requests with signed lists.  Watchers audit forwarded
+responses and lists, submit slash evidence on-chain, and alert the client
 once the slash record is finalized.
 """
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from . import codec, crypto
 from .chain import Chain, TxNotInBlockError, block_hash
 from .contract import (
+    ListEvidence,
     ProviderStatus,
     RegisterTx,
     RejectReason,
@@ -23,6 +25,7 @@ from .contract import (
     SlashingContract,
     SlashTx,
     WithdrawRequestTx,
+    records_root,
 )
 from .crypto import KeyPair, MerkleProof
 from .messages import (
@@ -32,7 +35,6 @@ from .messages import (
     QueryMsg,
     ReceiptMsg,
     ResponseMsg,
-    fetch_tick,
 )
 
 
@@ -234,6 +236,15 @@ def provider_respond(
     return response
 
 
+def signed_event_list(
+    keypair: KeyPair, epoch: int, records: tuple[tuple[int, bytes], ...]
+) -> EventListMsg:
+    """`records` as `keypair`'s membership list of `epoch`, signed over their root."""
+    root = records_root(records)
+    signature = crypto.sign(keypair.secret_key, codec.event_list_payload(epoch, root))
+    return EventListMsg(epoch, records, root, keypair.public_key, signature)
+
+
 # ---------------------------------------------------------------------------
 # Watcher verdicts
 # ---------------------------------------------------------------------------
@@ -284,6 +295,10 @@ def find_slash_record(pk: bytes, contract: SlashingContract) -> tuple[int, bytes
 class WatcherActor:
     """Honest watcher: audits forwards, slashes, and alerts clients.
 
+    A forwarded response is disputed when its block hash is not the
+    finalized one (`watcher_check`), a forwarded membership list when its
+    root is not the root of the contract's records of its epoch.
+
     An alert is built, with its slash record's inclusion proof, as soon as
     the record is known (blocks never change, so the proof holds for good),
     and sent once the record's block is final: the client's heavy check of
@@ -293,13 +308,16 @@ class WatcherActor:
     def __init__(self, name: str) -> None:
         self.name = name
         self._deferred: list[tuple[str, SignedResponse]] = []
-        self._submitted: dict[int, tuple[str, SignedResponse]] = {}
+        # Disputes awaiting their receipt: (client, disputed response or list).
+        self._submitted: dict[int, tuple[str, SignedResponse | EventListMsg]] = {}
         # (client, alert) pairs whose slash record's block is not yet final.
         self._pending_alerts: list[tuple[str, Alert]] = []
 
     def handle_message(self, sender: str, payload, ctx) -> None:
         if isinstance(payload, ForwardMsg):
             self._audit(sender, payload.response, ctx)
+        elif type(payload) is EventListMsg:
+            self._audit_list(sender, payload, ctx)
         elif isinstance(payload, ReceiptMsg):
             self._handle_receipt(payload.token, payload.receipt, ctx)
 
@@ -312,27 +330,48 @@ class WatcherActor:
             token = ctx.submit_tx(self.name, SlashTx(evidence=response.evidence()))
             self._submitted[token] = (client, response)
         elif verdict is Verdict.PROVIDER_INACTIVE:
-            found = find_slash_record(response.provider_pk, ctx.contract)
-            if found is not None:
-                self._queue_alert(client, AlertKind.PROVIDER_INACTIVE, response, found, ctx)
+            self._alert_inactive(client, response.provider_pk, ctx)
+
+    def _audit_list(self, client: str, event_list: EventListMsg, ctx) -> None:
+        """Dispute a forwarded list whose root is not the root of its epoch's
+        records; a list with the right root needs nothing more."""
+        if event_list.root == records_root(ctx.contract.membership_records(event_list.epoch)):
+            return
+        pk = event_list.provider_pk
+        record = ctx.contract.provider(pk)
+        if record is not None and record.status is ProviderStatus.SLASHED:
+            self._alert_inactive(client, pk, ctx)
+            return
+        evidence = ListEvidence(pk, event_list.epoch, event_list.root, event_list.signature)
+        token = ctx.submit_tx(self.name, SlashTx(evidence=evidence))
+        self._submitted[token] = (client, event_list)
 
     def _handle_receipt(self, token: int, receipt, ctx) -> None:
         if token not in self._submitted:
             return
-        client, response = self._submitted.pop(token)
+        client, signed = self._submitted.pop(token)
         if receipt.ok:
             record = (receipt.block_number, receipt.record_tx_id)
-            self._queue_alert(client, AlertKind.PROVIDER_SLASHED, response, record, ctx)
+            self._queue_alert(client, AlertKind.PROVIDER_SLASHED, signed.provider_pk, record, ctx)
         elif receipt.reason == RejectReason.ALREADY_SLASHED:
             # Lost the race to another watcher; alert with the winner's record.
-            self._audit(client, response, ctx)
+            if type(signed) is EventListMsg:
+                self._audit_list(client, signed, ctx)
+            else:
+                self._audit(client, signed, ctx)
 
-    def _queue_alert(self, client: str, kind: AlertKind, response, record, ctx) -> None:
-        """Build the alert about `response`'s provider from its slash record,
-        a (block, tx id) pair, and hold it until that block is final."""
+    def _alert_inactive(self, client: str, pk: bytes, ctx) -> None:
+        """Alert `client` that `pk` is already slashed, with its slash record."""
+        found = find_slash_record(pk, ctx.contract)
+        if found is not None:
+            self._queue_alert(client, AlertKind.PROVIDER_INACTIVE, pk, found, ctx)
+
+    def _queue_alert(self, client: str, kind: AlertKind, pk: bytes, record, ctx) -> None:
+        """Build the alert about provider `pk` from its slash record, a
+        (block, tx id) pair, and hold it until that block is final."""
         block_number, tx_id = record
         proof = ctx.chain.inclusion_proof(block_number, tx_id)
-        alert = Alert(kind, response.provider_pk, block_number, tx_id, proof)
+        alert = Alert(kind, pk, block_number, tx_id, proof)
         self._pending_alerts.append((client, alert))
 
     def next_tick(self, now: int) -> int | None:
@@ -362,19 +401,14 @@ class WatcherActor:
 class DataProviderActor:
     """A staked provider node following one fixed strategy.
 
-    An honest or unfinalized_hash provider serves the membership records
-    of an epoch (`SlashingContract.membership_records`) to maintaining
-    clients. A client's request for epoch e stands: the provider answers it
-    at once, then sends every later epoch's list unasked. It is due once an
-    epoch, at each fetch tick (`messages.fetch_tick`), and sends the epoch
-    before to every standing client in one call, each list timed by the
-    harness to arrive when the answer to a request sent then would. It reads
-    no delays. A provider whose withdraw request landed in epoch w pushes
-    lists up to w's, which carries that record, and then stops waking for
-    pushes: from epoch w+2 on no client with a correct set holds it
-    (`_pushes`). It still answers every request. Clients union the lists of
-    every provider they hold, so one honest list suffices and an omission by
-    one provider does not change a client's set.
+    Every provider but an unresponsive one answers an event-list request
+    about an epoch whose last block is final with that epoch's membership
+    records (`SlashingContract.membership_records`), signed over their root
+    (`signed_event_list`), an empty list included. A list that leaves a
+    record out is slashable, so even a lying provider, which gains nothing
+    by omitting one, answers truly; and no provider speaks about an epoch
+    whose records may still change. It signs each epoch's list once, and
+    again only when the contract's tuple for the epoch is another object.
 
     Every query passes the strategy's refusal checks afresh. One that passes
     and was answered before, by this provider to any client, gets the same
@@ -401,10 +435,8 @@ class DataProviderActor:
         self._withdraw_submitted = False
         # The answers built so far; see `provider_respond`.
         self._responses: dict[tuple, SignedResponse] = {}
-        # The clients with a standing event-list request, in first-request
-        # order, and the next fetch tick at which they are sent a list.
-        self._standing: dict[str, None] = {}
-        self._next_push: int | None = None
+        # The signed list of each epoch asked about (`_event_list`).
+        self._lists: dict[int, EventListMsg] = {}
 
     @property
     def public_key(self) -> bytes:
@@ -412,10 +444,9 @@ class DataProviderActor:
 
     def next_tick(self, now: int) -> int | None:
         """Earliest tick after `now` at which on_tick acts: the register
-        tick, the withdraw tick while no withdrawal is submitted, and the next
-        push of the standing event-list requests; None when only a message
-        can make it act."""
-        ticks = [] if self._next_push is None else [self._next_push]
+        tick, and the withdraw tick while no withdrawal is submitted; None
+        when only a message can make it act."""
+        ticks = []
         if self.register_tick > now:
             ticks.append(self.register_tick)
         if not self._withdraw_submitted and (self.withdraw_tick or 0) > now:
@@ -432,20 +463,13 @@ class DataProviderActor:
         ):
             self._withdraw_submitted = True
             ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
-        if now == self._next_push:
-            self._next_push = now + ctx.contract.config.update_epoch_blocks
-            self._push_event_lists(now, ctx)
 
     def handle_message(self, sender: str, payload, ctx) -> None:
         if type(payload) is EventListRequest:  # the bulk of a provider's mail
-            # Adversarial providers stay silent. An empty list adds nothing
-            # to a client's union of every held provider's list: none is sent.
-            if self.strategy in (ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH):
-                if sender not in self._standing:
-                    self._stand(sender, payload.epoch, ctx)
-                msg = self._event_list(payload.epoch, ctx)
-                if msg.events:
-                    ctx.send(self.name, sender, msg)
+            epoch = payload.epoch
+            final = ctx.chain.is_finalized(ctx.contract.epoch_last_block(epoch))
+            if final and self.strategy is not ProviderStrategy.UNRESPONSIVE:
+                ctx.send(self.name, sender, self._event_list(epoch, ctx))
         elif isinstance(payload, QueryMsg):
             record = ctx.contract.provider(self.public_key)
             status = record.status if record is not None else ProviderStatus.ACTIVE
@@ -467,45 +491,10 @@ class DataProviderActor:
                     self._withdraw_submitted = True
                     ctx.submit_tx(self.name, WithdrawRequestTx(self.public_key))
 
-    def _stand(self, client: str, epoch: int, ctx) -> None:
-        """Record `client`'s request for `epoch` as standing. A client asks
-        for epoch e between the fetch ticks of epochs e+1 and e+2, so a
-        request for an epoch before the one the last fetch tick pushed left
-        before that tick: it is sent that push now, timed as the push was."""
-        self._standing[client] = None
-        blocks = ctx.contract.config.update_epoch_blocks
-        first_fetch = fetch_tick(0, blocks, ctx.chain.finality_depth_blocks)
-        last = (ctx.now - first_fetch - 1) // blocks  # whose fetch tick is the last before now
-        last_fetch = first_fetch + last * blocks
-        self._next_push = last_fetch + blocks
-        if last - 1 > epoch and self._pushes(last - 1, ctx):
-            msg = self._event_list(last - 1, ctx)
-            if msg.events:
-                ctx.send_to_each(self.name, (client,), msg, asked=last_fetch)
-
-    def _push_event_lists(self, now: int, ctx) -> None:
-        """At epoch e's fetch tick, send epoch e-1's list to every standing
-        client, timed as the answer to a request each sent now; once past
-        the last epoch this provider pushes (`_pushes`), stop waking."""
-        blocks = ctx.contract.config.update_epoch_blocks
-        epoch = (now - fetch_tick(0, blocks, ctx.chain.finality_depth_blocks)) // blocks - 1
-        if not self._pushes(epoch, ctx):
-            self._next_push = None
-        elif epoch >= 0:
-            msg = self._event_list(epoch, ctx)
-            if msg.events:
-                ctx.send_to_each(self.name, self._standing, msg, asked=now)
-
-    def _pushes(self, epoch: int, ctx) -> bool:
-        """Whether this provider pushes `epoch`'s list unasked: not once its
-        withdraw request has landed in an earlier epoch w. Membership lags
-        two epochs, so from w+2 on no client with a correct set holds it,
-        and the last list it pushes, w's, carries its own withdraw record."""
-        record = ctx.contract.provider(self.public_key)
-        left = None if record is None else record.withdraw_requested_epoch
-        return left is None or epoch <= left
-
     def _event_list(self, epoch: int, ctx) -> EventListMsg:
-        """The membership records of `epoch`, as the reply to send: every
-        answer, pushed or replied, carries the contract's tuple."""
-        return EventListMsg(epoch=epoch, events=ctx.contract.membership_records(epoch))
+        """This provider's signed list of `epoch`'s membership records."""
+        records = ctx.contract.membership_records(epoch)
+        msg = self._lists.get(epoch)
+        if msg is None or msg.events is not records:
+            msg = self._lists[epoch] = signed_event_list(self.keypair, epoch, records)
+        return msg

@@ -14,6 +14,7 @@ import struct
 # Message-type tags (first byte of every canonical payload).
 TAG_RESPONSE_ECO = 0x03
 TAG_RESPONSE_INS = 0x04
+TAG_EVENT_LIST = 0x05
 TAG_REGISTER = 0x10
 TAG_WITHDRAW_REQUEST = 0x11
 TAG_INSURANCE = 0x12
@@ -113,6 +114,20 @@ def response_payload(
         + state_hash
         + encode_u64(insurance_id)
     )
+
+
+def event_list_payload(epoch: int, root: bytes) -> bytes:
+    """Canonical bytes a data provider signs over an epoch's membership
+    list: tag | epoch | root of the list's records (`encode_records`)."""
+    if len(root) != DIGEST_LEN:
+        raise ValueError("root must be 32 bytes")
+    return bytes([TAG_EVENT_LIST]) + encode_u64(epoch) + root
+
+
+def encode_records(records: tuple[tuple[int, bytes], ...]) -> bytes:
+    """(block, record payload) pairs, in order, each as u64 block |
+    length-prefixed record."""
+    return b"".join(encode_u64(block) + encode_bytes(payload) for block, payload in records)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ block boundary touches only the policies that expire at it.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 from collections.abc import Iterable
@@ -88,6 +89,7 @@ class RejectReason(str, enum.Enum):
     SIGNATURE_INVALID = "SignatureInvalid"
     BLOCK_NOT_YET_FINAL = "BlockNotYetFinal"
     HASH_MATCHES_FINALIZED = "HashMatchesFinalized"
+    ROOT_MATCHES_RECORDS = "RootMatchesRecords"
     ALREADY_SLASHED = "AlreadySlashed"
     UNKNOWN_PROVIDER = "UnknownProvider"
 
@@ -178,6 +180,19 @@ class SlashEvidence:
 
 
 @dataclass(frozen=True)
+class ListEvidence:
+    """A disputed membership list: its provider's signature over (epoch, root)."""
+
+    provider_pk: bytes
+    epoch: int
+    root: bytes
+    signature: bytes
+
+    def payload(self) -> bytes:
+        return codec.event_list_payload(self.epoch, self.root)
+
+
+@dataclass(frozen=True)
 class ContractConfig:
     min_stake: int
     update_epoch_blocks: int
@@ -255,7 +270,7 @@ class BuyInsuranceTx:
 
 @dataclass(frozen=True)
 class SlashTx:
-    evidence: SlashEvidence
+    evidence: SlashEvidence | ListEvidence
 
 
 Submission = RegisterTx | WithdrawRequestTx | BuyInsuranceTx | SlashTx
@@ -288,6 +303,14 @@ def fold_membership(members: dict[bytes, int], records: Iterable[bytes]) -> dict
         elif tag == codec.TAG_WITHDRAW_REQUEST:
             members.pop(codec.decode_withdraw_record(payload), None)
     return members
+
+
+@functools.lru_cache(maxsize=256)
+def records_root(records: tuple[tuple[int, bytes], ...]) -> bytes:
+    """The root a provider signs over a membership list of (block, record)
+    pairs (`codec.event_list_payload`). Cached by value: every list that
+    carries one epoch's records is hashed once."""
+    return crypto.digest(codec.encode_records(records))
 
 
 class SlashingContract:
@@ -329,6 +352,10 @@ class SlashingContract:
     @property
     def current_epoch(self) -> int:
         return self.epoch_of(self.current_block)
+
+    def epoch_last_block(self, epoch: int) -> int:
+        """The last block of `epoch`: its records are complete once it is final."""
+        return (epoch + 1) * self._epoch_blocks - 1
 
     # -- registry -----------------------------------------------------------
 
@@ -457,11 +484,16 @@ class SlashingContract:
 
     def slash(
         self,
-        evidence: SlashEvidence,
+        evidence: SlashEvidence | ListEvidence,
         chain: Chain,
         block_number: int,
         submitter: object | None = None,
     ) -> tuple[SlashEvent, bytes]:
+        """Slash the signer of `evidence`: a response whose block hash is not
+        the finalized one, or a membership list whose root is not the root of
+        its epoch's records, once that epoch's last block is final. Only a
+        response can pay a policy; the slash record of a list names the
+        epoch's last block and the signed root."""
         if not self._verify(evidence.provider_pk, evidence.payload(), evidence.signature):
             raise SlashRejected(RejectReason.SIGNATURE_INVALID)
         record = self.providers.get(evidence.provider_pk)
@@ -469,13 +501,23 @@ class SlashingContract:
             raise SlashRejected(RejectReason.UNKNOWN_PROVIDER)
         if record.status is ProviderStatus.SLASHED:
             raise SlashRejected(RejectReason.ALREADY_SLASHED)
-        if evidence.block_number > chain.tip.number:
-            raise SlashRejected(RejectReason.BLOCK_NOT_YET_FINAL)
-        finalized = chain.finalized_block_hash(evidence.block_number)
-        if finalized is None:
-            raise SlashRejected(RejectReason.BLOCK_NOT_YET_FINAL)
-        if finalized == evidence.signed_block_hash:
-            raise SlashRejected(RejectReason.HASH_MATCHES_FINALIZED)
+        if isinstance(evidence, ListEvidence):
+            block = self.epoch_last_block(evidence.epoch)
+            signed_hash, insurance_id = evidence.root, None
+            if not chain.is_finalized(block):
+                raise SlashRejected(RejectReason.BLOCK_NOT_YET_FINAL)
+            if signed_hash == records_root(self.membership_records(evidence.epoch)):
+                raise SlashRejected(RejectReason.ROOT_MATCHES_RECORDS)
+        else:
+            block, signed_hash = evidence.block_number, evidence.signed_block_hash
+            insurance_id = evidence.insurance_id
+            if block > chain.tip.number:
+                raise SlashRejected(RejectReason.BLOCK_NOT_YET_FINAL)
+            finalized = chain.finalized_block_hash(block)
+            if finalized is None:
+                raise SlashRejected(RejectReason.BLOCK_NOT_YET_FINAL)
+            if finalized == signed_hash:
+                raise SlashRejected(RejectReason.HASH_MATCHES_FINALIZED)
 
         slashed_amount = record.stake
         record.stake = 0
@@ -487,8 +529,8 @@ class SlashingContract:
 
         compensation = 0
         claimed_id = None
-        if evidence.insurance_id is not None:
-            policy = self.policies.get(evidence.insurance_id)
+        if insurance_id is not None:
+            policy = self.policies.get(insurance_id)
             if (
                 policy is not None
                 and policy.state is PolicyState.OPEN
@@ -514,15 +556,15 @@ class SlashingContract:
 
         payload = codec.slash_record(
             evidence.provider_pk,
-            evidence.block_number,
-            evidence.signed_block_hash,
+            block,
+            signed_hash,
             slashed_amount,
             claimed_id,
             evidence.signature,
         )
         event = SlashEvent(
             provider_pk=evidence.provider_pk,
-            block_number=evidence.block_number,
+            block_number=block,
             slashed_amount=slashed_amount,
             insurance_id=claimed_id,
             recorded_in_block=block_number,

@@ -54,6 +54,7 @@ from .contract import (
     BuyInsuranceTx,
     ContractConfig,
     Ledger,
+    ProviderStatus,
     SlashingContract,
     SlashTx,
     Submission,
@@ -318,26 +319,29 @@ class HeavyCheckOracle:
     Every call counts one heavy check against the client, under the cause
     its caller gives (`HeavyCheckCause`). A client pays one when it first
     reads the provider set (bootstrap); when it has no prediction of the
-    clock's epoch (epoch gap) or no held provider to ask for the records it
-    would predict from (empty held set); when an insured purchase reverts or
-    no selection backs a repeat purchase (purchase revert, purchase retry);
-    and when a slash alert names a provider that an open check queried or
-    that backs the policy not yet used (alert). An alert that can no longer
-    change the client's next step costs none.
+    clock's epoch (epoch gap) or its held providers cannot back its value
+    for the lists or record checks it would predict from (short backing);
+    when an insured purchase reverts or no selection backs a repeat purchase
+    (purchase revert, purchase retry); and when a slash alert names a
+    provider that an open check queried, that backs the policy not yet used,
+    or whose list the next prediction rests on (alert). An alert that can no
+    longer change the client's next step costs none.
 
     A provider-set read hands out read-only views
     (`light_client.ProviderView`), one pair for each (epoch, contract state
-    version): every client that reads the same contract state gets the same
-    view objects, and with them whatever is cached on them. The oracle keeps
-    only the last pair, so a view goes once no client holds it.
+    version), with the providers that have asked to withdraw: every client
+    that reads the same contract state gets the same objects, and with them
+    whatever is cached on them. The oracle keeps only the last read, so a
+    view goes once no client holds it.
     """
 
     def __init__(self, chain: Chain, contract: SlashingContract, metrics: Metrics) -> None:
         self._chain = chain
         self._contract = contract
         self._metrics = metrics
-        # (epoch, state version, stake view, attributable view) of the last read.
-        self._views: tuple[int, int, ProviderView, ProviderView] | None = None
+        # (epoch, state version, stake view, attributable view, leaving
+        # providers) of the last read.
+        self._views: tuple[int, int, ProviderView, ProviderView, frozenset] | None = None
 
     def _count(self, client: str, cause: HeavyCheckCause) -> None:
         metrics = self._metrics.client(client)
@@ -347,9 +351,10 @@ class HeavyCheckOracle:
 
     def provider_set(
         self, client: str, cause: HeavyCheckCause, epoch: int | None = None
-    ) -> tuple[int, ProviderView, ProviderView]:
+    ) -> tuple[int, ProviderView, ProviderView, frozenset[bytes]]:
         """The contract's provider set of `epoch`, the current one by
-        default: (epoch, pk -> stake view, pk -> attributable stake view)."""
+        default: (epoch, pk -> stake view, pk -> attributable stake view, the
+        providers that have asked to withdraw and not yet left)."""
         self._count(client, cause)
         contract = self._contract
         if epoch is None:
@@ -357,8 +362,13 @@ class HeavyCheckOracle:
         views = self._views
         if views is None or views[0] != epoch or views[1] != contract.state_version:
             rows = contract.active_set(epoch)
-            views = self._views = (epoch, contract.state_version, *provider_views(rows))
-        return epoch, views[2], views[3]
+            leaving = frozenset(
+                pk
+                for pk, record in contract.providers.items()
+                if record.status is ProviderStatus.LEAVING
+            )
+            views = self._views = (epoch, contract.state_version, *provider_views(rows), leaving)
+        return epoch, views[2], views[3], views[4]
 
     def verify_slash(
         self,
@@ -387,8 +397,7 @@ CONTRACT_ENDPOINT = "contract"
 
 
 class SimContext:
-    """What actors see: messaging, the pool, ground truth, metrics; no delays,
-    so a pushed answer names the tick it answers as if asked then."""
+    """What actors see: messaging, the pool, ground truth, metrics; no delays."""
 
     def __init__(self, sim: "Simulation") -> None:
         self._sim = sim
@@ -400,8 +409,6 @@ class SimContext:
         self.watcher_names: list[str] = sim.watcher_names
         # Signature checks of clients and watchers, memoised for the run.
         self.verify = sim.signatures.verify
-        # Provider name -> public key.
-        self.provider_keys: dict[str, bytes] = sim.provider_keys
 
     def send(self, src: str, dst: str, payload) -> None:
         self._sim.enqueue(src, dst, payload)
@@ -411,10 +418,9 @@ class SimContext:
         names = self._sim.provider_names
         self._sim.enqueue_each(src, [names[pk] for pk in pks], payload)
 
-    def send_to_each(self, src: str, dsts, payload, asked: int | None = None) -> None:
-        """The same payload object to each endpoint of `dsts`, in order; with
-        `asked`, as the answer to a request each sent at that tick."""
-        self._sim.enqueue_each(src, dsts, payload, asked)
+    def send_to_each(self, src: str, dsts, payload) -> None:
+        """The same payload object to each endpoint of `dsts`, in order."""
+        self._sim.enqueue_each(src, dsts, payload)
 
     def submit_tx(self, src: str, submission: Submission) -> int:
         return self._sim.submit(src, submission)
@@ -488,7 +494,6 @@ class Simulation:
         self.oracle = HeavyCheckOracle(self.chain, self.contract, self.metrics)
         self.providers: list[DataProviderActor] = []
         self.provider_names: dict[bytes, str] = {}
-        self.provider_keys: dict[str, bytes] = {}
 
         rng = random.Random(config.seed)
         for i, spec in enumerate(config.providers):
@@ -504,7 +509,6 @@ class Simulation:
             )
             self.providers.append(actor)
             self.provider_names[keypair.public_key] = name
-            self.provider_keys[name] = keypair.public_key
             self.ledger.mint(keypair.public_key, spec.stake)
 
         self.watchers = [WatcherActor(f"w{i}") for i in range(config.watcher_count)]
@@ -566,17 +570,12 @@ class Simulation:
         """Send one message (`enqueue_each`)."""
         self.enqueue_each(src, (dst,), payload)
 
-    def enqueue_each(
-        self, src: str, dsts: Iterable[str], payload, asked: int | None = None
-    ) -> None:
+    def enqueue_each(self, src: str, dsts: Iterable[str], payload) -> None:
         """Send the same `payload` object from `src` to each of `dsts`, in
         order, in one pass: one (src, dst, payload) entry per message in the
         list of its arrival tick. Every message is sent through here, and the
-        delay table is read only here. With `asked`, each message answers a
-        request its destination sent at tick `asked`: it arrives a round
-        trip after that tick, and both legs are bound-checked."""
-        rows = self._delay_rows
-        row = rows[src]
+        delay table is read only here."""
+        row = self._delay_rows[src]
         index = self._index
         bound = self.config.delta_ticks
         now = self.ctx.now
@@ -586,11 +585,6 @@ class Simulation:
             delay = row[index[dst]]
             if not 0 < delay <= bound:
                 self.metrics.violations.append(f"delivery-bound:{src}->{dst}")
-            if asked is not None:
-                request = rows[dst][index[src]]
-                if not 0 < request <= bound:
-                    self.metrics.violations.append(f"delivery-bound:{dst}->{src}")
-                delay += asked + request - now
             if now + delay != arrival:  # most one-way fan-outs arrive in one tick
                 arrival = now + delay
                 batch = mailbox.setdefault(arrival, [])

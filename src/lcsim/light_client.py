@@ -27,16 +27,21 @@ view hold the same successor. Whatever is a pure function of a view is
 computed once, on first use, and cached on the view: the pk order for each
 capacity view, and the view after each list of accepted records. Each
 selection walks the held view's order greedily, passing over the client's
-dropped providers (`LightClientActor.select`), as `select_providers` does
-over a list.
+dropped and leaving providers (`LightClientActor.select`), as
+`select_providers` does over a list.
 
 A maintaining client that stays online never repeats the bootstrap heavy
 check: it predicts the epoch e+1 provider set by folding the verified
 membership records of epoch e-1 into its epoch e set with the contract's
-own rule (`contract.fold_membership`). It keeps one maintenance record, for
-the epoch it holds, and the sets of that epoch and the next. A client that
-does not maintain keeps the set of its latest bootstrap and never moves
-its epoch on.
+own rule (`contract.fold_membership`). It learns those records from signed
+lists, asked only of the providers its value selects: a list that leaves a
+record out is slashable, so the selected providers' stake backs the lists
+as it backs their answers. Each list is forwarded to the watchers, and a
+slash alert about a provider whose list the prediction rests on has the
+client read the next set through a heavy check instead. It keeps one
+maintenance record, for the epoch it holds, and the sets of that epoch and
+the next. A client that does not maintain keeps the set of its latest
+bootstrap and never moves its epoch on.
 
 Each tick-driven action has one deadline, written once and read both by
 the driver that acts and by `next_tick`, which tells the harness when to
@@ -56,7 +61,7 @@ from operator import itemgetter
 from . import codec, crypto
 from .actors import Alert, Query, SignedResponse
 from .chain import block_hash
-from .contract import BuyInsuranceTx, RevertReason, fold_membership
+from .contract import BuyInsuranceTx, RevertReason, fold_membership, records_root
 from .crypto import KeyPair
 from .messages import (
     CompensationMsg,
@@ -66,7 +71,6 @@ from .messages import (
     QueryMsg,
     ReceiptMsg,
     ResponseMsg,
-    fetch_tick,
 )
 from .pricing import CoverageInputs, min_coverage_duration
 
@@ -257,7 +261,7 @@ class HeavyCheckCause(enum.Enum):
     EPOCH_GAP = "epoch_gap"  # no predicted set for the clock's epoch
     PURCHASE_REVERT = "purchase_revert"  # a purchase reverted: read a fresh set
     PURCHASE_RETRY = "purchase_retry"  # no selection backs a repeat purchase
-    EMPTY_HELD_SET = "empty_held_set"  # no held provider to ask for records
+    SHORT_BACKING = "short_backing"  # no selection backs a list or a record check
     ALERT = "alert"  # a slash alert that can change the next step
 
 
@@ -294,13 +298,14 @@ class Check:
 
 @dataclass
 class _Maintenance:
-    """The prediction of the set after the held epoch: the event lists
-    collected from the providers held when the epoch opened, then one check
-    per record."""
+    """The prediction of the set after the held epoch: the signed lists of
+    the epoch before it, from the providers the client's value selects, then
+    one check per record."""
 
     epoch: int
-    requested_tick: int
-    held: ProviderView
+    requested_tick: int  # when the providers in `asked` were asked
+    asked: list[bytes] = field(default_factory=list)  # the last round's providers
+    listed: set[bytes] = field(default_factory=set)  # whose verified list is merged
     events: set[tuple[int, bytes]] = field(default_factory=set)
     # The events tuple last merged into `events`. Providers send the
     # contract's tuple of the epoch, so a list carrying this very tuple adds
@@ -368,8 +373,8 @@ class LightClientActor:
         self._insurance_id: int | None = None  # the policy, from CONFIRMING on
         self._allocations: list[tuple[bytes, int]] = []  # set at purchase
         self._maintenance: _Maintenance | None = None
-        # Providers sent an event-list request once; they keep answering.
-        self._asked: set[bytes] = set()
+        # Providers that have asked to withdraw, as of the latest set read.
+        self.leaving: frozenset[bytes] = frozenset()
 
     # -- helpers ------------------------------------------------------------
 
@@ -399,22 +404,26 @@ class LightClientActor:
         return self.sets.get(epoch)
 
     def select(self, use_attributable: bool, value: int) -> list[tuple[bytes, int]]:
-        """`select_providers` over the held set less the dropped providers,
-        by attributable stake or by stake.
+        """`select_providers` over the held set less the dropped and the
+        leaving providers, by attributable stake or by stake.
+
+        A leaving provider backs no new policy, so it shows no attributable
+        stake, and an honest one answers no query; an economic selection
+        passes over it too.
 
         The held view ranks itself once per capacity view, for every client
         that holds it (`ProviderView.ranking`); views are replaced, never
         changed, when the client learns a new set. Each selection walks that
-        order, passing over the dropped providers, and stops once `value` is
+        order, passing over the providers to skip, and stops once `value` is
         backed."""
         held = self.current_set()
         capacities = self.attributable if use_attributable else held
-        dropped = self.dropped
+        skip = self.dropped | self.leaving if self.leaving else self.dropped
         return _take_greedily(
             (
                 (pk, capacities.get(pk, held[pk]))
                 for pk in held.ranking(capacities)
-                if pk not in dropped
+                if pk not in skip
             ),
             value,
         )
@@ -435,9 +444,10 @@ class LightClientActor:
     def bootstrap(
         self, ctx, now: int, cause: HeavyCheckCause = HeavyCheckCause.BOOTSTRAP
     ) -> None:
-        epoch, held, attributable = ctx.oracle.provider_set(self.name, cause)
+        epoch, held, attributable, leaving = ctx.oracle.provider_set(self.name, cause)
         self.sets[epoch] = held
         self.attributable = attributable
+        self.leaving = leaving
         self._hold(epoch)
         self.bootstrap_epochs.append(epoch)
         ctx.log(self.name, "bootstrap", codec.encode_u64(epoch))
@@ -503,11 +513,12 @@ class LightClientActor:
 
     def _maintenance_due(self) -> int | None:
         """First tick at which _run_maintenance acts on the held epoch: its
-        fetch tick, then the end of the collection window; None once the
-        lists are collected."""
+        fetch tick, the first at which the previous epoch's last block is
+        final, then the end of each round trip of list requests; None once
+        the lists are collected."""
         maintenance = self._maintenance
         if maintenance is None:
-            return fetch_tick(self.current_epoch_held, self.update_epoch_blocks, self.t_fin)
+            return self.current_epoch_held * self.update_epoch_blocks + self.t_fin + 1
         if maintenance.collected:
             return None
         return maintenance.requested_tick + 2 * self.delta + 1
@@ -649,6 +660,10 @@ class LightClientActor:
             check.outcome = "no_eligible_providers"
             if check.kind is CheckKind.TARGET:
                 self.stage = Stage.GAVE_UP
+            elif check.kind is CheckKind.EPOCH_EVENT:
+                maintenance = self._maintenance
+                if maintenance is not None and check in maintenance.checks:
+                    self._read_next_set(maintenance, HeavyCheckCause.SHORT_BACKING, ctx)
             return False
         return True
 
@@ -735,23 +750,29 @@ class LightClientActor:
         if window is not None and window[0] <= now <= window[1]:
             return
         if type(payload) is EventListMsg:
-            # The bulk of a maintaining client's mail, decided inline. Lists
-            # count only while the held epoch's are collected, and only from
-            # the providers held when it opened; one honest list among them
-            # suffices, whoever else still answers. A shared tuple is merged
-            # once.
+            # The bulk of a maintaining client's mail, decided inline. A list
+            # counts only while the held epoch's lists are collected, from a
+            # provider asked in the last round, once, and only when its root
+            # and signature check out. It is then forwarded to the watchers,
+            # who audit its root. A shared tuple is merged once.
             maintenance = self._maintenance
-            events = payload.events
+            pk = payload.provider_pk
             if (
                 maintenance is not None
-                and events is not maintenance.merged
                 and not maintenance.collected
                 and maintenance.epoch == payload.epoch + 1
-                and ctx.provider_keys[sender] in maintenance.held
+                and pk in maintenance.asked
+                and pk not in maintenance.listed
+                and records_root(payload.events) == payload.root
+                and ctx.verify(pk, payload.payload(), payload.signature)
             ):
-                # An epoch's list names each record once, in a block of that epoch.
-                maintenance.merged = events
-                maintenance.events.update(events)
+                maintenance.listed.add(pk)
+                events = payload.events
+                if events is not maintenance.merged:
+                    # An epoch's list names each record once, in a block of that epoch.
+                    maintenance.merged = events
+                    maintenance.events.update(events)
+                ctx.send_to_each(self.name, ctx.watcher_names, payload)
             return False
         elif isinstance(payload, ResponseMsg):
             self._handle_response(payload.response, now, ctx)
@@ -826,6 +847,12 @@ class LightClientActor:
 
     def _handle_alert(self, alert: Alert, now: int, ctx) -> None:
         pk = alert.offending_pk
+        maintenance = self._maintenance
+        if maintenance is not None and pk in maintenance.listed:
+            # The prediction rests on a list whose signer's stake is gone, as
+            # an omitting list's is once slashed: read the next set instead.
+            maintenance.listed.discard(pk)
+            self._read_next_set(maintenance, HeavyCheckCause.ALERT, ctx)
         active = [
             check
             for check in self.checks[self._first_open :]
@@ -868,43 +895,31 @@ class LightClientActor:
     # -- provider-set maintenance --------------------------------------------------
 
     def _run_maintenance(self, now: int, ctx) -> None:
-        """Predict the next epoch's set: ask the held providers for the
-        previous epoch's records at the fetch tick, collect their lists for
-        one round trip, then check each record (`_maintenance_event_done`)."""
+        """Predict the next epoch's set: at the fetch tick, ask the providers
+        the client's value selects for the previous epoch's signed list; once
+        the round trip is over, drop the ones still silent and ask the next
+        ones selection names, as a check's timeout does; once every selected
+        provider's list is in, check each record (`_maintenance_event_done`)."""
         due = self._maintenance_due()
         if due is None or now < due:
             return
         epoch = self.current_epoch_held  # the clock's epoch, after _advance_epoch
         maintenance = self._maintenance
         if maintenance is None:  # the fetch tick has come
-            held = self.sets[epoch]
-            maintenance = self._maintenance = _Maintenance(epoch, now, held)
-            if epoch == 0 or not held:
-                # Nobody to ask: no records precede epoch 0, so the next set
-                # is the held one; an empty set names no provider, so the next
-                # set is read through a heavy check.
+            maintenance = self._maintenance = _Maintenance(epoch, now)
+            if epoch == 0:
+                # No records precede epoch 0, so the next set is the held one.
                 maintenance.collected = True
-                if epoch > 0:
-                    _, held, _ = ctx.oracle.provider_set(
-                        self.name, HeavyCheckCause.EMPTY_HELD_SET, epoch + 1
-                    )
-                self._predict(epoch + 1, held, ctx)
-                return
-            # A provider asked once answers every later epoch on its own, on
-            # the tick its answer to a request sent now would arrive; a client
-            # that opens late may have missed those and asks every held provider.
-            # Most opens on time ask nobody, which the subset test finds
-            # without building a list.
-            if now > due:
-                ask = list(held)
-            elif self._asked.issuperset(held):
-                ask = []
+                self._predict(1, self.sets[0], ctx)
             else:
-                ask = [pk for pk in held if pk not in self._asked]
-            if ask:
-                ctx.send_to_providers(self.name, ask, EventListRequest(epoch=epoch - 1))
-                self._asked.update(ask)
+                self._ask_for_lists(maintenance, now, ctx)
             return
+        silent = [pk for pk in maintenance.asked if pk not in maintenance.listed]
+        if silent:
+            self.dropped.update(silent)
+            ctx.log(self.name, "timeout", b"".join(sorted(silent)))
+            if self._ask_for_lists(maintenance, now, ctx):
+                return
         maintenance.collected = True
         cp = self.config.maintenance_challenge_period or self.config.challenge_period
         for block_number, payload in sorted(maintenance.events):
@@ -920,6 +935,36 @@ class LightClientActor:
             maintenance.checks.append(check)
             self.checks.append(check)
         self._maintenance_event_done(maintenance, ctx)  # at once for no records
+
+    def _ask_for_lists(self, maintenance: _Maintenance, now: int, ctx) -> bool:
+        """Ask the providers the client's value selects, less those whose
+        list is in, for the list of the epoch before the held one; False when
+        every one of them is in. When the providers left cannot back the
+        value, read the next set through a heavy check instead."""
+        try:
+            selected = self.select(False, self.config.target_value)
+        except NoEligibleProvidersError:
+            self._read_next_set(maintenance, HeavyCheckCause.SHORT_BACKING, ctx)
+            return True
+        ask = [pk for pk, _ in selected if pk not in maintenance.listed]
+        if not ask:
+            return False
+        maintenance.asked = ask
+        maintenance.requested_tick = now
+        ctx.send_to_providers(self.name, ask, EventListRequest(epoch=maintenance.epoch - 1))
+        return True
+
+    def _read_next_set(self, maintenance: _Maintenance, cause: HeavyCheckCause, ctx) -> None:
+        """Take the set after the held epoch from one heavy check for `cause`,
+        and close `maintenance`: its lists and record checks no longer decide
+        the prediction."""
+        maintenance.collected = True
+        for check in maintenance.checks:
+            if check.outcome is None:
+                check.outcome = "abandoned"
+        epoch = maintenance.epoch + 1
+        _, held, _, self.leaving = ctx.oracle.provider_set(self.name, cause, epoch)
+        self._predict(epoch, held, ctx)
 
     def _maintenance_event_done(self, maintenance: _Maintenance, ctx) -> None:
         """Predict the set after the held epoch once each of its record

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import codec
+
 if TYPE_CHECKING:
     from .actors import Query, SignedResponse
     from .contract import Receipt
@@ -46,13 +48,18 @@ class EventListRequest:
     epoch: int
 
 
-def fetch_tick(epoch: int, update_epoch_blocks: int, t_fin: int) -> int:
-    """The tick at which a maintaining client holding `epoch` requests the
-    membership records of epoch-1 (`EventListRequest`)."""
-    return epoch * update_epoch_blocks + t_fin + 1
-
-
 @dataclass(frozen=True)
 class EventListMsg:
+    """A provider's answer to one `EventListRequest`: the membership records
+    of `epoch` and its signature over (epoch, root of those records), so a
+    list that leaves a record out is slashable evidence
+    (`contract.ListEvidence`)."""
+
     epoch: int
     events: tuple[tuple[int, bytes], ...]
+    root: bytes
+    provider_pk: bytes
+    signature: bytes
+
+    def payload(self) -> bytes:
+        return codec.event_list_payload(self.epoch, self.root)

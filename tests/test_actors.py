@@ -10,7 +10,9 @@ from lcsim.actors import (
     ProviderStrategy,
     Query,
     Verdict,
+    WatcherActor,
     provider_respond,
+    signed_event_list,
     watcher_check,
 )
 from lcsim.chain import Chain, Transaction
@@ -18,10 +20,12 @@ from lcsim.contract import (
     MEMBERSHIP_TAGS,
     ContractConfig,
     Ledger,
+    ListEvidence,
     ProviderStatus,
     RegisterTx,
     SlashingContract,
     WithdrawRequestTx,
+    records_root,
 )
 from lcsim.light_client import Check, CheckKind, verify_response
 from lcsim.messages import EventListMsg, EventListRequest, QueryMsg
@@ -216,9 +220,8 @@ class TestWatcherCheck:
 
 class _SendLog:
     """The slice of the harness context a provider answers with: it records
-    (tick, destination, message, asked) per message, `asked` being the tick
-    a push answers as if asked then. It reads no delays and keeps no lists,
-    so a provider that asks it for either fails."""
+    (tick, destination, message) per message. It reads no delays and keeps
+    no lists, so a provider that asks it for either fails."""
 
     def __init__(self, chain, contract):
         self.chain = chain
@@ -227,11 +230,20 @@ class _SendLog:
         self.sent = []
 
     def send(self, src, dst, payload):
-        self.sent.append((self.now, dst, payload, None))
+        self.sent.append((self.now, dst, payload))
 
-    def send_to_each(self, src, dsts, payload, asked=None):
+    def send_to_each(self, src, dsts, payload):
         for dst in dsts:
-            self.sent.append((self.now, dst, payload, asked))
+            self.sent.append((self.now, dst, payload))
+
+
+@pytest.fixture
+def signs(monkeypatch):
+    """The message of every signature made, in order."""
+    calls = []
+    real = crypto.sign
+    monkeypatch.setattr(crypto, "sign", lambda sk, msg: calls.append(msg) or real(sk, msg))
+    return calls
 
 
 @pytest.fixture
@@ -278,78 +290,86 @@ def scanned_records(chain, contract, epoch):
     )
 
 
+def finalize_epoch(chain, contract, epoch):
+    """Land empty blocks until `epoch`'s last block is final."""
+    last = (epoch + 1) * contract.config.update_epoch_blocks - 1
+    while not chain.is_finalized(last):
+        land(chain, contract)
+
+
 class TestEpochEventMemo:
     def ask(self, provider, ctx, epoch):
-        """The events of the reply to one request, or None when none is sent."""
+        """The reply to one request, or None when none is sent."""
         provider.handle_message("c0", EventListRequest(epoch=epoch), ctx)
         if not ctx.sent:
             return None
-        _, dst, msg, _ = ctx.sent.pop()
+        _, dst, msg = ctx.sent.pop()
         assert dst == "c0" and isinstance(msg, EventListMsg) and msg.epoch == epoch
-        return msg.events
+        return msg
 
-    def test_open_epoch_changes_only_when_a_record_lands(self, records_env):
+    def test_open_epoch_changes_only_when_a_record_lands(self, records_env, signs):
+        """An epoch gets no answer until its last block is final. Its signed
+        list (`_event_list`) is signed again only when a record of the epoch
+        lands, and once the epoch is final every answer is that list."""
         chain, contract = records_env  # epoch 0 still open
         provider = DataProviderActor("p0", crypto.keygen(77), 32 * ETH, ProviderStrategy.HONEST)
         ctx = _SendLog(chain, contract)
-        # No records yet: an empty list adds nothing to a union, so none is sent.
         assert self.ask(provider, ctx, 0) is None
+        empty = provider._event_list(0, ctx)
+        assert empty.events == () and provider._event_list(0, ctx) is empty
         pk = crypto.keygen(78).public_key
         block = land(chain, contract, RegisterTx(pk, 32 * ETH))  # block 12
         register = codec.register_record(pk, 32 * ETH)
-        first = self.ask(provider, ctx, 0)
-        assert first == ((block.number, register),) == scanned_records(chain, contract, 0)
+        first = provider._event_list(0, ctx)
+        assert first.events == ((block.number, register),) == scanned_records(chain, contract, 0)
         while chain.tip.number < 15:  # epoch 0's last block
             land(chain, contract, b"other-record")
-        # Blocks without a membership record leave the tuple itself unchanged.
-        assert self.ask(provider, ctx, 0) is first
-        # Records landing in epoch 1 leave epoch 0's tuple unchanged.
+        # Blocks without a membership record leave the list unchanged.
+        assert provider._event_list(0, ctx) is first
+        # Records landing in epoch 1 leave epoch 0's list unchanged.
         land(chain, contract, WithdrawRequestTx(pk))  # block 16
+        assert provider._event_list(0, ctx) is first
+        assert self.ask(provider, ctx, 0) is None  # block 15 is not final yet
+        finalize_epoch(chain, contract, 0)
         assert self.ask(provider, ctx, 0) is first
-        withdraw = codec.withdraw_record(pk)
-        assert self.ask(provider, ctx, 1) == ((16, withdraw),)
-        assert self.ask(provider, ctx, 2) is None
+        assert self.ask(provider, ctx, 1) is None
+        assert len(signs) == 2  # the empty list and `first`
 
-    def test_complete_epoch_is_answered_with_one_reply_object(self, records_env):
-        """Every reply about an epoch carries the contract's tuple: one object
-        for a complete epoch, replaced in an open one when a record lands."""
+    def test_complete_epoch_is_answered_with_one_reply_object(self, records_env, signs):
+        """Every answer about a final epoch, to any client, is one signed
+        list: the contract's tuple of the epoch, signed once over its root."""
         chain, contract = records_env
         provider = DataProviderActor("p0", crypto.keygen(77), 32 * ETH, ProviderStrategy.HONEST)
         ctx = _SendLog(chain, contract)
-        pks = [crypto.keygen(78 + i).public_key for i in range(3)]
+        pks = [crypto.keygen(78 + i).public_key for i in range(2)]
         land(chain, contract, RegisterTx(pks[0], 32 * ETH))  # block 12
-        while chain.tip.number < 15:  # epoch 0's last block
-            land(chain, contract)
-        land(chain, contract, RegisterTx(pks[1], 32 * ETH))  # block 16, epoch 1
+        land(chain, contract, RegisterTx(pks[1], 32 * ETH))  # block 13
+        finalize_epoch(chain, contract, 0)
         replies = []
         for client in ("c0", "c1", "c0"):
-            for epoch in (0, 1):
-                provider.handle_message(client, EventListRequest(epoch=epoch), ctx)
-                replies.append(ctx.sent.pop()[2].events)
-        complete, open_ = replies[0::2], replies[1::2]
-        assert all(events is contract.membership_records(0) for events in complete)
-        assert all(events is open_[0] for events in open_)
-        land(chain, contract, RegisterTx(pks[2], 32 * ETH))  # block 17
-        provider.handle_message("c0", EventListRequest(epoch=1), ctx)
-        replaced = ctx.sent.pop()[2].events
-        assert replaced is not open_[0]
-        assert replaced == scanned_records(chain, contract, 1) == open_[0] + (
-            (17, codec.register_record(pks[2], 32 * ETH)),
-        )
+            provider.handle_message(client, EventListRequest(epoch=0), ctx)
+            replies.append(ctx.sent.pop()[2])
+        assert all(msg is replies[0] for msg in replies)
+        msg = replies[0]
+        assert msg.events is contract.membership_records(0)
+        assert msg.events == scanned_records(chain, contract, 0)
+        assert msg.root == records_root(msg.events) and msg.provider_pk == provider.public_key
+        assert crypto.verify(provider.public_key, msg.payload(), msg.signature)
+        assert len(signs) == 1
 
 
 class TestSharedEventList:
-    """Every provider that serves lists answers with the contract's tuple of
-    the epoch, so one object per epoch state serves the run."""
+    """Every provider that serves lists, every strategy but the unresponsive
+    one, answers with the contract's tuple of the epoch, so one object per
+    epoch state serves the run; each signs it with its own key."""
 
-    SERVING = (ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH)
+    SERVING = tuple(s for s in ProviderStrategy if s is not ProviderStrategy.UNRESPONSIVE)
 
     def test_every_serving_provider_answers_with_one_object(self, records_env):
         chain, contract = records_env
         pk = crypto.keygen(78).public_key
         land(chain, contract, RegisterTx(pk, 32 * ETH))  # block 12
-        while chain.tip.number < 16:  # epoch 0 complete, epoch 1 open
-            land(chain, contract)
+        finalize_epoch(chain, contract, 0)
         ctx = _SendLog(chain, contract)
         providers = [
             DataProviderActor(f"p{i}", crypto.keygen(90 + i), 32 * ETH, strategy)
@@ -358,13 +378,17 @@ class TestSharedEventList:
         for provider in providers:
             for client in ("c0", "c1"):
                 provider.handle_message(client, EventListRequest(epoch=0), ctx)
-        replies = [msg for _, _, msg, _ in ctx.sent]
+        replies = [msg for _, _, msg in ctx.sent]
         assert len(replies) == 2 * len(providers)
         assert all(msg.events is contract.membership_records(0) for msg in replies)
         register = codec.register_record(pk, 32 * ETH)
-        assert replies[0] == EventListMsg(epoch=0, events=((12, register),))
-        # A push is built by the same method: the same tuple again.
-        assert all(p._event_list(0, ctx).events is replies[0].events for p in providers)
+        assert replies[0].events == ((12, register),)
+        assert {msg.root for msg in replies} == {records_root(replies[0].events)}
+        # Each provider answers both clients with its one signed list.
+        for k, provider in enumerate(providers):
+            mine = replies[2 * k : 2 * k + 2]
+            assert mine[0] is mine[1] is provider._event_list(0, ctx)
+            assert crypto.verify(provider.public_key, mine[0].payload(), mine[0].signature)
 
     @given(
         st.integers(1, 6),
@@ -413,13 +437,21 @@ class TestSharedEventList:
 
 
 class TestStandingRequests:
-    """A provider asked once sends each later epoch's list at that epoch's
-    fetch tick, as the answer to a request sent then."""
+    """Whether a request stands: it does not. A provider answers each
+    request about a final epoch once, when it arrives, with the epoch's
+    list, an empty one included, and sends nothing unasked."""
 
-    # 16-block epochs, T_fin = 8: epoch e's fetch tick is 16e + 9.
+    # 16-block epochs, T_fin = 8: epoch e is final from tick 16e + 24.
     RECORDS = {12: 0, 40: 2, 70: 4}  # block -> epoch of a register record
     # tick -> (client, epoch asked) of each request arriving then.
-    REQUESTS = {26: [("c0", 0)], 30: [("c1", 0)], 59: [("c2", 1)], 60: [("c0", 2)]}
+    REQUESTS = {
+        20: [("c0", 0)],  # before epoch 0 is final
+        26: [("c0", 0)],
+        30: [("c1", 0)],
+        59: [("c2", 1)],
+        60: [("c0", 2), ("c0", 3)],  # epoch 3 is not final
+        90: [("c1", 4)],
+    }
 
     def run(self, records_env, strategy):
         chain, contract = records_env
@@ -430,6 +462,7 @@ class TestStandingRequests:
             ctx.now = tick
             for client, epoch in self.REQUESTS.get(tick, []):
                 provider.handle_message(client, EventListRequest(epoch=epoch), ctx)
+            assert provider.next_tick(tick) is None
             provider.on_tick(tick, ctx)
             assert chain.tip.number == tick - 1
             if tick in self.RECORDS:
@@ -438,49 +471,58 @@ class TestStandingRequests:
                 land(chain, contract, RegisterTx(pk, 8 * ETH))
             else:
                 land(chain, contract)
-        sent = [(tick, dst, msg.epoch, msg.events, asked) for tick, dst, msg, asked in ctx.sent]
+        sent = [(tick, dst, msg.epoch, msg.events) for tick, dst, msg in ctx.sent]
         return sent, records
 
     @pytest.mark.parametrize(
-        "strategy", [ProviderStrategy.HONEST, ProviderStrategy.UNFINALIZED_HASH]
+        "strategy", [s for s in ProviderStrategy if s is not ProviderStrategy.UNRESPONSIVE]
     )
-    def test_asked_once_then_pushed_each_epoch(self, records_env, strategy):
+    def test_replies_once_per_ask(self, records_env, strategy):
         sent, records = self.run(records_env, strategy)
         lists = {self.RECORDS[b]: ((b, payload),) for b, payload in records.items()}
         assert sent == [
-            (26, "c0", 0, lists[0], None),  # the reply
-            (30, "c1", 0, lists[0], None),  # a later request: the reply
-            # Epoch 1 has no records: nothing is pushed at 41, or replied at 59.
-            (57, "c0", 2, lists[2], 57),  # the push at epoch 3's fetch tick
-            (57, "c1", 2, lists[2], 57),
-            # c2 asked for epoch 1 before 57 but arrives after: it gets the
-            # push it missed, timed from 57.
-            (59, "c2", 2, lists[2], 57),
-            (60, "c0", 2, lists[2], None),  # a repeated request is answered ...
-            (89, "c0", 4, lists[4], 89),  # ... but recorded once
-            (89, "c1", 4, lists[4], 89),
-            (89, "c2", 4, lists[4], 89),
+            (26, "c0", 0, lists[0]),
+            (30, "c1", 0, lists[0]),
+            (59, "c2", 1, ()),  # an empty list is sent too
+            (60, "c0", 2, lists[2]),
+            (90, "c1", 4, lists[4]),
         ]
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [ProviderStrategy.WRONG_HASH, ProviderStrategy.EXIT_SCAM, ProviderStrategy.UNRESPONSIVE],
-    )
+    @pytest.mark.parametrize("strategy", [ProviderStrategy.UNRESPONSIVE])
     def test_silent_strategies_record_nothing(self, records_env, strategy):
         sent, _ = self.run(records_env, strategy)
         assert sent == []
 
 
+class TestWatcherLists:
+    """A watcher disputes a forwarded list only when its root is not the
+    root of the contract's records of its epoch, and the contract slashes
+    on that evidence."""
+
+    def test_only_an_omitting_list_is_disputed(self, records_env):
+        chain, contract = records_env
+        kp = crypto.keygen(77)
+        land(chain, contract, RegisterTx(kp.public_key, 32 * ETH))  # block 12
+        finalize_epoch(chain, contract, 0)
+        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
+        ctx = _SendLog(chain, contract)
+        submitted = []
+        ctx.submit_tx = lambda src, tx: submitted.append(tx) or len(submitted)
+        watcher = WatcherActor("w0")
+        watcher.handle_message("c0", provider._event_list(0, ctx), ctx)
+        assert submitted == []
+        omitting = signed_event_list(kp, 0, ())
+        watcher.handle_message("c0", omitting, ctx)
+        (tx,) = submitted
+        assert tx.evidence == ListEvidence(kp.public_key, 0, omitting.root, omitting.signature)
+        land(chain, contract, tx)
+        assert contract.provider(kp.public_key).status is ProviderStatus.SLASHED
+        assert ctx.sent == []  # the alert waits for the receipt
+
+
 class TestResponseMemo:
     """A provider builds and signs each distinct answer once; every refusal
     check still runs on every query."""
-
-    @pytest.fixture
-    def signs(self, monkeypatch):
-        calls = []
-        real = crypto.sign
-        monkeypatch.setattr(crypto, "sign", lambda sk, msg: calls.append(msg) or real(sk, msg))
-        return calls
 
     def ask(self, provider, ctx, query, client="c0"):
         """The response `client` gets, or None when the provider is silent."""
@@ -488,7 +530,7 @@ class TestResponseMemo:
         provider.handle_message(client, QueryMsg(query=query), ctx)
         if len(ctx.sent) == before:
             return None
-        _, dst, msg, _ = ctx.sent.pop()
+        _, dst, msg = ctx.sent.pop()
         assert dst == client
         return msg.response
 

@@ -17,6 +17,7 @@ from lcsim.contract import (
     EpochTooFarError,
     GAS_SINK,
     Ledger,
+    ListEvidence,
     MAX_COVERAGE_DURATION,
     NotActiveError,
     PolicyState,
@@ -32,6 +33,7 @@ from lcsim.contract import (
     STAKE_VAULT,
     SlashingContract,
     WithdrawRequestTx,
+    records_root,
 )
 from lcsim.pricing import PricingParams, eth_to_wei
 
@@ -499,6 +501,83 @@ class TestSlashing:
         assert event.compensation == 0
         assert ledger.balance(buyer.public_key) == before
         assert contract.policies[policy.id].state is PolicyState.EXPIRED
+
+
+def list_evidence(kp, epoch, records):
+    """`kp`'s signed membership list of `epoch` holding `records`, as evidence."""
+    root = records_root(records)
+    signature = crypto.sign(kp.secret_key, codec.event_list_payload(epoch, root))
+    return ListEvidence(kp.public_key, epoch, root, signature)
+
+
+class TestListSlashing:
+    """A signed list whose root is not the root of its epoch's records is
+    slashable once the epoch's last block is final; it pays no policy."""
+
+    def setup_final_epoch(self):
+        """A provider registered in block 1, epoch 0's only record; epochs 0
+        and 1 end at blocks 7 and 15, both final at tip 24."""
+        ledger, contract, chain = make_env()
+        kp = funded_provider(ledger, 30, stake=64 * ETH)
+        step(chain, contract, [RegisterTx(kp.public_key, 64 * ETH)])
+        run_until(chain, contract, 24)
+        assert contract.membership_records(0) == ((1, codec.register_record(kp.public_key, 64 * ETH)),)
+        return ledger, contract, chain, kp
+
+    def test_omitting_list_slashes_full_stake(self):
+        ledger, contract, chain, kp = self.setup_final_epoch()
+        buyer = crypto.keygen(31).public_key
+        ledger.mint(buyer, 10 * ETH)
+        step(chain, contract, [BuyInsuranceTx(buyer, ((kp.public_key, 5 * ETH),), 5 * ETH, 100)])
+        (policy,) = contract.policies.values()
+        total_before = ledger.total()
+        evidence = list_evidence(kp, 0, ())
+        event, payload = contract.slash(evidence, chain, 26, submitter="w")
+        assert contract.provider(kp.public_key).status is ProviderStatus.SLASHED
+        assert event.slashed_amount == 64 * ETH and event.block_number == 7
+        assert event.compensation == 0 and event.insurance_id is None
+        assert policy.state is PolicyState.OPEN and policy.paid == 0
+        assert event.bounty == 64 * ETH * 5 // 100 == ledger.balance("w")
+        assert event.burned == 64 * ETH - event.bounty
+        assert ledger.total() == total_before
+        # The record names the epoch's last block and the signed root.
+        assert codec.decode_slash_record(payload) == (
+            kp.public_key, 7, evidence.root, 64 * ETH, None, evidence.signature
+        )
+
+    def test_matching_root_rejected(self):
+        _, contract, chain, kp = self.setup_final_epoch()
+        evidence = list_evidence(kp, 0, contract.membership_records(0))
+        with pytest.raises(SlashRejected) as excinfo:
+            contract.slash(evidence, chain, 25)
+        assert excinfo.value.reason is RejectReason.ROOT_MATCHES_RECORDS
+        # An empty epoch's list is empty.
+        with pytest.raises(SlashRejected) as excinfo:
+            contract.slash(list_evidence(kp, 1, ()), chain, 25)
+        assert excinfo.value.reason is RejectReason.ROOT_MATCHES_RECORDS
+
+    def test_forged_signature_rejected(self):
+        _, contract, chain, kp = self.setup_final_epoch()
+        evidence = list_evidence(kp, 0, ())
+        other = list_evidence(crypto.keygen(32), 0, ())
+        for forged in (
+            ListEvidence(kp.public_key, 0, evidence.root, other.signature),  # another key's
+            ListEvidence(kp.public_key, 1, evidence.root, evidence.signature),  # another epoch
+            ListEvidence(kp.public_key, 0, crypto.digest(b"other"), evidence.signature),
+        ):
+            with pytest.raises(SlashRejected) as excinfo:
+                contract.slash(forged, chain, 25)
+            assert excinfo.value.reason is RejectReason.SIGNATURE_INVALID
+        assert contract.provider(kp.public_key).status is ProviderStatus.ACTIVE
+
+    def test_epoch_not_yet_final_rejected(self):
+        """Epoch 2 ends at block 23, final only from tip 31: a list of it
+        signed now may still be overtaken by a record."""
+        _, contract, chain, kp = self.setup_final_epoch()
+        for epoch in (2, 5):
+            with pytest.raises(SlashRejected) as excinfo:
+                contract.slash(list_evidence(kp, epoch, ((17, b"x"),)), chain, 25)
+            assert excinfo.value.reason is RejectReason.BLOCK_NOT_YET_FINAL
 
 
 class TestActiveSet:

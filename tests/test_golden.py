@@ -160,7 +160,7 @@ def grid_churn(providers: int, clients: int, ticks: int) -> ScenarioConfig:
     """The grid with churn: the last ten providers register one by one
     through epoch 1, and the ten before them hold 16 ETH and withdraw one by
     one through epoch 2, so every maintaining client merges non-empty
-    pushed event lists."""
+    event lists."""
     config = grid(providers, clients, ticks)
     b_u = config.update_epoch_blocks
     specs = list(config.providers)
@@ -248,8 +248,8 @@ PINNED: dict[str, tuple[str, str]] = {
         "9fc78e4bbdef9f0638be0a49986ef5c98c0f0b4bff999bdb5f4e0629aee8e988",
     ),
     "scaled_dispute": (
-        "4ab4bbe08f02c1b90e8afd5191253d8e34ea69e064ffb1d39360dd7beccbd560",
-        "f6bde61db6ebe2b48fe5f81b75910f6865103b1f30f90d9ccf014b646a4eabad",
+        "7b4bfb2c9858ad7bc053e625edc475f201527cd1df120bb7b43f833dc2c5312f",
+        "5ed3456e5700021330aa4214d01007927d339fceb4bbfff62bdb663595f51fd5",
     ),
     "scaled_maintain": (
         "a4c3db073c53506edf16c98a004396defe922a0425e64cdf78a93abdff0fdf2f",

@@ -34,12 +34,13 @@ from lcsim.contract import (
     SlashEvidence,
     SlashingContract,
     SlashRejected,
+    records_root,
 )
 from lcsim.light_client import ClientConfig, LightClientActor, Protocol, ProviderView, Stage
 from lcsim.messages import EventListMsg, EventListRequest
 from lcsim.pricing import CoverageInputs, PricingParams, eth_to_wei
 from test_golden import configs as golden_configs
-from test_golden import PINNED, scaled_dispute, scaled_insured, scaled_maintain
+from test_golden import PINNED, grid, scaled_dispute, scaled_insured, scaled_maintain
 from test_golden import digests as golden_digests
 
 ETH = eth_to_wei(1)
@@ -473,6 +474,78 @@ class TestLeavingProvider:
         assert client.accepted == 1
         assert client.heavy_checks_by_cause == {"bootstrap": 1}
         assert metrics.violations == []
+
+
+    def test_an_economic_check_passes_over_a_provider_that_asked_to_withdraw(self):
+        """The same run: the purchase-inclusion check, an economic one, asks
+        the two 32 ETH providers and not the leaving one, which would refuse,
+        so the client counts no rejection."""
+        base = build_scenario(ProviderStrategy.HONEST, 1, 11, Protocol.INS, seed=3, value_eth=20)
+        providers = (
+            ProviderSpec(stake=64 * ETH, withdraw_tick=48),
+            ProviderSpec(stake=32 * ETH),
+            ProviderSpec(stake=32 * ETH),
+        )
+        sim = Simulation(dataclasses.replace(base, providers=providers))
+        metrics, _ = sim.run()
+        client = metrics.clients["c0"]
+        assert client.accepted == 1 and client.rejected == 0
+        leaver = sim.providers[0].public_key
+        assert sim.clients[0].leaving == {leaver}
+        assert all(leaver not in check.selected for check in sim.clients[0].checks)
+
+
+class TestShortBacking:
+    """A maintaining client whose held providers, less those dropped or
+    leaving, cannot back its value reads the next set through one heavy
+    check instead of predicting nothing. An eco 29 ETH client, providers
+    honest 20 ETH and 8 ETH, and a third 8 ETH one that leaves."""
+
+    def config(self, providers):
+        base = build_scenario(ProviderStrategy.HONEST, 1, 11, Protocol.ECO, seed=0, value_eth=29)
+        client = dataclasses.replace(base.clients[0], maintain=True, perform_check=False)
+        return dataclasses.replace(base, providers=providers, clients=(client,), total_ticks=100)
+
+    def test_no_selection_backs_the_lists(self):
+        """The third provider is `wrong_hash` 8 ETH and the leaver withdraws
+        at tick 25, before the client's bootstrap at 51: the others back 28
+        ETH, so neither epoch's lists can be asked."""
+        config = self.config(
+            (
+                ProviderSpec(stake=20 * ETH),
+                ProviderSpec(stake=8 * ETH, strategy=ProviderStrategy.WRONG_HASH),
+                ProviderSpec(stake=8 * ETH, withdraw_tick=25),
+            )
+        )
+        metrics, _ = run_scenario(config)
+        assert metrics.violations == [] and metrics.prediction_checks == 2
+        causes = metrics.clients["c0"].heavy_checks_by_cause
+        assert causes == {"bootstrap": 1, "short_backing": 2}
+
+    def test_a_record_check_left_without_backing(self):
+        """The leaver asks to withdraw at 52, after the bootstrap: the client
+        asks it for epoch 1's list, which it serves, and for the record check
+        of a fourth provider's registration, which it refuses. Dropped at the
+        timeout, it leaves 28 ETH: the client reads epoch 3's set."""
+        config = dataclasses.replace(
+            self.config(
+                (
+                    ProviderSpec(stake=20 * ETH),
+                    ProviderSpec(stake=8 * ETH),
+                    ProviderSpec(stake=8 * ETH, withdraw_tick=52),
+                    ProviderSpec(stake=8 * ETH, register_tick=30),
+                )
+            ),
+            total_ticks=150,
+        )
+        sim = Simulation(config)
+        metrics, log = sim.run()
+        assert metrics.violations == []
+        assert metrics.clients["c0"].heavy_checks_by_cause == {"bootstrap": 1, "short_backing": 1}
+        (check,) = [c for c in sim.clients[0].checks if c.outcome == "no_eligible_providers"]
+        assert check.query_tick == 62 and check.restarts == 1
+        events = [line.split("\t")[:3] for line in log.lines if line.split("\t")[1] == "c0"]
+        assert ["65", "c0", "timeout"] in events and ["65", "c0", "predicted_set"] in events
 
 
 class WorstCaseDelays(Simulation):
@@ -1159,7 +1232,7 @@ class TestSchedule:
         # The run takes every path the watchers' and providers' schedules
         # cover: audits that wait for finality, slashes and the alerts that
         # wait for their records' finality, a register and a withdraw past
-        # tick 1, and standing event lists.
+        # tick 1, and event lists.
         assert any(deferred for deferred, _ in waiting)
         assert any(pending for _, pending in waiting)
         assert sim.metrics.slash_count > 0
@@ -1210,9 +1283,8 @@ class TestSchedule:
         assert set(ticked) <= allowed
 
     def test_quiet_actors_are_not_ticked(self, monkeypatch):
-        """Past its register tick a provider is ticked only for deliveries
-        and standing pushes; a watcher only for deliveries and pending
-        audits and alerts."""
+        """Past its register tick a provider is ticked only for deliveries;
+        a watcher only for deliveries and pending audits and alerts."""
         calls = []
         for cls in (DataProviderActor, actors.WatcherActor):
             on_tick = cls.on_tick
@@ -1431,152 +1503,150 @@ class TestStretches:
 
 class TestMessageCounts:
     def test_scaled_maintain_enqueues_by_type(self, monkeypatch):
-        """Per-type message counts of the scaled maintain run. With standing
-        requests each client asks each held provider once: 240 requests, was
-        900 with one per held provider per epoch. Lists: 660, was 900. The 660
-        non-empty lists of held providers are all still sent, and none of the
-        240 empty ones. A provider that has left a client's set pushes it no
-        list: it stops after the epoch its withdraw request landed in."""
+        """Per-type message counts of the scaled maintain run. Each client
+        asks, at each epoch's fetch tick, only the providers its value
+        selects, here one: 48 requests, was 240 when each held provider was
+        asked once and then pushed every later list. Lists: 96, was 660: each
+        of the 48 replies, an empty one included, and its forward to the one
+        watcher."""
         counts: dict[str, int] = {}
         enqueue_each = Simulation.enqueue_each
 
-        def counted(sim, src, dsts, payload, *rest):
+        def counted(sim, src, dsts, payload):
             dsts = list(dsts)
             name = type(payload).__name__
             counts[name] = counts.get(name, 0) + len(dsts)
-            return enqueue_each(sim, src, dsts, payload, *rest)
+            return enqueue_each(sim, src, dsts, payload)
 
         monkeypatch.setattr(Simulation, "enqueue_each", counted)
         Simulation(scaled_maintain()).run()
         assert counts == {
-            "EventListMsg": 660,
-            "EventListRequest": 240,
+            "EventListMsg": 96,
+            "EventListRequest": 48,
             "ForwardMsg": 114,
             "QueryMsg": 114,
             "ReceiptMsg": 34,
             "ResponseMsg": 114,
         }
 
-    def test_a_leaver_pushes_no_list_after_its_withdraw_epoch(self):
-        """In the scaled maintain run, a provider whose withdraw request
-        landed in epoch w sends lists of epochs up to w's, which carries its
-        withdraw record, and none after; the run keeps its digests."""
+    def test_no_list_is_sent_unasked(self):
+        """In the scaled maintain run every list a provider sends answers a
+        request that reached it at that tick, one list per request, and every
+        list a client sends is one it was sent, forwarded to the watchers;
+        the run keeps its digests."""
         sims = []
 
         class Recorded(Simulation):
             def __init__(self, config):
                 super().__init__(config)
-                self.lists = []
+                self.sent = []  # (tick, src, dst, payload) of every list and request
                 sims.append(self)
 
-            def enqueue_each(self, src, dsts, payload, *rest):
-                if type(payload) is EventListMsg:
-                    self.lists.append((src, payload))
-                return super().enqueue_each(src, dsts, payload, *rest)
+            def enqueue_each(self, src, dsts, payload):
+                dsts = list(dsts)
+                if type(payload) in (EventListMsg, EventListRequest):
+                    self.sent += [(self.ctx.now, src, dst, payload) for dst in dsts]
+                return super().enqueue_each(src, dsts, payload)
 
         assert golden_digests(scaled_maintain(), Recorded) == PINNED["scaled_maintain"]
         (sim,) = sims
-        left = {}  # leaver name -> (w, its withdraw record)
-        for provider in sim.providers:
-            w = sim.contract.provider(provider.public_key).withdraw_requested_epoch
-            if w is not None:
-                left[provider.name] = (w, codec.withdraw_record(provider.public_key))
-        assert len(left) == 4
-        last_lists = set()
-        for src, msg in sim.lists:
-            if src in left:
-                w, record = left[src]
-                assert msg.epoch <= w
-                if msg.epoch == w:
-                    assert record in [payload for _, payload in msg.events]
-                    last_lists.add(src)
-        assert last_lists == set(left)
+        arrived = Counter(
+            (tick + link_delay(sim, src, dst), dst, src, payload.epoch)
+            for tick, src, dst, payload in sim.sent
+            if type(payload) is EventListRequest
+        )
+        replies = Counter(
+            (tick, src, dst, payload.epoch)
+            for tick, src, dst, payload in sim.sent
+            if type(payload) is EventListMsg and src[0] == "p"
+        )
+        assert replies == arrived and sum(replies.values()) == 48
+        received = {
+            (dst, payload)
+            for tick, src, dst, payload in sim.sent
+            if type(payload) is EventListMsg and src[0] == "p"
+        }
+        forwards = [
+            (src, dst, payload)
+            for _, src, dst, payload in sim.sent
+            if type(payload) is EventListMsg and src[0] == "c"
+        ]
+        assert len(forwards) == len(received)
+        assert all(dst == "w0" and (src, payload) in received for src, dst, payload in forwards)
 
-    def test_each_held_provider_is_asked_once_then_pushes(self, monkeypatch):
-        """Each held provider gets one request object per client, sent the
-        first time the client opens an epoch holding it; from then on it
-        answers every epoch unasked. Every held provider's non-empty list
-        reaches the client at the tick the answer to a request sent at the
-        epoch's fetch tick would, and none arrives for an empty epoch."""
-        sent: list[tuple[int, str, str, object, int | None]] = []
+    def test_each_client_asks_only_its_selected_providers(self, monkeypatch):
+        """At each epoch's fetch tick a client sends one request object, for
+        the epoch before, to exactly the providers its value selects then,
+        and each of their lists, an empty one included, reaches it a round
+        trip later."""
+        sent: list[tuple[int, str, str, object]] = []
         enqueue_each = Simulation.enqueue_each
 
-        def recorded(sim, src, dsts, payload, asked=None):
+        def recorded(sim, src, dsts, payload):
             dsts = list(dsts)
             if isinstance(payload, (EventListRequest, EventListMsg)):
-                sent.extend((sim.ctx.now, src, dst, payload, asked) for dst in dsts)
-            return enqueue_each(sim, src, dsts, payload, asked)
+                sent.extend((sim.ctx.now, src, dst, payload) for dst in dsts)
+            return enqueue_each(sim, src, dsts, payload)
 
         monkeypatch.setattr(Simulation, "enqueue_each", recorded)
         sim = Simulation(scaled_maintain())
-        opened = []  # (client, epoch, tick, held provider names)
+        opened = []  # (client, epoch, tick, selected provider names)
         run_maintenance = LightClientActor._run_maintenance
 
         def recorded_maintenance(client, now, ctx):
             before = client._maintenance
+            if before is None and client._maintenance_due() <= now:
+                value = client.config.target_value
+                names = [sim.provider_names[pk] for pk, _ in client.select(False, value)]
             run_maintenance(client, now, ctx)
             maintenance = client._maintenance
-            if maintenance is not None and maintenance is not before:
-                held = [sim.provider_names[pk] for pk in client.current_set()]
-                opened.append((client.name, maintenance.epoch, now, held))
+            if maintenance is not None and maintenance is not before and maintenance.epoch:
+                opened.append((client.name, maintenance.epoch, now, names))
 
         monkeypatch.setattr(LightClientActor, "_run_maintenance", recorded_maintenance)
         sim.run()
         fetch = sim.config.t_fin + 1
         blocks = sim.config.update_epoch_blocks
-        requests = [(tick, src, dst, msg) for tick, src, dst, msg, _ in sent if src[0] == "c"]
+        requests = [entry for entry in sent if type(entry[3]) is EventListRequest]
         lists = [entry for entry in sent if entry[1][0] == "p"]
-        # Every open is on time, and each (client, provider) pair is asked once.
         assert opened and all(tick == epoch * blocks + fetch for _, epoch, tick, _ in opened)
-        pairs = [(src, dst) for _, src, dst, _ in requests]
-        assert len(pairs) == len(set(pairs)) == 240
-        asked_at = {}
+        asked = {}
         for tick, src, dst, msg in requests:
-            asked_at[src, dst] = tick
-            # One request object per client and open, for the epoch before.
-            assert msg.epoch == (tick - fetch) // blocks - 1
-        assert len({id(msg) for *_, msg in requests}) == len(
-            {(tick, src) for tick, src, _, _ in requests}
-        )
-        arrivals = {}
-        for tick, src, dst, msg, asked in lists:
-            assert msg.events
-            # A reply leaves at once; a push leaves at the fetch tick and
-            # arrives a round trip after it.
-            at = tick + link_delay(sim, src, dst)
-            if asked is not None:
-                assert asked == tick == (tick - fetch) // blocks * blocks + fetch
-                at += link_delay(sim, dst, src)
-            arrivals.setdefault((dst, msg.epoch + 1), set()).add((src, at))
-        provider_records = (codec.TAG_REGISTER, codec.TAG_WITHDRAW_REQUEST)
-        with_records = 0
-        for client, epoch, tick, held in opened:
-            assert all(asked_at[client, name] <= tick for name in held)
-            records = any(
-                codec.record_tag(tx.payload) in provider_records
-                for block in sim.chain.blocks[(epoch - 1) * blocks : epoch * blocks]
-                for tx in block.transactions
-            )
-            got = {(src, at) for src, at in arrivals.get((client, epoch), ()) if src in held}
+            asked.setdefault((src, tick), []).append((dst, msg))
+        assert len(asked) == len(opened)
+        empty = 0
+        for client, epoch, tick, names in opened:
+            assert [dst for dst, _ in asked[client, tick]] == names
+            (msg,) = {id(msg): msg for _, msg in asked[client, tick]}.values()
+            assert msg == EventListRequest(epoch=epoch - 1)
+            got = {
+                (src, at + link_delay(sim, src, client))
+                for at, src, dst, reply in lists
+                if dst == client and reply.epoch == epoch - 1
+            }
             answer = {
                 (name, tick + link_delay(sim, client, name) + link_delay(sim, name, client))
-                for name in held
+                for name in names
             }
-            assert got == (answer if records else set()), (client, epoch)
-            with_records += records
-        assert 0 < with_records < len(opened)
+            assert got == answer, (client, epoch)
+            for at, src, dst, reply in lists:
+                if dst == client and reply.epoch == epoch - 1:
+                    assert reply.events is sim.contract.membership_records(epoch - 1)
+                    empty += not reply.events
+        assert 0 < empty < len(lists)
 
 
-def collected_unions(monkeypatch, every_epoch: bool) -> dict:
-    """Record the union each client collects for each epoch it opens. With
-    `every_epoch`, the run is the reference: clients ask every held provider
-    at every epoch's open and providers answer requests only."""
+def collected_unions(monkeypatch, every_held: bool) -> dict:
+    """Record the union each client collects for each epoch it opens, or
+    "read" when a heavy check closed the collection. With `every_held`, the run is the reference: at each epoch's fetch tick a
+    client also asks every other held provider, and merges each list those
+    send while it is online and the epoch's lists are collected."""
     unions = {}
     run_maintenance = LightClientActor._run_maintenance
+    read_next_set = LightClientActor._read_next_set
+    read = []  # the maintenance records closed by a heavy check
 
     def recorded(client, now, ctx):
-        if every_epoch:
-            client._asked.clear()
         before = client._maintenance
         was_collected = before is not None and before.collected
         run_maintenance(client, now, ctx)
@@ -1584,11 +1654,51 @@ def collected_unions(monkeypatch, every_epoch: bool) -> dict:
         if maintenance is not None and maintenance.collected and not (
             maintenance is before and was_collected
         ):
-            unions[client.name, maintenance.epoch, now] = sorted(maintenance.events)
+            union = "read" if any(m is maintenance for m in read) else sorted(maintenance.events)
+            unions[client.name, maintenance.epoch, now] = union
+
+    def reading(client, maintenance, cause, ctx):
+        read.append(maintenance)
+        return read_next_set(client, maintenance, cause, ctx)
 
     monkeypatch.setattr(LightClientActor, "_run_maintenance", recorded)
-    if every_epoch:
-        monkeypatch.setattr(DataProviderActor, "_push_event_lists", lambda self, now, ctx: None)
+    monkeypatch.setattr(LightClientActor, "_read_next_set", reading)
+    if not every_held:
+        return unions
+    others: dict[tuple[str, int], set[bytes]] = {}  # (client, epoch) -> also asked
+    ask = LightClientActor._ask_for_lists
+
+    def asking_every_held_provider(client, maintenance, now, ctx):
+        sent = ask(client, maintenance, now, ctx)
+        key = client.name, maintenance.epoch
+        if key not in others:
+            rest = [pk for pk in client.current_set() if pk not in maintenance.asked]
+            others[key] = set(rest)
+            ctx.send_to_providers(client.name, rest, EventListRequest(epoch=maintenance.epoch - 1))
+        return sent
+
+    handle_message = LightClientActor.handle_message
+
+    def merging(client, sender, payload, ctx):
+        maintenance = client._maintenance
+        pk = getattr(payload, "provider_pk", None)
+        if (
+            type(payload) is EventListMsg
+            and pk in others.get((client.name, payload.epoch + 1), ())
+            and (maintenance is None or pk not in maintenance.asked)
+        ):
+            if (
+                maintenance is not None
+                and not maintenance.collected
+                and maintenance.epoch == payload.epoch + 1
+                and not client._offline_at(ctx.now)
+            ):
+                maintenance.events.update(payload.events)
+            return False
+        return handle_message(client, sender, payload, ctx)
+
+    monkeypatch.setattr(LightClientActor, "_ask_for_lists", asking_every_held_provider)
+    monkeypatch.setattr(LightClientActor, "handle_message", merging)
     return unions
 
 
@@ -1609,11 +1719,9 @@ def collection_edge_populations(draw) -> ScenarioConfig:
     return dataclasses.replace(config, clients=tuple(clients))
 
 
-def leaver_and_silent_provider() -> ScenarioConfig:
-    """A client that holds only a silent provider (p1, wrong_hash) once the
-    honest p0 has left, while p0, asked before, still answers: the client
-    must not use p0's list, so it misses p2's registration as it would if
-    it asked its held providers afresh."""
+def leaver_and_lying_provider() -> ScenarioConfig:
+    """A client that holds the honest p0, which has asked to withdraw, and
+    the wrong_hash p1; p2 registers later."""
     base = load("maintenance")
     providers = (
         ProviderSpec(stake=eth_to_wei(40), strategy=ProviderStrategy.HONEST, withdraw_tick=40),
@@ -1623,16 +1731,33 @@ def leaver_and_silent_provider() -> ScenarioConfig:
     return dataclasses.replace(base, providers=providers)
 
 
+def omitting(monkeypatch, names: set[str], payload: bytes) -> None:
+    """The named providers leave `payload` out of every list they send, and
+    sign the list they send."""
+    event_list = DataProviderActor._event_list
+
+    def dropped(provider, epoch, ctx):
+        msg = event_list(provider, epoch, ctx)
+        if provider.name not in names:
+            return msg
+        kept = tuple(ev for ev in msg.events if ev[1] != payload)
+        return actors.signed_event_list(provider.keypair, epoch, kept)
+
+    monkeypatch.setattr(DataProviderActor, "_event_list", dropped)
+
+
 class TestStandingRequests:
-    """Asking each provider once and letting it push is invisible: the run
-    equals one in which every held provider is asked every epoch."""
+    """Whether a request stands: it does not. At each epoch's fetch tick a
+    client asks only the providers its value selects, and a provider answers
+    each request once. That loses nothing: the run equals one in which the
+    client also asks every other held provider and merges their lists."""
 
     def assert_same_as_reference(self, monkeypatch, config) -> None:
         with monkeypatch.context() as patch:
-            unions = collected_unions(patch, every_epoch=False)
+            unions = collected_unions(patch, every_held=False)
             got = outputs(Simulation(config))
         with monkeypatch.context() as patch:
-            reference_unions = collected_unions(patch, every_epoch=True)
+            reference_unions = collected_unions(patch, every_held=True)
             reference = outputs(Simulation(config))
         assert got == reference
         assert unions == reference_unions
@@ -1649,20 +1774,21 @@ class TestStandingRequests:
     @pytest.mark.parametrize("length", [0, 1, 3])
     @pytest.mark.parametrize("shift", range(-1, 5))
     def test_same_run_when_offline_at_the_collection_edges(self, monkeypatch, shift, length):
-        """The maintenance client asks p0, p1 and p3 in epoch 2, then goes
-        offline or comes back around epoch 3's fetch tick, 105. Epoch 2's
-        lists, which carry the leaver's withdraw record, arrive at 107."""
+        """The maintenance client asks base_a (p0) in epoch 3 at its fetch
+        tick, 105, then goes offline or comes back around it. Epoch 2's
+        list, which carries the leaver's withdraw record, arrives at 107. A
+        client that misses it drops p0 and asks base_b (p1) at 108."""
         base = load("maintenance")
         begin = 3 * base.update_epoch_blocks + base.t_fin + 1 + shift
         client = dataclasses.replace(base.clients[0], offline=(begin, begin + length))
         self.assert_same_as_reference(monkeypatch, dataclasses.replace(base, clients=(client,)))
 
     def test_same_run_when_a_first_request_crosses_a_fetch_tick(self, monkeypatch):
-        """T_fin = 1 and delta = 6: c0 starts on an epoch's last tick, asks
-        its held providers at once, and requests that take more than 3 ticks
-        arrive after the next fetch tick, whose push of the epoch carrying
-        p2's registration they missed. Those providers send that list on
-        arrival, timed as the push; without it c0 misses p2."""
+        """T_fin = 1 and delta = 6: c0 starts on epoch 2's last tick and asks
+        at once for epoch 1's list, whose answer arrives after epoch 3 has
+        begun; its epoch 3 lists take too long as well. It reads the sets of
+        epochs 3 and 4 afresh, and predicts p2, registered in epoch 2, into
+        epoch 5."""
         base = load("maintenance")
         delta, t_fin = 6, 1
         cp = t_fin + 2 * delta + 1
@@ -1691,64 +1817,117 @@ class TestStandingRequests:
             clients=(client,),
             total_ticks=6 * b_u,
         )
-        late = []
-        enqueue_each = Simulation.enqueue_each
-
-        def recorded(sim, src, dsts, payload, asked=None):
-            if asked is not None and asked < sim.ctx.now:
-                late.extend((sim.ctx.now, src, dst, asked) for dst in dsts)
-            return enqueue_each(sim, src, dsts, payload, asked)
-
-        monkeypatch.setattr(Simulation, "enqueue_each", recorded)
         self.assert_same_as_reference(monkeypatch, config)
-        fetch = 3 * b_u + t_fin + 1
-        assert late and {asked for *_, asked in late} == {fetch}
         joiner = Simulation(config).providers[2].public_key
         with monkeypatch.context() as patch:
             sets = recorded_sets(patch)
-            run_scenario(config)
+            metrics, _ = run_scenario(config)
         source, predicted = sets["c0", 5]
         assert source == "predicted" and joiner in predicted
+        assert metrics.clients["c0"].heavy_checks_by_cause == {"bootstrap": 1, "epoch_gap": 2}
 
     def test_lists_count_only_from_held_providers(self, monkeypatch):
-        config = leaver_and_silent_provider()
+        """c0 bootstraps in epoch 2 holding p0, which has asked to withdraw,
+        and the wrong_hash p1. It asks only p1, which serves true lists as
+        every answering provider does, so c0 predicts p2's registration."""
+        config = leaver_and_lying_provider()
         self.assert_same_as_reference(monkeypatch, config)
-        metrics, _ = run_scenario(config)
-        assert "prediction:c0@epoch4" in metrics.violations
+        sim = Simulation(config)
+        asked = []
+        enqueue_each = Simulation.enqueue_each
 
-    def omitting(self, monkeypatch, names: set[str], payload: bytes) -> None:
-        """The named providers leave `payload` out of every list they send."""
-        event_list = DataProviderActor._event_list
+        def recorded(sim, src, dsts, payload):
+            dsts = list(dsts)
+            if type(payload) is EventListRequest:
+                asked.extend(dsts)
+            return enqueue_each(sim, src, dsts, payload)
 
-        def dropped(provider, epoch, ctx):
-            msg = event_list(provider, epoch, ctx)
-            if provider.name not in names:
-                return msg
-            return EventListMsg(msg.epoch, tuple(ev for ev in msg.events if ev[1] != payload))
+        monkeypatch.setattr(Simulation, "enqueue_each", recorded)
+        metrics, _ = sim.run()
+        assert asked and set(asked) == {"p1"}
+        assert metrics.violations == []
 
-        monkeypatch.setattr(DataProviderActor, "_event_list", dropped)
+    def test_a_silent_selected_provider_is_dropped_and_the_next_asked(self, monkeypatch):
+        """The maintenance scenario with base_a (p0) unresponsive: the client
+        asks it for each list, times it out a round trip later, and asks
+        base_b (p1); every prediction holds."""
+        base = load("maintenance")
+        providers = list(base.providers)
+        providers[0] = dataclasses.replace(providers[0], strategy=ProviderStrategy.UNRESPONSIVE)
+        config = dataclasses.replace(base, providers=tuple(providers))
+        self.assert_same_as_reference(monkeypatch, config)
+        sim = Simulation(config)
+        metrics, log = sim.run()
+        assert metrics.violations == [] and metrics.prediction_checks == 5
+        timeouts = [line for line in log.lines if line.split("\t")[1:3] == ["c0", "timeout"]]
+        # The first fetch tick is epoch 2's, 73: p0 is silent until 76.
+        assert [line.split("\t")[0] for line in timeouts] == ["76"]
+        assert sim.clients[0].dropped == {sim.providers[0].public_key}
 
-    def test_one_honest_list_protects_the_prediction(self, monkeypatch):
-        """In the maintenance scenario the client holds base_a, base_b and
-        the leaver (p0, p1, p3) when it fetches epoch 1's records, which
-        register the joiner (p2). One provider omitting that record changes
-        nothing; all three omitting it breaks the epoch 3 prediction."""
+    def test_an_omitted_record_is_slashed_and_the_prediction_holds(self, monkeypatch):
+        """In the maintenance scenario the client asks only base_a (p0) for
+        epoch 1's records, which register the joiner (p2). A provider it does
+        not ask may omit that record to no effect. When p0 omits it, the
+        watcher slashes p0 on the forwarded list, and its alert has the client
+        read epoch 3's set afresh: the prediction holds."""
         config = load("maintenance")
         joiner = Simulation(config).providers[2]
         record = codec.register_record(joiner.public_key, joiner.stake)
-        for omitters, violations in (
-            (set(), []),
-            ({"p0"}, []),
-            ({"p1", "p3"}, []),
-            # The missing joiner is carried into every later set.
-            ({"p0", "p1", "p3"}, [f"prediction:c0@epoch{e}" for e in range(3, 8)]),
+        for omitters, slashed in (
+            (set(), False),
+            ({"p1", "p3"}, False),
+            ({"p0"}, True),
+            ({"p0", "p1", "p3"}, True),
         ):
             with monkeypatch.context() as patch:
-                self.omitting(patch, omitters, record)
+                omitting(patch, omitters, record)
                 sets = recorded_sets(patch)
-                metrics, _ = run_scenario(config)
-            assert metrics.violations == violations, omitters
-            assert (joiner.public_key in sets["c0", 3][1]) == (not violations)
+                sim = Simulation(config)
+                metrics, _ = sim.run()
+            assert metrics.violations == [], omitters
+            assert (metrics.slash_count == 1) is slashed
+            p0 = sim.contract.provider(sim.providers[0].public_key)
+            assert (p0.status is ProviderStatus.SLASHED) is slashed
+            causes = {"bootstrap": 1, "alert": 1} if slashed else {"bootstrap": 1}
+            assert metrics.clients["c0"].heavy_checks_by_cause == causes
+            expected = {pk: stake for pk, stake, _ in sim.contract.active_set(3)}
+            assert sets["c0", 3][1] == expected and joiner.public_key in expected
+
+
+class TestScaling:
+    """Per-client costs against the grid's size, on the first four rungs of
+    the ladder: P providers x C clients at T = 300, each rung doubling P and
+    C. A quantity is flat when it grows at most 1.1x per doubling."""
+
+    RUNGS = ((25, 50), (50, 100), (100, 200), (200, 400))
+
+    def test_list_requests_per_client_epoch_are_flat(self, monkeypatch):
+        """A client asks only the providers its 10 ETH selects, one on every
+        rung, for each epoch's list; when each held provider was asked it
+        grew with P."""
+        per_client_epoch = []
+        enqueue_each = Simulation.enqueue_each
+        for providers, clients in self.RUNGS:
+            counts = Counter()
+
+            def counted(sim, src, dsts, payload, counts=counts):
+                dsts = list(dsts)
+                counts[type(payload).__name__] += len(dsts)
+                return enqueue_each(sim, src, dsts, payload)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Simulation, "enqueue_each", counted)
+                sim = Simulation(grid(providers, clients, 300))
+                sim.run()
+            b_u = sim.config.update_epoch_blocks
+            # Every client holds epoch 2 on, and asks at each fetch tick.
+            fetches = sum(
+                1 for epoch in range(2, 300 // b_u + 1) if epoch * b_u + sim.config.t_fin < 300
+            )
+            per_client_epoch.append(counts["EventListRequest"] / (clients * fetches))
+        assert per_client_epoch[0] > 0
+        ratios = [b / a for a, b in zip(per_client_epoch, per_client_epoch[1:])]
+        assert all(ratio <= 1.1 for ratio in ratios), per_client_epoch
 
 
 class TestVerifyMemo:
@@ -1896,11 +2075,9 @@ class TestProviderViews:
         monkeypatch.setattr(ProviderView, "__init__", recorded)
         sim = Simulation(scaled_maintain())
         sim.run()
-        roots = list(sim.oracle._views[2:])
+        roots = list(sim.oracle._views[2:4])
         for client in sim.clients:
             roots += [*client.sets.values(), client.attributable]
-            if client._maintenance is not None:
-                roots.append(client._maintenance.held)
         reachable: dict[int, ProviderView] = {}
         while roots:
             view = roots.pop()
@@ -1916,15 +2093,18 @@ class TestProviderViews:
 class TestResponseMemo:
     def test_scaled_maintain_signs_each_distinct_payload_once(self, monkeypatch):
         """Providers answer 114 queries: 26 distinct (secret key, payload)
-        pairs, each signed once. Was 114 calls, one per answer sent. Clients
-        sign no query."""
+        pairs, each signed once. Was 114 calls, one per answer sent. They
+        answer 48 list requests with 5 lists, one per epoch asked about,
+        each signed once. Clients sign no query."""
         calls = []
         real = crypto.sign
         monkeypatch.setattr(
             crypto, "sign", lambda sk, msg: calls.append((sk, msg)) or real(sk, msg)
         )
         Simulation(scaled_maintain()).run()
-        assert len(calls) == len(set(calls)) == 26
+        assert len(calls) == len(set(calls)) == 31
+        lists = [msg for _, msg in calls if msg[0] == codec.TAG_EVENT_LIST]
+        assert len(lists) == 5
 
     @given(populations() | maintaining_populations())
     @settings(
@@ -2004,6 +2184,12 @@ class TestCacheAudit:
             (actors, "_fabricated_response"),
             (actors, "_true_response"),
         )
+        cache(
+            DataProviderActor,
+            "_event_list",
+            lambda *args: "signed lists",
+            (actors, "signed_event_list"),
+        )
         cache(crypto.VerifyMemo, "verify", lambda *args: "VerifyMemo", (crypto, "verify"))
         cache(Chain, "inclusion_proof", lambda *args: "chain trees", (crypto, "merkle_levels"))
         cache(
@@ -2033,15 +2219,19 @@ class TestCacheAudit:
 
         monkeypatch.setattr(SlashingContract, "_fold_epochs", folding)
 
+        roots = records_root.cache_info()
         for name in ("scaled_maintain", "scaled_insured", "grid_churn_100x100"):
             # The wrappers change nothing a run does.
             assert golden_digests(golden_configs()[name]) == PINNED[name]
+        # Lists' roots: a provider's signature, each client's and the watcher's check.
+        assert records_root.cache_info().hits > roots.hits
         assert set(calls) == {
             "ranking, own stakes",
             "ranking, other capacities",
             "successor",
             "_first_open",
             "response memo",
+            "signed lists",
             "VerifyMemo",
             "chain trees",
             "oracle views",

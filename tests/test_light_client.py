@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsim import actors, codec, crypto, scenario
-from lcsim.actors import Alert, AlertKind, ProviderStrategy
+from lcsim.actors import Alert, AlertKind, ProviderStrategy, signed_event_list
 from lcsim.contract import fold_membership
 from lcsim.harness import (
     Metrics,
@@ -34,7 +34,6 @@ from lcsim.light_client import (
     select_providers,
     verify_response,
 )
-from lcsim.messages import EventListMsg
 from lcsim.pricing import CoverageInputs, eth_to_wei
 from test_golden import configs as golden_configs
 
@@ -165,7 +164,7 @@ class _Oracle:
     snapshot: list[tuple[bytes, int, int]] = []
 
     def provider_set(self, client, cause, epoch=None):
-        return (0, *provider_views(self.snapshot))
+        return (0, *provider_views(self.snapshot), frozenset())
 
 
 class _Ctx:
@@ -228,6 +227,25 @@ class TestRankedSelection:
                 ctx.oracle.snapshot = action[1]
                 client.bootstrap(ctx, 1)
 
+
+    def test_leaving_providers_are_passed_over(self):
+        """A provider the last heavy read shows leaving is skipped by both
+        selections, as a dropped one is, while still held."""
+        a, b, c = pks(3)
+        config = ClientConfig(protocol=Protocol.ECO, challenge_period=1, target_value=ETH)
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        ctx = _Ctx()
+        ctx.oracle.snapshot = [(a, 32 * ETH, 0), (b, 16 * ETH, 16 * ETH), (c, 8 * ETH, 8 * ETH)]
+        client.bootstrap(ctx, 1)
+        assert client.select(False, 10 * ETH) == [(a, 10 * ETH)]
+        client.leaving = frozenset({a})
+        assert a in client.current_set()
+        assert client.select(False, 10 * ETH) == [(b, 10 * ETH)]
+        assert client.select(True, 20 * ETH) == [(b, 16 * ETH), (c, 4 * ETH)]
+        client.dropped.add(b)
+        assert client.select(False, 8 * ETH) == [(c, 8 * ETH)]
+        with pytest.raises(NoEligibleProvidersError):
+            client.select(False, 10 * ETH)
 
     def test_stake_and_attributable_orders_are_kept_apart(self):
         a, b = pks(2)
@@ -316,32 +334,44 @@ class TestProviderView:
 
 class TestEventListDelivery:
     """A list counts only while the held epoch's lists are collected, from a
-    provider held when it opened, and while the client is online."""
+    provider asked in the last round, while the client is online, and only
+    when its root and signature check out; a list that counts is forwarded to
+    every watcher."""
 
     def test_each_condition_decides(self):
-        held_pk, other_pk = pks(2)
-        record = (40, codec.register_record(other_pk, ETH))
+        asked, other = crypto.keygen(2), crypto.keygen(3)
+        record = (40, codec.register_record(other.public_key, ETH))
+        good = signed_event_list(asked, 1, (record,))
         config = ClientConfig(
             protocol=Protocol.ECO, challenge_period=1, target_value=ETH, offline=(50, 60)
         )
         ctx = _Ctx()
-        ctx.provider_keys = {"p0": held_pk, "p1": other_pk}
-        cases = [  # (now, sender, list epoch, collected, counted)
-            (45, "p0", 1, False, True),
-            (45, "p1", 1, False, False),  # not held
-            (45, "p0", 2, False, False),  # another epoch's list
-            (45, "p0", 1, True, False),  # collection over
-            (55, "p0", 1, False, False),  # offline
-            (61, "p0", 1, False, True),
+        ctx.verify = crypto.verify
+        ctx.watcher_names = ["w0", "w1"]
+        cases = [  # (now, list, collected, counted)
+            (45, good, False, True),
+            (45, signed_event_list(other, 1, (record,)), False, False),  # not asked
+            (45, signed_event_list(asked, 2, (record,)), False, False),  # another epoch's list
+            (45, good, True, False),  # collection over
+            (55, good, False, False),  # offline
+            # Signed by another key, and records that are not the signed root's.
+            (45, dataclasses.replace(good, provider_pk=other.public_key), False, False),
+            (45, dataclasses.replace(good, events=()), False, False),
+            (61, good, False, True),
         ]
-        for now, sender, epoch, collected, counted in cases:
+        for now, msg, collected, counted in cases:
             client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
             maintenance = client._maintenance = _Maintenance(
-                2, 41, ProviderView({held_pk: 8 * ETH}), collected=collected
+                2, 41, asked=[asked.public_key], collected=collected
             )
             ctx.now = now
-            client.handle_message(sender, EventListMsg(epoch=epoch, events=(record,)), ctx)
+            forwards = []
+            ctx.send_to_each = lambda src, dsts, payload: forwards.extend(
+                (dst, payload) for dst in dsts
+            )
+            client.handle_message("p0", msg, ctx)
             assert maintenance.events == ({record} if counted else set())
+            assert forwards == ([("w0", msg), ("w1", msg)] if counted else [])
 
 
 class _CountingSet(set):
@@ -355,24 +385,29 @@ class _CountingSet(set):
 
 
 class TestMergeOnce:
-    """A shared events tuple is merged once; another tuple, equal or not,
-    is merged again, and the union is the one merging every list gives."""
+    """Each asked provider's list counts once; a shared events tuple is
+    merged once, another tuple, equal or not, is merged again, and the union
+    is the one merging every counted list gives."""
+
+    KEYS = [crypto.keygen(20 + i) for i in range(4)]
 
     def deliver(self, lists):
-        """Deliver (sender, events) lists of epoch 1 to a client collecting
-        epoch 2's records and holding p0-p2; its maintenance record."""
-        held = pks(3)
+        """Deliver (sender, events) lists of epoch 1, each signed by its
+        sender, to a client collecting epoch 2's records that asked p0-p2;
+        its maintenance record."""
         ctx = _Ctx()
         ctx.now = 45
-        ctx.provider_keys = {f"p{i}": pk for i, pk in enumerate(pks(4))}
+        ctx.verify = crypto.verify
+        ctx.watcher_names = []
+        ctx.send_to_each = lambda *args: None
         config = ClientConfig(protocol=Protocol.ECO, challenge_period=1, target_value=ETH)
         client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
-        maintenance = client._maintenance = _Maintenance(
-            2, 41, ProviderView({pk: 8 * ETH for pk in held})
-        )
+        asked = [key.public_key for key in self.KEYS[:3]]
+        maintenance = client._maintenance = _Maintenance(2, 41, asked=asked)
         maintenance.events = _CountingSet()
         for sender, events in lists:
-            client.handle_message(sender, EventListMsg(epoch=1, events=events), ctx)
+            key = self.KEYS[int(sender[1:])]
+            client.handle_message(sender, signed_event_list(key, 1, events), ctx)
         return maintenance
 
     def records(self, n):
@@ -386,8 +421,9 @@ class TestMergeOnce:
         maintenance = self.deliver(
             [("p0", shared), ("p1", shared), ("p2", copy), ("p3", omitting), ("p2", shared)]
         )
-        # p1's list is the tuple just merged; p3 is not held.
-        assert maintenance.events.updates == 3
+        # p1's list is the tuple just merged; p3 was not asked; p2's second
+        # list does not count.
+        assert maintenance.events.updates == 2
         assert maintenance.events == set(shared)
 
     @given(
@@ -400,8 +436,13 @@ class TestMergeOnce:
         tuples = [full, tuple(list(full)), full[1:], full[:2]]
         lists = [(sender, tuples[k]) for sender, k in deliveries]
         maintenance = self.deliver(lists)
-        counted = [events for sender, events in lists if sender != "p3"]
+        counted, seen = [], set()
+        for sender, events in lists:
+            if sender != "p3" and sender not in seen:
+                seen.add(sender)
+                counted.append(events)
         assert maintenance.events == set().union(*counted)
+        assert maintenance.listed == {self.KEYS[int(sender[1:])].public_key for sender in seen}
         # One merge per run of one tuple object among the counted lists.
         runs = sum(1 for i, ev in enumerate(counted) if i == 0 or ev is not counted[i - 1])
         assert maintenance.events.updates == runs
@@ -746,16 +787,17 @@ class TestRejectPaths:
 class TestTimeouts:
     def test_a_rebuy_requeries_the_timed_out_record_check(self):
         """An insured maintaining client checks epoch 1's register record at
-        tick 62 through the unresponsive p1, which also backs its policy.
-        The timeout at 65 voids the policy: the client buys again and queries
-        the record check afresh at once, so it times out once, not again at
-        66, and counts one rejection."""
+        tick 62 through p1, which also backs its policy and asks to withdraw
+        at 56, after the client's bootstrap: an honest leaver still serves the
+        list, but refuses the query. The timeout at 65 voids the policy: the
+        client buys again and queries the record check afresh at once, so it
+        times out once, not again at 66, and counts one rejection."""
         base = build_scenario(
             ProviderStrategy.HONEST, 1, min_compliant_challenge_period(8, 1), Protocol.INS, seed=0
         )
         providers = (
             ProviderSpec(stake=eth_to_wei(20), strategy=ProviderStrategy.HONEST),
-            ProviderSpec(stake=eth_to_wei(20), strategy=ProviderStrategy.UNRESPONSIVE),
+            ProviderSpec(stake=eth_to_wei(20), strategy=ProviderStrategy.HONEST, withdraw_tick=56),
             ProviderSpec(stake=eth_to_wei(8), strategy=ProviderStrategy.HONEST, register_tick=25),
         )
         client = dataclasses.replace(
@@ -767,7 +809,8 @@ class TestTimeouts:
         assert [tick for tick, _, event in events if event == "timeout"] == ["65"]
         assert ["66", "c0", "buy_insurance"] in events
         assert metrics.clients["c0"].rejected == 1
-        (record_check,) = [c for c in sim.clients[0].checks if c.kind is CheckKind.EPOCH_EVENT]
+        # Epoch 1's register record; epoch 2's carries p1's withdraw record.
+        record_check = [c for c in sim.clients[0].checks if c.kind is CheckKind.EPOCH_EVENT][0]
         assert record_check.restarts == 1
         assert record_check.query_tick == 65
         assert record_check.outcome == "accepted"
@@ -804,9 +847,10 @@ class TestLifecycle:
         assert sim.clients[0].stage.name == "ACCEPTED"
 
     def test_second_alert_in_a_tick_does_not_strand_an_insured_client(self):
-        # Two watchers alert c2 at tick 77 about the same slashed provider.
-        # The first voids its policy; the second restarts its epoch-event
-        # check, which must not stop the client from buying again.
+        # Two watchers alert c2 at tick 77 about the same slashed provider,
+        # which also served c2's list. The first has c2 read its next set,
+        # which closes its epoch-event check, and voids its policy; the second
+        # changes nothing. Neither must stop the client from buying again.
         cp = min_compliant_challenge_period(8, 2)
         eco = build_scenario(ProviderStrategy.HONEST, 2, cp, Protocol.ECO, seed=997588)
         ins = build_scenario(ProviderStrategy.HONEST, 2, cp, Protocol.INS, seed=997588)
@@ -844,6 +888,7 @@ class TestLifecycle:
         sim = Simulation(config)
         metrics, log = sim.run()
         alerts = [line for line in log.lines if line.split("\t")[1:3] == ["c2", "alert"]]
-        assert [line.split("\t")[0] for line in alerts] == ["77", "77"]
+        assert [line.split("\t")[0] for line in alerts] == ["77"]
+        assert metrics.clients["c2"].heavy_checks_by_cause["alert"] == 2
         assert _purchases(log, "c2") == 2
         assert metrics.clients["c2"].accepted == 1
