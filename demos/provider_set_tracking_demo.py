@@ -2,11 +2,13 @@
 """Tracking the provider set without heavy checks.
 
 Providers register and withdraw on their own schedules.  After one
-bootstrap, the client predicts each epoch's set by verifying the previous
-epoch's register/withdraw records through the normal inclusion-check
-protocol and folding them in, two epochs behind on-chain execution.  The
-harness compares the prediction against the contract at every epoch
-boundary.
+bootstrap, the client predicts each epoch's set from the previous epoch's
+register/withdraw records, two epochs behind on-chain execution.  It asks
+the providers its value selects for their signed lists of those records,
+forwards each list to the watchers, who slash a list whose root is not
+the contract's, and once the maintenance challenge period after the last
+list has passed without an alert, folds the records in.  The harness
+compares the prediction against the contract at every epoch boundary.
 
 Usage:
     python3 demos/provider_set_tracking_demo.py

@@ -186,7 +186,6 @@ def provider_respond(
     chain: Chain,
     keypair: KeyPair,
     status: ProviderStatus = ProviderStatus.ACTIVE,
-    memo: dict | None = None,
 ) -> SignedResponse | None:
     """One provider's answer to a query; None is silence.
 
@@ -196,12 +195,6 @@ def provider_respond(
     records (insurance purchases, register/withdraw events) yields nothing
     and would burn their stake before any insured acceptance exists, so a
     rational attacker answers those honestly.
-
-    `memo`, when given, holds the answers this provider has built. Every
-    refusal check runs first; a query that passes them is answered from the
-    memo when it was answered before. The chain only grows and has no
-    forks, and Ed25519 signing is deterministic, so the stored answer is the
-    one that would be built afresh.
     """
     if strategy is ProviderStrategy.UNRESPONSIVE:
         return None
@@ -210,30 +203,16 @@ def provider_respond(
             return None
         if not chain.is_finalized(query.block_number):
             return None
-        fabricate = False
     elif strategy is ProviderStrategy.UNFINALIZED_HASH:
         if query.block_number > chain.tip.number:
             return None
-        fabricate = False
     # WRONG_HASH and EXIT_SCAM.
     elif _is_protocol_record_query(query, chain):
         if not chain.is_finalized(query.block_number):
             return None
-        fabricate = False
     else:
-        fabricate = True
-    # A record that reaches the chain only after a lying provider was asked
-    # about it turns a fabrication into a true answer: keep the two apart.
-    key = (fabricate, query.block_number, query.state_hash, query.insurance_id)
-    if memo is not None and key in memo:
-        return memo[key]
-    if fabricate:
-        response = _fabricated_response(keypair, query)
-    else:
-        response = _true_response(keypair, query, chain)
-    if memo is not None and response is not None:
-        memo[key] = response
-    return response
+        return _fabricated_response(keypair, query)
+    return _true_response(keypair, query, chain)
 
 
 def signed_event_list(
@@ -410,10 +389,7 @@ class DataProviderActor:
     whose records may still change. It signs each epoch's list once, and
     again only when the contract's tuple for the epoch is another object.
 
-    Every query passes the strategy's refusal checks afresh. One that passes
-    and was answered before, by this provider to any client, gets the same
-    signed answer again from the provider's memo, without a second proof
-    or signature.
+    Every query is answered afresh by `provider_respond`.
     """
 
     def __init__(
@@ -433,8 +409,6 @@ class DataProviderActor:
         self.withdraw_tick = withdraw_tick
         self._misbehaved = False
         self._withdraw_submitted = False
-        # The answers built so far; see `provider_respond`.
-        self._responses: dict[tuple, SignedResponse] = {}
         # The signed list of each epoch asked about (`_event_list`).
         self._lists: dict[int, EventListMsg] = {}
 
@@ -474,7 +448,7 @@ class DataProviderActor:
             record = ctx.contract.provider(self.public_key)
             status = record.status if record is not None else ProviderStatus.ACTIVE
             response = provider_respond(
-                self.strategy, payload.query, ctx.chain, self.keypair, status, self._responses
+                self.strategy, payload.query, ctx.chain, self.keypair, status
             )
             if response is not None:
                 ctx.send(self.name, sender, ResponseMsg(response=response))

@@ -320,12 +320,12 @@ class HeavyCheckOracle:
     its caller gives (`HeavyCheckCause`). A client pays one when it first
     reads the provider set (bootstrap); when it has no prediction of the
     clock's epoch (epoch gap) or its held providers cannot back its value
-    for the lists or record checks it would predict from (short backing);
-    when an insured purchase reverts or no selection backs a repeat purchase
-    (purchase revert, purchase retry); and when a slash alert names a
-    provider that an open check queried, that backs the policy not yet used,
-    or whose list the next prediction rests on (alert). An alert that can no
-    longer change the client's next step costs none.
+    for the lists it would predict from (short backing); when an insured
+    purchase reverts or no selection backs a repeat purchase (purchase
+    revert, purchase retry); and when a slash alert names a provider that an
+    open check queried, that backs the policy not yet used, or whose list
+    the next prediction rests on (alert). An alert that can no longer change
+    the client's next step costs none.
 
     A provider-set read hands out read-only views
     (`light_client.ProviderView`), one pair for each (epoch, contract state

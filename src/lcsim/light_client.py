@@ -35,8 +35,11 @@ check: it predicts the epoch e+1 provider set by folding the verified
 membership records of epoch e-1 into its epoch e set with the contract's
 own rule (`contract.fold_membership`). It learns those records from signed
 lists, asked only of the providers its value selects: a list that leaves a
-record out is slashable, so the selected providers' stake backs the lists
-as it backs their answers. Each list is forwarded to the watchers, and a
+record out or adds one is slashable, so the selected providers' stake backs
+the lists as it backs their answers, and a list is the client's one answer
+about its epoch. Each list is forwarded to the watchers, and the client
+predicts once the maintenance challenge period after the last list has
+passed, as an economic check accepts once its challenge period has; a
 slash alert about a provider whose list the prediction rests on has the
 client read the next set through a heavy check instead. It keeps one
 maintenance record, for the epoch it holds, and the sets of that epoch and
@@ -47,8 +50,8 @@ Each tick-driven action has one deadline, written once and read both by
 the driver that acts and by `next_tick`, which tells the harness when to
 tick the client again: `_live_from` (start and offline window),
 `_protocol_waits` (the lifecycle), `_epoch_due` (the next epoch),
-`_maintenance_due` (fetch and collect) and `_check_deadline` (issue, time
-out or finish a check).
+`_maintenance_due` (fetch, collect and predict) and `_check_deadline`
+(issue, time out or finish a check).
 """
 
 from __future__ import annotations
@@ -261,14 +264,13 @@ class HeavyCheckCause(enum.Enum):
     EPOCH_GAP = "epoch_gap"  # no predicted set for the clock's epoch
     PURCHASE_REVERT = "purchase_revert"  # a purchase reverted: read a fresh set
     PURCHASE_RETRY = "purchase_retry"  # no selection backs a repeat purchase
-    SHORT_BACKING = "short_backing"  # no selection backs a list or a record check
+    SHORT_BACKING = "short_backing"  # no selection backs a list request
     ALERT = "alert"  # a slash alert that can change the next step
 
 
 class CheckKind(enum.Enum):
     TARGET = "target"
     INSURANCE_INCLUSION = "insurance_inclusion"
-    EPOCH_EVENT = "epoch_event"
 
 
 @dataclass
@@ -285,7 +287,6 @@ class Check:
     challenge_period: int
     value: int
     insurance_id: int | None = None
-    event_payload: bytes | None = None
     selected: list[bytes] = field(default_factory=list)  # the providers queried
     responses: dict[bytes, SignedResponse] = field(default_factory=dict)
     query_tick: int | None = None
@@ -299,8 +300,8 @@ class Check:
 @dataclass
 class _Maintenance:
     """The prediction of the set after the held epoch: the signed lists of
-    the epoch before it, from the providers the client's value selects, then
-    one check per record."""
+    the epoch before it, from the providers the client's value selects, and
+    then the maintenance challenge period from the last one's arrival."""
 
     epoch: int
     requested_tick: int  # when the providers in `asked` were asked
@@ -311,8 +312,8 @@ class _Maintenance:
     # contract's tuple of the epoch, so a list carrying this very tuple adds
     # nothing; an equal tuple that is another object is merged again.
     merged: tuple[tuple[int, bytes], ...] | None = None
-    checks: list[Check] = field(default_factory=list)
-    collected: bool = False
+    last_list_tick: int = 0  # when the last verified list arrived
+    collected: bool = False  # no further list counts
 
 
 def verify_response(check: Check, response: SignedResponse, verify=None) -> bool:
@@ -365,9 +366,6 @@ class LightClientActor:
         self.current_epoch_held: int | None = None
         self.dropped: set[bytes] = set()
         self.checks: list[Check] = []
-        # Every check before this index is closed, so the loops that pass
-        # over closed checks start here; `_accept` moves it on.
-        self._first_open = 0
         self._pending_purchase: int | None = None  # token of the BUYING purchase
         self._purchase_attempts: int = 0
         self._insurance_id: int | None = None  # the policy, from CONFIRMING on
@@ -478,7 +476,7 @@ class LightClientActor:
         if not self.bootstrap_epochs or not self._protocol_waits():
             return self._live_from(soon)
         deadlines = []
-        for check in self.checks[self._first_open :]:
+        for check in self.checks:
             if check.outcome is None:
                 deadline = self._check_deadline(check)
                 if deadline is not None:
@@ -514,14 +512,18 @@ class LightClientActor:
     def _maintenance_due(self) -> int | None:
         """First tick at which _run_maintenance acts on the held epoch: its
         fetch tick, the first at which the previous epoch's last block is
-        final, then the end of each round trip of list requests; None once
-        the lists are collected."""
+        final, then the end of each round trip of list requests, then the
+        end of the wait after the last list; None once the next set is
+        predicted."""
         maintenance = self._maintenance
         if maintenance is None:
             return self.current_epoch_held * self.update_epoch_blocks + self.t_fin + 1
-        if maintenance.collected:
+        if maintenance.epoch + 1 in self.sets:
             return None
-        return maintenance.requested_tick + 2 * self.delta + 1
+        if not maintenance.collected:
+            return maintenance.requested_tick + 2 * self.delta + 1
+        cp = self.config.maintenance_challenge_period or self.config.challenge_period
+        return maintenance.last_list_tick + cp
 
     def _check_deadline(self, check: Check) -> int | None:
         """First tick at which _drive_checks acts on the open `check`, or None."""
@@ -628,8 +630,8 @@ class LightClientActor:
 
     def _rebuy_policy(self) -> None:
         """Abandon the voided policy and its checks; buy anew from START."""
-        for check in self.checks[self._first_open :]:
-            if check.outcome is None and check.kind is not CheckKind.EPOCH_EVENT:
+        for check in self.checks:
+            if check.outcome is None:
                 check.outcome = "abandoned"
         self.stage = Stage.START
 
@@ -660,10 +662,6 @@ class LightClientActor:
             check.outcome = "no_eligible_providers"
             if check.kind is CheckKind.TARGET:
                 self.stage = Stage.GAVE_UP
-            elif check.kind is CheckKind.EPOCH_EVENT:
-                maintenance = self._maintenance
-                if maintenance is not None and check in maintenance.checks:
-                    self._read_next_set(maintenance, HeavyCheckCause.SHORT_BACKING, ctx)
             return False
         return True
 
@@ -683,7 +681,7 @@ class LightClientActor:
 
     def _drive_checks(self, now: int, ctx) -> None:
         """Issue, time out or finish each check whose deadline has come."""
-        for check in self.checks[self._first_open :]:
+        for check in self.checks:
             if check.outcome is not None:
                 continue
             deadline = self._check_deadline(check)
@@ -703,8 +701,8 @@ class LightClientActor:
         self._reject(check, pending, ctx)
         ctx.log(self.name, "timeout", b"".join(sorted(pending)))
         if check.insurance_id is not None or self._policy_voided(pending):
-            self._rebuy_policy()
-        if check.outcome is None:  # a rebuy leaves record checks open
+            self._rebuy_policy()  # abandons `check` too
+        else:
             self._requery(check, now, ctx)
 
     def _finish_economic_check(self, check: Check, now: int, ctx) -> None:
@@ -719,25 +717,14 @@ class LightClientActor:
     def _accept(self, check: Check, now: int, ctx) -> None:
         check.accepted_tick = now
         check.outcome = "accepted"
-        # Most checks close here; an outcome is never reset.
-        checks = self.checks
-        first = self._first_open
-        while first < len(checks) and checks[first].outcome is not None:
-            first += 1
-        self._first_open = first
         metrics = ctx.metrics.client(self.name)
         if check.kind is CheckKind.TARGET:
             self.stage = Stage.ACCEPTED
             metrics.accepted += 1
             metrics.ticks_to_acceptance.append(now - (check.query_tick or now))
             ctx.record_acceptance(self.name, check)
-        elif check.kind is CheckKind.INSURANCE_INCLUSION:
+        else:  # INSURANCE_INCLUSION
             self.stage = Stage.CONFIRMED
-        elif check.kind is CheckKind.EPOCH_EVENT:
-            maintenance = self._maintenance
-            # A check of an epoch no longer held changes nothing.
-            if maintenance is not None and check in maintenance.checks:
-                self._maintenance_event_done(maintenance, ctx)
         ctx.log(self.name, "accepted", check.state_hash)
 
     # -- message handling ---------------------------------------------------------
@@ -767,6 +754,7 @@ class LightClientActor:
                 and ctx.verify(pk, payload.payload(), payload.signature)
             ):
                 maintenance.listed.add(pk)
+                maintenance.last_list_tick = now
                 events = payload.events
                 if events is not maintenance.merged:
                     # An epoch's list names each record once, in a block of that epoch.
@@ -786,7 +774,7 @@ class LightClientActor:
             ctx.log(self.name, "compensated", codec.encode_u128(payload.amount))
 
     def _handle_response(self, response: SignedResponse, now: int, ctx) -> None:
-        for check in self.checks[self._first_open :]:
+        for check in self.checks:
             if check.outcome is not None or response.provider_pk not in check.selected:
                 continue
             if (
@@ -850,14 +838,11 @@ class LightClientActor:
         maintenance = self._maintenance
         if maintenance is not None and pk in maintenance.listed:
             # The prediction rests on a list whose signer's stake is gone, as
-            # an omitting list's is once slashed: read the next set instead.
+            # a list's is once slashed for a wrong root: read the next set
+            # instead.
             maintenance.listed.discard(pk)
             self._read_next_set(maintenance, HeavyCheckCause.ALERT, ctx)
-        active = [
-            check
-            for check in self.checks[self._first_open :]
-            if check.outcome is None and pk in check.selected
-        ]
+        active = [c for c in self.checks if c.outcome is None and pk in c.selected]
         policy_hit = self._policy_voided((pk,))
         if not active and not policy_hit:
             # The alert cannot change what the client does next: no open
@@ -899,7 +884,9 @@ class LightClientActor:
         the client's value selects for the previous epoch's signed list; once
         the round trip is over, drop the ones still silent and ask the next
         ones selection names, as a check's timeout does; once every selected
-        provider's list is in, check each record (`_maintenance_event_done`)."""
+        provider's list is in, wait out the maintenance challenge period from
+        the last one's arrival, as an economic check does, and fold the
+        listed records into the held set."""
         due = self._maintenance_due()
         if due is None or now < due:
             return
@@ -909,32 +896,24 @@ class LightClientActor:
             maintenance = self._maintenance = _Maintenance(epoch, now)
             if epoch == 0:
                 # No records precede epoch 0, so the next set is the held one.
-                maintenance.collected = True
                 self._predict(1, self.sets[0], ctx)
             else:
                 self._ask_for_lists(maintenance, now, ctx)
             return
-        silent = [pk for pk in maintenance.asked if pk not in maintenance.listed]
-        if silent:
-            self.dropped.update(silent)
-            ctx.log(self.name, "timeout", b"".join(sorted(silent)))
-            if self._ask_for_lists(maintenance, now, ctx):
+        if not maintenance.collected:
+            silent = [pk for pk in maintenance.asked if pk not in maintenance.listed]
+            if silent:
+                self.dropped.update(silent)
+                ctx.log(self.name, "timeout", b"".join(sorted(silent)))
+                if self._ask_for_lists(maintenance, now, ctx):
+                    return
+            maintenance.collected = True
+            if now < self._maintenance_due():
                 return
-        maintenance.collected = True
-        cp = self.config.maintenance_challenge_period or self.config.challenge_period
-        for block_number, payload in sorted(maintenance.events):
-            check = Check(
-                kind=CheckKind.EPOCH_EVENT,
-                block_number=block_number,
-                state_hash=crypto.digest(payload),
-                challenge_period=cp,
-                value=self.config.target_value,
-                event_payload=payload,
-                query_tick=now,
-            )
-            maintenance.checks.append(check)
-            self.checks.append(check)
-        self._maintenance_event_done(maintenance, ctx)  # at once for no records
+        # Sorted, so equal sets of records give equal tuples, and the held
+        # view's memo one successor.
+        events = tuple(sorted(maintenance.events))
+        self._predict(epoch + 1, self.sets[epoch].successor(events), ctx)
 
     def _ask_for_lists(self, maintenance: _Maintenance, now: int, ctx) -> bool:
         """Ask the providers the client's value selects, less those whose
@@ -956,30 +935,11 @@ class LightClientActor:
 
     def _read_next_set(self, maintenance: _Maintenance, cause: HeavyCheckCause, ctx) -> None:
         """Take the set after the held epoch from one heavy check for `cause`,
-        and close `maintenance`: its lists and record checks no longer decide
-        the prediction."""
+        and close `maintenance`: its lists no longer decide the prediction."""
         maintenance.collected = True
-        for check in maintenance.checks:
-            if check.outcome is None:
-                check.outcome = "abandoned"
         epoch = maintenance.epoch + 1
         _, held, _, self.leaving = ctx.oracle.provider_set(self.name, cause, epoch)
         self._predict(epoch, held, ctx)
-
-    def _maintenance_event_done(self, maintenance: _Maintenance, ctx) -> None:
-        """Predict the set after the held epoch once each of its record
-        checks has ended, at once when it has none."""
-        if any(c.outcome is None for c in maintenance.checks):
-            return
-        # The checks are in (block, record) order, so equal sets of accepted
-        # records give equal tuples, and the held view's memo one successor.
-        events = tuple(
-            (c.block_number, c.event_payload)
-            for c in maintenance.checks
-            if c.outcome == "accepted"
-        )
-        epoch = maintenance.epoch
-        self._predict(epoch + 1, self.sets[epoch].successor(events), ctx)
 
     def _predict(self, epoch: int, provider_set: ProviderView, ctx) -> None:
         self.sets[epoch] = provider_set

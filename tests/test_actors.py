@@ -28,7 +28,7 @@ from lcsim.contract import (
     records_root,
 )
 from lcsim.light_client import Check, CheckKind, verify_response
-from lcsim.messages import EventListMsg, EventListRequest, QueryMsg
+from lcsim.messages import EventListMsg, EventListRequest
 from lcsim.pricing import PricingParams, eth_to_wei
 
 ETH = eth_to_wei(1)
@@ -129,6 +129,22 @@ class TestProviderRespond:
         assert response.block_hash == fresh.hash  # true but unfinalized
         beyond = Query(block_number=chain.tip.number + 5, state_hash=target.id)
         assert provider_respond(ProviderStrategy.UNFINALIZED_HASH, beyond, chain, kp) is None
+
+    def test_record_reaching_the_chain_later_is_answered_truly(self, env):
+        """A lying provider asked about a register record before it is on
+        chain fabricates; once the record is final it answers truly."""
+        chain, contract, kp, _ = env
+        record = Transaction.create(codec.register_record(kp.public_key, 32 * ETH))
+        query = Query(block_number=chain.tip.number + 1, state_hash=record.id)
+        lie = provider_respond(ProviderStrategy.WRONG_HASH, query, chain, kp)
+        block = chain.append_block([record])
+        assert block.number == query.block_number
+        # A record: final blocks only.
+        assert provider_respond(ProviderStrategy.WRONG_HASH, query, chain, kp) is None
+        while not chain.is_finalized(block.number):
+            chain.append_block([])
+        truth = provider_respond(ProviderStrategy.WRONG_HASH, query, chain, kp)
+        assert truth.block_hash == block.hash != lie.block_hash
 
 
 class TestWatcherCheck:
@@ -496,10 +512,23 @@ class TestStandingRequests:
 
 class TestWatcherLists:
     """A watcher disputes a forwarded list only when its root is not the
-    root of the contract's records of its epoch, and the contract slashes
-    on that evidence."""
+    root of the contract's records of its epoch, whether the list leaves a
+    record out or adds one, and the contract slashes on that evidence."""
 
     def test_only_an_omitting_list_is_disputed(self, records_env):
+        """Of the provider's true list and one without its register record,
+        only the second is disputed."""
+        self.assert_only_the_wrong_list_is_disputed(records_env, lambda records: ())
+
+    def test_only_an_adding_list_is_disputed(self, records_env):
+        """Of the provider's true list and one with a register record no
+        block holds, only the second is disputed."""
+        added = (13, codec.register_record(crypto.keygen(78).public_key, 8 * ETH))
+        self.assert_only_the_wrong_list_is_disputed(
+            records_env, lambda records: records + (added,)
+        )
+
+    def assert_only_the_wrong_list_is_disputed(self, records_env, wrong_records):
         chain, contract = records_env
         kp = crypto.keygen(77)
         land(chain, contract, RegisterTx(kp.public_key, 32 * ETH))  # block 12
@@ -511,104 +540,10 @@ class TestWatcherLists:
         watcher = WatcherActor("w0")
         watcher.handle_message("c0", provider._event_list(0, ctx), ctx)
         assert submitted == []
-        omitting = signed_event_list(kp, 0, ())
-        watcher.handle_message("c0", omitting, ctx)
+        wrong = signed_event_list(kp, 0, wrong_records(contract.membership_records(0)))
+        watcher.handle_message("c0", wrong, ctx)
         (tx,) = submitted
-        assert tx.evidence == ListEvidence(kp.public_key, 0, omitting.root, omitting.signature)
+        assert tx.evidence == ListEvidence(kp.public_key, 0, wrong.root, wrong.signature)
         land(chain, contract, tx)
         assert contract.provider(kp.public_key).status is ProviderStatus.SLASHED
         assert ctx.sent == []  # the alert waits for the receipt
-
-
-class TestResponseMemo:
-    """A provider builds and signs each distinct answer once; every refusal
-    check still runs on every query."""
-
-    def ask(self, provider, ctx, query, client="c0"):
-        """The response `client` gets, or None when the provider is silent."""
-        before = len(ctx.sent)
-        provider.handle_message(client, QueryMsg(query=query), ctx)
-        if len(ctx.sent) == before:
-            return None
-        _, dst, msg = ctx.sent.pop()
-        assert dst == client
-        return msg.response
-
-    def test_identical_queries_share_one_signed_answer(self, env, signs):
-        chain, contract, kp, target = env
-        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
-        ctx = _SendLog(chain, contract)
-        first = self.ask(provider, ctx, Query(block_number=2, state_hash=target.id), "c0")
-        again = self.ask(provider, ctx, Query(block_number=2, state_hash=target.id), "c1")
-        assert first is again
-        assert len(signs) == 1
-        assert first == provider_respond(
-            ProviderStrategy.HONEST, Query(block_number=2, state_hash=target.id), chain, kp
-        )
-
-    def test_honest_refuses_an_answered_query_once_leaving(self, env, signs):
-        chain, contract, kp, target = env
-        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
-        ctx = _SendLog(chain, contract)
-        query = Query(block_number=2, state_hash=target.id)
-        assert self.ask(provider, ctx, query) is not None
-        contract.request_withdraw(kp.public_key, chain.tip.number + 1)
-        assert contract.provider(kp.public_key).status is ProviderStatus.LEAVING
-        assert self.ask(provider, ctx, query) is None
-        assert len(signs) == 1
-
-    def test_silent_before_finality_then_answered(self, env, signs):
-        chain, contract, kp, _ = env
-        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.HONEST)
-        ctx = _SendLog(chain, contract)
-        fresh = chain.append_block([Transaction.create(b"fresh")])
-        query = Query(block_number=fresh.number, state_hash=fresh.transactions[0].id)
-        assert self.ask(provider, ctx, query) is None
-        while not chain.is_finalized(fresh.number):
-            chain.append_block([])
-        response = self.ask(provider, ctx, query)
-        assert response is not None and response.block_hash == fresh.hash
-        assert self.ask(provider, ctx, query) is response
-        assert len(signs) == 1
-
-    @pytest.mark.parametrize("strategy", [ProviderStrategy.HONEST, ProviderStrategy.WRONG_HASH])
-    def test_eco_and_insured_queries_get_their_own_answers(self, env, signs, strategy):
-        chain, contract, kp, target = env
-        provider = DataProviderActor("p0", kp, 32 * ETH, strategy)
-        ctx = _SendLog(chain, contract)
-        eco = self.ask(provider, ctx, Query(block_number=2, state_hash=target.id))
-        ins = self.ask(provider, ctx, Query(block_number=2, state_hash=target.id, insurance_id=5))
-        assert (eco.insurance_id, ins.insurance_id) == (None, 5)
-        assert eco.signature != ins.signature
-        assert self.ask(provider, ctx, Query(block_number=2, state_hash=target.id)) is eco
-        assert len(signs) == 2
-
-    def test_fabrication_is_reused_per_query(self, env, signs):
-        chain, contract, kp, target = env
-        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.WRONG_HASH)
-        ctx = _SendLog(chain, contract)
-        query = Query(block_number=2, state_hash=target.id)
-        lie = self.ask(provider, ctx, query, "c0")
-        assert lie.block_hash != chain.finalized_block_hash(2)
-        assert self.ask(provider, ctx, query, "c1") is lie
-        other = self.ask(provider, ctx, Query(block_number=3, state_hash=target.id))
-        assert other is not lie and other.block_number == 3
-        assert len(signs) == 2
-
-    def test_record_reaching_the_chain_later_is_answered_truly(self, env):
-        """A lying provider asked about a register record before it is on
-        chain fabricates; once the record is final it answers truly, and
-        the earlier fabrication is not served in its place."""
-        chain, contract, kp, _ = env
-        provider = DataProviderActor("p0", kp, 32 * ETH, ProviderStrategy.WRONG_HASH)
-        ctx = _SendLog(chain, contract)
-        record = Transaction.create(codec.register_record(kp.public_key, 32 * ETH))
-        query = Query(block_number=chain.tip.number + 1, state_hash=record.id)
-        lie = self.ask(provider, ctx, query)
-        block = chain.append_block([record])
-        assert block.number == query.block_number
-        assert self.ask(provider, ctx, query) is None  # a record: final blocks only
-        while not chain.is_finalized(block.number):
-            chain.append_block([])
-        truth = self.ask(provider, ctx, query)
-        assert truth.block_hash == block.hash != lie.block_hash

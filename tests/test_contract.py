@@ -524,14 +524,16 @@ class TestListSlashing:
         assert contract.membership_records(0) == ((1, codec.register_record(kp.public_key, 64 * ETH)),)
         return ledger, contract, chain, kp
 
-    def test_omitting_list_slashes_full_stake(self):
+    def assert_slashes_full_stake(self, wrong_records):
+        """A list of epoch 0 signed over `wrong_records(true records)`
+        slashes the provider's whole stake, and pays no policy."""
         ledger, contract, chain, kp = self.setup_final_epoch()
         buyer = crypto.keygen(31).public_key
         ledger.mint(buyer, 10 * ETH)
         step(chain, contract, [BuyInsuranceTx(buyer, ((kp.public_key, 5 * ETH),), 5 * ETH, 100)])
         (policy,) = contract.policies.values()
         total_before = ledger.total()
-        evidence = list_evidence(kp, 0, ())
+        evidence = list_evidence(kp, 0, wrong_records(contract.membership_records(0)))
         event, payload = contract.slash(evidence, chain, 26, submitter="w")
         assert contract.provider(kp.public_key).status is ProviderStatus.SLASHED
         assert event.slashed_amount == 64 * ETH and event.block_number == 7
@@ -544,6 +546,15 @@ class TestListSlashing:
         assert codec.decode_slash_record(payload) == (
             kp.public_key, 7, evidence.root, 64 * ETH, None, evidence.signature
         )
+
+    def test_omitting_list_slashes_full_stake(self):
+        self.assert_slashes_full_stake(lambda records: ())
+
+    def test_adding_list_slashes_full_stake(self):
+        """A list that adds a register record no block holds is slashable
+        just as one that leaves a record out."""
+        added = (3, codec.register_record(crypto.keygen(33).public_key, 8 * ETH))
+        self.assert_slashes_full_stake(lambda records: records + (added,))
 
     def test_matching_root_rejected(self):
         _, contract, chain, kp = self.setup_final_epoch()

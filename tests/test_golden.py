@@ -240,8 +240,8 @@ PINNED: dict[str, tuple[str, str]] = {
         "8ddf3bcdca21d07751355164373d40c43de7f8cefa6df12436a8926b19354d0d",
     ),
     "maintenance": (
-        "fc0030bc7449509c8bfbc243eeb3b64f38fec44da9d0f12324d22331cef600c1",
-        "d51cd2a58403380968a2b66812aa4c8b75aecf4c4f33d38e245f0d55a34664c8",
+        "e871fea582bf482c1ceb264747471c3ce66bbfc9e1b530930bec2a741e4af529",
+        "e75a5c42fd8889270c8034b7207296fbe3f381e54264d62ee8713a1b9551fde8",
     ),
     "wrong_hash": (
         "5931bd21733085d490c0bcef4f792720b92b0c0d2864de33cc37313e742de9b3",
@@ -252,8 +252,8 @@ PINNED: dict[str, tuple[str, str]] = {
         "5ed3456e5700021330aa4214d01007927d339fceb4bbfff62bdb663595f51fd5",
     ),
     "scaled_maintain": (
-        "a4c3db073c53506edf16c98a004396defe922a0425e64cdf78a93abdff0fdf2f",
-        "c576172cd646639fe7efbc25d282215b6965a60244f7b7be37b182c1d35b4da6",
+        "68699845852286527b3e2357219f7cba72d92fb6795114926c0e08b1cfdc7293",
+        "3fb764510655ff84bb63c3d41d33f88fec1fb6e6fb8d52c066feff779ee9f004",
     ),
     "scaled_insured": (
         "0569a82dd59fc94e5367ea1e71e769ec6bd9dc52fb303251aed120f02f9faca7",
@@ -268,15 +268,15 @@ PINNED: dict[str, tuple[str, str]] = {
         "babdd3a80ff3f469635da6ea0c2a4d95939d3e8f6a348ddbf4caa10c29a1092d",
     ),
     "grid_100x100": (
-        "6a93ede2b257ff172bd30dbd5731bd53ae3c9bda3a2de4a866f7c92a90307da6",
+        "677b134fe5a250868694a206ff65ed63661b72e5a89cc5173d29392880e03075",
         "f5915bcc845341bdc7c952097b8cef7990170ce063d826e1350aab113a20ca6b",
     ),
     "grid_churn_100x100": (
-        "d7e53f3f353d77f4a10637380903b010ce2cdeee4f57f08acef0a2a26953ec35",
-        "134b45d8c1c091e357ba60a2bbf61b6370a8250a07cef7f52b3c417f30dc0cf1",
+        "b11c63a381944f6d1f11d0b6d5e5ab21f9feb4a4f4c350bb40a92ef5da164573",
+        "f65ab62cb508d8779c4fc62eabf9fc749d3888a78b0b919c8311b391cc15c2ca",
     ),
     "grid_300x1000": (
-        "279349cf68ea43a1f3e342da4a48516d1efb665c2af545a6f96a9b481b19a570",
+        "a652c7b7da2da81eccb2fdb5e4f05d648e08646e6912b8f25eb8aac9c0c4aa62",
         "fdc91e5a29f583e90f3ecadef56f60dd535933e0224678159c159f6b7c38ead0",
     ),
     "table3_10eth_eco": (

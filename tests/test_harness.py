@@ -522,31 +522,6 @@ class TestShortBacking:
         causes = metrics.clients["c0"].heavy_checks_by_cause
         assert causes == {"bootstrap": 1, "short_backing": 2}
 
-    def test_a_record_check_left_without_backing(self):
-        """The leaver asks to withdraw at 52, after the bootstrap: the client
-        asks it for epoch 1's list, which it serves, and for the record check
-        of a fourth provider's registration, which it refuses. Dropped at the
-        timeout, it leaves 28 ETH: the client reads epoch 3's set."""
-        config = dataclasses.replace(
-            self.config(
-                (
-                    ProviderSpec(stake=20 * ETH),
-                    ProviderSpec(stake=8 * ETH),
-                    ProviderSpec(stake=8 * ETH, withdraw_tick=52),
-                    ProviderSpec(stake=8 * ETH, register_tick=30),
-                )
-            ),
-            total_ticks=150,
-        )
-        sim = Simulation(config)
-        metrics, log = sim.run()
-        assert metrics.violations == []
-        assert metrics.clients["c0"].heavy_checks_by_cause == {"bootstrap": 1, "short_backing": 1}
-        (check,) = [c for c in sim.clients[0].checks if c.outcome == "no_eligible_providers"]
-        assert check.query_tick == 62 and check.restarts == 1
-        events = [line.split("\t")[:3] for line in log.lines if line.split("\t")[1] == "c0"]
-        assert ["65", "c0", "timeout"] in events and ["65", "c0", "predicted_set"] in events
-
 
 class WorstCaseDelays(Simulation):
     """Every link takes the full delta ticks except the liar's (p0's)
@@ -1508,7 +1483,9 @@ class TestMessageCounts:
         selects, here one: 48 requests, was 240 when each held provider was
         asked once and then pushed every later list. Lists: 96, was 660: each
         of the 48 replies, an empty one included, and its forward to the one
-        watcher."""
+        watcher. Queries, answers and forwards: 18 each, the clients' target
+        and purchase-record checks; were 114 when each listed record was
+        checked as well."""
         counts: dict[str, int] = {}
         enqueue_each = Simulation.enqueue_each
 
@@ -1523,10 +1500,10 @@ class TestMessageCounts:
         assert counts == {
             "EventListMsg": 96,
             "EventListRequest": 48,
-            "ForwardMsg": 114,
-            "QueryMsg": 114,
+            "ForwardMsg": 18,
+            "QueryMsg": 18,
             "ReceiptMsg": 34,
-            "ResponseMsg": 114,
+            "ResponseMsg": 18,
         }
 
     def test_no_list_is_sent_unasked(self):
@@ -1746,6 +1723,21 @@ def omitting(monkeypatch, names: set[str], payload: bytes) -> None:
     monkeypatch.setattr(DataProviderActor, "_event_list", dropped)
 
 
+def adding(monkeypatch, names: set[str], payload: bytes) -> None:
+    """The named providers add `payload`, in the first block of the epoch,
+    to every list they send, and sign the list they send."""
+    event_list = DataProviderActor._event_list
+
+    def added(provider, epoch, ctx):
+        msg = event_list(provider, epoch, ctx)
+        if provider.name not in names:
+            return msg
+        block = epoch * ctx.contract.config.update_epoch_blocks
+        return actors.signed_event_list(provider.keypair, epoch, msg.events + ((block, payload),))
+
+    monkeypatch.setattr(DataProviderActor, "_event_list", added)
+
+
 class TestStandingRequests:
     """Whether a request stands: it does not. At each epoch's fetch tick a
     client asks only the providers its value selects, and a provider answers
@@ -1786,9 +1778,10 @@ class TestStandingRequests:
     def test_same_run_when_a_first_request_crosses_a_fetch_tick(self, monkeypatch):
         """T_fin = 1 and delta = 6: c0 starts on epoch 2's last tick and asks
         at once for epoch 1's list, whose answer arrives after epoch 3 has
-        begun; its epoch 3 lists take too long as well. It reads the sets of
-        epochs 3 and 4 afresh, and predicts p2, registered in epoch 2, into
-        epoch 5."""
+        begun, so it reads epoch 3's set afresh. Epoch 2's list, asked for at
+        epoch 3's fetch tick, arrives in time for the wait after it to end
+        within epoch 3: it predicts p2, registered in epoch 2, into epoch 4,
+        and keeps it in epoch 5."""
         base = load("maintenance")
         delta, t_fin = 6, 1
         cp = t_fin + 2 * delta + 1
@@ -1822,9 +1815,10 @@ class TestStandingRequests:
         with monkeypatch.context() as patch:
             sets = recorded_sets(patch)
             metrics, _ = run_scenario(config)
-        source, predicted = sets["c0", 5]
-        assert source == "predicted" and joiner in predicted
-        assert metrics.clients["c0"].heavy_checks_by_cause == {"bootstrap": 1, "epoch_gap": 2}
+        for epoch in (4, 5):
+            source, predicted = sets["c0", epoch]
+            assert source == "predicted" and joiner in predicted
+        assert metrics.clients["c0"].heavy_checks_by_cause == {"bootstrap": 1, "epoch_gap": 1}
 
     def test_lists_count_only_from_held_providers(self, monkeypatch):
         """c0 bootstraps in epoch 2 holding p0, which has asked to withdraw,
@@ -1893,6 +1887,37 @@ class TestStandingRequests:
             expected = {pk: stake for pk, stake, _ in sim.contract.active_set(3)}
             assert sets["c0", 3][1] == expected and joiner.public_key in expected
 
+    def test_an_added_record_is_slashed_and_never_held(self, monkeypatch):
+        """As above, with lists that add the register record of a provider
+        no block holds. When p0, the provider asked, signs one, the watcher
+        slashes p0 on the forwarded list, and the alert reaches the client
+        within the maintenance challenge period after the list: the client
+        reads the next set afresh and never holds the added provider."""
+        config = load("maintenance")
+        added = crypto.keygen(999).public_key
+        record = codec.register_record(added, 24 * ETH)
+        for adders, slashed in ((set(), False), ({"p1", "p3"}, False), ({"p0"}, True)):
+            with monkeypatch.context() as patch:
+                adding(patch, adders, record)
+                taken = []
+                predict = LightClientActor._predict
+                patch.setattr(
+                    LightClientActor,
+                    "_predict",
+                    lambda client, epoch, view, ctx: taken.append(view)
+                    or predict(client, epoch, view, ctx),
+                )
+                sets = recorded_sets(patch)
+                sim = Simulation(config)
+                metrics, _ = sim.run()
+            assert metrics.violations == [], adders
+            assert (metrics.slash_count == 1) is slashed
+            causes = {"bootstrap": 1, "alert": 1} if slashed else {"bootstrap": 1}
+            assert metrics.clients["c0"].heavy_checks_by_cause == causes
+            assert taken and all(added not in view for view in taken)
+            expected = {pk: stake for pk, stake, _ in sim.contract.active_set(3)}
+            assert sets["c0", 3][1] == expected
+
 
 class TestScaling:
     """Per-client costs against the grid's size, on the first four rungs of
@@ -1950,13 +1975,16 @@ class TestVerifyMemo:
     @pytest.mark.parametrize("name", scenario.list_builtin_scenarios())
     def test_protocol_counters_unchanged(self, monkeypatch, name):
         config = load(name)
-        memoised, _ = run_scenario(config)
+        sim = Simulation(config)
+        memoised, _ = sim.run()
+        # The run checked signatures through the memo (a maintaining
+        # client's lists count in no client counter).
+        assert len(sim.signatures) > 0
         monkeypatch.setattr(
             crypto.VerifyMemo, "verify", lambda self, pk, msg, sig: crypto.verify(pk, msg, sig)
         )
         plain, _ = run_scenario(config)
         assert memoised.to_dict() == plain.to_dict()
-        assert sum(m.signature_verifications_total for m in memoised.clients.values()) > 0
 
     def test_repeats_are_served_from_the_memo(self, monkeypatch):
         real = crypto.verify
@@ -2090,43 +2118,6 @@ class TestProviderViews:
         assert all(id(view) in reachable for view in live)
 
 
-class TestResponseMemo:
-    def test_scaled_maintain_signs_each_distinct_payload_once(self, monkeypatch):
-        """Providers answer 114 queries: 26 distinct (secret key, payload)
-        pairs, each signed once. Was 114 calls, one per answer sent. They
-        answer 48 list requests with 5 lists, one per epoch asked about,
-        each signed once. Clients sign no query."""
-        calls = []
-        real = crypto.sign
-        monkeypatch.setattr(
-            crypto, "sign", lambda sk, msg: calls.append((sk, msg)) or real(sk, msg)
-        )
-        Simulation(scaled_maintain()).run()
-        assert len(calls) == len(set(calls)) == 31
-        lists = [msg for _, msg in calls if msg[0] == codec.TAG_EVENT_LIST]
-        assert len(lists) == 5
-
-    @given(populations() | maintaining_populations())
-    @settings(
-        max_examples=80,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-    )
-    def test_same_run_as_building_every_answer_afresh(self, monkeypatch, config):
-        got = outputs(Simulation(config))
-        respond = actors.provider_respond
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                actors,
-                "provider_respond",
-                lambda strategy, query, chain, keypair, status, memo: respond(
-                    strategy, query, chain, keypair, status
-                ),
-            )
-            reference = outputs(Simulation(config))
-        assert got == reference
-
-
 class TestCacheAudit:
     """Each cache lcsim keeps must still pay: a cache that an outer layer
     has made dead shows here as one that never hits."""
@@ -2178,13 +2169,6 @@ class TestCacheAudit:
             (light_client, "apply_epoch_events"),
         )
         cache(
-            actors,
-            "provider_respond",
-            lambda *args: "response memo",
-            (actors, "_fabricated_response"),
-            (actors, "_true_response"),
-        )
-        cache(
             DataProviderActor,
             "_event_list",
             lambda *args: "signed lists",
@@ -2198,17 +2182,6 @@ class TestCacheAudit:
             lambda *args: "oracle views",
             (SlashingContract, "active_set"),
         )
-
-        drive_checks = LightClientActor._drive_checks
-
-        def skipping(client, now, ctx):
-            closed = client.checks[: client._first_open]
-            assert all(check.outcome is not None for check in closed)
-            calls["_first_open"] += 1
-            hits["_first_open"] += bool(closed)
-            return drive_checks(client, now, ctx)
-
-        monkeypatch.setattr(LightClientActor, "_drive_checks", skipping)
 
         folded: dict[SlashingContract, list[int]] = {}
         fold_epochs = SlashingContract._fold_epochs
@@ -2229,8 +2202,6 @@ class TestCacheAudit:
             "ranking, own stakes",
             "ranking, other capacities",
             "successor",
-            "_first_open",
-            "response memo",
             "signed lists",
             "VerifyMemo",
             "chain trees",

@@ -2,7 +2,6 @@
 reject paths and lifecycle in whole runs."""
 
 import dataclasses
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -374,6 +373,51 @@ class TestEventListDelivery:
             assert forwards == ([("w0", msg), ("w1", msg)] if counted else [])
 
 
+class TestPredictionWait:
+    """Once every selected provider's list is in, the prediction waits out
+    the maintenance challenge period from the last list's arrival, and the
+    client is woken for it."""
+
+    def test_the_prediction_lands_a_challenge_period_after_the_last_list(self):
+        a, b = crypto.keygen(2), crypto.keygen(3)
+        joiner = crypto.keygen(4).public_key
+        record = (40, codec.register_record(joiner, 8 * ETH))
+        config = ClientConfig(
+            protocol=Protocol.ECO,
+            challenge_period=4,
+            target_value=30 * ETH,
+            maintain=True,
+            maintenance_challenge_period=11,
+            perform_check=False,
+        )
+        # 32-block epochs, delta 1, T_fin 8: epoch 2's fetch tick is 73.
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        client.sets[2] = ProviderView({a.public_key: 20 * ETH, b.public_key: 20 * ETH})
+        client.bootstrap_epochs = [2]
+        client._hold(2)
+        ctx = _Ctx()
+        ctx.verify = crypto.verify
+        ctx.watcher_names = []
+        ctx.send_to_each = lambda *args: None
+        asked = []
+        ctx.send_to_providers = lambda src, dsts, msg: asked.append((set(dsts), msg.epoch))
+        arrivals = {74: a, 75: b}
+        predicted_at = None
+        for now in range(73, 97):
+            ctx.now = now
+            if now in arrivals:
+                client.handle_message("p", signed_event_list(arrivals[now], 1, (record,)), ctx)
+            client.on_tick(now, ctx)
+            if now == 76:  # the round trip is over: every list is in
+                assert client._maintenance.collected
+                assert client.next_tick(now) == 75 + 11
+            if predicted_at is None and 3 in client.sets:
+                predicted_at = now
+        assert asked == [({a.public_key, b.public_key}, 1)]
+        assert predicted_at == 75 + 11
+        assert client.sets[3] == {a.public_key: 20 * ETH, b.public_key: 20 * ETH, joiner: 8 * ETH}
+
+
 class _CountingSet(set):
     """A set that counts its `update` calls."""
 
@@ -448,46 +492,11 @@ class TestMergeOnce:
         assert maintenance.events.updates == runs
 
 
-class TestOpenChecks:
-    """Accepting a check moves the client past the closed checks at the head
-    of `checks`, and the loops that pass over closed checks start there."""
-
-    def test_loops_skip_the_closed_prefix(self):
-        config = ClientConfig(protocol=Protocol.ECO, challenge_period=4, target_value=ETH)
-        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
-        client.bootstrap_epochs = [0]
-        client.current_epoch_held = 0
-        client.stage = Stage.QUERYING
-        ctx = _Ctx()
-        ctx.metrics = Metrics()
-        checks = [
-            Check(CheckKind.EPOCH_EVENT, 1, bytes(32), 4, ETH, query_tick=t) for t in range(12)
-        ]
-        client.checks = list(checks)
-        for check in checks[:9] + checks[10:]:
-            client._accept(check, 5, ctx)
-        assert client._first_open == 9
-        assert client.checks == checks  # the closed checks are kept
-        # No loop reads the closed prefix.
-        client.checks[:9] = [None] * 9
-        assert client.next_tick(5) == 9
-        client._drive_checks(5, ctx)
-        response = SimpleNamespace(provider_pk=bytes(32))
-        client._handle_response(response, 5, ctx)
-        client._rebuy_policy()
-        assert checks[9].outcome is None
-        # A check closed elsewhere is passed at the next acceptance.
-        checks[9].outcome = "abandoned"
-        client.checks.append(Check(CheckKind.EPOCH_EVENT, 1, bytes(32), 4, ETH, query_tick=7))
-        client._accept(client.checks[-1], 7, ctx)
-        assert client._first_open == 13
-
-
 class TestVoidedPolicy:
     def test_a_confirmed_client_rebuys_when_an_allocation_is_dropped(self):
-        """A provider backing the confirmed policy was dropped (a record
-        check timed out through it, say): the client buys anew instead of
-        querying the target, and its open non-record checks are abandoned."""
+        """A provider backing the confirmed policy was dropped (its list
+        request timed out, say): the client buys anew instead of querying
+        the target, and its open checks are abandoned."""
         coverage = CoverageInputs(t_fin=8, challenge_periods=(4, 4))
         config = ClientConfig(
             protocol=Protocol.INS, challenge_period=4, target_value=ETH, coverage_inputs=coverage
@@ -499,15 +508,16 @@ class TestVoidedPolicy:
         client._allocations = [(backer, ETH)]
         client.dropped.add(backer)
         inclusion = Check(CheckKind.INSURANCE_INCLUSION, 3, bytes(32), 4, ETH, query_tick=5)
-        record = Check(CheckKind.EPOCH_EVENT, 4, bytes(32), 4, ETH, query_tick=5)
-        client.checks = [inclusion, record]
+        accepted = Check(CheckKind.INSURANCE_INCLUSION, 2, bytes(32), 4, ETH, query_tick=4)
+        accepted.outcome = "accepted"
+        client.checks = [accepted, inclusion]
         ctx = _Ctx()
         ctx.target_state_hash = lambda name: bytes(32)
         client._drive_protocol(6, ctx)
         assert client.stage is Stage.START
         assert inclusion.outcome == "abandoned"
-        assert record.outcome is None
-        assert client.checks == [inclusion, record]  # no target check opened
+        assert accepted.outcome == "accepted"  # a closed check keeps its outcome
+        assert client.checks == [accepted, inclusion]  # no target check opened
         # With `other` dropped instead, the policy stands and the target is queried.
         client.stage = Stage.CONFIRMED
         client.dropped = {other}
@@ -784,38 +794,6 @@ class TestRejectPaths:
         assert _purchases(log, "c0") == 2
 
 
-class TestTimeouts:
-    def test_a_rebuy_requeries_the_timed_out_record_check(self):
-        """An insured maintaining client checks epoch 1's register record at
-        tick 62 through p1, which also backs its policy and asks to withdraw
-        at 56, after the client's bootstrap: an honest leaver still serves the
-        list, but refuses the query. The timeout at 65 voids the policy: the
-        client buys again and queries the record check afresh at once, so it
-        times out once, not again at 66, and counts one rejection."""
-        base = build_scenario(
-            ProviderStrategy.HONEST, 1, min_compliant_challenge_period(8, 1), Protocol.INS, seed=0
-        )
-        providers = (
-            ProviderSpec(stake=eth_to_wei(20), strategy=ProviderStrategy.HONEST),
-            ProviderSpec(stake=eth_to_wei(20), strategy=ProviderStrategy.HONEST, withdraw_tick=56),
-            ProviderSpec(stake=eth_to_wei(8), strategy=ProviderStrategy.HONEST, register_tick=25),
-        )
-        client = dataclasses.replace(
-            base.clients[0], target_value=ETH, target_block=1, start_tick=54, maintain=True
-        )
-        sim = Simulation(dataclasses.replace(base, providers=providers, clients=(client,)))
-        metrics, log = sim.run()
-        events = [line.split("\t")[:3] for line in log.lines if line.split("\t")[1] == "c0"]
-        assert [tick for tick, _, event in events if event == "timeout"] == ["65"]
-        assert ["66", "c0", "buy_insurance"] in events
-        assert metrics.clients["c0"].rejected == 1
-        # Epoch 1's register record; epoch 2's carries p1's withdraw record.
-        record_check = [c for c in sim.clients[0].checks if c.kind is CheckKind.EPOCH_EVENT][0]
-        assert record_check.restarts == 1
-        assert record_check.query_tick == 65
-        assert record_check.outcome == "accepted"
-
-
 class TestLifecycle:
     @pytest.mark.parametrize(
         "name, walk",
@@ -849,8 +827,8 @@ class TestLifecycle:
     def test_second_alert_in_a_tick_does_not_strand_an_insured_client(self):
         # Two watchers alert c2 at tick 77 about the same slashed provider,
         # which also served c2's list. The first has c2 read its next set,
-        # which closes its epoch-event check, and voids its policy; the second
-        # changes nothing. Neither must stop the client from buying again.
+        # and voids its policy; the second changes nothing. Neither must
+        # stop the client from buying again.
         cp = min_compliant_challenge_period(8, 2)
         eco = build_scenario(ProviderStrategy.HONEST, 2, cp, Protocol.ECO, seed=997588)
         ins = build_scenario(ProviderStrategy.HONEST, 2, cp, Protocol.INS, seed=997588)
