@@ -15,9 +15,9 @@ from lcsim.pricing import format_eth
 from lcsim.scenario import builtin_scenario_path, load_scenario
 
 STEPS = {
-    "bootstrap": "bootstrap: heavy check snapshots attributable stakes",
-    "buy_insurance": "client submits the insurance purchase",
-    "insurance_open": "contract assigns the policy id and locks allocations",
+    "bootstrap": "bootstrap: heavy check reads the provider set",
+    "buy_insurance": "client submits the purchase, naming candidate backers",
+    "insurance_open": "contract allocates from the candidates and locks them",
     "query": "client queries (purchase-inclusion check, then the target)",
     "accepted": "client ACCEPTS immediately on signature verification",
     "verdict": "watcher audits the forwarded response",

@@ -11,7 +11,9 @@ epoch `e + 1`, deferred further while any of the provider's stake is locked.
 A provider's `locked` moves only when a policy opens (`buy_insurance`) or
 closes (`_close`: at expiry, or once a claim pays it in full), and a slash
 zeroes it, so an unslashed provider's `locked` is the sum of its
-allocations in open policies.
+allocations in open policies. A purchase names candidate backers, each with
+a cap, and `buy_insurance` picks the allocations at execution, by the greedy
+rule clients select with (`_rank`, `_take_greedily`).
 
 The contract keeps one state version, bumped by every change of a provider
 or policy record. Its readers key their own reuse on it: the oracle's
@@ -29,6 +31,7 @@ import heapq
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import codec, crypto, pricing
 from .chain import Chain
@@ -71,8 +74,6 @@ class EpochTooFarError(ContractError):
 
 class RevertReason(str, enum.Enum):
     INSUFFICIENT_ATTRIBUTABLE_STAKE = "InsufficientAttributableStake"
-    INACTIVE_PROVIDER = "InactiveProvider"
-    COVERAGE_EXCEEDS_ALLOCATIONS = "CoverageExceedsAllocations"
     DURATION_EXCEEDS_MAX = "DurationExceedsMax"
     INSUFFICIENT_BALANCE = "InsufficientBalance"
 
@@ -262,6 +263,10 @@ class WithdrawRequestTx:
 
 @dataclass(frozen=True)
 class BuyInsuranceTx:
+    """A purchase of `coverage_value` for `duration` blocks. `allocations`
+    lists candidates, (pk, cap) pairs: each provider may back at most its
+    cap, and the contract decides the amounts (`buy_insurance`)."""
+
     buyer_pk: bytes
     allocations: tuple[tuple[bytes, int], ...]
     coverage_value: int
@@ -288,6 +293,47 @@ class Receipt:
     insurance_id: int | None = None
     premium_wei: int = 0
     gas_wei: int = 0
+    allocations: tuple[tuple[bytes, int], ...] = ()  # a purchase's, as its record lists them
+
+
+_capacity = itemgetter(1)
+
+
+class NoEligibleProvidersError(ValueError):
+    """Available backing cannot cover the requested value."""
+
+
+def _rank(providers: Iterable[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
+    """`providers` in selection order: capacities descend, pk breaks ties."""
+    # Two sorts without a Python key function: by pk, then stably by
+    # descending capacity, which is the (-capacity, pk) order.
+    ordered = sorted(providers)
+    ordered.sort(key=_capacity, reverse=True)
+    return ordered
+
+
+def _take_greedily(
+    ranked: Iterable[tuple[bytes, int]], required_backing: int
+) -> list[tuple[bytes, int]]:
+    """Walk `ranked` (pk, capacity) pairs in order, taking from each until
+    `required_backing` is met; the last take is trimmed to the remainder
+    and providers with no capacity are passed over. The one greedy rule of
+    the contract's allocations and the clients' selections."""
+    if required_backing <= 0:
+        raise ValueError("required_backing must be positive")
+    chosen: list[tuple[bytes, int]] = []
+    remaining = required_backing
+    for pk, capacity in ranked:
+        if capacity <= 0:
+            continue
+        take = min(capacity, remaining)
+        chosen.append((pk, take))
+        remaining -= take
+        if remaining == 0:
+            return chosen
+    raise NoEligibleProvidersError(
+        f"available backing short by {remaining} wei of {required_backing}"
+    )
 
 
 def fold_membership(members: dict[bytes, int], records: Iterable[bytes]) -> dict[bytes, int]:
@@ -417,26 +463,30 @@ class SlashingContract:
     def buy_insurance(
         self,
         buyer_pk: bytes,
-        allocations: list[tuple[bytes, int]],
+        candidates: Iterable[tuple[bytes, int]],
         coverage_value: int,
         duration: int,
         block_number: int,
     ) -> tuple[InsurancePolicy, bytes]:
+        """Open a policy of `coverage_value` backed by `candidates`, (pk, cap)
+        pairs: the buyer names who may back it and the most each may take,
+        and the contract picks the amounts. It passes over candidates that
+        are not active, ranks the rest by the lesser of cap and attributable
+        stake (`_rank`; a pk named twice keeps its last cap) and takes
+        greedily, the last take trimmed to the remainder. It reverts for
+        want of stake only when the candidates together are short."""
         if duration > MAX_COVERAGE_DURATION:
             raise Reverted(RevertReason.DURATION_EXCEEDS_MAX)
-        per_provider: dict[bytes, int] = {}
-        for pk, amount in allocations:
-            record = self.providers.get(pk)
-            if record is None or record.status is not ProviderStatus.ACTIVE:
-                raise Reverted(RevertReason.INACTIVE_PROVIDER)
-            if amount <= 0:
-                raise Reverted(RevertReason.INSUFFICIENT_ATTRIBUTABLE_STAKE)
-            per_provider[pk] = per_provider.get(pk, 0) + amount
-        for pk, total in per_provider.items():
-            if total > self.providers[pk].attributable:
-                raise Reverted(RevertReason.INSUFFICIENT_ATTRIBUTABLE_STAKE)
-        if sum(a for _, a in allocations) < coverage_value:
-            raise Reverted(RevertReason.COVERAGE_EXCEEDS_ALLOCATIONS)
+        providers, active = self.providers, ProviderStatus.ACTIVE
+        capacities = [
+            (pk, min(cap, record.attributable))
+            for pk, cap in dict(candidates).items()
+            if (record := providers.get(pk)) is not None and record.status is active
+        ]
+        try:
+            allocations = _take_greedily(_rank(capacities), coverage_value)
+        except NoEligibleProvidersError:
+            raise Reverted(RevertReason.INSUFFICIENT_ATTRIBUTABLE_STAKE) from None
 
         premium_wei = pricing.premium(self.params, duration, coverage_value)
         if self.ledger.balance(buyer_pk) < premium_wei + self.params.gas_cost_wei:
@@ -461,7 +511,7 @@ class SlashingContract:
         heapq.heappush(self._expiry, (policy.last_covered_block, policy.id))
         self.state_version += 1
         payload = codec.insurance_record(
-            policy.id, buyer_pk, coverage_value, block_number, duration, list(allocations)
+            policy.id, buyer_pk, coverage_value, block_number, duration, allocations
         )
         return policy, payload
 
@@ -705,7 +755,7 @@ class SlashingContract:
             if isinstance(submission, BuyInsuranceTx):
                 policy, payload = self.buy_insurance(
                     submission.buyer_pk,
-                    list(submission.allocations),
+                    submission.allocations,
                     submission.coverage_value,
                     submission.duration,
                     block_number,
@@ -718,6 +768,7 @@ class SlashingContract:
                     insurance_id=policy.id,
                     premium_wei=policy.premium_wei,
                     gas_wei=self.params.gas_cost_wei,
+                    allocations=policy.allocations,
                 )
                 return [payload], receipt
             if isinstance(submission, SlashTx):

@@ -67,7 +67,6 @@ from .light_client import (
     LightClientActor,
     Protocol,
     ProviderView,
-    provider_views,
 )
 from .messages import CompensationMsg, ReceiptMsg
 from .pricing import CoverageInputs, PricingParams, eth_to_wei, min_coverage_duration
@@ -320,15 +319,15 @@ class HeavyCheckOracle:
     its caller gives (`HeavyCheckCause`). A client pays one when it first
     reads the provider set (bootstrap); when it has no prediction of the
     clock's epoch (epoch gap) or its held providers cannot back its value
-    for the lists it would predict from (short backing); when an insured
-    purchase reverts or no selection backs a repeat purchase (purchase
-    revert, purchase retry); and when a slash alert names a provider that an
-    open check queried, that backs the policy not yet used, or whose list
-    the next prediction rests on (alert). An alert that can no longer change
-    the client's next step costs none.
+    for the lists it would predict from (short backing); and when a slash
+    alert names a provider that an open check queried, that backs the policy
+    not yet used, or whose list the next prediction rests on (alert). An
+    alert that can no longer change the client's next step costs none. An
+    insured purchase costs none: the contract allocates it from the
+    providers the client names, so the client needs no read of their locks.
 
-    A provider-set read hands out read-only views
-    (`light_client.ProviderView`), one pair for each (epoch, contract state
+    A provider-set read hands out a read-only pk -> stake view
+    (`light_client.ProviderView`), one for each (epoch, contract state
     version), with the providers that have asked to withdraw: every client
     that reads the same contract state gets the same objects, and with them
     whatever is cached on them. The oracle keeps only the last read, so a
@@ -339,9 +338,8 @@ class HeavyCheckOracle:
         self._chain = chain
         self._contract = contract
         self._metrics = metrics
-        # (epoch, state version, stake view, attributable view, leaving
-        # providers) of the last read.
-        self._views: tuple[int, int, ProviderView, ProviderView, frozenset] | None = None
+        # (epoch, state version, stake view, leaving providers) of the last read.
+        self._views: tuple[int, int, ProviderView, frozenset] | None = None
 
     def _count(self, client: str, cause: HeavyCheckCause) -> None:
         metrics = self._metrics.client(client)
@@ -351,10 +349,10 @@ class HeavyCheckOracle:
 
     def provider_set(
         self, client: str, cause: HeavyCheckCause, epoch: int | None = None
-    ) -> tuple[int, ProviderView, ProviderView, frozenset[bytes]]:
+    ) -> tuple[int, ProviderView, frozenset[bytes]]:
         """The contract's provider set of `epoch`, the current one by
-        default: (epoch, pk -> stake view, pk -> attributable stake view, the
-        providers that have asked to withdraw and not yet left)."""
+        default: (epoch, pk -> stake view, the providers that have asked to
+        withdraw and not yet left)."""
         self._count(client, cause)
         contract = self._contract
         if epoch is None:
@@ -367,8 +365,9 @@ class HeavyCheckOracle:
                 for pk, record in contract.providers.items()
                 if record.status is ProviderStatus.LEAVING
             )
-            views = self._views = (epoch, contract.state_version, *provider_views(rows), leaving)
-        return epoch, views[2], views[3], views[4]
+            held = ProviderView((pk, stake) for pk, stake, _ in rows)
+            views = self._views = (epoch, contract.state_version, held, leaving)
+        return epoch, views[2], views[3]
 
     def verify_slash(
         self,

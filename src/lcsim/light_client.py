@@ -10,25 +10,31 @@ keeping an ear open for compensation.
 Both walk one lifecycle, `LightClientActor.stage`, one transition per event:
 
     START      --tick-->             QUERYING (economic) or BUYING (insured)
-    BUYING     --receipt-->          CONFIRMING, or BUYING again if reverted
+    BUYING     --receipt-->          CONFIRMING, or GAVE_UP if reverted
     CONFIRMING --record accepted-->  CONFIRMED
     CONFIRMED  --tick-->             QUERYING
     QUERYING   --target accepted-->  ACCEPTED
 
 An insured client whose policy is voided before acceptance (an allocated
 provider times out, is slashed or answers invalidly) goes back to START and
-buys again.  GAVE_UP is terminal: no selection backs the value, purchases
-revert too often or for want of balance, or no provider is left for the
-target.  Restarting one check never moves the stage.
+buys again.  GAVE_UP is terminal: the held stakes cannot back the value, a
+purchase reverts, or no provider is left for the target.  Restarting one
+check never moves the stage.
+
+A purchase names every held provider the client may still use, each with
+its held stake as the most it may back, and the contract decides the
+amounts when it executes (`SlashingContract.buy_insurance`): purchases that
+name the same providers in one block do not collide, and a revert means the
+candidates together are short, so buying again would revert alike.
 
 Clients that read the same contract state hold the same read-only
 `ProviderView` of it, and clients that predict the same successor of a
 view hold the same successor. Whatever is a pure function of a view is
-computed once, on first use, and cached on the view: the pk order for each
-capacity view, and the view after each list of accepted records. Each
-selection walks the held view's order greedily, passing over the client's
-dropped and leaving providers (`LightClientActor.select`), as
-`select_providers` does over a list.
+computed once, on first use, and cached on the view: the pk order by
+stake, and the view after each list of accepted records. Each selection
+walks the held view's order greedily, passing over the client's dropped and
+leaving providers (`LightClientActor.select`), as `select_providers` does
+over a list.
 
 A maintaining client that stays online never repeats the bootstrap heavy
 check: it predicts the epoch e+1 provider set by folding the verified
@@ -57,14 +63,21 @@ tick the client again: `_live_from` (start and offline window),
 from __future__ import annotations
 
 import enum
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import codec, crypto
 from .actors import Alert, Query, SignedResponse
 from .chain import block_hash
-from .contract import BuyInsuranceTx, RevertReason, fold_membership, records_root
+from .contract import (
+    BuyInsuranceTx,
+    NoEligibleProvidersError,
+    _rank,
+    _take_greedily,
+    fold_membership,
+    records_root,
+)
 from .crypto import KeyPair
 from .messages import (
     CompensationMsg,
@@ -76,13 +89,6 @@ from .messages import (
     ResponseMsg,
 )
 from .pricing import CoverageInputs, min_coverage_duration
-
-
-_capacity = itemgetter(1)
-
-
-class NoEligibleProvidersError(ValueError):
-    """Available backing cannot cover the requested value."""
 
 
 class Protocol(enum.Enum):
@@ -114,38 +120,6 @@ def select_providers(
     return _take_greedily(_rank(providers), required_backing)
 
 
-def _rank(providers: Iterable[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
-    """`providers` in selection order: capacities descend, pk breaks ties."""
-    # Two sorts without a Python key function: by pk, then stably by
-    # descending capacity, which is the (-capacity, pk) order.
-    ordered = sorted(providers)
-    ordered.sort(key=_capacity, reverse=True)
-    return ordered
-
-
-def _take_greedily(
-    ranked: Iterable[tuple[bytes, int]], required_backing: int
-) -> list[tuple[bytes, int]]:
-    """Walk `ranked` (pk, capacity) pairs in order, taking from each until
-    `required_backing` is met; the last take is trimmed to the remainder
-    and providers with no capacity are passed over."""
-    if required_backing <= 0:
-        raise ValueError("required_backing must be positive")
-    chosen: list[tuple[bytes, int]] = []
-    remaining = required_backing
-    for pk, capacity in ranked:
-        if capacity <= 0:
-            continue
-        take = min(capacity, remaining)
-        chosen.append((pk, take))
-        remaining -= take
-        if remaining == 0:
-            return chosen
-    raise NoEligibleProvidersError(
-        f"available backing short by {remaining} wei of {required_backing}"
-    )
-
-
 def apply_epoch_events(
     provider_set: Mapping[bytes, int], events: Iterable[tuple[int, bytes]]
 ) -> dict[bytes, int]:
@@ -156,9 +130,8 @@ def apply_epoch_events(
 
 
 class ProviderView(dict):
-    """A read-only pk -> stake (or attributable stake) mapping that every
-    client reading the same contract state, or predicting the same
-    successor, shares.
+    """A read-only pk -> stake mapping that every client reading the same
+    contract state, or predicting the same successor, shares.
 
     What is a pure function of the view is computed on first use and cached
     on it (`ranking`, `successor`), so the caches go with the view when the
@@ -167,16 +140,11 @@ class ProviderView(dict):
     method that would change it raises TypeError.
     """
 
-    __slots__ = ("_by_stake", "_by_capacity", "_successors", "__weakref__")
+    __slots__ = ("_by_stake", "_successors", "__weakref__")
 
     def __init__(self, pairs=()) -> None:
         super().__init__(pairs)
-        # The order by the view's own stakes, kept apart from the others so
-        # that a view never refers to itself.
         self._by_stake: list[bytes] | None = None
-        # (capacities, order) for each other capacity mapping, found by
-        # identity; a view is ranked against one or a few.
-        self._by_capacity: list[tuple[Mapping[bytes, int], list[bytes]]] | None = None
         self._successors: dict[tuple[tuple[int, bytes], ...], ProviderView] | None = None
 
     def _read_only(self, *args, **kwargs):
@@ -189,24 +157,12 @@ class ProviderView(dict):
         # Copies rebuild through the constructor; the caches start empty.
         return ProviderView, (dict(self),)
 
-    def ranking(self, capacities: Mapping[bytes, int]) -> list[bytes]:
-        """This view's pks in selection order by `capacities`, in which a
-        pk that is missing keeps its stake: capacities descend, pk breaks
-        ties (`_rank`). Computed once per capacity mapping."""
-        if capacities is self:
-            order = self._by_stake
-            if order is None:
-                order = self._by_stake = [pk for pk, _ in _rank(self.items())]
-            return order
-        cache = self._by_capacity
-        if cache is None:
-            cache = self._by_capacity = []
-        for ranked_by, order in cache:
-            if ranked_by is capacities:
-                return order
-        ranked = _rank((pk, capacities.get(pk, stake)) for pk, stake in self.items())
-        order = [pk for pk, _ in ranked]
-        cache.append((capacities, order))
+    def ranking(self) -> list[bytes]:
+        """This view's pks in selection order: stakes descend, pk breaks
+        ties (`_rank`). Computed once."""
+        order = self._by_stake
+        if order is None:
+            order = self._by_stake = [pk for pk, _ in _rank(self.items())]
         return order
 
     def successor(self, events: tuple[tuple[int, bytes], ...]) -> ProviderView:
@@ -222,15 +178,6 @@ class ProviderView(dict):
         if view is None:
             view = cache[events] = ProviderView(apply_epoch_events(self, events))
         return view
-
-
-def provider_views(rows: list[tuple[bytes, int, int]]) -> tuple[ProviderView, ProviderView]:
-    """The stake view and the attributable-stake view of (pk, stake,
-    attributable) rows, as `SlashingContract.active_set` lists them."""
-    return (
-        ProviderView((pk, stake) for pk, stake, _ in rows),
-        ProviderView((pk, attributable) for pk, _, attributable in rows),
-    )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -262,8 +209,6 @@ class HeavyCheckCause(enum.Enum):
 
     BOOTSTRAP = "bootstrap"  # the first provider-set read
     EPOCH_GAP = "epoch_gap"  # no predicted set for the clock's epoch
-    PURCHASE_REVERT = "purchase_revert"  # a purchase reverted: read a fresh set
-    PURCHASE_RETRY = "purchase_retry"  # no selection backs a repeat purchase
     SHORT_BACKING = "short_backing"  # no selection backs a list request
     ALERT = "alert"  # a slash alert that can change the next step
 
@@ -362,14 +307,12 @@ class LightClientActor:
         self.stage = Stage.START
         self.bootstrap_epochs: list[int] = []
         self.sets: dict[int, ProviderView] = {}
-        self.attributable: Mapping[bytes, int] = {}
         self.current_epoch_held: int | None = None
         self.dropped: set[bytes] = set()
         self.checks: list[Check] = []
         self._pending_purchase: int | None = None  # token of the BUYING purchase
-        self._purchase_attempts: int = 0
         self._insurance_id: int | None = None  # the policy, from CONFIRMING on
-        self._allocations: list[tuple[bytes, int]] = []  # set at purchase
+        self._allocations: list[tuple[bytes, int]] = []  # the policy's, from its receipt
         self._maintenance: _Maintenance | None = None
         # Providers that have asked to withdraw, as of the latest set read.
         self.leaving: frozenset[bytes] = frozenset()
@@ -401,40 +344,28 @@ class LightClientActor:
     def set_for_epoch(self, epoch: int) -> ProviderView | None:
         return self.sets.get(epoch)
 
-    def select(self, use_attributable: bool, value: int) -> list[tuple[bytes, int]]:
-        """`select_providers` over the held set less the dropped and the
-        leaving providers, by attributable stake or by stake.
+    def _eligible(self) -> Iterator[tuple[bytes, int]]:
+        """The held set's (pk, stake) pairs in selection order, less the
+        dropped and the leaving providers: a leaving provider backs no new
+        policy and an honest one answers no query.
 
-        A leaving provider backs no new policy, so it shows no attributable
-        stake, and an honest one answers no query; an economic selection
-        passes over it too.
-
-        The held view ranks itself once per capacity view, for every client
-        that holds it (`ProviderView.ranking`); views are replaced, never
-        changed, when the client learns a new set. Each selection walks that
-        order, passing over the providers to skip, and stops once `value` is
-        backed."""
+        The held view ranks itself once, for every client that holds it
+        (`ProviderView.ranking`); views are replaced, never changed, when
+        the client learns a new set."""
         held = self.current_set()
-        capacities = self.attributable if use_attributable else held
         skip = self.dropped | self.leaving if self.leaving else self.dropped
-        return _take_greedily(
-            (
-                (pk, capacities.get(pk, held[pk]))
-                for pk in held.ranking(capacities)
-                if pk not in skip
-            ),
-            value,
-        )
+        return ((pk, held[pk]) for pk in held.ranking() if pk not in skip)
+
+    def select(self, value: int) -> list[tuple[bytes, int]]:
+        """`select_providers` over the eligible held providers: walks their
+        order and stops once `value` is backed."""
+        return _take_greedily(self._eligible(), value)
 
     def persistent_state_bytes(self) -> bytes:
         """Canonical encoding of what survives between checks."""
         parts = []
         for pk, stake in sorted(self.current_set().items()):
-            parts.append(
-                codec.encode_bytes(pk)
-                + codec.encode_u128(stake)
-                + codec.encode_u128(self.attributable.get(pk, stake))
-            )
+            parts.append(codec.encode_bytes(pk) + codec.encode_u128(stake))
         return b"".join(parts)
 
     # -- bootstrap ------------------------------------------------------------
@@ -442,9 +373,8 @@ class LightClientActor:
     def bootstrap(
         self, ctx, now: int, cause: HeavyCheckCause = HeavyCheckCause.BOOTSTRAP
     ) -> None:
-        epoch, held, attributable, leaving = ctx.oracle.provider_set(self.name, cause)
+        epoch, held, leaving = ctx.oracle.provider_set(self.name, cause)
         self.sets[epoch] = held
-        self.attributable = attributable
         self.leaving = leaving
         self._hold(epoch)
         self.bootstrap_epochs.append(epoch)
@@ -566,7 +496,7 @@ class LightClientActor:
             if self.config.protocol is Protocol.ECO:
                 self._start_target(None, now, ctx)
             else:
-                self._buy(now, ctx)
+                self._buy(ctx)
         elif self._policy_voided(self.dropped):  # CONFIRMED
             self._rebuy_policy()
         else:
@@ -587,33 +517,29 @@ class LightClientActor:
             )
         )
 
-    def _buy(self, now: int, ctx) -> None:
-        """Submit a purchase, or give up when no selection backs the value."""
+    def _buy(self, ctx) -> None:
+        """Submit a purchase, or give up when the held stakes cannot back the value."""
         try:
-            self._submit_purchase(now, ctx)
+            self._submit_purchase(ctx)
         except NoEligibleProvidersError:
             self.stage = Stage.GAVE_UP
             ctx.metrics.client(self.name).rejected += 1
 
-    def _submit_purchase(self, now: int, ctx) -> None:
+    def _submit_purchase(self, ctx) -> None:
         assert self.config.coverage_inputs is not None
         duration = min_coverage_duration(self.config.coverage_inputs)
-        try:
-            allocations = self.select(True, self.config.target_value)
-        except NoEligibleProvidersError:
-            if self._purchase_attempts == 0:
-                raise
-            # Stale attributable data; refresh it and retry once more.
-            self.bootstrap(ctx, now, HeavyCheckCause.PURCHASE_RETRY)
-            allocations = self.select(True, self.config.target_value)
-        self._purchase_attempts += 1
-        self._allocations = allocations
+        value = self.config.target_value
+        # Each eligible provider may back at most its held stake; the
+        # contract allocates from them by their attributable stake then.
+        candidates = tuple(self._eligible())
+        if sum(cap for _, cap in candidates) < value:
+            raise NoEligibleProvidersError(f"held stakes cannot back {value} wei")
         token = ctx.submit_tx(
             self.name,
             BuyInsuranceTx(
                 buyer_pk=self.public_key,
-                allocations=tuple(allocations),
-                coverage_value=self.config.target_value,
+                allocations=candidates,
+                coverage_value=value,
                 duration=duration,
             ),
         )
@@ -642,7 +568,7 @@ class LightClientActor:
             # The allocated providers back the policy; the insured query
             # goes exactly to them.
             return [pk for pk, _ in self._allocations if pk not in self.dropped]
-        return [pk for pk, _ in self.select(False, check.value)]
+        return [pk for pk, _ in self.select(check.value)]
 
     def _issue_queries(self, check: Check, now: int, ctx) -> None:
         check.selected = self._select_for_check(check)
@@ -804,22 +730,17 @@ class LightClientActor:
             return
         self._pending_purchase = None
         if not receipt.ok:
+            # The candidates together are short of the value, or the buyer's
+            # balance of premium and gas: a retry would revert alike.
             ctx.log(self.name, "insurance_reverted", (receipt.reason or "").encode())
-            if receipt.reason == RevertReason.INSUFFICIENT_BALANCE:
-                # Premium and gas do not depend on the selection, so a
-                # retry would revert alike.
-                self.stage = Stage.GAVE_UP
-                ctx.metrics.client(self.name).rejected += 1
-                return
-            # Reselect on a refreshed set and retry, a bounded number of times.
-            if self._purchase_attempts >= len(self.current_set()) + 2:
-                self.stage = Stage.GAVE_UP
-                return
-            self.bootstrap(ctx, now, HeavyCheckCause.PURCHASE_REVERT)
-            self._buy(now, ctx)
+            self.stage = Stage.GAVE_UP
+            ctx.metrics.client(self.name).rejected += 1
             return
         self.stage = Stage.CONFIRMING
         self._insurance_id = receipt.insurance_id
+        # The record the inclusion check confirms lists these allocations, so
+        # the insured query goes only to providers whose stake is locked for it.
+        self._allocations = list(receipt.allocations)
         # Confirm the purchase record through the economic path.
         self.checks.append(
             Check(
@@ -921,7 +842,7 @@ class LightClientActor:
         every one of them is in. When the providers left cannot back the
         value, read the next set through a heavy check instead."""
         try:
-            selected = self.select(False, self.config.target_value)
+            selected = self.select(self.config.target_value)
         except NoEligibleProvidersError:
             self._read_next_set(maintenance, HeavyCheckCause.SHORT_BACKING, ctx)
             return True
@@ -938,7 +859,7 @@ class LightClientActor:
         and close `maintenance`: its lists no longer decide the prediction."""
         maintenance.collected = True
         epoch = maintenance.epoch + 1
-        _, held, _, self.leaving = ctx.oracle.provider_set(self.name, cause, epoch)
+        _, held, self.leaving = ctx.oracle.provider_set(self.name, cause, epoch)
         self._predict(epoch, held, ctx)
 
     def _predict(self, epoch: int, provider_set: ProviderView, ctx) -> None:

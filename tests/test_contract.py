@@ -266,21 +266,31 @@ class TestBuyInsurance:
         assert excinfo.value.reason is RevertReason.INSUFFICIENT_ATTRIBUTABLE_STAKE
 
     def test_coverage_exceeding_allocations_reverts(self):
+        # A candidate backs at most its cap, however much stake it has free.
         _, contract, _, kp, buyer = self.setup_provider()
         with pytest.raises(Reverted) as excinfo:
             contract.buy_insurance(
                 buyer.public_key, [(kp.public_key, 5 * ETH)], 6 * ETH, 100, 10
             )
-        assert excinfo.value.reason is RevertReason.COVERAGE_EXCEEDS_ALLOCATIONS
+        assert excinfo.value.reason is RevertReason.INSUFFICIENT_ATTRIBUTABLE_STAKE
+        assert contract.provider(kp.public_key).locked == 0
 
     def test_leaving_provider_reverts(self):
-        _, contract, chain, kp, buyer = self.setup_provider()
-        contract.request_withdraw(kp.public_key, 10)
+        # A leaving candidate is passed over: alone it backs nothing, and
+        # beside an active one the active one backs the whole value.
+        ledger, contract, chain, kp, buyer = self.setup_provider()
+        other = funded_provider(ledger, 13)
+        step(chain, contract, [RegisterTx(other.public_key, 16 * ETH)])
+        contract.request_withdraw(kp.public_key, 11)
         with pytest.raises(Reverted) as excinfo:
             contract.buy_insurance(
                 buyer.public_key, [(kp.public_key, 5 * ETH)], 5 * ETH, 100, 11
             )
-        assert excinfo.value.reason is RevertReason.INACTIVE_PROVIDER
+        assert excinfo.value.reason is RevertReason.INSUFFICIENT_ATTRIBUTABLE_STAKE
+        candidates = [(kp.public_key, 32 * ETH), (other.public_key, 16 * ETH)]
+        policy, _ = contract.buy_insurance(buyer.public_key, candidates, 5 * ETH, 100, 11)
+        assert policy.allocations == ((other.public_key, 5 * ETH),)
+        assert contract.provider(kp.public_key).locked == 0
 
     def test_duration_cap(self):
         _, contract, _, kp, buyer = self.setup_provider()
@@ -290,6 +300,84 @@ class TestBuyInsurance:
                 buyer.public_key, [(kp.public_key, 5 * ETH)], 5 * ETH, duration, 10
             )
         assert excinfo.value.reason is RevertReason.DURATION_EXCEEDS_MAX
+
+    def test_two_purchases_naming_the_same_top_provider_both_open(self):
+        """The second purchase of a block is allocated from what the first
+        left: the top provider's free stake is now below the next one's, so
+        the next one backs it."""
+        ledger, contract, chain, kp, buyer = self.setup_provider()
+        second = funded_provider(ledger, 13, stake=24 * ETH)
+        step(chain, contract, [RegisterTx(second.public_key, 24 * ETH)])
+        other = crypto.keygen(301)
+        ledger.mint(other.public_key, 2 * ETH)
+        candidates = ((kp.public_key, 32 * ETH), (second.public_key, 24 * ETH))
+        receipts = step(
+            chain,
+            contract,
+            [
+                BuyInsuranceTx(buyer.public_key, candidates, 20 * ETH, 50),
+                BuyInsuranceTx(other.public_key, candidates, 20 * ETH, 50),
+            ],
+        )
+        assert [r.ok for r in receipts] == [True, True]
+        assert receipts[0].allocations == ((kp.public_key, 20 * ETH),)
+        assert receipts[1].allocations == ((second.public_key, 20 * ETH),)
+        assert [p.allocations for p in contract.policies.values()] == [
+            r.allocations for r in receipts
+        ]
+        assert contract.provider(kp.public_key).locked == 20 * ETH
+        assert contract.provider(second.public_key).locked == 20 * ETH
+
+    def test_unknown_leaving_and_slashed_candidates_are_passed_over(self):
+        ledger, contract, chain = make_env()
+        liar, leaver, backer = (funded_provider(ledger, seed) for seed in (20, 21, 22))
+        for kp in (liar, leaver, backer):
+            step(chain, contract, [RegisterTx(kp.public_key, 32 * ETH)])
+        run_until(chain, contract, 12)
+        contract.slash(false_evidence(liar, 2), chain, 13)
+        contract.request_withdraw(leaver.public_key, 13)
+        buyer = crypto.keygen(400)
+        ledger.mint(buyer.public_key, ETH)
+        unknown = crypto.digest(b"never-registered")
+        candidates = [(pk, 100 * ETH) for pk in (unknown, liar.public_key, leaver.public_key)]
+        policy, _ = contract.buy_insurance(
+            buyer.public_key, [*candidates, (backer.public_key, 10 * ETH)], 10 * ETH, 100, 13
+        )
+        assert policy.allocations == ((backer.public_key, 10 * ETH),)
+        with pytest.raises(Reverted) as excinfo:
+            contract.buy_insurance(buyer.public_key, candidates, ETH, 100, 13)
+        assert excinfo.value.reason is RevertReason.INSUFFICIENT_ATTRIBUTABLE_STAKE
+
+    def test_reverts_only_when_the_candidates_together_are_short(self):
+        """Caps above the free stake count only up to it: a purchase of
+        exactly the candidates' free stake opens, and the next wei reverts."""
+        ledger, contract, chain, kp, buyer = self.setup_provider()
+        other = funded_provider(ledger, 13, stake=16 * ETH)
+        step(chain, contract, [RegisterTx(other.public_key, 16 * ETH)])
+        contract.buy_insurance(buyer.public_key, [(kp.public_key, 20 * ETH)], 20 * ETH, 100, 11)
+        candidates = [(kp.public_key, 32 * ETH), (other.public_key, 32 * ETH)]
+        policy, _ = contract.buy_insurance(buyer.public_key, candidates, 28 * ETH, 100, 11)
+        assert policy.allocations == ((other.public_key, 16 * ETH), (kp.public_key, 12 * ETH))
+        before = ledger.balance(buyer.public_key)
+        with pytest.raises(Reverted) as excinfo:
+            contract.buy_insurance(buyer.public_key, candidates, 1, 100, 11)
+        assert excinfo.value.reason is RevertReason.INSUFFICIENT_ATTRIBUTABLE_STAKE
+        assert ledger.balance(buyer.public_key) == before
+
+    def test_no_cap_is_exceeded(self):
+        """Candidates rank by the lesser of cap and free stake, and none
+        backs more than its cap; a pk named twice keeps its last cap."""
+        ledger, contract, chain, kp, buyer = self.setup_provider()
+        other = funded_provider(ledger, 13, stake=16 * ETH)
+        step(chain, contract, [RegisterTx(other.public_key, 16 * ETH)])
+        candidates = [(kp.public_key, 5 * ETH), (other.public_key, 10 * ETH)]
+        policy, _ = contract.buy_insurance(buyer.public_key, candidates, 12 * ETH, 100, 11)
+        assert policy.allocations == ((other.public_key, 10 * ETH), (kp.public_key, 2 * ETH))
+        twice = [(kp.public_key, 4 * ETH), (kp.public_key, 3 * ETH)]
+        policy, _ = contract.buy_insurance(buyer.public_key, twice, 3 * ETH, 100, 11)
+        assert policy.allocations == ((kp.public_key, 3 * ETH),)
+        with pytest.raises(Reverted):
+            contract.buy_insurance(buyer.public_key, twice, 3 * ETH + 1, 100, 11)
 
     def test_concurrent_purchases_one_succeeds(self):
         ledger, contract, chain, kp, buyer = self.setup_provider()
@@ -824,7 +912,8 @@ class TestVersionedViews:
         step(chain, contract, [RegisterTx(other.public_key, 32 * ETH)])
         run_until(chain, contract, 2 * B_U)
         allocations = ((liar.public_key, 10 * ETH), (other.public_key, 10 * ETH))
-        step(chain, contract, [BuyInsuranceTx(buyer.public_key, allocations, 10 * ETH, 100)])
+        step(chain, contract, [BuyInsuranceTx(buyer.public_key, allocations, 20 * ETH, 100)])
+        assert contract.policies[1].allocations == tuple(sorted(allocations))
         step(chain, contract, [SlashTx(false_evidence(liar, 2, insurance_id=1))])
         assert contract.policies[1].state is PolicyState.CLAIMED
         assert contract.provider(other.public_key).locked == 0
@@ -875,7 +964,10 @@ class TestNoOverload:
         # withdraw, and claim interleavings keep locked <= stake at every
         # block and conserve total wei, and every unslashed provider's
         # locked stake is its allocations in open policies, so a full claim
-        # releases the locks on a policy's other providers.
+        # releases the locks on a policy's other providers. Purchases name
+        # candidates whose caps often exceed their free stake, and each
+        # policy covers its value within them.
+        bought_beyond = 0  # policies bought with a cap above its free stake
         for schedule_seed in range(25):
             rng = random.Random(schedule_seed)
             ledger, contract, chain = make_env()
@@ -895,15 +987,18 @@ class TestNoOverload:
                 roll = rng.random()
                 kp = rng.choice(keypairs)
                 if roll < 0.35:
-                    backers = rng.sample(keypairs, rng.randrange(1, 3))
-                    allocations = tuple(
+                    backers = rng.sample(keypairs, rng.randrange(1, 4))
+                    candidates = tuple(
                         (k.public_key, rng.randrange(1, 40) * ETH) for k in backers
+                    )
+                    beyond = any(
+                        cap > contract.provider(pk).attributable for pk, cap in candidates
                     )
                     submissions.append(
                         BuyInsuranceTx(
                             buyer.public_key,
-                            allocations,
-                            sum(a for _, a in allocations),
+                            candidates,
+                            rng.randrange(1, sum(cap for _, cap in candidates) // ETH + 1) * ETH,
                             rng.randrange(1, 3 * B_U),
                         )
                     )
@@ -917,6 +1012,10 @@ class TestNoOverload:
                     if receipt.ok and isinstance(submission, BuyInsuranceTx):
                         open_policies.append(next_policy)
                         next_policy += 1
+                        caps = dict(submission.allocations)
+                        assert all(0 < a <= caps[pk] for pk, a in receipt.allocations)
+                        assert sum(a for _, a in receipt.allocations) == submission.coverage_value
+                        bought_beyond += beyond
                 allocated = defaultdict(int)
                 for policy in contract.policies.values():
                     if policy.state is PolicyState.OPEN:
@@ -927,6 +1026,7 @@ class TestNoOverload:
                     if record.status is not ProviderStatus.SLASHED:
                         assert record.locked == allocated[pk]
                 assert ledger.total() == total
+        assert bought_beyond > 0
 
 
 class TestLedgerTotal:

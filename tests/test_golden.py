@@ -23,6 +23,7 @@ import pytest
 
 from lcsim import scenario
 from lcsim.actors import ProviderStrategy
+from lcsim.contract import PolicyState, ProviderStatus
 from lcsim.harness import (
     ProviderSpec,
     ScenarioConfig,
@@ -98,10 +99,13 @@ def scaled_maintain() -> ScenarioConfig:
 
 def scaled_insured() -> ScenarioConfig:
     """Six insured clients in two waves of three against an unresponsive,
-    a wrong_hash and four honest providers. Each wave's purchases collide
-    in one block, and the losers revert and re-bootstrap; the unresponsive
-    provider voids policies, whose buyers buy again; the liar is slashed;
-    policies expire, two of them at one boundary."""
+    a wrong_hash and four honest providers, and a seventh in the second
+    wave whose value the held stakes back but the unlocked stake does not.
+    Each wave's purchases name the same providers in one block, and the
+    contract allocates each from what the ones before it left; the seventh
+    reverts and gives up; the unresponsive provider voids policies, whose
+    buyers buy again; the liar is slashed; policies expire, two of them at
+    one boundary."""
     delta = 2
     cp = min_compliant_challenge_period(8, delta)
     base = build_scenario(ProviderStrategy.WRONG_HASH, delta, cp, Protocol.INS, seed=17)
@@ -121,8 +125,11 @@ def scaled_insured() -> ScenarioConfig:
         )
         for i in range(6)
     )
+    short = dataclasses.replace(
+        base.clients[0], target_value=eth_to_wei(290), target_block=8, start_tick=2 * b_u + 5
+    )
     return dataclasses.replace(
-        base, providers=providers, clients=clients, total_ticks=6 * b_u
+        base, providers=providers, clients=(*clients, short), total_ticks=6 * b_u
     )
 
 
@@ -256,8 +263,8 @@ PINNED: dict[str, tuple[str, str]] = {
         "3fb764510655ff84bb63c3d41d33f88fec1fb6e6fb8d52c066feff779ee9f004",
     ),
     "scaled_insured": (
-        "0569a82dd59fc94e5367ea1e71e769ec6bd9dc52fb303251aed120f02f9faca7",
-        "1cceeb6d199a581f6fa59db3c69b8d37d31b3c4c252043f8f8fdacda038d2de0",
+        "e94cdd28a00ea6e012ec8d179980f5b4cce4e5c2df25c214a4065dae89420262",
+        "2b71c3ea2f00979812fb810933cd36c1612668c0bc89ed97f7c830f7c1ab4224",
     ),
     "delta3_ins": (
         "149d82e78db72c75dfe77b544da5af6c3643cab7144913bcad87cadb65ecf757",
@@ -268,16 +275,16 @@ PINNED: dict[str, tuple[str, str]] = {
         "babdd3a80ff3f469635da6ea0c2a4d95939d3e8f6a348ddbf4caa10c29a1092d",
     ),
     "grid_100x100": (
-        "677b134fe5a250868694a206ff65ed63661b72e5a89cc5173d29392880e03075",
-        "f5915bcc845341bdc7c952097b8cef7990170ce063d826e1350aab113a20ca6b",
+        "478cefaffce65d84b856cd079faf7314e8469f763fd62c6ae8d00ddb8e7b6d93",
+        "96691b2e8a4f626b69549c2f5a849cd313518fdfced0cc735306d9a00ce55c1d",
     ),
     "grid_churn_100x100": (
-        "b11c63a381944f6d1f11d0b6d5e5ab21f9feb4a4f4c350bb40a92ef5da164573",
-        "f65ab62cb508d8779c4fc62eabf9fc749d3888a78b0b919c8311b391cc15c2ca",
+        "13509fa969a44ee03a215838b5a73588cbecd186ae38c5f0d63cbbc70fcee4f7",
+        "eeac5a489d0502c39d3ffbb8ed26aba8907570a903c3688d213964af04b937fb",
     ),
     "grid_300x1000": (
-        "a652c7b7da2da81eccb2fdb5e4f05d648e08646e6912b8f25eb8aac9c0c4aa62",
-        "fdc91e5a29f583e90f3ecadef56f60dd535933e0224678159c159f6b7c38ead0",
+        "095382a54264561aba360836b7f4c12dfbda8b7d6ac5cf44e7c5c298e256f350",
+        "03531cb2e8a74fdfbaad31680c8a626b4830534d43566f25a46cd44f5befd922",
     ),
     "table3_10eth_eco": (
         "ea53147ef3649444ac96c90b3e2bf76f1135dd4dacb3d8dad4fe8dac5f0e5a83",
@@ -316,6 +323,23 @@ def test_heavy_checks_by_cause_sum_to_the_total(name):
     metrics, _ = Simulation(configs()[name]).run()
     for client in metrics.clients.values():
         assert sum(client.heavy_checks_by_cause.values()) == client.heavy_checks
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_no_provider_is_over_allocated(name):
+    """At the end of the run every unslashed provider's locked stake is its
+    allocations in open policies, and at most its stake."""
+    sim = Simulation(configs()[name])
+    sim.run()
+    allocated: dict[bytes, int] = {}
+    for policy in sim.contract.policies.values():
+        if policy.state is PolicyState.OPEN:
+            for pk, amount in policy.allocations:
+                allocated[pk] = allocated.get(pk, 0) + amount
+    for pk, record in sim.contract.providers.items():
+        if record.status is not ProviderStatus.SLASHED:
+            assert record.locked == allocated.get(pk, 0)
+            assert record.locked <= record.stake
 
 
 def test_sweep_heavy_checks_by_cause():

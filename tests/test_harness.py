@@ -215,12 +215,17 @@ class TestInsuredScenario:
         assert metrics.violations == []
 
     def test_fees_are_those_of_the_executed_purchases(self):
-        """Colliding purchases revert and are bought again: each client has
-        spent the premium and gas of exactly the policies it bought, as a
-        revert moves no wei."""
+        """Purchases that name the same providers in one block all open, and
+        one whose candidates are short reverts: each client has spent the
+        premium and gas of exactly the policies it bought, as a revert moves
+        no wei, and the reverted buyer gives up without another heavy check."""
         sim = Simulation(scaled_insured())
         metrics, log = sim.run()
-        assert any("\tinsurance_reverted\t" in line for line in log.lines)
+        events = [line.split("\t")[1:3] for line in log.lines]
+        assert [actor for actor, event in events if event == "insurance_reverted"] == ["c6"]
+        assert ["contract", "tx-BuyInsuranceTx-InsufficientAttributableStake"] in events
+        assert sim.clients[6].stage is Stage.GAVE_UP
+        assert metrics.clients["c6"].heavy_checks_by_cause == {"bootstrap": 1}
         gas = sim.config.pricing.gas_cost_wei
         for client in sim.clients:
             bought = [
@@ -459,8 +464,8 @@ class TestLeavingProvider:
     def test_insured_client_is_not_offered_a_provider_that_asked_to_withdraw(self):
         # The 64 ETH provider asks to withdraw at tick 48, before the client
         # starts at 51. It can back no new policy, so the provider set shows
-        # it with no attributable stake, and the client buys from the other
-        # two on its first read instead of reverting on the leaver.
+        # it leaving, the client names only the other two as candidates, and
+        # its first purchase opens.
         base = build_scenario(ProviderStrategy.HONEST, 1, 11, Protocol.INS, seed=3, value_eth=20)
         providers = (
             ProviderSpec(stake=64 * ETH, withdraw_tick=48),
@@ -1574,7 +1579,7 @@ class TestMessageCounts:
             before = client._maintenance
             if before is None and client._maintenance_due() <= now:
                 value = client.config.target_value
-                names = [sim.provider_names[pk] for pk, _ in client.select(False, value)]
+                names = [sim.provider_names[pk] for pk, _ in client.select(value)]
             run_maintenance(client, now, ctx)
             maintenance = client._maintenance
             if maintenance is not None and maintenance is not before and maintenance.epoch:
@@ -1954,6 +1959,21 @@ class TestScaling:
         ratios = [b / a for a, b in zip(per_client_epoch, per_client_epoch[1:])]
         assert all(ratio <= 1.1 for ratio in ratios), per_client_epoch
 
+    def test_insured_heavy_checks_per_client_are_flat(self):
+        """Insured purchases that name the same providers in one block all
+        open, so an insured client reads the set once on every rung; when
+        each collision reverted and re-read the set, the mean went 1.00,
+        1.94, 6.12 and 14.71."""
+        per_client = []
+        for providers, clients in self.RUNGS:
+            sim = Simulation(grid(providers, clients, 300))
+            metrics, _ = sim.run()
+            insured = [c.name for c in sim.clients if c.config.protocol is Protocol.INS]
+            per_client.append(sum(metrics.clients[n].heavy_checks for n in insured) / len(insured))
+        assert per_client[0] >= 1
+        ratios = [b / a for a, b in zip(per_client, per_client[1:])]
+        assert all(ratio <= 1.1 for ratio in ratios), per_client
+
 
 class TestVerifyMemo:
     def test_each_simulation_has_its_own_memo(self, monkeypatch):
@@ -2061,34 +2081,31 @@ class TestProviderViews:
         held = first.current_set()
         assert held == {a: 32 * ETH, b: 16 * ETH}
         assert second.current_set() is held
-        assert second.attributable is first.attributable
         contract.register(c, 8 * ETH, 17)  # the state version moves
         third.bootstrap(ctx, 17)
         assert third.current_set() is not held and third.current_set() == held
-        assert third.attributable is not first.attributable
         assert first.current_set() is held
         assert held == {a: 32 * ETH, b: 16 * ETH}
         assert all(metrics.client(name).heavy_checks == 1 for name in ("c0", "c1", "c2"))
 
-    def test_each_view_pair_is_ranked_once(self, monkeypatch):
+    def test_each_view_is_ranked_once(self, monkeypatch):
         ranks = []
         rank = light_client._rank
         monkeypatch.setattr(light_client, "_rank", lambda pairs: ranks.append(1) or rank(pairs))
-        # (held view, capacities) of every selection, kept so ids stay unique.
-        pairs: dict[tuple[int, int], tuple] = {}
-        selections = []
-        select = LightClientActor.select
+        # The held view of every selection and purchase, kept so ids stay unique.
+        views: dict[int, ProviderView] = {}
+        walks = []
+        eligible = LightClientActor._eligible
 
-        def recorded(client, use_attributable, value):
+        def recorded(client):
             held = client.current_set()
-            capacities = client.attributable if use_attributable else held
-            pairs.setdefault((id(held), id(capacities)), (held, capacities))
-            selections.append(client.name)
-            return select(client, use_attributable, value)
+            views.setdefault(id(held), held)
+            walks.append(client.name)
+            return eligible(client)
 
-        monkeypatch.setattr(LightClientActor, "select", recorded)
+        monkeypatch.setattr(LightClientActor, "_eligible", recorded)
         Simulation(scaled_maintain()).run()
-        assert 0 < len(ranks) <= len(pairs) < len(selections)
+        assert 0 < len(ranks) <= len(views) < len(walks)
 
     def test_no_view_outlives_its_last_holder(self, monkeypatch):
         """Every view still alive after a run is held by a client or by the
@@ -2103,16 +2120,15 @@ class TestProviderViews:
         monkeypatch.setattr(ProviderView, "__init__", recorded)
         sim = Simulation(scaled_maintain())
         sim.run()
-        roots = list(sim.oracle._views[2:4])
+        roots = [sim.oracle._views[2]]
         for client in sim.clients:
-            roots += [*client.sets.values(), client.attributable]
+            roots += client.sets.values()
         reachable: dict[int, ProviderView] = {}
         while roots:
             view = roots.pop()
             if id(view) not in reachable:
                 reachable[id(view)] = view
                 roots += (view._successors or {}).values()
-                roots += [capacities for capacities, _ in view._by_capacity or ()]
         live = [view for view in (ref() for ref in made) if view is not None]
         assert len(live) < len(made)
         assert all(id(view) in reachable for view in live)
@@ -2154,14 +2170,7 @@ class TestCacheAudit:
 
             monkeypatch.setattr(owner, attr, wrapper)
 
-        cache(
-            ProviderView,
-            "ranking",
-            lambda view, capacities: "ranking, own stakes"
-            if capacities is view
-            else "ranking, other capacities",
-            (light_client, "_rank"),
-        )
+        cache(ProviderView, "ranking", lambda view: "ranking", (light_client, "_rank"))
         cache(
             ProviderView,
             "successor",
@@ -2199,8 +2208,7 @@ class TestCacheAudit:
         # Lists' roots: a provider's signature, each client's and the watcher's check.
         assert records_root.cache_info().hits > roots.hits
         assert set(calls) == {
-            "ranking, own stakes",
-            "ranking, other capacities",
+            "ranking",
             "successor",
             "signed lists",
             "VerifyMemo",

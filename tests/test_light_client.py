@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lcsim import actors, codec, crypto, scenario
 from lcsim.actors import Alert, AlertKind, ProviderStrategy, signed_event_list
-from lcsim.contract import fold_membership
+from lcsim.contract import Receipt, RevertReason, fold_membership
 from lcsim.harness import (
     Metrics,
     ProviderSpec,
@@ -29,7 +29,6 @@ from lcsim.light_client import (
     Stage,
     _Maintenance,
     apply_epoch_events,
-    provider_views,
     select_providers,
     verify_response,
 )
@@ -160,10 +159,10 @@ class _Oracle:
     """Heavy checks that return fresh views of whatever snapshot the test
     set last."""
 
-    snapshot: list[tuple[bytes, int, int]] = []
+    snapshot: list[tuple[bytes, int]] = []
 
     def provider_set(self, client, cause, epoch=None):
-        return (0, *provider_views(self.snapshot), frozenset())
+        return (0, ProviderView(self.snapshot), frozenset())
 
 
 class _Ctx:
@@ -174,19 +173,16 @@ class _Ctx:
         pass
 
 
-def candidate_select(client, use_attributable, value):
+def candidate_select(client, value):
     """`select_providers` over the client's held set less its dropped
     providers, listed afresh on every call."""
     held = client.current_set()
-    capacities = client.attributable if use_attributable else held
-    candidates = [
-        (pk, capacities.get(pk, stake)) for pk, stake in held.items() if pk not in client.dropped
-    ]
+    candidates = [(pk, stake) for pk, stake in held.items() if pk not in client.dropped]
     return select_providers(candidates, value)
 
 
 _capacities = st.integers(0, 4).map(lambda n: n * 8 * ETH)
-_snapshots = st.lists(st.tuples(st.sampled_from(pks(6)), _capacities, _capacities), max_size=7)
+_snapshots = st.lists(st.tuples(st.sampled_from(pks(6)), _capacities), max_size=7)
 
 
 class TestRankedSelection:
@@ -198,7 +194,7 @@ class TestRankedSelection:
         _snapshots,
         st.lists(
             st.one_of(
-                st.tuples(st.just("select"), st.booleans(), st.integers(1, 120)),
+                st.tuples(st.just("select"), st.integers(1, 120)),
                 st.tuples(st.just("drop"), st.sampled_from(pks(6))),
                 st.tuples(st.just("bootstrap"), _snapshots),
             ),
@@ -216,10 +212,8 @@ class TestRankedSelection:
         client.bootstrap(ctx, 1)
         for action in actions:
             if action[0] == "select":
-                _, use_attributable, value = action
-                assert outcome(client.select, use_attributable, value * ETH) == outcome(
-                    candidate_select, client, use_attributable, value * ETH
-                )
+                value = action[1] * ETH
+                assert outcome(client.select, value) == outcome(candidate_select, client, value)
             elif action[0] == "drop":
                 client.dropped.add(action[1])
             else:
@@ -228,38 +222,24 @@ class TestRankedSelection:
 
 
     def test_leaving_providers_are_passed_over(self):
-        """A provider the last heavy read shows leaving is skipped by both
-        selections, as a dropped one is, while still held."""
+        """A provider the last heavy read shows leaving is skipped by
+        selections and purchases, as a dropped one is, while still held."""
         a, b, c = pks(3)
         config = ClientConfig(protocol=Protocol.ECO, challenge_period=1, target_value=ETH)
         client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
         ctx = _Ctx()
-        ctx.oracle.snapshot = [(a, 32 * ETH, 0), (b, 16 * ETH, 16 * ETH), (c, 8 * ETH, 8 * ETH)]
+        ctx.oracle.snapshot = [(a, 32 * ETH), (b, 16 * ETH), (c, 8 * ETH)]
         client.bootstrap(ctx, 1)
-        assert client.select(False, 10 * ETH) == [(a, 10 * ETH)]
+        assert client.select(10 * ETH) == [(a, 10 * ETH)]
         client.leaving = frozenset({a})
         assert a in client.current_set()
-        assert client.select(False, 10 * ETH) == [(b, 10 * ETH)]
-        assert client.select(True, 20 * ETH) == [(b, 16 * ETH), (c, 4 * ETH)]
+        assert client.select(10 * ETH) == [(b, 10 * ETH)]
+        assert client.select(20 * ETH) == [(b, 16 * ETH), (c, 4 * ETH)]
+        assert list(client._eligible()) == [(b, 16 * ETH), (c, 8 * ETH)]
         client.dropped.add(b)
-        assert client.select(False, 8 * ETH) == [(c, 8 * ETH)]
+        assert client.select(8 * ETH) == [(c, 8 * ETH)]
         with pytest.raises(NoEligibleProvidersError):
-            client.select(False, 10 * ETH)
-
-    def test_stake_and_attributable_orders_are_kept_apart(self):
-        a, b = pks(2)
-        config = ClientConfig(protocol=Protocol.ECO, challenge_period=1, target_value=ETH)
-        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
-        ctx = _Ctx()
-        ctx.oracle.snapshot = [(a, 32 * ETH, 8 * ETH), (b, 16 * ETH, 16 * ETH)]
-        client.bootstrap(ctx, 1)
-        for _ in range(2):
-            assert client.select(True, ETH) == [(b, ETH)]
-            assert client.select(False, ETH) == [(a, ETH)]
-        client.dropped.add(a)
-        assert client.select(False, 16 * ETH) == [(b, 16 * ETH)]
-        with pytest.raises(NoEligibleProvidersError):
-            client.select(False, 20 * ETH)
+            client.select(10 * ETH)
 
 
 _records = st.lists(
@@ -312,23 +292,13 @@ class TestProviderView:
         assert view == plain  # the view itself is unchanged
         assert view.successor(()) is view
 
-    @given(
-        st.lists(st.tuples(st.sampled_from(pks(6)), _capacities)),
-        st.lists(st.tuples(st.sampled_from(pks(6)), _capacities)),
-    )
+    @given(st.lists(st.tuples(st.sampled_from(pks(6)), _capacities)))
     @settings(max_examples=200, deadline=None)
-    def test_ranking_is_the_selection_order(self, stakes, attributable):
-        held, capacities = ProviderView(stakes), ProviderView(attributable)
-        for caps in (held, capacities):
-            expected = [
-                pk
-                for pk, _ in sorted(
-                    ((pk, caps.get(pk, stake)) for pk, stake in held.items()),
-                    key=lambda item: (-item[1], item[0]),
-                )
-            ]
-            assert held.ranking(caps) == expected
-            assert held.ranking(caps) is held.ranking(caps)
+    def test_ranking_is_the_selection_order(self, stakes):
+        held = ProviderView(stakes)
+        expected = [pk for pk, _ in sorted(held.items(), key=lambda item: (-item[1], item[0]))]
+        assert held.ranking() == expected
+        assert held.ranking() is held.ranking()
 
 
 class TestEventListDelivery:
@@ -603,6 +573,49 @@ def _alert(pk: bytes) -> Alert:
     return Alert(AlertKind.PROVIDER_SLASHED, pk, 1, bytes(32), None)
 
 
+class TestPurchaseReceipt:
+    """A purchase's receipt decides the policy: its allocations are the ones
+    the contract made, and a revert, which means the candidates together
+    are short, ends the client's attempt."""
+
+    def bought(self):
+        backer, other = pks(2)
+        coverage = CoverageInputs(t_fin=8, challenge_periods=(4, 4))
+        config = ClientConfig(
+            protocol=Protocol.INS, challenge_period=4, target_value=ETH, coverage_inputs=coverage
+        )
+        client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
+        ctx = _HeavyCheckCtx([(backer, 32 * ETH), (other, 16 * ETH)])
+        client.bootstrap(ctx, 1)
+        client._buy(ctx)  # the purchase's token is 1
+        return client, ctx, other
+
+    def test_the_insured_query_goes_to_the_receipts_allocations(self):
+        client, ctx, other = self.bought()
+        receipt = Receipt(
+            "buy_insurance",
+            True,
+            block_number=3,
+            record_tx_id=bytes(32),
+            insurance_id=7,
+            allocations=((other, ETH),),
+        )
+        client._handle_receipt(1, receipt, 4, ctx)
+        assert client.stage is Stage.CONFIRMING
+        assert client._allocations == [(other, ETH)]
+        target = Check(CheckKind.TARGET, 2, bytes(32), 4, ETH, insurance_id=7)
+        assert client._select_for_check(target) == [other]
+
+    def test_a_revert_gives_up_without_a_heavy_check(self):
+        client, ctx, _ = self.bought()
+        reason = RevertReason.INSUFFICIENT_ATTRIBUTABLE_STAKE.value
+        client._handle_receipt(1, Receipt("BuyInsuranceTx", False, reason=reason), 4, ctx)
+        assert client.stage is Stage.GAVE_UP
+        assert ctx.causes == [HeavyCheckCause.BOOTSTRAP]
+        assert ctx.events[-1] == "insurance_reverted"
+        assert ctx.metrics.client("c0").rejected == 1
+
+
 class TestAlerts:
     """An alert costs one heavy check (`verify_slash`) when it can still
     change what the client does next, and none otherwise."""
@@ -611,7 +624,7 @@ class TestAlerts:
         liar, other = pks(2)
         config = ClientConfig(protocol=Protocol.ECO, challenge_period=4, target_value=ETH)
         client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
-        ctx = _HeavyCheckCtx([(liar, 32 * ETH, 32 * ETH), (other, 32 * ETH, 32 * ETH)])
+        ctx = _HeavyCheckCtx([(liar, 32 * ETH), (other, 32 * ETH)])
         client.bootstrap(ctx, 1)
         target = Check(CheckKind.TARGET, 2, bytes(32), 4, ETH, selected=[liar], query_tick=1)
         client.checks = [target]
@@ -627,7 +640,7 @@ class TestAlerts:
         liar, other = pks(2)
         config = ClientConfig(protocol=Protocol.ECO, challenge_period=4, target_value=ETH)
         client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
-        ctx = _HeavyCheckCtx([(liar, 32 * ETH, 32 * ETH), (other, 16 * ETH, 16 * ETH)])
+        ctx = _HeavyCheckCtx([(liar, 32 * ETH), (other, 16 * ETH)])
         client.bootstrap(ctx, 1)
         client.stage = Stage.QUERYING
         target = Check(CheckKind.TARGET, 2, bytes(32), 4, ETH, query_tick=1)
@@ -650,7 +663,7 @@ class TestAlerts:
             protocol=Protocol.INS, challenge_period=4, target_value=ETH, coverage_inputs=coverage
         )
         client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
-        ctx = _HeavyCheckCtx([(backer, 32 * ETH, 32 * ETH), (other, 16 * ETH, 16 * ETH)])
+        ctx = _HeavyCheckCtx([(backer, 32 * ETH), (other, 16 * ETH)])
         client.bootstrap(ctx, 1)
         client.stage = Stage.CONFIRMED
         client._allocations = [(backer, ETH)]
@@ -662,22 +675,34 @@ class TestAlerts:
         assert client.stage is Stage.START
         assert ctx.metrics.client("c0").rejected == 1
 
-    def test_a_repeat_purchase_with_no_backing_reads_the_set_again(self):
-        """A repeat purchase that no held selection backs pays one heavy
-        check, counted as a purchase retry, and buys from the fresh set."""
-        backer = pks(1)[0]
+    def test_a_repeat_purchase_the_held_set_cannot_back_gives_up(self):
+        """A purchase names every held provider the client may still use,
+        each with its held stake as the most it may back. Once the backer
+        of a voided policy is dropped, the rest cannot back the value: the
+        repeat purchase gives up without a heavy check."""
+        backer, other = pks(2)
         coverage = CoverageInputs(t_fin=8, challenge_periods=(4, 4))
         config = ClientConfig(
-            protocol=Protocol.INS, challenge_period=4, target_value=ETH, coverage_inputs=coverage
+            protocol=Protocol.INS,
+            challenge_period=4,
+            target_value=20 * ETH,
+            coverage_inputs=coverage,
         )
         client = LightClientActor("c0", crypto.keygen(1), config, 32, 1, 8)
-        ctx = _HeavyCheckCtx([(backer, 32 * ETH, 0)])
+        ctx = _HeavyCheckCtx([(other, 16 * ETH), (backer, 32 * ETH)])
+        submitted = []
+        ctx.submit_tx = lambda name, tx: submitted.append(tx) or len(submitted)
         client.bootstrap(ctx, 1)
-        client._purchase_attempts = 1
-        ctx.oracle.snapshot = [(backer, 32 * ETH, 32 * ETH)]
-        client._buy(5, ctx)
-        assert ctx.causes == [HeavyCheckCause.BOOTSTRAP, HeavyCheckCause.PURCHASE_RETRY]
-        assert client.stage is Stage.BUYING and client._allocations == [(backer, ETH)]
+        client._buy(ctx)
+        assert client.stage is Stage.BUYING
+        assert submitted[0].allocations == ((backer, 32 * ETH), (other, 16 * ETH))
+        assert submitted[0].coverage_value == 20 * ETH
+        client.dropped.add(backer)
+        client.stage = Stage.START
+        client._buy(ctx)
+        assert ctx.causes == [HeavyCheckCause.BOOTSTRAP]
+        assert client.stage is Stage.GAVE_UP and len(submitted) == 1
+        assert ctx.metrics.client("c0").rejected == 1
 
     def test_whole_runs(self):
         """In a bundled run the insured client's alert comes after it has
